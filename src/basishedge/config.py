@@ -51,6 +51,13 @@ def _number(v, where: str) -> float:
     return float(v)
 
 
+def _integer(v, where: str, minimum: int) -> int:
+    n = _number(v, where)
+    if not n.is_integer() or n < minimum:
+        raise ConfigError(f"{where} must be an integer of at least {minimum}, got {v!r}")
+    return int(v)
+
+
 def _exponent(v, where: str) -> complex:
     if isinstance(v, (int, float)) and not isinstance(v, bool):
         return complex(v)
@@ -303,9 +310,9 @@ class ExperimentConfig:
                     f"unknown validation test {t!r}; available: {_CHECKS}"
                 )
         return {
-            "n_paths": int(v.get("n_paths", 20000)),
-            "n_steps": int(v.get("n_steps", 125)),
-            "seed": int(v.get("seed", 0)),
+            "n_paths": _integer(v.get("n_paths", 20000), "validation.n_paths", 1),
+            "n_steps": _integer(v.get("n_steps", 125), "validation.n_steps", 1),
+            "seed": _integer(v.get("seed", 0), "validation.seed", 0),
             "tests": tests,
             "tstat_limit": float(v.get("tstat_limit", 3.0)),
             "orthogonality_limit": float(v.get("orthogonality_limit", 0.02)),

@@ -39,6 +39,29 @@ __all__ = ["HedgeDecomposition", "decompose", "HedgeRecipe"]
 _CHUNK = 4096
 _TERMINAL_FRACTION = 1e-9
 _IM_ABORT = 1e-5
+# aliasing of the uniform replay grid is held to rel_tol / _ALIAS_MARGIN
+_ALIAS_MARGIN = 100.0
+# analytic strip half-width assumed for a density without a known kernel
+_UNTAGGED_STRIP = 0.25
+# caps the node cache of one line at a few 16 MB arrays
+_MAX_UNIFORM_NODES = 1 << 20
+
+
+def _chirp_z(x, theta, m):
+    """sum_k x[..., k] exp(i theta j k) for j < m (Bluestein's chirp-z).
+
+    With jk = (j^2 + k^2 - (j-k)^2) / 2 the sum is a convolution with the
+    chirp exp(-i theta l^2 / 2), done by FFT at a power-of-two size.
+    """
+    n = x.shape[-1]
+    size = 1 << (n + m - 2).bit_length()
+    k = np.arange(max(n, m), dtype=float)
+    chirp = np.exp(0.5j * theta * k * k)
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:m] = chirp[:m].conj()
+    kernel[size - n + 1:] = chirp[1:n][::-1].conj()
+    spec = np.fft.fft(x * chirp[:n], size) * np.fft.fft(kernel)
+    return np.fft.ifft(spec)[..., :m] * chirp[:m]
 
 
 @dataclass(frozen=True)
@@ -289,16 +312,22 @@ class HedgeDecomposition:
                             z[rr] += lz
         return y, z
 
-    def _nodes(self, idx: int, level: int, umult: int) -> _LineNodes:
-        key = (idx, level, umult)
+    def _nodes(self, idx: int, level: int, umult: int, uniform: int = 0) -> _LineNodes:
+        """Composite Gauss-Legendre nodes at a refinement level, or the
+        trapezoid rule on `uniform` equal intervals when that is nonzero."""
+        key = (idx, level, umult, uniform)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
         ln = self.measure.lines[idx]
-        n_panels = ln.panels * umult * (1 << level)
         hi = ln.truncation * umult
         lo = 0.0 if ln.symmetric else -hi
-        u, w = panel_nodes(lo, hi, n_panels)
+        if uniform:
+            u = np.linspace(lo, hi, uniform + 1)
+            w = np.full(u.shape, (hi - lo) / uniform)
+            w[[0, -1]] *= 0.5
+        else:
+            u, w = panel_nodes(lo, hi, ln.panels * umult * (1 << level))
         dens = np.asarray(ln.density(u), dtype=complex)
         zrun = ln.abscissa + 1j * u
         f = complex(ln.fixed_exponent)
@@ -314,7 +343,14 @@ class HedgeDecomposition:
         self._cache[key] = nd
         return nd
 
-    def _line_group(self, idx, ti, logx, logs, x, s, which, node_drop=0.0):
+    def _propagate(self, nd: _LineNodes, ti: float):
+        """(lambda, gamma, psi) at the line's nodes at time ti."""
+        if self._homogeneous:
+            return np.exp((self.model.horizon - ti) * nd.eta_rate), nd.gamma, nd.psi
+        m, z1, z2 = self.model, nd.z1, nd.z2
+        return m.lambda_coeff(ti, z1, z2), m.gamma_at(ti, z1, z2), m.psi_at(ti, z1, z2)
+
+    def _line_group(self, idx, ti, logx, logs, x, s, which):
         ln = self.measure.lines[idx]
         if ln.axis == 1:
             logv, v = logx, x
@@ -343,22 +379,11 @@ class HedgeDecomposition:
         level = 0
         while ln.panels * umult * (1 << level) <= budget:
             nd = self._nodes(idx, level, umult)
-            if self._homogeneous:
-                lam = np.exp((self.model.horizon - ti) * nd.eta_rate)
-                gam = nd.gamma
-                psi = nd.psi
-            else:
-                lam = self.model.lambda_coeff(ti, nd.z1, nd.z2)
-                gam = self.model.gamma_at(ti, nd.z1, nd.z2)
-                psi = self.model.psi_at(ti, nd.z1, nd.z2)
+            lam, gam, psi = self._propagate(nd, ti)
             coef = nd.w * nd.dens * lam
             if which == "gen":
                 coef = coef * psi
-            u_nodes = nd.u
-            if node_drop > 0.0:
-                keep = np.abs(coef) >= node_drop * float(np.max(np.abs(coef)))
-                coef, gam, u_nodes = coef[keep], np.asarray(gam)[keep], nd.u[keep]
-            powers = np.exp(np.multiply.outer(logv, ln.abscissa + 1j * u_nodes))
+            powers = np.exp(np.multiply.outer(logv, ln.abscissa + 1j * nd.u))
             quad_tail_y = tail_y if which != "gen" else 0.0
             cur_y = powers @ coef + quad_tail_y if need_y else None
             cur_z = (powers @ (coef * gam) + tail_z) if need_z else None
@@ -387,87 +412,58 @@ class HedgeDecomposition:
             residual=diff,
         )
 
-    def _level_values(self, idx, level, umult, ti, logv, which, node_drop, uniform=False):
-        """One quadrature level of a line on raw log coordinates.
+    def _line_grid(self, idx, ti, glx):
+        """Raw line values (y, z) on a uniform log grid at an interior time.
 
-        Returns (y, z) without the fixed-coordinate factor and without
-        the 1/s hedging division; tails are not added (interior times).
+        The trapezoid rule on uniform nodes u_k = lo + k*h makes the line
+        a Fourier sum in the grid index, evaluated at every point by one
+        chirp-z transform.  Values exclude the fixed-coordinate factor and
+        the 1/s hedging division.  Used by the Monte Carlo replay.
         """
         ln = self.measure.lines[idx]
-        nd = self._nodes(idx, level, umult)
-        if self._homogeneous:
-            lam = np.exp((self.model.horizon - ti) * nd.eta_rate)
-            gam = nd.gamma
-        else:
-            lam = self.model.lambda_coeff(ti, nd.z1, nd.z2)
-            gam = self.model.gamma_at(ti, nd.z1, nd.z2)
-        coef = nd.w * nd.dens * lam
-        u_nodes = nd.u
-        if node_drop > 0.0:
-            mag = np.abs(coef) * (1.0 + np.abs(gam))
-            keep = mag >= node_drop * float(mag.max())
-            coef, gam, u_nodes = coef[keep], np.asarray(gam)[keep], u_nodes[keep]
-        zrun = ln.abscissa + 1j * u_nodes
-        if uniform and logv.size > 2:
-            step = np.exp((logv[1] - logv[0]) * zrun)
-            table = np.broadcast_to(step, (logv.size, step.size)).copy()
-            table[0] = np.exp(logv[0] * zrun)
-            powers = np.cumprod(table, axis=0)
-        else:
-            powers = np.exp(np.multiply.outer(logv, zrun))
-        need_y = which in ("y", "both")
-        need_z = which in ("z", "both")
-        cur_y = powers @ coef if need_y else None
-        cur_z = powers @ (coef * gam) if need_z else None
-        if ln.symmetric:
-            cur_y = 2.0 * cur_y.real if cur_y is not None else None
-            cur_z = 2.0 * cur_z.real if cur_z is not None else None
-        return cur_y, cur_z
-
-    def _line_grid(self, idx, ti, glx, which="both", node_drop=1e-16):
-        """Line values on a uniform log grid at interior times.
-
-        The refinement level is chosen on a small probe subset, then the
-        full grid is filled in a single pass.  Used by the Monte Carlo
-        replay; exact pointwise evaluation remains the reference.
-        """
-        ln = self.measure.lines[idx]
-        v = np.exp(glx)
-        umult, tail_mode, bound = self._tail_plan(idx, ti, v, np.ones(1), which)
+        umult, tail_mode, bound = self._tail_plan(idx, ti, np.exp(glx), np.ones(1), "both")
         if tail_mode == "terminal":
             raise DomainError("the grid shortcut does not cover the terminal time")
         stats = self._line_stats[idx]
         stats["umult"] = max(stats["umult"], umult)
         stats["tail_bound"] = max(stats["tail_bound"], bound)
-        budget = self.settings.panel_budget * umult
-        probes = glx[np.unique(np.linspace(0, glx.size - 1, 9).astype(int))]
-        prev = None
-        level = 0
-        chosen = -1
-        diff = float("nan")
-        while ln.panels * umult * (1 << level) <= budget:
-            cur = self._level_values(idx, level, umult, ti, probes, which, 0.0)
-            if prev is not None:
-                diff = 0.0
-                for c, p in zip(cur, prev):
-                    if c is None:
-                        continue
-                    d = float(np.max(np.abs(c - p)))
-                    sc = max(float(np.max(np.abs(c))), 1.0)
-                    diff = max(diff, d / sc)
-                if diff <= self.settings.rel_tol:
-                    chosen = level
-                    break
-            prev = cur
-            level += 1
-        if chosen < 0:
+        nd = self._nodes(idx, 0, umult, uniform=self._uniform_count(idx, umult, glx))
+        lam, gam, _ = self._propagate(nd, ti)
+        coef = nd.w * nd.dens * lam
+        # exp((R + i u_k) glx_j) = exp((R + i lo) glx_j) exp(i k h glx_0) exp(i h dx jk)
+        lo, h = nd.u[0], nd.u[1] - nd.u[0]
+        dx = glx[1] - glx[0] if glx.size > 1 else 0.0
+        shift = np.exp(1j * (nd.u - lo) * glx[0])
+        vals = _chirp_z(np.stack([coef * shift, coef * gam * shift]), h * dx, glx.size)
+        vals *= np.exp((ln.abscissa + 1j * lo) * glx)
+        if ln.symmetric:
+            vals = 2.0 * vals.real
+        return vals[0], vals[1]
+
+    def _uniform_count(self, idx, umult, glx) -> int:
+        """Trapezoid intervals (a power of two) for a line on a log grid.
+
+        The trapezoid error is aliasing, about exp(-d (2 pi / h - |w|))
+        relative, with d the distance from the contour to the density's
+        nearest singularity and w the log-moneyness; h keeps it below
+        rel_tol / _ALIAS_MARGIN over the grid.
+        """
+        ln = self.measure.lines[idx]
+        if ln.tail is not None:
+            # rational kernel: poles at z = 0 and z = 1, oscillation log(v / K)
+            dist = min(abs(ln.abscissa), abs(ln.abscissa - 1.0))
+            w = np.abs(glx - np.log(ln.tail.strike))
+        else:
+            dist, w = _UNTAGGED_STRIP, np.abs(glx)
+        h = 2.0 * np.pi / (float(w.max()) + np.log(_ALIAS_MARGIN / self.settings.rel_tol) / dist)
+        span = ln.truncation * umult * (1.0 if ln.symmetric else 2.0)
+        n = 1 << max(int(np.ceil(np.log2(span / h))), 1)
+        if n > _MAX_UNIFORM_NODES:
             raise ConvergenceError(
-                f"contour quadrature for line {idx} did not stabilise within "
-                f"{budget} panels",
-                residual=diff,
+                f"uniform quadrature for line {idx} needs {n} nodes, "
+                f"more than {_MAX_UNIFORM_NODES}"
             )
-        stats["levels"] = max(stats["levels"], chosen)
-        return self._level_values(idx, chosen, umult, ti, glx, which, node_drop, uniform=True)
+        return n
 
     def _terminal_tails(self, idx, ln, v, which):
         k = ln.tail.strike

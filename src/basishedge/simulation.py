@@ -7,10 +7,11 @@ of the propagated powers, exponential moments, orthogonality of the
 hedging residual to the traded martingale part, and the mean-variance
 tradeoff integral.
 
-The path replay uses a per-step one-dimensional interpolation grid in
-the varying log coordinate of each contour line (payoff mixtures are
-separable), which keeps the cost linear in paths; a sampled self-check
-against exact pointwise evaluation guards the shortcut.
+The path replay tabulates each contour line (payoff mixtures are
+separable) on a uniform grid in its varying log coordinate at every
+rebalance time, by one chirp-z transform of the trapezoid rule on
+uniform contour nodes, and interpolates the paths on it; a sampled
+self-check against exact pointwise evaluation guards the shortcut.
 """
 
 from __future__ import annotations
@@ -143,21 +144,26 @@ def martingale_test(model, ensemble: PathEnsemble, exponents: Optional[Sequence]
     if exponents is None:
         exponents = [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.5 + 1.5j, 0.5)]
     times = ensemble.times
-    rows = []
-    worst = 0.0
-    for z1, z2 in exponents:
-        z1, z2 = complex(z1), complex(z2)
-        w = np.zeros(ensemble.n_paths, dtype=complex)
-        v_prev = _norm_powers(ensemble, 0, z1, z2) * model.lambda_coeff(times[0], z1, z2)
-        for i in range(ensemble.n_steps):
+    zs = [(complex(z1), complex(z2)) for z1, z2 in exponents]
+    # one pass over the steps: the log-prices of a step serve every exponent
+    ws = [np.zeros(ensemble.n_paths, dtype=complex) for _ in zs]
+    v_prev = [_norm_powers(ensemble, 0, z1, z2) * model.lambda_coeff(times[0], z1, z2)
+              for z1, z2 in zs]
+    for i in range(ensemble.n_steps):
+        lx = np.log(ensemble.x[:, i + 1] / ensemble.x[0, 0])
+        ls = np.log(ensemble.s[:, i + 1] / ensemble.s[0, 0])
+        for k, (z1, z2) in enumerate(zs):
             growth = np.exp(
                 model.kappa(times[i + 1], z1, z2) - model.kappa(times[i], z1, z2)
             )
             lam_next = model.lambda_coeff(times[i + 1], z1, z2)
             lam_here = model.lambda_coeff(times[i], z1, z2)
-            v_next = _norm_powers(ensemble, i + 1, z1, z2) * lam_next
-            w += v_next - v_prev * (growth * lam_next / lam_here)
-            v_prev = v_next
+            v_next = np.exp(z1 * lx + z2 * ls) * lam_next
+            ws[k] += v_next - v_prev[k] * (growth * lam_next / lam_here)
+            v_prev[k] = v_next
+    rows = []
+    worst = 0.0
+    for (z1, z2), w in zip(zs, ws):
         n = w.size
         out = {"z1": z1, "z2": z2}
         for part, vals in (("re", w.real), ("im", w.imag)):
@@ -232,54 +238,54 @@ def _require_same_model(model, ensemble: PathEnsemble):
         )
 
 
-def _surface_on_paths(dec, t, xcol, scol, grid_points, node_drop):
+def _surface_on_paths(dec, t, xcol, scol, grid_points):
     """Value/hedge at one rebalance time for all paths.
 
     Lines are separable, so each is tabulated on a 1-d grid in its
-    varying log coordinate and interpolated; atoms are exact.
+    varying log coordinate and interpolated; atoms are exact.  The
+    claim is real, so the real parts of its terms add up to it.
     """
     model = dec.model
-    n = xcol.size
-    y = np.zeros(n, dtype=complex)
-    z = np.zeros(n, dtype=complex)
+    y = np.zeros(xcol.size)
+    z = np.zeros(xcol.size)
     logx = np.log(xcol)
     logs = np.log(scol)
     for a in dec.measure.atoms:
         lam = complex(np.asarray(model.lambda_coeff(t, a.z1, a.z2)).ravel()[0])
         gam = complex(np.asarray(model.gamma_at(t, a.z1, a.z2)).ravel()[0])
-        base = a.weight * np.exp(a.z1 * logx + a.z2 * logs) * lam
-        y += base
-        z += base * gam / scol
+        z1, z2 = complex(a.z1), complex(a.z2)
+        # real exponents, as in the unit atoms of calls, skip the complex exp
+        power = np.exp(z1.real * logx + z2.real * logs)
+        if z1.imag or z2.imag:
+            power = power * np.exp(1j * (z1.imag * logx + z2.imag * logs))
+        y += (a.weight * lam * power).real
+        z += (a.weight * lam * gam * power).real / scol
     for idx, ln in enumerate(dec.measure.lines):
         f = float(np.real(ln.fixed_exponent))
         logv = logx if ln.axis == 1 else logs
         lo, hi = float(logv.min()), float(logv.max())
-        if hi - lo < 1e-12:
-            glx = np.array([lo])
-        else:
-            glx = np.linspace(lo, hi, grid_points)
-        gy, gz = dec._line_grid(idx, t, glx, "both", node_drop)
-        gy, gz = np.real(gy), np.real(gz)
-        if glx.size == 1:
-            yv = np.full(n, gy[0])
-            zv = np.full(n, gz[0])
-        else:
-            yv = np.interp(logv, glx, gy)
-            zv = np.interp(logv, glx, gz)
+        # all paths at one price (the first step) give a one-point grid
+        glx = np.linspace(lo, hi, grid_points if hi - lo >= 1e-12 else 1)
+        gy, gz = dec._line_grid(idx, t, glx)
+        # linear interpolation by index on the uniform grid (one point: constant)
+        pos = (logv - lo) * ((glx.size - 1) / max(hi - lo, 1e-300))
+        j = np.minimum(pos.astype(np.intp), max(glx.size - 2, 0))
+        frac = pos - j
+        j1 = np.minimum(j + 1, glx.size - 1)
+        yv, zv = (tab[j] + frac * (tab[j1] - tab[j]) for tab in (np.real(gy), np.real(gz)))
         if ln.axis == 1:
             y += yv * scol**f
             z += zv * scol ** (f - 1.0)
         else:
             y += yv * xcol**f
             z += zv * xcol**f / scol
-    return y.real, z.real
+    return y, z
 
 
 def hedge_run(
     dec,
     ensemble: PathEnsemble,
     grid_points: int = 4096,
-    node_drop: float = 1e-16,
     self_check: int = 8,
     check_tol: float = 5e-3,
 ) -> HedgeRunResult:
@@ -288,10 +294,12 @@ def hedge_run(
     Runs the self-financing replay with left-endpoint hedge ratios,
     returns terminal residuals g - h0 - sum z dS and the pooled
     correlation between residual increments and compensated traded
-    increments (orthogonality check).  `self_check` interior rebalance
-    times are re-evaluated exactly at sampled points to certify the
-    interpolation shortcut; disagreement beyond check_tol raises
-    MismatchError.
+    increments (orthogonality check).  Each step tabulates every line on
+    `grid_points` uniform log points by a chirp-z transform and
+    interpolates the paths.  `self_check` interior rebalance times are
+    re-evaluated exactly at four sampled paths; a value (relative) or
+    hedge (absolute) gap beyond check_tol raises MismatchError, and the
+    worst gap is returned as self_check_error.
     """
     model = dec.model
     _require_same_model(model, ensemble)
@@ -319,13 +327,16 @@ def hedge_run(
     ds_prev = None
     comp_prev = None
 
+    s_i = np.ascontiguousarray(S[:, 0])
     for i in range(n_steps + 1):
         t = float(times[i])
+        # contiguous copies of the path columns make the vector work cheap
+        x_i = np.ascontiguousarray(X[:, i])
         if i == n_steps:
-            y_i = np.asarray(dec.measure.payoff(X[:, i], S[:, i]), dtype=float)
+            y_i = np.asarray(dec.measure.payoff(x_i, s_i), dtype=float)
             z_i = None
         else:
-            y_i, z_i = _surface_on_paths(dec, t, X[:, i], S[:, i], grid_points, node_drop)
+            y_i, z_i = _surface_on_paths(dec, t, x_i, s_i, grid_points)
         if i > 0:
             d_o = y_i - y_prev - z_prev * ds_prev
             d_m = ds_prev - comp_prev
@@ -338,7 +349,7 @@ def hedge_run(
         if i < n_steps:
             if i in check_steps:
                 pick = check_rng.integers(0, n_paths, size=4)
-                y_ref, z_ref = dec.value_and_hedge(t, X[pick, i], S[pick, i])
+                y_ref, z_ref = dec.value_and_hedge(t, x_i[pick], s_i[pick])
                 sc_y = max(1.0, float(np.max(np.abs(y_ref))))
                 err = max(
                     float(np.max(np.abs(y_i[pick] - y_ref))) / sc_y,
@@ -350,13 +361,14 @@ def hedge_run(
                         f"interpolated hedge deviates from exact evaluation by {err:.2e} "
                         f"at t={t:g} (tolerance {check_tol:g})"
                     )
-            ds = S[:, i + 1] - S[:, i]
+            s_next = np.ascontiguousarray(S[:, i + 1])
+            ds = s_next - s_i
             gains += z_i * ds
             kstep = float(
                 np.real(model.kappa(times[i + 1], 0.0, 1.0) - model.kappa(t, 0.0, 1.0))
             )
-            comp_prev = S[:, i] * np.expm1(kstep)
-            y_prev, z_prev, ds_prev = y_i, z_i, ds
+            comp_prev = s_i * np.expm1(kstep)
+            y_prev, z_prev, ds_prev, s_i = y_i, z_i, ds, s_next
         else:
             payoff = y_i
 

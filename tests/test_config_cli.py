@@ -221,6 +221,31 @@ def test_cli_exit_2_on_config_errors(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+SHIPPED_CHECK = Path(__file__).resolve().parents[1] / "configs" / "merton_validation.json"
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("check", "n_paths", 0),
+        ("check", "n_paths", "many"),
+        ("price", "n_steps", 2.7),
+        ("check", "n_steps", True),
+        ("check", "seed", -1),
+    ],
+)
+def test_cli_exit_2_on_bad_validation_integers(tmp_path, capsys, command, key, value):
+    cfg = json.loads(SHIPPED_CHECK.read_text())
+    cfg["validation"][key] = value
+    out = tmp_path / "never"
+    path = _write(tmp_path, cfg)
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: validation.{key}")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_exit_3_degenerate_traded_asset(tmp_path, capsys):
     cfg = copy.deepcopy(BASE)
     cfg["model"]["vol_s"] = 0.0
@@ -459,3 +484,15 @@ def test_console_script_entry_point(tmp_path):
 )
 def test_installed_console_script(tmp_path):
     _assert_price_runs([shutil.which("basishedge")], tmp_path)
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy.signal costs about a second to import, more than the whole
+    # CLI start-up; the chirp-z transform is written on numpy.fft instead
+    src = str(Path(basishedge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import basishedge.cli, sys; assert 'scipy.signal' not in sys.modules"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

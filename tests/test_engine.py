@@ -1,5 +1,7 @@
 """Value/hedge surfaces against lognormal closed forms and identities."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
@@ -13,8 +15,10 @@ from basishedge.payoffs import (
     ContourLine,
     PayoffMeasure,
     call_claim,
+    call_measure,
     power_claim,
     put_claim,
+    put_measure,
 )
 
 
@@ -271,3 +275,96 @@ def test_initial_capital_between_convexity_bounds(strike, corr, vol_x):
     dec = decompose(model, call_claim(strike, axis=1))
     fwd = oracles.adjusted_forward(model, 1)
     assert max(fwd - strike, 0.0) - 1e-7 <= dec.h0 <= fwd + 1e-7
+
+
+# -- uniform-grid line evaluation (Monte Carlo replay) ----------------------------
+
+
+def _two_seasons():
+    calm = AdditiveModel.black_scholes(
+        log_drift=[0.03, 0.02], vol_x=0.20, vol_s=0.18, corr=0.85,
+        horizon=0.5, spot=[100.0, 100.0],
+    )
+    stressed = AdditiveModel.merton(
+        log_drift=[0.01, 0.005], vol_x=0.35, vol_s=0.30, corr=0.65,
+        jump_intensity=1.5, jump_mean=[-0.08, -0.06], jump_vol_x=0.15,
+        jump_vol_s=0.12, jump_corr=0.6, horizon=0.5, spot=[100.0, 100.0],
+    )
+    return PiecewiseAdditiveModel([(0.5, calm), (0.5, stressed)])
+
+
+def _grid_error(dec, t, glx):
+    """Uniform-grid line values against exact evaluation, scaled as in
+    hedge_run's self-check.  The measure is one line with a zero fixed
+    exponent, so value_and_hedge returns the raw line values (the hedge
+    divided by s)."""
+    gy, gz = dec._line_grid(0, t, glx)
+    pick = np.arange(0, glx.size, 16)
+    v = np.exp(glx[pick])
+    other = np.full(v.shape, 100.0)
+    axis = dec.measure.lines[0].axis
+    x, s = (v, other) if axis == 1 else (other, v)
+    y, z = dec.value_and_hedge(t, x, s)
+    sc_y = max(1.0, float(np.max(np.abs(y))))
+    return max(
+        float(np.max(np.abs(gy[pick] - y))) / sc_y,
+        float(np.max(np.abs(gz[pick] / s - z))),
+    )
+
+
+@pytest.mark.parametrize(
+    "model_name, measure, fractions",
+    [
+        ("merton_model", call_measure(100.0, axis=1), (0.0, 0.5, 0.9)),
+        ("bs_model", put_measure(100.0, abscissa=1.5, axis=2), (0.0, 0.5, 0.9)),
+        ("seasons", call_measure(100.0, axis=1), (0.0, 0.3, 0.7, 0.95)),
+        # without the kernel marker the node step assumes a narrower strip
+        (
+            "bs_model",
+            PayoffMeasure(lines=(replace(call_measure(100.0, axis=1).lines[0], tail=None),)),
+            (0.0, 0.5, 0.9),
+        ),
+    ],
+    ids=["merton-call-x", "bs-put-s", "two-seasons-call-x", "untagged-line"],
+)
+def test_line_grid_matches_exact_evaluation(request, model_name, measure, fractions):
+    model = _two_seasons() if model_name == "seasons" else request.getfixturevalue(model_name)
+    dec = decompose(model, measure)
+    glx = np.linspace(np.log(60.0), np.log(160.0), 257)
+    for frac in fractions:
+        t = frac * model.horizon
+        assert _grid_error(dec, t, glx) <= 1e-8, f"t={t}"
+
+
+def test_line_grid_covers_extended_truncation(merton_model):
+    # near maturity the propagation factor decays slowly, so the grid
+    # runs over a doubled truncation
+    dec = decompose(merton_model, call_measure(100.0, axis=1))
+    glx = np.linspace(np.log(60.0), np.log(160.0), 257)
+    t = 0.99 * merton_model.horizon
+    assert dec._tail_plan(0, t, np.exp(glx), np.ones(1), "both")[0] > 1
+    assert _grid_error(dec, t, glx) <= 1e-8
+
+
+def test_line_grid_single_point(merton_model):
+    # at the first replay step every path sits at spot
+    dec = decompose(merton_model, call_measure(100.0, axis=1))
+    glx = np.array([np.log(100.0)])
+    gy, gz = dec._line_grid(0, 0.0, glx)
+    assert gy.shape == gz.shape == (1,)
+    assert _grid_error(dec, 0.0, glx) <= 1e-8
+
+
+def test_line_grid_rejects_terminal_time(bs_model):
+    dec = decompose(bs_model, call_measure(100.0, axis=1))
+    glx = np.linspace(np.log(60.0), np.log(160.0), 33)
+    with pytest.raises(DomainError, match="terminal time"):
+        dec._line_grid(0, bs_model.horizon, glx)
+
+
+def test_line_grid_node_count_is_capped(bs_model):
+    dec = decompose(bs_model, call_measure(100.0, axis=1))
+    glx = np.linspace(np.log(60.0), np.log(160.0), 33)
+    assert dec._uniform_count(0, 1, glx) == 2048
+    with pytest.raises(ConvergenceError, match="uniform quadrature"):
+        dec._uniform_count(0, 1 << 12, glx)

@@ -179,6 +179,15 @@ def test_replay_of_constant_claim_is_exact(bs_model):
     assert run.gain_mean == 0.0
 
 
+def test_replay_of_conjugate_atom_pair_is_exact(bs_model):
+    # a real claim made of complex powers: the real parts of the pair add up
+    claim = power_claim(0.3 + 0.8j, 0.5, 1.0 + 0.5j) + power_claim(0.3 - 0.8j, 0.5, 1.0 - 0.5j)
+    dec = decompose(bs_model, claim)
+    ens = simulate(bs_model, 500, 10, seed=21)
+    run = hedge_run(dec, ens)
+    assert run.self_check_error < 1e-12
+
+
 def test_hedge_run_residual_is_centered(bs_call_x, bs_run):
     assert bs_run.n_paths == 4000
     assert bs_run.n_steps == 50
