@@ -23,12 +23,6 @@ dec = decompose(model, claim)
 print("initial capital h0      :", round(dec.h0, 6))
 print("hedge ratio at t=0      :", round(float(np.real(dec.hedge(0.0, 100.0, 100.0))), 6))
 
-recipe = dec.recipe()
-print("\nhow to trade it:")
-print("  start with", round(recipe.initial_capital, 4), "in cash")
-print("  rule:", recipe.hedge_rule)
-print("  residual:", recipe.residual_rule)
-
 # -----------------------------
 # The value surface is a function of time and BOTH prices
 # -----------------------------

@@ -17,7 +17,8 @@ the JSON report is printed to stdout.  Outputs are deterministic for a
 fixed config and seed: JSON is key-sorted with no timestamps, files are
 written atomically, and nothing is written for an invalid config.  Exit
 codes: 0 success, 2 configuration errors, 3 violated model/regime
-assumptions, 4 failed validation checks.
+assumptions or contour quadrature that does not converge, 4 failed
+validation checks.
 """
 
 from __future__ import annotations
@@ -30,11 +31,12 @@ import sys
 import numpy as np
 
 from . import engine, pde, simulation
-from .config import load_config
+from .config import _integer, load_config
 from .errors import (
     AssumptionError,
     CheckFailure,
     ConfigError,
+    ConvergenceError,
     RegimeError,
 )
 
@@ -369,20 +371,15 @@ def _parser() -> argparse.ArgumentParser:
             help="directory for report artifacts (default: config output.directory)",
         )
         sp.add_argument("--seed", type=int, default=None, help="override the validation seed")
-        sp.add_argument(
-            "--threads", type=int, default=None,
-            help="numpy thread cap to request (recorded; exported for child BLAS)",
-        )
     return p
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(max(1, args.threads))
     try:
         cfg = load_config(args.config)
+        if args.seed is not None:
+            args.seed = _integer(args.seed, "--seed", 0)
         args.outdir = args.out or cfg.output_directory
         payload = _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
@@ -394,6 +391,9 @@ def main(argv=None) -> int:
         return 2
     except (AssumptionError, RegimeError) as exc:
         print(f"assumption violated: {exc}", file=sys.stderr)
+        return 3
+    except ConvergenceError as exc:
+        print(f"quadrature failed: {exc}", file=sys.stderr)
         return 3
     except CheckFailure as exc:
         print(f"check failure: {exc}", file=sys.stderr)

@@ -20,6 +20,7 @@ offending key, before any output is written.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Any, Optional
@@ -46,9 +47,13 @@ def _need(block: dict, key: str, where: str):
 
 
 def _number(v, where: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {v!r}")
-    return float(v)
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        try:
+            if math.isfinite(v):
+                return float(v)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ConfigError(f"{where} must be a finite number, got {v!r}")
 
 
 def _integer(v, where: str, minimum: int) -> int:
@@ -237,9 +242,9 @@ class ExperimentConfig:
         if "rel_tol" in q:
             kw["rel_tol"] = _number(q["rel_tol"], "quadrature.rel_tol")
         if "panel_budget" in q:
-            kw["panel_budget"] = int(q["panel_budget"])
+            kw["panel_budget"] = _integer(q["panel_budget"], "quadrature.panel_budget", 1)
         if "max_extension" in q:
-            kw["max_extension"] = int(q["max_extension"])
+            kw["max_extension"] = _integer(q["max_extension"], "quadrature.max_extension", 0)
         try:
             return QuadratureSettings(**kw) if kw else DEFAULT_SETTINGS
         except Exception as exc:
@@ -254,11 +259,11 @@ class ExperimentConfig:
         )
         try:
             return GridConfig(
-                nx=int(g.get("nx", 161)),
-                ns=int(g.get("ns", 161)),
-                nt=int(g.get("nt", 41)),
-                radius_stddevs=float(g.get("radius_stddevs", 6.0)),
-                cfl_fraction=float(g.get("cfl_fraction", 0.4)),
+                nx=_integer(g.get("nx", 161), "pde_grid.nx", 5),
+                ns=_integer(g.get("ns", 161), "pde_grid.ns", 5),
+                nt=_integer(g.get("nt", 41), "pde_grid.nt", 2),
+                radius_stddevs=_number(g.get("radius_stddevs", 6.0), "pde_grid.radius_stddevs"),
+                cfl_fraction=_number(g.get("cfl_fraction", 0.4), "pde_grid.cfl_fraction"),
             )
         except ConfigError:
             raise
@@ -285,9 +290,9 @@ class ExperimentConfig:
             _check_unknown(block, {"lo", "hi", "n"}, f"surface.{key}")
             lo = _number(block.get("lo", 0.5 * spot), f"surface.{key}.lo")
             hi = _number(block.get("hi", 1.5 * spot), f"surface.{key}.hi")
-            n = int(block.get("n", 21))
-            if not (0 < lo < hi) or n < 1:
-                raise ConfigError(f"surface.{key} needs 0 < lo < hi and n >= 1")
+            n = _integer(block.get("n", 21), f"surface.{key}.n", 1)
+            if not (0 < lo < hi):
+                raise ConfigError(f"surface.{key} needs 0 < lo < hi")
             out[key] = np.linspace(lo, hi, n)
         return out
 
@@ -314,9 +319,11 @@ class ExperimentConfig:
             "n_steps": _integer(v.get("n_steps", 125), "validation.n_steps", 1),
             "seed": _integer(v.get("seed", 0), "validation.seed", 0),
             "tests": tests,
-            "tstat_limit": float(v.get("tstat_limit", 3.0)),
-            "orthogonality_limit": float(v.get("orthogonality_limit", 0.02)),
-            "tradeoff_limit": float(v.get("tradeoff_limit", 0.1)),
+            "tstat_limit": _number(v.get("tstat_limit", 3.0), "validation.tstat_limit"),
+            "orthogonality_limit": _number(
+                v.get("orthogonality_limit", 0.02), "validation.orthogonality_limit"
+            ),
+            "tradeoff_limit": _number(v.get("tradeoff_limit", 0.1), "validation.tradeoff_limit"),
         }
 
     def _build_compare(self) -> dict:

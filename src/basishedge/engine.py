@@ -19,22 +19,19 @@ decay of lambda at the cutoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .errors import AssumptionError, ConvergenceError, DomainError
-from .models import AdditiveModel
 from .payoffs import (
     DEFAULT_SETTINGS,
     PayoffMeasure,
     QuadratureSettings,
-    panel_nodes,
-    rational_tail_integral,
+    line_nodes,
+    line_tail,
+    refine_line,
 )
 
-__all__ = ["HedgeDecomposition", "decompose", "HedgeRecipe"]
+__all__ = ["HedgeDecomposition", "decompose"]
 
 _CHUNK = 4096
 _TERMINAL_FRACTION = 1e-9
@@ -64,23 +61,13 @@ def _chirp_z(x, theta, m):
     return np.fft.ifft(spec)[..., :m] * chirp[:m]
 
 
-@dataclass(frozen=True)
-class HedgeRecipe:
-    """Discretisation recipe for replaying the decomposition on paths."""
-
-    initial_capital: float
-    hedge_rule: str
-    residual_rule: str
-    value: Callable
-    hedge: Callable
-
-
 class _LineNodes:
-    __slots__ = ("u", "w", "z1", "z2", "dens", "gamma", "eta_rate", "psi")
+    """Nodes of one line with (gamma, eta_rate, psi) there for each model segment."""
 
-    def __init__(self, u, w, z1, z2, dens, gamma=None, eta_rate=None, psi=None):
-        self.u, self.w, self.z1, self.z2, self.dens = u, w, z1, z2, dens
-        self.gamma, self.eta_rate, self.psi = gamma, eta_rate, psi
+    __slots__ = ("u", "w", "dens", "rates")
+
+    def __init__(self, u, w, dens, rates):
+        self.u, self.w, self.dens, self.rates = u, w, dens, rates
 
 
 class HedgeDecomposition:
@@ -99,7 +86,6 @@ class HedgeDecomposition:
         self.model = model
         self.measure = measure
         self.settings = settings
-        self._homogeneous = isinstance(model, AdditiveModel)
         self._cache: dict[tuple, _LineNodes] = {}
         self._line_stats = [
             {"levels": 0, "umult": 1, "tail_bound": 0.0, "tail_mode": "none"}
@@ -155,19 +141,6 @@ class HedgeDecomposition:
         y, z = self._broadcast(tt, xx, yy, "both")
         return y, z
 
-    def recipe(self) -> HedgeRecipe:
-        """How Monte Carlo replays this decomposition."""
-        return HedgeRecipe(
-            initial_capital=float(np.real(self.h0)),
-            hedge_rule="evaluate hedge at the left endpoint of each step",
-            residual_rule=(
-                "residual_T = payoff - initial_capital "
-                "- sum_i hedge(t_i) * (S_{i+1} - S_i)"
-            ),
-            value=self.value,
-            hedge=self.hedge,
-        )
-
     def quadrature_report(self) -> dict:
         rep = {
             "h0_im_residual": self._im_residual,
@@ -179,53 +152,40 @@ class HedgeDecomposition:
         }
         return rep
 
-    def lambda_growth_bound(self) -> float:
-        """c1 with |lambda(t,z)| <= exp(c1 * rho_s(T)) on the support."""
-        c1 = 0.0
-        for idx, ln in enumerate(self.measure.lines):
-            nd = self._nodes(idx, 0, 1)
-            rates = np.real(nd.eta_rate if nd.eta_rate is not None
-                            else self.model.eta_rate_at(0.0, nd.z1, nd.z2))
-            c1 = max(c1, float(rates.max()) / self.model.rho_bar_at(0.0))
-        for a in self.measure.atoms:
-            r = float(np.real(self.model.eta_rate_at(0.0, a.z1, a.z2)))
-            c1 = max(c1, r / self.model.rho_bar_at(0.0))
-        return max(c1, 0.0)
-
     # -- assumption checks ----------------------------------------------------
 
     def _check_assumptions(self) -> dict:
         checks: dict[str, float] = {}
         failures = []
-        probe_ts = np.linspace(0.0, self.model.horizon, 7)
-        rb = min(self.model.rho_bar_at(t) for t in probe_ts)
+        segments = [seg for _, _, seg in self.model.segments]
+        rb = min(seg.rho_bar for seg in segments)
         checks["strictly-increasing-bracket"] = rb
         if not rb > 0.0:
             failures.append("strictly-increasing-bracket")
 
         tv = sum(abs(complex(a.weight)) for a in self.measure.atoms)
-        for ln in self.measure.lines:
-            u, w = ln.nodes(0)
-            tv += float(np.sum(np.abs(w * np.asarray(ln.density(u), dtype=complex))))
+        for idx in range(len(self.measure.lines)):
+            nd = self._nodes(idx, 0, 1)
+            tv += float(np.sum(np.abs(nd.w * nd.dens)))
         checks["integrable-claim-transform"] = tv
         if not np.isfinite(tv):
             failures.append("integrable-claim-transform")
 
         (lo1, hi1), (lo2, hi2) = self.measure.real_support()
         corners = [(lo1, lo2), (lo1, hi2), (hi1, lo2), (hi1, hi2), (0.0, 1.0), (0.0, 2.0)]
-        vals = [self.model.psi_at(0.0, c1, c2) for c1, c2 in corners]
+        vals = [seg.psi(c1, c2) for seg in segments for c1, c2 in corners]
         ok = all(np.isfinite(np.real(v)) and np.isfinite(np.imag(v)) for v in vals)
         checks["cumulant-domain-contains-support"] = float(ok)
         if not ok:
             failures.append("cumulant-domain-contains-support")
 
         sup = 0.0
-        for idx, ln in enumerate(self.measure.lines):
-            nd = self._nodes(idx, 0, 1)
-            psis = nd.psi if nd.psi is not None else self.model.psi_at(0.0, nd.z1, nd.z2)
-            sup = max(sup, float(np.max(np.abs(psis))) / rb)
+        for idx in range(len(self.measure.lines)):
+            for _, _, psis in self._nodes(idx, 0, 1).rates.values():
+                sup = max(sup, float(np.max(np.abs(psis))) / rb)
         for a in self.measure.atoms:
-            sup = max(sup, abs(complex(self.model.psi_at(0.0, a.z1, a.z2))) / rb)
+            for seg in segments:
+                sup = max(sup, abs(complex(seg.psi(a.z1, a.z2))) / rb)
         checks["bounded-cumulant-derivative"] = sup
         if not np.isfinite(sup):
             failures.append("bounded-cumulant-derivative")
@@ -279,85 +239,82 @@ class HedgeDecomposition:
         z = np.zeros(n, dtype=complex) if need_z else None
         logx, logs = np.log(x), np.log(s)
 
+        if which == "gen" or need_z:
+            # atoms take gamma and psi of the segment in force at each time
+            times, at = np.unique(t, return_inverse=True)
+            segs = [self.model.segment_at(ti) for ti in times]
         for a in self.measure.atoms:
             lam = self.model.lambda_coeff(t, a.z1, a.z2)
             base = a.weight * np.exp(a.z1 * logx + a.z2 * logs) * lam
             if which == "gen":
-                y += base * self.model.psi_at(0.0, a.z1, a.z2) if self._homogeneous else \
-                    base * np.array([self.model.psi_at(ti, a.z1, a.z2) for ti in t])
+                y += base * np.array([complex(seg.psi(a.z1, a.z2)) for seg in segs])[at]
             elif need_y:
                 y += base
             if need_z:
-                g = (
-                    self.model.gamma(a.z1, a.z2)
-                    if self._homogeneous
-                    else np.array([self.model.gamma_at(ti, a.z1, a.z2) for ti in t])
-                )
-                z += base * g / s
+                z += base * np.array([complex(seg.gamma(a.z1, a.z2)) for seg in segs])[at] / s
 
         if self.measure.lines:
             order = np.argsort(t, kind="stable")
             ts = t[order]
             boundaries = np.flatnonzero(np.diff(ts)) + 1
-            groups = np.split(order, boundaries)
-            for rows in groups:
+            for rows in np.split(order, boundaries):
                 ti = float(t[rows[0]])
-                for start in range(0, rows.size, _CHUNK):
-                    rr = rows[start : start + _CHUNK]
-                    for idx in range(len(self.measure.lines)):
-                        ly, lz = self._line_group(idx, ti, logx[rr], logs[rr], x[rr], s[rr], which)
+                for idx, ln in enumerate(self.measure.lines):
+                    # a line depends on its varying coordinate only: evaluate
+                    # each distinct value once, then scale per point
+                    v, other = (x, s) if ln.axis == 1 else (s, x)
+                    fixed = np.exp(complex(ln.fixed_exponent) * np.log(other[rows]))
+                    uv, inv = np.unique(v[rows], return_inverse=True)
+                    ly = np.empty(uv.size, dtype=complex)
+                    lz = np.empty(uv.size, dtype=complex)
+                    for start in range(0, uv.size, _CHUNK):
+                        part = slice(start, start + _CHUNK)
+                        cy, cz = self._line_group(idx, ti, uv[part], fixed, which)
                         if need_y:
-                            y[rr] += ly
+                            ly[part] = cy
                         if need_z:
-                            z[rr] += lz
+                            lz[part] = cz
+                    if need_y:
+                        y[rows] += fixed * ly[inv]
+                    if need_z:
+                        z[rows] += fixed * lz[inv] / s[rows]
         return y, z
 
     def _nodes(self, idx: int, level: int, umult: int, uniform: int = 0) -> _LineNodes:
-        """Composite Gauss-Legendre nodes at a refinement level, or the
-        trapezoid rule on `uniform` equal intervals when that is nonzero."""
+        """Line nodes at a refinement level (see payoffs.line_nodes), cached
+        with the cumulant rates of every model segment there."""
         key = (idx, level, umult, uniform)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
         ln = self.measure.lines[idx]
-        hi = ln.truncation * umult
-        lo = 0.0 if ln.symmetric else -hi
-        if uniform:
-            u = np.linspace(lo, hi, uniform + 1)
-            w = np.full(u.shape, (hi - lo) / uniform)
-            w[[0, -1]] *= 0.5
-        else:
-            u, w = panel_nodes(lo, hi, ln.panels * umult * (1 << level))
-        dens = np.asarray(ln.density(u), dtype=complex)
+        u, w = line_nodes(ln, level, umult, uniform)
         zrun = ln.abscissa + 1j * u
-        f = complex(ln.fixed_exponent)
-        if ln.axis == 1:
-            z1, z2 = zrun, np.full(u.shape, f, dtype=complex)
-        else:
-            z1, z2 = np.full(u.shape, f, dtype=complex), zrun
-        nd = _LineNodes(u, w, z1, z2, dens)
-        if self._homogeneous:
-            nd.gamma = self.model.gamma(z1, z2)
-            nd.eta_rate = self.model.eta_rate(z1, z2)
-            nd.psi = self.model.psi(z1, z2)
+        zfix = np.full(u.shape, complex(ln.fixed_exponent), dtype=complex)
+        z1, z2 = (zrun, zfix) if ln.axis == 1 else (zfix, zrun)
+        rates = {
+            seg: (seg.gamma(z1, z2), seg.eta_rate(z1, z2), seg.psi(z1, z2))
+            for _, _, seg in self.model.segments
+        }
+        nd = _LineNodes(u, w, np.asarray(ln.density(u), dtype=complex), rates)
         self._cache[key] = nd
         return nd
 
     def _propagate(self, nd: _LineNodes, ti: float):
         """(lambda, gamma, psi) at the line's nodes at time ti."""
-        if self._homogeneous:
-            return np.exp((self.model.horizon - ti) * nd.eta_rate), nd.gamma, nd.psi
-        m, z1, z2 = self.model, nd.z1, nd.z2
-        return m.lambda_coeff(ti, z1, z2), m.gamma_at(ti, z1, z2), m.psi_at(ti, z1, z2)
+        m = self.model
+        log_lam = m._integral(ti, m.horizon, lambda w, seg: w * nd.rates[seg][1])
+        gam, _, psi = nd.rates[m.segment_at(ti)]
+        return np.exp(log_lam), gam, psi
 
-    def _line_group(self, idx, ti, logx, logs, x, s, which):
+    def _line_group(self, idx, ti, v, fixed, which):
+        """Raw line values (y, z) at the varying coordinates v at time ti.
+
+        Values exclude the fixed-coordinate factor and the 1/s hedging
+        division; `fixed` holds the factors of the points sharing them,
+        which the truncation plan has to cover.
+        """
         ln = self.measure.lines[idx]
-        if ln.axis == 1:
-            logv, v = logx, x
-            fixed = np.exp(complex(ln.fixed_exponent) * logs)
-        else:
-            logv, v = logs, s
-            fixed = np.exp(complex(ln.fixed_exponent) * logx)
         need_y = which in ("y", "both", "gen")
         need_z = which in ("z", "both")
 
@@ -367,50 +324,28 @@ class HedgeDecomposition:
         stats["tail_bound"] = max(stats["tail_bound"], bound)
         stats["tail_mode"] = tail_mode
 
-        tail_y = np.zeros(v.shape, dtype=complex)
-        tail_z = np.zeros(v.shape, dtype=complex)
+        tail_y = tail_z = 0.0
         if tail_mode == "terminal" and ln.tail is not None:
-            tail_y, tail_z = self._terminal_tails(idx, ln, v, which)
+            if which in ("y", "both"):
+                tail_y = line_tail(ln, v)
+            if need_z:
+                last = self.model.segment_at(self.model.horizon)
+                aff = last.gamma_affine(ln.axis, ln.fixed_exponent)
+                if aff is not None:
+                    tail_z = line_tail(ln, v, *aff)
 
-        budget = self.settings.panel_budget * umult
-        prev_y = prev_z = None
-        have_prev = False
-        diff = float("nan")
-        level = 0
-        while ln.panels * umult * (1 << level) <= budget:
+        def coefficients(level):
             nd = self._nodes(idx, level, umult)
             lam, gam, psi = self._propagate(nd, ti)
             coef = nd.w * nd.dens * lam
-            if which == "gen":
-                coef = coef * psi
-            powers = np.exp(np.multiply.outer(logv, ln.abscissa + 1j * nd.u))
-            quad_tail_y = tail_y if which != "gen" else 0.0
-            cur_y = powers @ coef + quad_tail_y if need_y else None
-            cur_z = (powers @ (coef * gam) + tail_z) if need_z else None
-            if ln.symmetric:
-                cur_y = 2.0 * cur_y.real if cur_y is not None else None
-                cur_z = 2.0 * cur_z.real if cur_z is not None else None
-            if have_prev:
-                diff = 0.0
-                for cur, prev in ((cur_y, prev_y), (cur_z, prev_z)):
-                    if cur is None:
-                        continue
-                    d = float(np.max(np.abs(cur - prev)))
-                    sc = max(float(np.max(np.abs(cur))), 1.0)
-                    diff = max(diff, d / sc)
-                if diff <= self.settings.rel_tol:
-                    stats["levels"] = max(stats["levels"], level)
-                    ly = fixed * cur_y if cur_y is not None else None
-                    lz = fixed * cur_z / s if cur_z is not None else None
-                    return ly, lz
-            prev_y, prev_z = cur_y, cur_z
-            have_prev = True
-            level += 1
-        raise ConvergenceError(
-            f"contour quadrature for line {idx} did not stabilise within "
-            f"{budget} panels",
-            residual=diff,
+            cy = (coef * psi if which == "gen" else coef) if need_y else None
+            return nd.u, (cy, coef * gam if need_z else None)
+
+        y, z, level = refine_line(
+            ln, np.log(v), coefficients, (tail_y, tail_z), self.settings, umult
         )
+        stats["levels"] = max(stats["levels"], level)
+        return y, z
 
     def _line_grid(self, idx, ti, glx):
         """Raw line values (y, z) on a uniform log grid at an interior time.
@@ -465,30 +400,6 @@ class HedgeDecomposition:
             )
         return n
 
-    def _terminal_tails(self, idx, ln, v, which):
-        k = ln.tail.strike
-        r = ln.abscissa
-        c0 = ln.tail.scale * np.exp((1.0 - r) * np.log(k)) / (2.0 * np.pi)
-        u_hi = ln.truncation
-        w_log = np.log(v / k)
-        vr = np.exp(r * np.log(v))
-        ty = np.zeros(v.shape, dtype=complex)
-        tz = np.zeros(v.shape, dtype=complex)
-        if which in ("y", "both", "gen"):
-            for i, wi in enumerate(w_log.ravel()):
-                ty.ravel()[i] = rational_tail_integral(1.0, 0.0, r, wi, u_hi)
-            ty = c0 * vr * ty
-        if which in ("z", "both"):
-            aff = self.model.gamma_affine_at(self.model.horizon, ln.axis, ln.fixed_exponent)
-            if aff is not None:
-                g0, g1 = aff
-                for i, wi in enumerate(w_log.ravel()):
-                    tz.ravel()[i] = rational_tail_integral(
-                        g0, g1, r, wi, u_hi, symmetric_real=ln.symmetric
-                    )
-                tz = c0 * vr * tz
-        return ty, tz
-
     def _tail_plan(self, idx, ti, v, fixed, which) -> tuple[int, str, float]:
         ln = self.measure.lines[idx]
         horizon = self.model.horizon
@@ -519,7 +430,7 @@ class HedgeDecomposition:
             decay = abs(lam_edge)
             growth = 1.0
             if which in ("z", "both"):
-                g_edge = complex(np.asarray(self.model.gamma_at(ti, z1, z2)).ravel()[0])
+                g_edge = complex(np.asarray(self.model.segment_at(ti).gamma(z1, z2)).ravel()[0])
                 growth = max(1.0, abs(g_edge))
             bound = 2.0 * amp * decay * growth / u_hi
             if bound <= floor:
@@ -539,7 +450,7 @@ class HedgeDecomposition:
 def decompose(model, measure: PayoffMeasure, settings: QuadratureSettings = DEFAULT_SETTINGS) -> HedgeDecomposition:
     """Build the quadratic-hedging decomposition of a claim.
 
-    Returns an object with initial capital h0, value/hedge surfaces, the
-    standing-assumption report, and a Monte Carlo replay recipe.
+    Returns an object with initial capital h0, value/hedge surfaces and
+    the standing-assumption report.
     """
     return HedgeDecomposition(model, measure, settings)

@@ -15,6 +15,7 @@ sit anywhere in C^2.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 from dataclasses import dataclass
@@ -51,9 +52,94 @@ def _psd_factor(m: np.ndarray) -> np.ndarray:
     return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
 
 
+class PiecewiseAdditiveModel:
+    """Exponential additive pair with piecewise-constant parameters in time.
+
+    Built from (duration, AdditiveModel) pieces sharing the same spot.
+    Every model is a tuple of constant segments (start, end, model); the
+    cumulant integrals are sums of segment overlaps times the segment
+    rates, e.g. log lambda(t, z) = sum_k |[t, T] & [a_k, b_k]| eta_rate_k(z).
+    Every segment must satisfy the bracket condition on its own
+    (degenerate segments are rejected, since the hedge ratio is undefined
+    on them).
+    """
+
+    def __init__(self, pieces: Sequence[tuple[float, "AdditiveModel"]]):
+        if not pieces:
+            raise DomainError("need at least one segment")
+        spans = []
+        t0 = 0.0
+        spot = pieces[0][1].spot
+        for dur, seg in pieces:
+            if dur <= 0:
+                raise DomainError("segment durations must be positive")
+            if not np.allclose(seg.spot, spot):
+                raise DomainError("all segments must share the initial prices")
+            # AdditiveModel construction already rejects rho_bar <= 0
+            spans.append((t0, t0 + dur, seg))
+            t0 += dur
+        self.segments = tuple(spans)
+        self.horizon = t0
+        self.spot = spot
+
+    kind = "piecewise"
+
+    def segment_at(self, t) -> "AdditiveModel":
+        """Constant segment in force at time t; a boundary belongs to the later one."""
+        self._check_time(t)
+        ends = [b for _, b, _ in self.segments]
+        return self.segments[min(bisect.bisect_right(ends, float(t)), len(ends) - 1)][2]
+
+    def _integral(self, lo, hi, term):
+        """Sum over segments of term(overlap of [lo, hi] with the segment, segment)."""
+        total = None
+        for a, b, seg in self.segments:
+            part = term(np.maximum(0.0, np.minimum(hi, b) - np.maximum(lo, a)), seg)
+            total = part if total is None else total + part
+        return total
+
+    def kappa(self, t, z1, z2):
+        """Cumulant of the log pair over [0, t]."""
+        self._check_time(t)
+        return self._integral(0.0, t, lambda w, seg: w * seg.psi(z1, z2))
+
+    def eta(self, t, z1, z2):
+        """Drift-corrected cumulant integral entering the propagation factor."""
+        self._check_time(t)
+        return self._integral(0.0, t, lambda w, seg: w * seg.eta_rate(z1, z2))
+
+    def lambda_coeff(self, t, z1, z2):
+        """Propagation factor exp(integral_t^T eta_rate(z)); equals 1 at T."""
+        self._check_time(t)
+        return np.exp(self._integral(t, self.horizon, lambda w, seg: w * seg.eta_rate(z1, z2)))
+
+    def rho_s(self, t):
+        """Bracket of the martingale part of log S over [0, t]."""
+        self._check_time(t)
+        return self._integral(0.0, t, lambda w, seg: w * seg.rho_bar)
+
+    def tradeoff(self, t):
+        """Mean-variance trade-off K_t = integral_0^t psi(0,1)^2 / rho_bar."""
+        self._check_time(t)
+        return self._integral(
+            0.0, t, lambda w, seg: w * seg.traded_growth_rate ** 2 / seg.rho_bar
+        )
+
+    def digest(self) -> str:
+        blob = "|".join(
+            f"{b - a:.14g}:{seg.digest()}" for a, b, seg in self.segments
+        ).encode()
+        return hashlib.sha256(blob).hexdigest()[:16]
+
+    def _check_time(self, t):
+        t = np.asarray(t, dtype=float)
+        if np.any(t < -1e-12) or np.any(t > self.horizon * (1.0 + 1e-12)):
+            raise DomainError(f"time must lie in [0, {self.horizon}]")
+
+
 @dataclass(eq=False)
-class AdditiveModel:
-    """Time-homogeneous exponential additive pair.
+class AdditiveModel(PiecewiseAdditiveModel):
+    """Time-homogeneous exponential additive pair: the one-segment model.
 
     drift: log-price drift vector b per unit time.
     covariance: diffusion covariance Sigma per unit time.
@@ -103,6 +189,10 @@ class AdditiveModel:
             )
         self._rho_bar = rb
 
+    @property
+    def segments(self) -> tuple:
+        return ((0.0, self.horizon, self),)
+
     # -- construction helpers -------------------------------------------------
 
     @classmethod
@@ -149,7 +239,7 @@ class AdditiveModel:
     def kind(self) -> str:
         return "black-scholes" if self.jump_intensity == 0.0 else "merton"
 
-    # -- cumulant machinery ---------------------------------------------------
+    # -- cumulant rates of the segment ------------------------------------------
 
     def psi(self, z1, z2):
         """Cumulant rate: E[(X_t/X_0)^z1 (S_t/S_0)^z2] = exp(t*psi(z))."""
@@ -167,15 +257,6 @@ class AdditiveModel:
             out = out + self.jump_intensity * (np.exp(ex) - 1.0)
         return out
 
-    def psi_at(self, t, z1, z2):
-        # time-independent cumulant rate; signature shared with the piecewise model
-        return self.psi(z1, z2)
-
-    def kappa(self, t, z1, z2):
-        """Cumulant of the log pair over [0, t]."""
-        self._check_time(t, allow_zero=True)
-        return np.asarray(t, dtype=float) * self.psi(z1, z2)
-
     def rho(self, t, za, zb):
         """Covariation cumulant kappa_t(za+zb) - kappa_t(za) - kappa_t(zb)."""
         (a1, a2), (b1, b2) = za, zb
@@ -186,10 +267,6 @@ class AdditiveModel:
     def rho_bar(self) -> float:
         """Bracket rate of the martingale part of S; strictly positive."""
         return self._rho_bar
-
-    def rho_s(self, t):
-        self._check_time(t, allow_zero=True)
-        return np.asarray(t, dtype=float) * self._rho_bar
 
     @property
     def traded_growth_rate(self) -> float:
@@ -206,27 +283,10 @@ class AdditiveModel:
         num = self.psi(z1, np.asarray(z2, dtype=complex) + 1.0) - self.psi(z1, z2) - self.psi(0.0, 1.0)
         return num / self._rho_bar
 
-    def gamma_at(self, t, z1, z2):
-        return self.gamma(z1, z2)
-
     def eta_rate(self, z1, z2):
         return self.psi(z1, z2) - self.gamma(z1, z2) * self.psi(0.0, 1.0)
 
-    def eta_rate_at(self, t, z1, z2):
-        return self.eta_rate(z1, z2)
-
-    def eta(self, t, z1, z2):
-        """Drift-corrected cumulant integral entering the propagation factor."""
-        self._check_time(t, allow_zero=True)
-        return np.asarray(t, dtype=float) * self.eta_rate(z1, z2)
-
-    def lambda_coeff(self, t, z1, z2):
-        """Propagation factor exp((T - t) * eta_rate(z)); equals 1 at T."""
-        self._check_time(t, allow_zero=True)
-        tau = self.horizon - np.asarray(t, dtype=float)
-        return np.exp(tau * self.eta_rate(z1, z2))
-
-    def gamma_affine_at(self, t, axis: int, fixed_exponent: complex):
+    def gamma_affine(self, axis: int, fixed_exponent: complex):
         """Affine asymptote (g0, g1) of gamma along a contour, or None.
 
         Along a line in coordinate `axis` with the other exponent held
@@ -264,18 +324,6 @@ class AdditiveModel:
                 )
         return (g0 / self._rho_bar, g1 / self._rho_bar)
 
-    def tradeoff(self, t):
-        """Mean-variance trade-off K_t = t * psi(0,1)^2 / rho_bar."""
-        self._check_time(t, allow_zero=True)
-        mu = self.traded_growth_rate
-        return np.asarray(t, dtype=float) * mu * mu / self._rho_bar
-
-    def rho_bar_at(self, t) -> float:
-        return self._rho_bar
-
-    def traded_growth_rate_at(self, t) -> float:
-        return self.traded_growth_rate
-
     # -- misc -----------------------------------------------------------------
 
     def diffusion_factor(self) -> np.ndarray:
@@ -299,12 +347,6 @@ class AdditiveModel:
         ).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
-    def _check_time(self, t, allow_zero: bool = False):
-        t = np.asarray(t, dtype=float)
-        lo = -1e-12 if allow_zero else 0.0
-        if np.any(t < lo) or np.any(t > self.horizon * (1.0 + 1e-12)):
-            raise DomainError(f"time must lie in [0, {self.horizon}]")
-
 
 def vols_to_covariance(vol_x: float, vol_s: float, corr: float) -> np.ndarray:
     if vol_x < 0 or vol_s < 0:
@@ -317,107 +359,6 @@ def vols_to_covariance(vol_x: float, vol_s: float, corr: float) -> np.ndarray:
             [corr * vol_x * vol_s, vol_s ** 2],
         ]
     )
-
-
-class PiecewiseAdditiveModel:
-    """Piecewise-constant-in-time extension of AdditiveModel.
-
-    Built from (duration, AdditiveModel) pieces sharing the same spot;
-    the same closed forms apply segment-wise, with integrals replaced by
-    sums over segment overlaps.  Every segment must satisfy the bracket
-    condition on its own (degenerate segments are rejected, since the
-    hedge ratio is undefined on them).
-    """
-
-    def __init__(self, pieces: Sequence[tuple[float, AdditiveModel]]):
-        if not pieces:
-            raise DomainError("need at least one segment")
-        spans = []
-        t0 = 0.0
-        spot = pieces[0][1].spot
-        for dur, seg in pieces:
-            if dur <= 0:
-                raise DomainError("segment durations must be positive")
-            if not np.allclose(seg.spot, spot):
-                raise DomainError("all segments must share the initial prices")
-            # AdditiveModel construction already rejects rho_bar <= 0
-            spans.append((t0, t0 + dur, seg))
-            t0 += dur
-        self.segments = tuple(spans)
-        self.horizon = t0
-        self.spot = spot
-
-    kind = "piecewise"
-
-    def _overlaps(self, lo: float, hi: float):
-        for a, b, seg in self.segments:
-            w = min(hi, b) - max(lo, a)
-            if w > 1e-15:
-                yield w, seg
-
-    def _segment_at(self, t: float) -> AdditiveModel:
-        t = min(max(float(t), 0.0), self.horizon)
-        for a, b, seg in self.segments:
-            if t < b or b == self.horizon:
-                return seg
-        return self.segments[-1][2]
-
-    def psi_at(self, t, z1, z2):
-        return self._segment_at(float(t)).psi(z1, z2)
-
-    def kappa(self, t, z1, z2):
-        t = float(t)
-        out = 0.0 + 0.0j
-        for w, seg in self._overlaps(0.0, t):
-            out = out + w * seg.psi(z1, z2)
-        return out
-
-    def rho_s(self, t):
-        return sum(w * seg.rho_bar for w, seg in self._overlaps(0.0, float(t)))
-
-    def rho_bar_at(self, t) -> float:
-        return self._segment_at(float(t)).rho_bar
-
-    def traded_growth_rate_at(self, t) -> float:
-        return self._segment_at(float(t)).traded_growth_rate
-
-    def gamma_at(self, t, z1, z2):
-        return self._segment_at(float(t)).gamma(z1, z2)
-
-    def eta_rate_at(self, t, z1, z2):
-        return self._segment_at(float(t)).eta_rate(z1, z2)
-
-    def eta(self, t, z1, z2):
-        out = 0.0 + 0.0j
-        for w, seg in self._overlaps(0.0, float(t)):
-            out = out + w * seg.eta_rate(z1, z2)
-        return out
-
-    def lambda_coeff(self, t, z1, z2):
-        # the engine feeds vector times through the point-mass path
-        t = np.asarray(t, dtype=float)
-        if t.ndim > 0:
-            flat = [self.lambda_coeff(ti, z1, z2) for ti in t.ravel()]
-            return np.asarray(flat).reshape(t.shape)
-        acc = 0.0 + 0.0j
-        for w, seg in self._overlaps(float(t), self.horizon):
-            acc = acc + w * seg.eta_rate(z1, z2)
-        return np.exp(acc)
-
-    def gamma_affine_at(self, t, axis: int, fixed_exponent: complex):
-        return self._segment_at(float(t)).gamma_affine_at(t, axis, fixed_exponent)
-
-    def tradeoff(self, t):
-        return sum(
-            w * seg.traded_growth_rate ** 2 / seg.rho_bar
-            for w, seg in self._overlaps(0.0, float(t))
-        )
-
-    def digest(self) -> str:
-        blob = "|".join(
-            f"{b - a:.14g}:{seg.digest()}" for a, b, seg in self.segments
-        ).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
 
 
 # -- small-time generator check ----------------------------------------------

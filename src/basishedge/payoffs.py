@@ -98,7 +98,7 @@ class RationalKernelTail:
     scale: complex = 1.0
 
 
-def _oscillatory_pole_tail(a: float, w: float, truncation: float) -> complex:
+def _oscillatory_pole_tail(a: float, w, truncation: float):
     """integral_{U}^{inf} exp(i*u*w) / (a + i*u) du for real a, w != 0."""
     zeta = -1j * w * (truncation - 1j * a)
     return -1j * np.exp(-a * w) * exp1(zeta)
@@ -108,17 +108,18 @@ def rational_tail_integral(
     p0: complex,
     p1: complex,
     abscissa: float,
-    log_moneyness: float,
+    log_moneyness,
     truncation: float,
     symmetric_real: bool = False,
-) -> complex:
+):
     """One-sided tail of the rational claim kernel with an affine weight.
 
     Computes ``integral_U^inf exp(i*u*w) * P(R+i*u) / ((R+i*u)(R+i*u-1)) du``
-    where P(z) = p0 + p1*z, w is the log-moneyness and U the truncation.
-    The partial fractions P(z)/(z(z-1)) = -P(0)/z + P(1)/(z-1) reduce it to
-    exponential integrals.  Exact for the kernel; used both for claim
-    values (P=1) and for hedge integrands with affine weights.
+    where P(z) = p0 + p1*z, w is the log-moneyness (scalar or array) and
+    U the truncation.  The partial fractions P(z)/(z(z-1)) = -P(0)/z +
+    P(1)/(z-1) reduce it to exponential integrals.  Exact for the kernel;
+    used both for claim values (P=1) and for hedge integrands with affine
+    weights.
 
     At w = 0 with p1 != 0 only the real part converges (the imaginary
     divergence cancels on a conjugate-symmetric contour, where the value
@@ -128,8 +129,13 @@ def rational_tail_integral(
     alpha = -(p0 + 0j)            # coefficient on 1/z
     beta = p0 + p1 + 0j           # coefficient on 1/(z-1), P(1)
     r = float(abscissa)
-    w = float(log_moneyness)
-    if w == 0.0:
+    w = np.asarray(log_moneyness, dtype=float)
+    at_kink = w == 0.0
+    ws = np.where(at_kink, 1.0, w)
+    out = alpha * _oscillatory_pole_tail(r, ws, truncation) + beta * _oscillatory_pole_tail(
+        r - 1.0, ws, truncation
+    )
+    if np.any(at_kink):
         if abs(p1) > 0:
             if not symmetric_real:
                 raise ConvergenceError(
@@ -137,17 +143,28 @@ def rational_tail_integral(
                     "affine kernel weight (terminal hedge at the kink)"
                 )
             # Re integral_U^inf du/(a+iu) = pi/2*sign(a) - atan(U/a)
-            out = 0.0 + 0.0j
+            kink = 0.0 + 0.0j
             for coefficient, a in ((alpha, r), (beta, r - 1.0)):
-                out += coefficient * (
-                    0.5 * np.pi * np.sign(a) - np.arctan(truncation / a)
-                )
-            return out
-        # alpha + beta = 0 here, so the pair integrates in closed form.
-        return alpha * 1j * np.log((r + 1j * truncation) / (r - 1.0 + 1j * truncation))
-    return alpha * _oscillatory_pole_tail(r, w, truncation) + beta * _oscillatory_pole_tail(
-        r - 1.0, w, truncation
+                kink += coefficient * (0.5 * np.pi * np.sign(a) - np.arctan(truncation / a))
+        else:
+            # alpha + beta = 0 here, so the pair integrates in closed form.
+            kink = alpha * 1j * np.log((r + 1j * truncation) / (r - 1.0 + 1j * truncation))
+        out = np.where(at_kink, kink, out)
+    return out[()]
+
+
+def line_tail(ln: "ContourLine", v, p0: complex = 1.0, p1: complex = 0.0):
+    """Closed-form truncation tail of a rational-kernel line at points v.
+
+    The integrand beyond the line's truncation carries the affine weight
+    p0 + p1*z: (1, 0) for claim values, the asymptote of gamma for hedges.
+    """
+    k = ln.tail.strike
+    c0 = ln.tail.scale * np.exp((1.0 - ln.abscissa) * np.log(k)) / (2.0 * np.pi)
+    tail = rational_tail_integral(
+        p0, p1, ln.abscissa, np.log(v / k), ln.truncation, symmetric_real=ln.symmetric
     )
+    return c0 * np.exp(ln.abscissa * np.log(v)) * tail
 
 
 def _probe_symmetry(density: Callable[[np.ndarray], np.ndarray]) -> bool:
@@ -196,15 +213,6 @@ class ContourLine:
             sym = _probe_symmetry(self.density) and abs(f.imag) == 0.0
             object.__setattr__(self, "symmetric", sym)
 
-    def nodes(self, level: int) -> tuple[np.ndarray, np.ndarray]:
-        """Composite Gauss-Legendre nodes/weights at refinement level."""
-        n_panels = self.panels * (1 << level)
-        lo = 0.0 if self.symmetric else -self.truncation
-        return panel_nodes(lo, self.truncation, n_panels)
-
-    def running_exponents(self, u: np.ndarray) -> np.ndarray:
-        return self.abscissa + 1j * u
-
 
 def panel_nodes(lo: float, hi: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite 16-point Gauss-Legendre rule on [lo, hi]."""
@@ -214,6 +222,60 @@ def panel_nodes(lo: float, hi: float, n_panels: int) -> tuple[np.ndarray, np.nda
     u = (mids[:, None] + half * _GL_X[None, :]).ravel()
     w = np.tile(half * _GL_W, n_panels)
     return u, w
+
+
+def line_nodes(ln: ContourLine, level: int, umult: int = 1, uniform: int = 0):
+    """Running nodes and weights of a line whose truncation is scaled by umult.
+
+    Composite Gauss-Legendre on ln.panels * umult * 2**level panels, or
+    the trapezoid rule on `uniform` equal intervals when that is nonzero.
+    """
+    hi = ln.truncation * umult
+    lo = 0.0 if ln.symmetric else -hi
+    if not uniform:
+        return panel_nodes(lo, hi, ln.panels * umult * (1 << level))
+    u = np.linspace(lo, hi, uniform + 1)
+    w = np.full(u.shape, (hi - lo) / uniform)
+    w[[0, -1]] *= 0.5
+    return u, w
+
+
+def refine_line(ln: ContourLine, logv, coefficients, tails, settings: QuadratureSettings,
+                umult: int = 1):
+    """The Gauss-Legendre refinement loop of every contour-line integral.
+
+    coefficients(level) returns the level's running nodes u and the node
+    weights (cy, cz) of the two integrals sum_k c_k exp((R + i u_k) logv),
+    None for one that is not wanted; tails holds what is added to each.
+    Panels double per level until successive levels agree to
+    settings.rel_tol relative.  Returns (y, z, level), without the
+    fixed-coordinate factor.
+    """
+    budget = settings.panel_budget * umult
+    prev = None
+    diff = float("nan")
+    level = 0
+    while ln.panels * umult * (1 << level) <= budget:
+        u, coefs = coefficients(level)
+        powers = np.exp(np.multiply.outer(logv, ln.abscissa + 1j * u))
+        cur = [None if c is None else powers @ c + tail for c, tail in zip(coefs, tails)]
+        if ln.symmetric:
+            cur = [None if c is None else 2.0 * c.real for c in cur]
+        if prev is not None:
+            diff = 0.0
+            for c, p in zip(cur, prev):
+                if c is not None:
+                    sc = max(float(np.max(np.abs(c))), 1.0)
+                    diff = max(diff, float(np.max(np.abs(c - p))) / sc)
+            if diff <= settings.rel_tol:
+                return cur[0], cur[1], level
+        prev = cur
+        level += 1
+    if prev is None:
+        raise ConvergenceError("panel budget below the base panel count")
+    raise ConvergenceError(
+        f"contour quadrature did not stabilise within {budget} panels", residual=diff
+    )
 
 
 @dataclass(frozen=True)
@@ -328,7 +390,16 @@ class PayoffMeasure:
         for a in self.atoms:
             total += a.weight * np.exp(a.z1 * np.log(xf) + a.z2 * np.log(sf))
         for ln in self.lines:
-            total += _evaluate_line(ln, xf, sf, settings)
+            # the kernel at maturity, where the propagation factor is 1
+            v, other = (xf, sf) if ln.axis == 1 else (sf, xf)
+            tail = 0.0 if ln.tail is None else line_tail(ln, v)
+
+            def coefficients(level, ln=ln):
+                u, w = line_nodes(ln, level)
+                return u, (w * np.asarray(ln.density(u), dtype=complex), None)
+
+            val, _, _ = refine_line(ln, np.log(v), coefficients, (tail, 0.0), settings)
+            total += np.exp(complex(ln.fixed_exponent) * np.log(other)) * val
 
         if self.is_real_claim():
             total = total.real
@@ -370,63 +441,6 @@ class PayoffMeasure:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _line_coordinates(ln: ContourLine, x: np.ndarray, s: np.ndarray):
-    """(varying coordinate, fixed-coordinate factor) for a line."""
-    if ln.axis == 1:
-        v, other = x, s
-    else:
-        v, other = s, x
-    fixed = np.exp(complex(ln.fixed_exponent) * np.log(other))
-    return v, fixed
-
-
-def _line_tail(ln: ContourLine, v: np.ndarray) -> np.ndarray:
-    """Analytic one-sided tail values for a tagged line, else zeros."""
-    if ln.tail is None:
-        return np.zeros(v.shape, dtype=complex)
-    k = ln.tail.strike
-    c0 = ln.tail.scale * np.exp((1.0 - ln.abscissa) * np.log(k)) / (2.0 * np.pi)
-    w = np.log(v / k)
-    out = np.empty(v.shape, dtype=complex)
-    for i, wi in enumerate(w.ravel()):
-        out.ravel()[i] = rational_tail_integral(1.0, 0.0, ln.abscissa, wi, ln.truncation)
-    return c0 * np.exp(ln.abscissa * np.log(v)) * out
-
-
-def _evaluate_line(
-    ln: ContourLine, x: np.ndarray, s: np.ndarray, settings: QuadratureSettings
-) -> np.ndarray:
-    v, fixed = _line_coordinates(ln, x, s)
-    logv = np.log(v)
-    tail = _line_tail(ln, v)
-
-    prev = None
-    diff = float("nan")
-    level = 0
-    max_per_level = max(ln.panels, 1)
-    while max_per_level * (1 << level) <= settings.panel_budget:
-        u, w = ln.nodes(level)
-        dens = np.asarray(ln.density(u), dtype=complex)
-        powers = np.exp(np.multiply.outer(logv, ln.running_exponents(u)))
-        val = powers @ (w * dens) + tail
-        if ln.symmetric:
-            val = 2.0 * val.real
-        cur = fixed * val
-        if prev is not None:
-            diff = np.max(np.abs(cur - prev))
-            scale = max(np.max(np.abs(cur)), 1.0)
-            if diff <= settings.rel_tol * scale:
-                return cur
-        prev = cur
-        level += 1
-    if prev is None:
-        raise ConvergenceError("panel budget below the base panel count")
-    raise ConvergenceError(
-        f"contour quadrature did not stabilise within {settings.panel_budget} panels",
-        residual=float(diff),
-    )
-
-
 def power_claim(z1: complex, z2: complex, weight: complex = 1.0) -> PayoffMeasure:
     """Claim weight * x**z1 * s**z2 as a single atom."""
     atom = ExponentAtom(weight=complex(weight), z1=complex(z1), z2=complex(z2))
@@ -461,8 +475,8 @@ def call_measure(strike: float, abscissa: float = 0.5, axis: int = 2) -> PayoffM
     """
     if not (0.0 < abscissa < 1.0):
         raise DomainError("call abscissa must lie in (0, 1)")
-    if strike <= 0:
-        raise DomainError("strike must be positive")
+    if not (np.isfinite(strike) and strike > 0):
+        raise DomainError("strike must be a positive finite number")
     line = ContourLine(
         axis=axis,
         fixed_exponent=0.0,
@@ -493,8 +507,8 @@ def put_measure(strike: float, abscissa: float = 1.5, axis: int = 2) -> PayoffMe
     """
     if abscissa <= 0.0:
         raise DomainError("put abscissa must be positive")
-    if strike <= 0:
-        raise DomainError("strike must be positive")
+    if not (np.isfinite(strike) and strike > 0):
+        raise DomainError("strike must be a positive finite number")
     contour = -float(abscissa)
     line = ContourLine(
         axis=axis,

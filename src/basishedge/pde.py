@@ -124,20 +124,20 @@ class DiffusionSpec:
     @classmethod
     def from_additive(cls, model) -> "DiffusionSpec":
         """Adopt a continuous additive model; jump models are rejected."""
-        lam = getattr(model, "jump_intensity", None)
-        if lam is None:
+        if len(model.segments) > 1:
             raise RegimeError("piecewise models are outside the PDE regimes")
-        if lam > 0:
+        seg = model.segments[0][2]
+        if seg.jump_intensity > 0:
             raise RegimeError(
                 "the finite-difference route covers diffusions only; "
-                f"this model carries jumps at rate {lam:g}"
+                f"this model carries jumps at rate {seg.jump_intensity:g}"
             )
         return cls(
             horizon=model.horizon,
             spot=model.spot,
             regime="black-scholes",
-            drift=model.drift,
-            covariance=model.covariance,
+            drift=seg.drift,
+            covariance=seg.covariance,
         )
 
     def fields(self, t: float, x, s):

@@ -23,7 +23,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, MismatchError
-from .models import AdditiveModel
 
 __all__ = [
     "PathEnsemble",
@@ -56,13 +55,6 @@ class PathEnsemble:
     @property
     def n_steps(self) -> int:
         return self.x.shape[1] - 1
-
-
-def _step_pieces(model, lo: float, hi: float):
-    """Constant-parameter sub-intervals of one step."""
-    if isinstance(model, AdditiveModel):
-        return [(hi - lo, model)]
-    return list(model._overlaps(lo, hi))
 
 
 def simulate(model, n_paths: int, n_steps: int, seed: int = 0) -> PathEnsemble:
@@ -106,7 +98,11 @@ def simulate(model, n_paths: int, n_steps: int, seed: int = 0) -> PathEnsemble:
         lx = np.zeros(nb)
         ls = np.zeros(nb)
         for i in range(n_steps):
-            for dur, seg in _step_pieces(model, times[i], times[i + 1]):
+            for a, b, seg in model.segments:
+                # the part of the step inside this constant segment
+                dur = min(times[i + 1], b) - max(times[i], a)
+                if dur <= 1e-15:
+                    continue
                 drift, ldiff, lam, jmean, ljump = seg_factors(seg)
                 g = rng.standard_normal((nb, 2)) @ ldiff.T
                 dx = drift[0] * dur + math.sqrt(dur) * g[:, 0]
@@ -252,7 +248,7 @@ def _surface_on_paths(dec, t, xcol, scol, grid_points):
     logs = np.log(scol)
     for a in dec.measure.atoms:
         lam = complex(np.asarray(model.lambda_coeff(t, a.z1, a.z2)).ravel()[0])
-        gam = complex(np.asarray(model.gamma_at(t, a.z1, a.z2)).ravel()[0])
+        gam = complex(np.asarray(model.segment_at(t).gamma(a.z1, a.z2)).ravel()[0])
         z1, z2 = complex(a.z1), complex(a.z2)
         # real exponents, as in the unit atoms of calls, skip the complex exp
         power = np.exp(z1.real * logx + z2.real * logs)
@@ -425,22 +421,16 @@ def baseline_comparison(dec, ensemble: PathEnsemble, run: HedgeRunResult) -> dic
 
     comps = [c for c in dec.measure.components if c[0] in ("call", "put")]
     if comps:
-        if isinstance(model, AdditiveModel):
-            var_rate = float(model.covariance[1, 1])
-            if model.jump_intensity > 0:
-                var_rate += model.jump_intensity * (
-                    float(model.jump_mean[1]) ** 2 + float(model.jump_cov[1, 1])
-                )
-        else:
-            var_rate = sum(
-                (b - a)
-                * (
-                    seg.covariance[1, 1]
-                    + seg.jump_intensity
-                    * (float(seg.jump_mean[1]) ** 2 + float(seg.jump_cov[1, 1]))
-                )
-                for a, b, seg in model.segments
-            ) / T
+        # time-averaged log variance rate of S
+        var_rate = sum(
+            (b - a)
+            * (
+                seg.covariance[1, 1]
+                + seg.jump_intensity
+                * (float(seg.jump_mean[1]) ** 2 + float(seg.jump_cov[1, 1]))
+            )
+            for a, b, seg in model.segments
+        ) / T
         gains = np.zeros(ensemble.n_paths)
         for i in range(ensemble.n_steps):
             tau = T - float(times[i])
@@ -471,18 +461,12 @@ def tradeoff_check(model, ensemble: PathEnsemble) -> dict:
     for i in range(ensemble.n_steps):
         t = float(times[i])
         dt = float(times[i + 1] - times[i])
-        mu = model.traded_growth_rate_at(t)
-        rb = model.rho_bar_at(t)
+        seg = model.segment_at(t)
+        mu, rb = seg.traded_growth_rate, seg.rho_bar
         incr = S[:, i + 1] - S[:, i] - S[:, i] * mu * dt
         acc += (mu / (S[:, i] * rb)) ** 2 * incr * incr
-    if isinstance(model, AdditiveModel):
-        exact = model.horizon * model.traded_growth_rate**2 / model.rho_bar
-    else:
-        exact = sum(
-            (b - a) * seg.traded_growth_rate**2 / seg.rho_bar
-            for a, b, seg in model.segments
-        )
+    exact = float(model.tradeoff(model.horizon))
     est = float(acc.mean())
     serr = float(acc.std(ddof=1) / math.sqrt(acc.size))
     rel = abs(est - exact) / abs(exact) if exact != 0 else abs(est)
-    return {"estimate": est, "stderr": serr, "exact": float(exact), "rel_error": rel}
+    return {"estimate": est, "stderr": serr, "exact": exact, "rel_error": rel}

@@ -246,6 +246,56 @@ def test_cli_exit_2_on_bad_validation_integers(tmp_path, capsys, command, key, v
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("check", "validation.tstat_limit", "x"),
+        ("check", "validation.orthogonality_limit", float("nan")),
+        ("price", "payoff.strike", float("nan")),
+        ("price", "payoff.strike", float("-inf")),
+        ("price", "quadrature.panel_budget", 16.5),
+        ("price", "quadrature.max_extension", -1),
+        ("pde", "pde_grid.nx", 3),
+        ("pde", "pde_grid.nt", "41"),
+        ("pde", "pde_grid.cfl_fraction", float("inf")),
+        ("hedge-surface", "surface.x.n", 0),
+        ("hedge-surface", "surface.s.n", True),
+        ("check", "--seed", -1),
+    ],
+)
+def test_cli_exit_2_on_bad_numbers(tmp_path, capsys, command, key, value):
+    cfg = json.loads(SHIPPED_CHECK.read_text())
+    out = tmp_path / "never"
+    extra = []
+    if key.startswith("--"):
+        extra = [key, str(value)]
+    else:
+        *blocks, leaf = key.split(".")
+        target = cfg
+        for name in blocks:
+            target = target.setdefault(name, {})
+        target[leaf] = value
+    path = _write(tmp_path, cfg)
+    assert main([command, "--config", path, "--out", str(out), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_exit_3_on_quadrature_failure(tmp_path, capsys):
+    # a panel budget below the line's base panel count cannot converge
+    cfg = json.loads(SHIPPED_CHECK.read_text())
+    cfg["quadrature"] = {"panel_budget": 16}
+    out = tmp_path / "never"
+    path = _write(tmp_path, cfg)
+    assert main(["price", "--config", path, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("quadrature failed:")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_exit_3_degenerate_traded_asset(tmp_path, capsys):
     cfg = copy.deepcopy(BASE)
     cfg["model"]["vol_s"] = 0.0
@@ -433,16 +483,6 @@ def test_cli_compare_trivial_claims(tmp_path, capsys, payoff, target):
             assert row["y_fourier"] == pytest.approx(target, rel=1e-9)
         assert row["y_pde"] == pytest.approx(target, rel=2e-3)
         assert abs(row["y_mc"] - target) <= 4.0 * row["mc_stderr"] + 1e-9 * target
-
-
-def test_cli_threads_flag_sets_environment(tmp_path, capsys, monkeypatch):
-    # --threads writes all three; unset them so later subprocesses do not inherit them
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    path = _write(tmp_path, BASE)
-    assert main(["price", "--config", path, "--threads", "2"]) == 0
-    capsys.readouterr()
-    assert os.environ["OMP_NUM_THREADS"] == "2"
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

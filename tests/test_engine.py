@@ -8,7 +8,7 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 from scipy.stats import norm
 
 import oracles
-from basishedge.engine import HedgeRecipe, decompose
+from basishedge.engine import decompose
 from basishedge.errors import AssumptionError, ConvergenceError, DomainError
 from basishedge.models import AdditiveModel, PiecewiseAdditiveModel, vols_to_covariance
 from basishedge.payoffs import (
@@ -198,27 +198,43 @@ def test_evaluation_domain_guards(bs_call_x):
         bs_call_x.value(0.5, -3.0, 100.0)
 
 
-def test_recipe_replays_the_surfaces(bs_call_x):
-    r = bs_call_x.recipe()
-    assert isinstance(r, HedgeRecipe)
-    assert r.initial_capital == bs_call_x.h0
-    assert "left endpoint" in r.hedge_rule
-    assert "payoff" in r.residual_rule
-    assert abs(r.value(0.0, 100.0, 100.0) - bs_call_x.h0) <= 1e-9 * bs_call_x.h0
-
-
-def test_quadrature_report_and_growth_bound(merton_call_x):
+def test_quadrature_report(merton_call_x):
     rep = merton_call_x.quadrature_report()
     assert rep["h0_im_residual"] <= 1e-8
     assert rep["settings"]["panel_budget"] >= 32
     assert len(rep["lines"]) == len(merton_call_x.measure.lines)
-    c1 = merton_call_x.lambda_growth_bound()
-    model = merton_call_x.model
-    cap = np.exp(c1 * model.rho_s(model.horizon))
-    ln = merton_call_x.measure.lines[0]
-    u, _ = ln.nodes(0)
-    lam = model.lambda_coeff(0.0, ln.abscissa + 1j * u, ln.fixed_exponent)
-    assert float(np.max(np.abs(lam))) <= cap * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("build", [call_measure, put_measure])
+@pytest.mark.parametrize("axis", [1, 2])
+def test_measure_evaluate_is_the_kernel_at_maturity(merton_model, build, axis):
+    # the payoff is the value surface at T, where the propagation factor is 1
+    measure = build(100.0, axis=axis)
+    x = np.array([55.0, 80.0, 100.0, 100.0, 131.0, 240.0])
+    s = np.array([140.0, 95.0, 100.0, 70.0, 100.0, 60.0])
+    got = measure.evaluate(x, s)
+    want = decompose(merton_model, measure).value(merton_model.horizon, x, s)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["black-scholes", "merton", "two-season"])
+def test_hedge_surface_matches_pointwise_evaluation(name, bs_model, merton_model):
+    model = {
+        "black-scholes": bs_model,
+        "merton": merton_model,
+        "two-season": PiecewiseAdditiveModel([(0.5, bs_model), (0.5, merton_model)]),
+    }[name]
+    dec = decompose(model, call_claim(100.0, axis=1))
+    times = [0.0, 0.3, 0.5, 0.8, 1.0]
+    xs = np.linspace(70.0, 140.0, 6)
+    ss = np.linspace(80.0, 125.0, 4)
+    y, z = dec.hedge_surface(times, xs, ss)
+    for i, t in enumerate(times):
+        for j, x in enumerate(xs):
+            for k, s in enumerate(ss):
+                v, h = dec.value_and_hedge(t, x, s)
+                assert abs(y[i, j, k] - v) <= 1e-8 * (1.0 + abs(v))
+                assert abs(z[i, j, k] - h) <= 1e-8 * (1.0 + abs(h))
 
 
 def test_piecewise_equal_segments_match_homogeneous(bs_model, bs_call_x):

@@ -105,7 +105,7 @@ def test_lambda_solves_backward_ode(any_model, t0):
 
 def test_affine_asymptote_exact_for_gaussian(bs_model):
     for axis, f in ((1, 0.7), (2, -0.4 + 0.0j)):
-        g0, g1 = bs_model.gamma_affine_at(0.0, axis, f)
+        g0, g1 = bs_model.gamma_affine(axis, f)
         for u in (0.3, 5.0, 50.0):
             z = 0.5 + 1j * u
             pair = (z, f) if axis == 1 else (f, z)
@@ -116,7 +116,7 @@ def test_affine_asymptote_exact_for_gaussian(bs_model):
 def test_affine_asymptote_reached_under_jump_spread(merton_model):
     # jump variance in the running coordinate damps the kernel term like
     # exp(-d22 u^2 / 2), so by u = 100 the affine form is exact to rounding
-    g0, g1 = merton_model.gamma_affine_at(0.0, 2, 0.8)
+    g0, g1 = merton_model.gamma_affine(2, 0.8)
     z = -0.5 + 100.0j
     want = g0 + g1 * z
     got = complex(merton_model.gamma(0.8, z))
@@ -132,7 +132,7 @@ def test_affine_asymptote_none_when_kernel_oscillates():
         jump_intensity=0.5,
         jump_mean=[0.1, 0.0],
     )
-    assert m.gamma_affine_at(0.0, 1, 0.5) is None
+    assert m.gamma_affine(1, 0.5) is None
 
 
 def test_affine_asymptote_exact_when_jumps_avoid_the_line():
@@ -147,7 +147,7 @@ def test_affine_asymptote_exact_when_jumps_avoid_the_line():
         jump_mean=[0.0, -0.1],
         jump_cov=[[0.0, 0.0], [0.0, 0.04]],
     )
-    g0, g1 = m.gamma_affine_at(0.0, 1, 1.3)
+    g0, g1 = m.gamma_affine(1, 1.3)
     for u in (0.5, 7.0):
         z = 0.5 + 1j * u
         want = g0 + g1 * z
@@ -188,13 +188,34 @@ def test_piecewise_bracket_and_tradeoff(two_piece, bs_model, merton_model):
         + 0.6 * merton_model.traded_growth_rate ** 2 / merton_model.rho_bar
     )
     assert abs(two_piece.tradeoff(1.0) - want) < 1e-14
-    assert two_piece.rho_bar_at(0.1) == bs_model.rho_bar
-    assert two_piece.rho_bar_at(0.9) == merton_model.rho_bar
+    assert two_piece.segment_at(0.1).rho_bar == bs_model.rho_bar
+    assert two_piece.segment_at(0.9).rho_bar == merton_model.rho_bar
+
+
+def test_piecewise_integrals_vectorise_in_time(two_piece):
+    z = (0.5 + 2.0j, 0.3)
+    times = np.array([0.0, 0.1, 0.4, 0.55, 0.9, 1.0])
+    for fn in (two_piece.kappa, two_piece.lambda_coeff):
+        vec = fn(times, *z)
+        assert vec.shape == times.shape
+        for t, got in zip(times, vec):
+            want = complex(fn(float(t), *z))
+            assert abs(got - want) <= 1e-13 * (1.0 + abs(want))
+        for bad in (-0.1, 1.2, np.array([0.5, 1.5])):
+            with pytest.raises(DomainError, match="time"):
+                fn(bad, *z)
+
+
+def test_homogeneous_model_is_one_segment(bs_model):
+    assert bs_model.segments == ((0.0, bs_model.horizon, bs_model),)
+    assert bs_model.segment_at(0.7) is bs_model
+    with pytest.raises(DomainError, match="time"):
+        bs_model.segment_at(1.5)
 
 
 def test_piecewise_boundary_belongs_to_next_segment(two_piece, merton_model):
     z = (1.0, 0.5)
-    assert complex(two_piece.psi_at(0.4, *z)) == complex(merton_model.psi(*z))
+    assert complex(two_piece.segment_at(0.4).psi(*z)) == complex(merton_model.psi(*z))
     assert two_piece.kind == "piecewise"
 
 

@@ -182,6 +182,11 @@ def test_real_support_box():
 def test_construction_rejects_bad_inputs():
     with pytest.raises(DomainError, match="strike"):
         call_measure(-5.0)
+    for strike in (float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="strike"):
+            call_measure(strike)
+        with pytest.raises(DomainError, match="strike"):
+            put_measure(strike)
     with pytest.raises(DomainError, match="abscissa"):
         call_measure(100.0, abscissa=1.0)
     with pytest.raises(DomainError, match="abscissa"):
