@@ -85,14 +85,17 @@ def _emit(payload: dict, outdir: str | None, name: str):
 
 
 def _surface_csv(times, xs, ss, y, z) -> str:
+    xr = [repr(float(v)) for v in xs]
+    sr = [repr(float(v)) for v in ss]
     rows = ["t,x,s,y,z"]
-    for i, t in enumerate(times):
-        for j, xv in enumerate(xs):
-            for k, sv in enumerate(ss):
-                rows.append(
-                    f"{float(t)!r},{float(xv)!r},{float(sv)!r},"
-                    f"{float(y[i, j, k])!r},{float(z[i, j, k])!r}"
-                )
+    for t, yt, zt in zip(times, np.asarray(y, dtype=float), np.asarray(z, dtype=float)):
+        tr = repr(float(t))
+        # one row at a time: a whole slice as Python floats raises the peak RSS
+        for xv, yrow, zrow in zip(xr, yt, zt):
+            rows.extend(
+                f"{tr},{xv},{sv},{yv!r},{zv!r}"
+                for sv, yv, zv in zip(sr, yrow.tolist(), zrow.tolist())
+            )
     return "\n".join(rows) + "\n"
 
 

@@ -20,8 +20,12 @@ callables of (t, x, s) ("bounded-elliptic").  Anything else, including
 models with jumps, is rejected with RegimeError.
 
 The scheme is explicit Euler in time with central differences and a
-sign-adapted seven-point stencil for the cross term; the time step obeys
-a CFL bound and boundary values are linearly extrapolated each step.
+sign-adapted cross term, written as one linear update over the nine
+points of a 3x3 stencil, y_new = sum_k w_k shift_k(y).  The dt-scaled
+weights are scalars for constant coefficients and per-point arrays,
+rebuilt each step, for coefficient fields.  Each shift is one contiguous
+slice of the C-ordered grid seen as a flat array.  The time step obeys a
+CFL bound and boundary values are linearly extrapolated each step.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, RegimeError
+from .errors import AssumptionError, DomainError, RegimeError
 
 __all__ = [
     "DiffusionSpec",
@@ -234,38 +238,41 @@ class PDESolution:
         return self._interp(self.z, t, x, s)
 
 
-def _cross_term(y, sign, dxi, deta):
-    """Sign-adapted second cross difference of the interior block."""
-    core = y[1:-1, 1:-1]
-    if sign >= 0:
-        num = (
-            2.0 * core
-            + y[2:, 2:]
-            + y[:-2, :-2]
-            - y[2:, 1:-1]
-            - y[:-2, 1:-1]
-            - y[1:-1, 2:]
-            - y[1:-1, :-2]
-        )
-    else:
-        num = (
-            -2.0 * core
-            - y[2:, :-2]
-            - y[:-2, 2:]
-            + y[2:, 1:-1]
-            + y[:-2, 1:-1]
-            + y[1:-1, 2:]
-            + y[1:-1, :-2]
-        )
-    return num / (2.0 * dxi * deta)
+def _weights(bh1, bh2, c11, c12, c22, dxi, deta, dt):
+    """dt-scaled weights of the explicit step, keyed by the (xi, eta) offset.
+
+    Central differences for the drift and the pure second derivatives;
+    the cross term is sign-adapted, c12+ on the NE/SW diagonal and c12-
+    on the NW/SE diagonal.
+    """
+    q = dt / (2.0 * dxi * deta)
+    p = q * np.maximum(c12, 0.0)
+    m = q * np.minimum(c12, 0.0)
+    ax = 0.5 * dt * c11 / dxi**2 - p + m
+    ae = 0.5 * dt * c22 / deta**2 - p + m
+    vx = 0.5 * dt * bh1 / dxi
+    ve = 0.5 * dt * bh2 / deta
+    return {
+        (0, 0): 1.0 - dt * (c11 / dxi**2 + c22 / deta**2) + 2.0 * (p - m),
+        (1, 0): ax + vx,
+        (-1, 0): ax - vx,
+        (0, 1): ae + ve,
+        (0, -1): ae - ve,
+        (1, 1): p,
+        (-1, -1): p,
+        (1, -1): -m,
+        (-1, 1): -m,
+    }
 
 
 def solve(spec: DiffusionSpec, measure, grid: GridConfig = GridConfig()) -> PDESolution:
     """March the pricing equation backward from the payoff.
 
-    `measure` provides payoff(x, s); the returned solution holds value
-    and hedge snapshots on grid.nt times spanning [0, horizon].
+    `measure` provides payoff(x, s) of a real claim; the returned solution
+    holds value and hedge snapshots on grid.nt times spanning [0, horizon].
     """
+    if not measure.is_real_claim():
+        raise AssumptionError("the finite-difference route requires a real-valued claim")
     T = spec.horizon
     x0, s0 = float(spec.spot[0]), float(spec.spot[1])
 
@@ -281,107 +288,97 @@ def solve(spec: DiffusionSpec, measure, grid: GridConfig = GridConfig()) -> PDES
     xg, sg = np.exp(xi), np.exp(eta)
     xx, ss = np.meshgrid(xg, sg, indexing="ij")
 
-    lo_eig, hi_eig = spec.check_fields(0.0, xx, ss)
+    spec.check_fields(0.0, xx, ss)
     static = spec.regime == "black-scholes"
+    # constant coefficients stay scalars; fields are taken on the flat C-ordered grid
+    points = (x0, s0) if static else (xx.ravel(), ss.ravel())
+    nx, ns = grid.nx, grid.ns
+    # the interior in flat order, with the edge columns of rows 1..nx-2
+    run = slice(ns + 1, nx * ns - ns - 1)
 
     def adjusted(t):
-        b1, b2, c11, c12, c22 = spec.fields(t, xx, ss)
+        b1, b2, c11, c12, c22 = spec.fields(t, *points)
         growth = b2 + 0.5 * c22
-        return b1 - (c12 / c22) * growth, -0.5 * c22, c11, c12, c22
+        bh1, bh2 = b1 - (c12 / c22) * growth, -0.5 * c22
+        denom = (
+            c11 / dxi**2
+            + c22 / deta**2
+            + 2.0 * np.abs(c12) / (dxi * deta)
+            + np.abs(bh1) / dxi
+            + np.abs(bh2) / deta
+        )
+        if not static:
+            bh1, bh2, c11, c12, c22 = (v[run] for v in (bh1, bh2, c11, c12, c22))
+        return (bh1, bh2, c11, c12, c22), float(denom.max())
 
-    bh1, bh2, c11, c12, c22 = adjusted(T)
-    denom = (
-        c11 / dxi**2
-        + c22 / deta**2
-        + 2.0 * np.abs(c12) / (dxi * deta)
-        + np.abs(bh1) / dxi
-        + np.abs(bh2) / deta
-    )
-    dt_cfl = grid.cfl_fraction / float(denom.max())
+    coeffs, denom_max = adjusted(T)
+    dt_cfl = grid.cfl_fraction / denom_max
     per_snap = max(1, int(np.ceil((T / (grid.nt - 1)) / dt_cfl)))
     steps = per_snap * (grid.nt - 1)
     dt = T / steps
 
     times = np.linspace(0.0, T, grid.nt)
-    y_snap = np.empty((grid.nt, grid.nx, grid.ns))
+    y_snap = np.empty((grid.nt, nx, ns))
     z_snap = np.empty_like(y_snap)
 
-    y = np.asarray(measure.payoff(xx, ss), dtype=float)
-    if y.shape != xx.shape:
-        y = np.broadcast_to(y, xx.shape).copy()
-    y_snap[-1] = y
+    y_snap[-1] = measure.payoff(xx, ss)
 
     def hedge_from(yarr, t):
-        if static:
-            r = c12c / c22c
-        else:
-            _, _, _, c12t, c22t = spec.fields(t, xx, ss)
-            r = c12t / c22t
+        _, _, _, c12t, c22t = spec.fields(t, xx, ss)
         dyx = np.gradient(yarr, dxi, axis=0)
         dys = np.gradient(yarr, deta, axis=1)
-        return (dys + r * dyx) / ss
+        return (dys + (c12t / c22t) * dyx) / ss
 
-    z_snap[-1] = hedge_from(y, T)
+    z_snap[-1] = hedge_from(y_snap[-1], T)
 
-    y = y.copy()
+    # y_new = sum_k w_k shift_k(y) on the flat run, two buffers in turn
+    shifts = {
+        (di, dj): slice(run.start + di * ns + dj, run.stop + di * ns + dj)
+        for di in (-1, 0, 1)
+        for dj in (-1, 0, 1)
+    }
+
+    def stencil(coeffs):
+        # a scalar zero weight, the idle cross diagonal, drops out
+        weights = _weights(*coeffs, dxi, deta, dt)
+        return [(shifts[k], w) for k, w in weights.items() if np.ndim(w) or w]
+
+    cur = y_snap[-1].ravel().copy()
+    nxt = np.zeros_like(cur)
+    term = np.empty(run.stop - run.start)
+    terms = stencil(coeffs)
     cfl_seen = 0.0
     for n in range(steps, 0, -1):
         t_next = n * dt  # level where y currently lives
         if not static:
-            bh1, bh2, c11, c12, c22 = adjusted(t_next)
+            coeffs, denom_max = adjusted(t_next)
             if n % max(1, steps // 8) == 0:
                 spec.check_fields(t_next, xx, ss)
-            denom = (
-                c11 / dxi**2
-                + c22 / deta**2
-                + 2.0 * np.abs(c12) / (dxi * deta)
-                + np.abs(bh1) / dxi
-                + np.abs(bh2) / deta
-            )
-        cfl_seen = max(cfl_seen, dt * float(denom.max()))
+            terms = stencil(coeffs)
+        cfl_seen = max(cfl_seen, dt * denom_max)
 
-        core = y[1:-1, 1:-1]
-        y_xi = (y[2:, 1:-1] - y[:-2, 1:-1]) / (2.0 * dxi)
-        y_eta = (y[1:-1, 2:] - y[1:-1, :-2]) / (2.0 * deta)
-        y_xx = (y[2:, 1:-1] - 2.0 * core + y[:-2, 1:-1]) / dxi**2
-        y_ss = (y[1:-1, 2:] - 2.0 * core + y[1:-1, :-2]) / deta**2
-        if static:
-            y_xs = _cross_term(y, np.sign(c12c), dxi, deta)
-            gen = (
-                bh1[1:-1, 1:-1] * y_xi
-                + bh2[1:-1, 1:-1] * y_eta
-                + 0.5 * (c11[1:-1, 1:-1] * y_xx + c22[1:-1, 1:-1] * y_ss)
-                + c12c * y_xs
-            )
-        else:
-            cpos = np.maximum(c12[1:-1, 1:-1], 0.0)
-            cneg = np.minimum(c12[1:-1, 1:-1], 0.0)
-            y_xs_p = _cross_term(y, 1.0, dxi, deta)
-            y_xs_m = _cross_term(y, -1.0, dxi, deta)
-            gen = (
-                bh1[1:-1, 1:-1] * y_xi
-                + bh2[1:-1, 1:-1] * y_eta
-                + 0.5 * (c11[1:-1, 1:-1] * y_xx + c22[1:-1, 1:-1] * y_ss)
-                + cpos * y_xs_p
-                + cneg * y_xs_m
-            )
-        nxt = np.empty_like(y)
-        nxt[1:-1, 1:-1] = core + dt * gen
-        nxt[0, :] = 2.0 * nxt[1, :] - nxt[2, :]
-        nxt[-1, :] = 2.0 * nxt[-2, :] - nxt[-3, :]
-        nxt[:, 0] = 2.0 * nxt[:, 1] - nxt[:, 2]
-        nxt[:, -1] = 2.0 * nxt[:, -2] - nxt[:, -3]
+        acc = nxt[run]
+        (src, w), *rest = terms
+        np.multiply(w, cur[src], out=acc)
+        for src, w in rest:
+            np.multiply(w, cur[src], out=term)
+            acc += term
+        g = nxt.reshape(nx, ns)
+        g[0, :] = 2.0 * g[1, :] - g[2, :]
+        g[-1, :] = 2.0 * g[-2, :] - g[-3, :]
+        g[:, 0] = 2.0 * g[:, 1] - g[:, 2]
+        g[:, -1] = 2.0 * g[:, -2] - g[:, -3]
         # corners after edges
-        nxt[0, 0] = 2.0 * nxt[1, 1] - nxt[2, 2]
-        nxt[0, -1] = 2.0 * nxt[1, -2] - nxt[2, -3]
-        nxt[-1, 0] = 2.0 * nxt[-2, 1] - nxt[-3, 2]
-        nxt[-1, -1] = 2.0 * nxt[-2, -2] - nxt[-3, -3]
-        y = nxt
+        g[0, 0] = 2.0 * g[1, 1] - g[2, 2]
+        g[0, -1] = 2.0 * g[1, -2] - g[2, -3]
+        g[-1, 0] = 2.0 * g[-2, 1] - g[-3, 2]
+        g[-1, -1] = 2.0 * g[-2, -2] - g[-3, -3]
+        cur, nxt = nxt, cur
 
         if (n - 1) % per_snap == 0:
             k = (n - 1) // per_snap
-            y_snap[k] = y
-            z_snap[k] = hedge_from(y, (n - 1) * dt)
+            y_snap[k] = g
+            z_snap[k] = hedge_from(g, (n - 1) * dt)
 
     return PDESolution(
         times=times,

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, MismatchError
+from .errors import AssumptionError, DomainError, MismatchError
 
 __all__ = [
     "PathEnsemble",
@@ -300,7 +300,7 @@ def hedge_run(
     model = dec.model
     _require_same_model(model, ensemble)
     if not dec.measure.is_real_claim():
-        raise DomainError("path replay requires a real-valued claim")
+        raise AssumptionError("path replay requires a real-valued claim")
     times = ensemble.times
     X, S = ensemble.x, ensemble.s
     n_paths, n_steps = ensemble.n_paths, ensemble.n_steps

@@ -18,7 +18,7 @@ except ModuleNotFoundError:  # Python 3.10: pytest depends on tomli there
     import tomli as tomllib
 
 import basishedge
-from basishedge.cli import main
+from basishedge.cli import _surface_csv, main
 from basishedge.config import ExperimentConfig, load_config
 from basishedge.errors import ConfigError
 
@@ -320,6 +320,53 @@ def test_cli_exit_3_pde_route_rejects_jumps(tmp_path, capsys):
     path = _write(tmp_path, cfg)
     assert main(["price", "--config", path]) == 3
     assert "jumps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "check", "pde", "price"])
+def test_cli_exit_3_on_complex_claim(tmp_path, capsys, command):
+    # the replay and the finite-difference route need a real claim
+    cfg = _with(
+        BASE,
+        payoff={"kind": "power", "exponents": [[0.5, 1.0], 0.0]},
+        route="both",
+        pde_grid={"nx": 11, "ns": 11, "nt": 2},
+        validation={"n_paths": 200, "n_steps": 4, "seed": 1},
+    )
+    out = tmp_path / "never"
+    path = _write(tmp_path, cfg)
+    assert main([command, "--config", path, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("assumption violated:")
+    assert "real-valued claim" in err
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def _per_cell_csv(times, xs, ss, y, z) -> str:
+    rows = ["t,x,s,y,z"]
+    for i, t in enumerate(times):
+        for j, xv in enumerate(xs):
+            for k, sv in enumerate(ss):
+                rows.append(
+                    f"{float(t)!r},{float(xv)!r},{float(sv)!r},"
+                    f"{float(y[i, j, k])!r},{float(z[i, j, k])!r}"
+                )
+    return "\n".join(rows) + "\n"
+
+
+def test_surface_csv_matches_per_cell_formatter():
+    rng = np.random.default_rng(5)
+    times = [0.0, 0.25, 1.0]
+    xs = np.array([5e-324, 60.0, 1e-310, 137.5])
+    ss = np.array([-0.0, 100.0, 2.2250738585072014e-308])
+    y = rng.standard_normal((3, 4, 3)) * 1e3
+    z = -rng.standard_normal((3, 4, 3))
+    y[0, 0, 0], y[1, 2, 1], y[2, 3, 2] = 4e-320, -7.0, 12.0
+    z[0, 1, 2], z[2, 0, 0] = -3e-315, 1.0
+    want = _per_cell_csv(times, xs, ss, y, z)
+    assert _surface_csv(times, xs, ss, y, z) == want
+    assert want.count("\n") == 1 + 3 * 4 * 3
 
 
 def test_cli_hedge_surface_writes_csv(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from basishedge.errors import DomainError, RegimeError
+from basishedge.errors import AssumptionError, DomainError, RegimeError
 from basishedge.models import PiecewiseAdditiveModel
 from basishedge.pde import (
     DiffusionSpec,
@@ -12,7 +12,7 @@ from basishedge.pde import (
     monte_carlo_representation,
     solve,
 )
-from basishedge.payoffs import call_claim
+from basishedge.payoffs import call_claim, power_claim
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +181,39 @@ def test_state_dependent_solve_agrees_with_simulation(tanh_spec):
         tanh_spec, measure, 0.0, 100.0, 100.0, n_paths=200_000, n_steps=96, seed=11
     )
     assert abs(sol.h0 - est) <= max(4.0 * serr, 1.5e-2 * est)
+
+
+@pytest.mark.parametrize("case", ["bs-corr-pos", "bs-corr-neg", "tanh"])
+def test_march_matches_term_by_term_reference(case, bs_spec, tanh_spec):
+    if case == "bs-corr-pos":
+        spec = bs_spec
+    elif case == "bs-corr-neg":
+        cross = -0.6 * 0.3 * 0.25
+        spec = DiffusionSpec(
+            horizon=1.0, spot=[100.0, 100.0], drift=[0.035, 0.02875],
+            covariance=[[0.09, cross], [cross, 0.0625]],
+        )
+    else:
+        spec = tanh_spec
+    # the payoff couples both prices, so the cross stencil matters; unequal
+    # axes, so a transposed flat index cannot pass
+    measure = power_claim(0.5, 0.5)
+    sol = solve(spec, measure, GridConfig(nx=41, ns=53, nt=3))
+    want = oracles.explicit_march(spec, measure.payoff, sol.x, sol.s, sol.steps, sol.steps // 2)
+    assert want.shape == sol.y.shape
+    assert np.max(np.abs(sol.y - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_shipped_grid_steps_and_cfl_are_pinned(bs_spec):
+    # configs/hulley_mcwalter.json on the 201 x 201 grid with two snapshots
+    sol = solve(bs_spec, call_claim(100.0, axis=1), GridConfig(nx=201, ns=201, nt=2))
+    assert sol.steps == 2415
+    assert sol.cfl_number == 0.3998984261404446
+
+
+def test_solve_rejects_complex_claim(bs_spec):
+    with pytest.raises(AssumptionError, match="real-valued claim"):
+        solve(bs_spec, power_claim(0.5 + 1.0j, 0.0), GridConfig(nx=11, ns=11, nt=2))
 
 
 def test_mc_representation_is_unbiased_for_lognormal(bs_spec, bs_model):

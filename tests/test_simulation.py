@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from basishedge.engine import decompose
-from basishedge.errors import DomainError, MismatchError
+from basishedge.errors import AssumptionError, DomainError, MismatchError
 from basishedge.models import PiecewiseAdditiveModel
 from basishedge.payoffs import call_claim, power_claim
 from basishedge.simulation import (
@@ -211,7 +211,7 @@ def test_hedge_run_merton_call(merton_call_x, merton_ens):
 
 def test_hedge_run_rejects_complex_claim(bs_model, bs_ens):
     dec = decompose(bs_model, power_claim(0.3 + 1.0j, 0.0))
-    with pytest.raises(DomainError, match="real-valued claim"):
+    with pytest.raises(AssumptionError, match="real-valued claim"):
         hedge_run(dec, bs_ens)
 
 
