@@ -17,8 +17,11 @@ the JSON report is printed to stdout.  Outputs are deterministic for a
 fixed config and seed: JSON is key-sorted with no timestamps, files are
 written atomically, and nothing is written for an invalid config.  Exit
 codes: 0 success, 2 configuration errors, 3 violated model/regime
-assumptions or contour quadrature that does not converge, 4 failed
-validation checks.
+assumptions, contour quadrature that does not converge, a PDE grid or
+solution that is not finite, or an argument outside an operation's
+domain or a failed replay self-check (DomainError, MismatchError), 4
+failed validation checks (the report is still written).  Each failure
+prints one line to stderr.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ from .errors import (
     CheckFailure,
     ConfigError,
     ConvergenceError,
+    DomainError,
+    MismatchError,
     RegimeError,
 )
 
@@ -99,32 +104,42 @@ def _surface_csv(times, xs, ss, y, z) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _fail_with_payload(payload: dict, args, name: str):
-    """Persist the full report before a CheckFailure unwinds to exit 4."""
-    _emit(payload, args.outdir, name)
-
-
 def _decompose(cfg):
-    return engine.decompose(cfg.model(), cfg.measure(), cfg.settings())
+    return engine.decompose(cfg.model, cfg.measure, cfg.settings)
 
 
 def _pde_solution(cfg):
-    spec = pde.DiffusionSpec.from_additive(cfg.model())
-    return pde.solve(spec, cfg.measure(), cfg.pde_grid())
+    spec = pde.DiffusionSpec.from_additive(cfg.model)
+    return spec, pde.solve(spec, cfg.measure, cfg.pde_grid)
+
+
+def _replay_setup(cfg, args):
+    """Sizes, seed, decomposition and simulated paths of simulate and check.
+
+    A claim that is not real is rejected before any path is drawn.
+    """
+    val = cfg.validation
+    sizes = {
+        "seed": val["seed"] if args.seed is None else args.seed,
+        "n_paths": val["n_paths"],
+        "n_steps": val["n_steps"],
+    }
+    dec = _decompose(cfg)
+    if not cfg.measure.is_real_claim():
+        raise AssumptionError("path replay requires a real-valued claim")
+    ens = simulation.simulate(cfg.model, sizes["n_paths"], sizes["n_steps"], sizes["seed"])
+    return sizes, dec, ens
 
 
 def _cmd_price(cfg, args) -> dict:
     out = {"route": cfg.route}
-    model = cfg.model()
-    out["model_digest"] = model.digest()
-    out["measure_digest"] = cfg.measure().digest()
     if cfg.route in ("fourier", "both"):
         dec = _decompose(cfg)
         out["h0"] = float(np.real(dec.h0))
         out["assumptions"] = dec.assumptions
         out["quadrature"] = dec.quadrature_report()
     if cfg.route in ("pde", "both"):
-        sol = _pde_solution(cfg)
+        _, sol = _pde_solution(cfg)
         out["h0_pde"] = sol.h0
         out["pde"] = {"steps": sol.steps, "cfl_number": sol.cfl_number}
         if cfg.route == "pde":
@@ -136,7 +151,7 @@ def _cmd_price(cfg, args) -> dict:
 
 def _cmd_hedge_surface(cfg, args) -> dict:
     dec = _decompose(cfg)
-    grid = cfg.surface_grid()
+    grid = cfg.surface_grid
     times, xs, ss = grid["times"], grid["x"], grid["s"]
     y, z = dec.hedge_surface(times, xs, ss)
     csv_path = os.path.join(args.outdir or ".", "hedge_surface.csv")
@@ -147,24 +162,15 @@ def _cmd_hedge_surface(cfg, args) -> dict:
         "h0": float(np.real(dec.h0)),
         "csv": csv_path,
         "shape": [len(times), len(xs), len(ss)],
-        "model_digest": cfg.model().digest(),
-        "measure_digest": cfg.measure().digest(),
         "quadrature": dec.quadrature_report(),
     }
 
 
 def _cmd_simulate(cfg, args) -> dict:
-    val = cfg.validation()
-    if args.seed is not None:
-        val["seed"] = args.seed
-    model = cfg.model()
-    dec = _decompose(cfg)
-    ens = simulation.simulate(model, val["n_paths"], val["n_steps"], val["seed"])
+    sizes, dec, ens = _replay_setup(cfg, args)
     run = simulation.hedge_run(dec, ens)
     return {
-        "seed": val["seed"],
-        "n_paths": val["n_paths"],
-        "n_steps": val["n_steps"],
+        **sizes,
         "h0": run.initial_capital,
         "payoff_mean": run.payoff_mean,
         "gain_mean": run.gain_mean,
@@ -174,20 +180,16 @@ def _cmd_simulate(cfg, args) -> dict:
         "residual_variance": float(run.residuals.var(ddof=1)),
         "orthogonality_corr": run.orthogonality_corr,
         "self_check_error": run.self_check_error,
-        "model_digest": model.digest(),
-        "measure_digest": cfg.measure().digest(),
     }
 
 
 def _cmd_pde(cfg, args) -> dict:
-    sol = _pde_solution(cfg)
+    _, sol = _pde_solution(cfg)
     out = {
         "h0": sol.h0,
         "steps": sol.steps,
         "cfl_number": sol.cfl_number,
         "grid": {"nx": len(sol.x), "ns": len(sol.s), "nt": len(sol.times)},
-        "model_digest": cfg.model().digest(),
-        "measure_digest": cfg.measure().digest(),
     }
     if args.outdir:
         csv_path = os.path.join(args.outdir, "pde_surface.csv")
@@ -202,13 +204,13 @@ def _cmd_compare(cfg, args) -> dict:
     standard deviations around the spot and times stop at 0.9 T, before
     the terminal layer where the kink defeats finite differences.  A
     small agreement table adds the probabilistic representation at a few
-    sample points; exceeding the configured limits raises CheckFailure."""
-    model = cfg.model()
+    sample points; a gap that is not within the configured limits, NaN
+    included, raises CheckFailure."""
+    model = cfg.model
     dec = _decompose(cfg)
-    spec = pde.DiffusionSpec.from_additive(model)
-    sol = pde.solve(spec, cfg.measure(), cfg.pde_grid())
-    limits = cfg.compare_limits()
-    val = cfg.validation()
+    spec, sol = _pde_solution(cfg)
+    limits = cfg.compare_limits
+    val = cfg.validation
     T = model.horizon
     half_x = 2.0 * float(np.sqrt(model.covariance[0, 0] * T))
     half_s = 2.0 * float(np.sqrt(model.covariance[1, 1] * T))
@@ -222,8 +224,9 @@ def _cmd_compare(cfg, args) -> dict:
         yf, zf = dec.hedge_surface([t], xs, ss)
         yp = sol.y[k][np.ix_(ix, isl)]
         zp = sol.z[k][np.ix_(ix, isl)]
-        gap_y = max(gap_y, float(np.max(np.abs(yp - yf[0]) / np.maximum(np.abs(yf[0]), 1.0))))
-        gap_z = max(gap_z, float(np.max(np.abs(zp - zf[0]) / np.maximum(np.abs(zf[0]), 0.05))))
+        # np.maximum keeps a NaN gap
+        gap_y = float(np.maximum(gap_y, np.max(np.abs(yp - yf[0]) / np.maximum(np.abs(yf[0]), 1.0))))
+        gap_z = float(np.maximum(gap_z, np.max(np.abs(zp - zf[0]) / np.maximum(np.abs(zf[0]), 0.05))))
     h0_f = float(np.real(dec.h0))
 
     x0, s0 = float(model.spot[0]), float(model.spot[1])
@@ -235,7 +238,7 @@ def _cmd_compare(cfg, args) -> dict:
             y_f = float(np.real(dec.value(t, xq, s0)))
             y_p = float(sol.value_at(t, xq, s0))
             y_m, se = pde.monte_carlo_representation(
-                spec, cfg.measure(), t, xq, s0,
+                spec, cfg.measure, t, xq, s0,
                 n_paths=val["n_paths"], seed=val["seed"],
             )
             table.append({
@@ -255,27 +258,20 @@ def _cmd_compare(cfg, args) -> dict:
         "interior_box_log_halfwidths": [half_x, half_s],
         "table": table,
         "limits": limits,
-        "model_digest": model.digest(),
-        "measure_digest": cfg.measure().digest(),
     }
     failed = []
-    if out["h0_gap_rel"] > limits["h0_limit"]:
+    if not out["h0_gap_rel"] <= limits["h0_limit"]:
         failed.append("h0")
-    if gap_y > limits["surface_limit"] or gap_z > limits["surface_limit"]:
+    if not (gap_y <= limits["surface_limit"] and gap_z <= limits["surface_limit"]):
         failed.append("surfaces")
     if failed:
-        _fail_with_payload(out, args, "summary.json")
-        raise CheckFailure("route agreement outside limits: " + ", ".join(failed))
+        raise CheckFailure("route agreement outside limits: " + ", ".join(failed), out)
     return out
 
 
 def _cmd_check(cfg, args) -> dict:
-    val = cfg.validation()
-    if args.seed is not None:
-        val["seed"] = args.seed
-    model = cfg.model()
-    dec = _decompose(cfg)
-    ens = simulation.simulate(model, val["n_paths"], val["n_steps"], val["seed"])
+    sizes, dec, ens = _replay_setup(cfg, args)
+    model, val = cfg.model, cfg.validation
     results = {}
     failed = []
 
@@ -316,15 +312,7 @@ def _cmd_check(cfg, args) -> dict:
         to = simulation.tradeoff_check(model, ens)
         record("tradeoff", to, to["rel_error"] <= val["tradeoff_limit"])
 
-    out = {
-        "seed": val["seed"],
-        "n_paths": val["n_paths"],
-        "n_steps": val["n_steps"],
-        "results": results,
-        "failed": failed,
-        "model_digest": model.digest(),
-        "measure_digest": cfg.measure().digest(),
-    }
+    out = {**sizes, "results": results, "failed": failed}
     if args.outdir:
         log_path = os.path.join(args.outdir, "checks.log")
         lines = [
@@ -335,28 +323,18 @@ def _cmd_check(cfg, args) -> dict:
         _write_text(log_path, "\n".join(lines) + "\n")
         print(f"wrote {log_path}")
     if failed:
-        _fail_with_payload(out, args, "sim_report.json")
-        raise CheckFailure("validation checks failed: " + ", ".join(failed))
+        raise CheckFailure("validation checks failed: " + ", ".join(failed), out)
     return out
 
 
+# each command and the file name of its JSON report in the output directory
 _COMMANDS = {
-    "price": _cmd_price,
-    "hedge-surface": _cmd_hedge_surface,
-    "simulate": _cmd_simulate,
-    "pde": _cmd_pde,
-    "compare": _cmd_compare,
-    "check": _cmd_check,
-}
-
-# file name of the JSON report inside the output directory
-_REPORT_NAME = {
-    "price": "summary.json",
-    "hedge-surface": "summary.json",
-    "pde": "summary.json",
-    "compare": "summary.json",
-    "simulate": "sim_report.json",
-    "check": "sim_report.json",
+    "price": (_cmd_price, "summary.json"),
+    "hedge-surface": (_cmd_hedge_surface, "summary.json"),
+    "simulate": (_cmd_simulate, "sim_report.json"),
+    "pde": (_cmd_pde, "summary.json"),
+    "compare": (_cmd_compare, "summary.json"),
+    "check": (_cmd_check, "sim_report.json"),
 }
 
 
@@ -366,7 +344,7 @@ def _parser() -> argparse.ArgumentParser:
         description="Quadratic hedging of claims on a non-traded asset",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
+    for name, (fn, _) in _COMMANDS.items():
         sp = sub.add_parser(name, help=fn.__doc__)
         sp.add_argument("--config", required=True, help="JSON experiment config")
         sp.add_argument(
@@ -377,6 +355,18 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+# stderr prefix and exit code per error type; configured paths are the
+# only filesystem inputs and outputs, so an OSError is a config error
+_EXITS = (
+    ((ConfigError, OSError), "config error", 2),
+    ((AssumptionError, RegimeError), "assumption violated", 3),
+    ((ConvergenceError,), "quadrature failed", 3),
+    ((DomainError, MismatchError), "evaluation failed", 3),
+    ((CheckFailure,), "check failure", 4),
+)
+_HANDLED = tuple(t for types, _, _ in _EXITS for t in types)
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
@@ -384,24 +374,21 @@ def main(argv=None) -> int:
         if args.seed is not None:
             args.seed = _integer(args.seed, "--seed", 0)
         args.outdir = args.out or cfg.output_directory
-        payload = _COMMANDS[args.command](cfg, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        # configured paths are the only filesystem inputs and outputs
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (AssumptionError, RegimeError) as exc:
-        print(f"assumption violated: {exc}", file=sys.stderr)
-        return 3
-    except ConvergenceError as exc:
-        print(f"quadrature failed: {exc}", file=sys.stderr)
-        return 3
-    except CheckFailure as exc:
-        print(f"check failure: {exc}", file=sys.stderr)
-        return 4
-    _emit(payload, args.outdir, _REPORT_NAME[args.command])
+        command, report_name = _COMMANDS[args.command]
+        failure = None
+        try:
+            payload = command(cfg, args)
+        except CheckFailure as exc:
+            payload, failure = exc.report, exc
+        payload["model_digest"] = cfg.model.digest()
+        payload["measure_digest"] = cfg.measure.digest()
+        _emit(payload, args.outdir, report_name)
+        if failure is not None:
+            raise failure
+    except _HANDLED as exc:
+        prefix, code = next((p, c) for types, p, c in _EXITS if isinstance(exc, types))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
     return 0
 
 

@@ -12,9 +12,8 @@ A config file is one JSON object with blocks
     compare     optional route-agreement tolerances {h0_limit, surface_limit}
     output      optional {"directory": ...}
 
-Everything is validated up front; builders then hand out model, payoff
-measure and grids.  Validation failures raise ConfigError naming the
-offending key, before any output is written.
+Everything is validated and built up front.  Validation failures raise
+ConfigError naming the offending key, before any output is written.
 """
 
 from __future__ import annotations
@@ -22,8 +21,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 import numpy as np
 
@@ -37,7 +35,6 @@ __all__ = ["ExperimentConfig", "load_config"]
 
 _ROUTES = ("fourier", "pde", "both")
 _CHECKS = ("martingale", "moments", "orthogonality", "tradeoff", "baselines")
-_AXIS_BY_ASSET = {"x": 1, "s": 2}
 
 
 def _need(block: dict, key: str, where: str):
@@ -63,9 +60,16 @@ def _integer(v, where: str, minimum: int) -> int:
     return int(v)
 
 
+def _pair(v, where: str, item=_number) -> list:
+    """Two entries, each read by `item`: a pair of finite numbers by default."""
+    if not (isinstance(v, (list, tuple)) and len(v) == 2):
+        raise ConfigError(f"{where} must be a pair, got {v!r}")
+    return [item(a, f"{where}[{i}]") for i, a in enumerate(v)]
+
+
 def _exponent(v, where: str) -> complex:
     if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return complex(v)
+        return complex(_number(v, where))
     if isinstance(v, (list, tuple)) and len(v) == 2:
         return complex(_number(v[0], where), _number(v[1], where))
     raise ConfigError(f"{where} must be a number or [re, im] pair, got {v!r}")
@@ -77,19 +81,22 @@ def _check_unknown(block: dict, allowed: set, where: str):
         raise ConfigError(f"unknown keys in {where}: {sorted(extra)}")
 
 
+def _block(raw: dict, key: str, allowed: set) -> dict:
+    """Optional object `key` of the config root, holding only allowed keys."""
+    block = raw.get(key, {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"{key} block must be an object")
+    _check_unknown(block, allowed, key)
+    return block
+
+
 def _build_single_model(block: dict, where: str):
     kind = _need(block, "kind", where)
     common = {"drift", "kind", "horizon", "spot", "vol_x", "vol_s", "corr", "covariance"}
-    spot = block.get("spot", [1.0, 1.0])
-    if not (isinstance(spot, (list, tuple)) and len(spot) == 2):
-        raise ConfigError(f"{where}.spot must be a pair [x0, s0]")
-    drift = _need(block, "drift", where)
-    if not (isinstance(drift, (list, tuple)) and len(drift) == 2):
-        raise ConfigError(f"{where}.drift must be a pair of log-drift rates")
+    spot = _pair(block.get("spot", [1.0, 1.0]), f"{where}.spot")
+    drift = _pair(_need(block, "drift", where), f"{where}.drift")
     if "covariance" in block:
-        cov = np.asarray(block["covariance"], dtype=float)
-        if cov.shape != (2, 2):
-            raise ConfigError(f"{where}.covariance must be a 2x2 matrix")
+        cov = _pair(block["covariance"], f"{where}.covariance", _pair)
     else:
         cov = vols_to_covariance(
             _number(_need(block, "vol_x", where), f"{where}.vol_x"),
@@ -110,9 +117,9 @@ def _build_single_model(block: dict, where: str):
             where,
         )
         lam = _number(_need(block, "jump_intensity", where), f"{where}.jump_intensity")
-        jm = _need(block, "jump_mean", where)
+        jm = _pair(_need(block, "jump_mean", where), f"{where}.jump_mean")
         if "jump_cov" in block:
-            jcov = np.asarray(block["jump_cov"], dtype=float)
+            jcov = _pair(block["jump_cov"], f"{where}.jump_cov", _pair)
         else:
             jcov = vols_to_covariance(
                 _number(_need(block, "jump_vol_x", where), f"{where}.jump_vol_x"),
@@ -156,9 +163,9 @@ def _build_payoff(block: Any, where: str = "payoff") -> PayoffMeasure:
         _check_unknown(block, {"kind", "strike", "asset", "abscissa", "weight"}, where)
         strike = _number(_need(block, "strike", where), f"{where}.strike")
         asset = block.get("asset", "x")
-        if asset not in _AXIS_BY_ASSET:
+        if asset not in ("x", "s"):
             raise ConfigError(f"{where}.asset must be 'x' or 's', got {asset!r}")
-        axis = _AXIS_BY_ASSET[asset]
+        axis = 1 if asset == "x" else 2
         builder = payoffs.call_claim if kind == "call" else payoffs.put_claim
         kw = {}
         if "abscissa" in block:
@@ -195,49 +202,43 @@ def _build_payoff(block: Any, where: str = "payoff") -> PayoffMeasure:
     return measure
 
 
-@dataclass
 class ExperimentConfig:
-    """Validated experiment description; builders return fresh objects."""
+    """Validated experiment description.
 
-    raw: dict
-    path: Optional[str] = None
+    Everything is built once, up front, into plain attributes: model,
+    measure, settings, pde_grid, surface_grid, validation,
+    compare_limits, route and output_directory.
+    """
 
-    def __post_init__(self):
-        if not isinstance(self.raw, dict):
+    def __init__(self, raw: dict):
+        self.raw = raw
+        if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
         _check_unknown(
-            self.raw,
+            raw,
             {"model", "payoff", "route", "quadrature", "pde_grid", "surface",
              "validation", "compare", "output"},
             "config",
         )
-        # build everything once to surface errors before any output;
         # parameter-domain failures count as config errors, while model
         # structure violations keep their own type (and exit code)
         try:
-            self._model = _build_model(_need(self.raw, "model", "config"))
-            self._measure = _build_payoff(_need(self.raw, "payoff", "config"))
+            self.model = _build_model(_need(raw, "model", "config"))
+            self.measure = _build_payoff(_need(raw, "payoff", "config"))
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
-        self.route = self.raw.get("route", "fourier")
+        self.route = raw.get("route", "fourier")
         if self.route not in _ROUTES:
             raise ConfigError(f"route must be one of {_ROUTES}, got {self.route!r}")
-        self._settings = self._build_settings()
-        self._grid = self._build_grid()
-        self._surface = self._build_surface()
-        self._validation = self._build_validation()
-        self._compare = self._build_compare()
-        out = self.raw.get("output", {})
-        if not isinstance(out, dict):
-            raise ConfigError("output block must be an object")
-        _check_unknown(out, {"directory"}, "output")
-        self.output_directory = out.get("directory")
+        self.settings = self._build_settings()
+        self.pde_grid = self._build_grid()
+        self.surface_grid = self._build_surface()
+        self.validation = self._build_validation()
+        self.compare_limits = self._build_compare()
+        self.output_directory = _block(raw, "output", {"directory"}).get("directory")
 
     def _build_settings(self) -> QuadratureSettings:
-        q = self.raw.get("quadrature", {})
-        if not isinstance(q, dict):
-            raise ConfigError("quadrature block must be an object")
-        _check_unknown(q, {"rel_tol", "panel_budget", "max_extension"}, "quadrature")
+        q = _block(self.raw, "quadrature", {"rel_tol", "panel_budget", "max_extension"})
         kw = {}
         if "rel_tol" in q:
             kw["rel_tol"] = _number(q["rel_tol"], "quadrature.rel_tol")
@@ -251,12 +252,7 @@ class ExperimentConfig:
             raise ConfigError(f"bad quadrature settings: {exc}") from exc
 
     def _build_grid(self) -> GridConfig:
-        g = self.raw.get("pde_grid", {})
-        if not isinstance(g, dict):
-            raise ConfigError("pde_grid block must be an object")
-        _check_unknown(
-            g, {"nx", "ns", "nt", "radius_stddevs", "cfl_fraction"}, "pde_grid"
-        )
+        g = _block(self.raw, "pde_grid", {"nx", "ns", "nt", "radius_stddevs", "cfl_fraction"})
         try:
             return GridConfig(
                 nx=_integer(g.get("nx", 161), "pde_grid.nx", 5),
@@ -271,19 +267,16 @@ class ExperimentConfig:
             raise ConfigError(f"bad pde_grid: {exc}") from exc
 
     def _build_surface(self) -> dict:
-        s = self.raw.get("surface", {})
-        if not isinstance(s, dict):
-            raise ConfigError("surface block must be an object")
-        _check_unknown(s, {"times", "x", "s"}, "surface")
+        s = _block(self.raw, "surface", {"times", "x", "s"})
         out = {}
-        T = self._model.horizon
+        T = self.model.horizon
         times = s.get("times", [0.0, 0.5 * T, T])
         if not isinstance(times, list) or not times:
             raise ConfigError("surface.times must be a non-empty list")
         out["times"] = [_number(t, "surface.times") for t in times]
         if any(t < 0 or t > T for t in out["times"]):
             raise ConfigError(f"surface.times must lie in [0, {T}]")
-        for key, spot in (("x", self._model.spot[0]), ("s", self._model.spot[1])):
+        for key, spot in (("x", self.model.spot[0]), ("s", self.model.spot[1])):
             block = s.get(key, {})
             if not isinstance(block, dict):
                 raise ConfigError(f"surface.{key} must be an object")
@@ -297,14 +290,11 @@ class ExperimentConfig:
         return out
 
     def _build_validation(self) -> dict:
-        v = self.raw.get("validation", {})
-        if not isinstance(v, dict):
-            raise ConfigError("validation block must be an object")
-        _check_unknown(
-            v,
+        v = _block(
+            self.raw,
+            "validation",
             {"n_paths", "n_steps", "seed", "tests", "tstat_limit",
              "orthogonality_limit", "tradeoff_limit"},
-            "validation",
         )
         tests = v.get("tests", list(_CHECKS))
         if not isinstance(tests, list):
@@ -327,10 +317,7 @@ class ExperimentConfig:
         }
 
     def _build_compare(self) -> dict:
-        c = self.raw.get("compare", {})
-        if not isinstance(c, dict):
-            raise ConfigError("compare block must be an object")
-        _check_unknown(c, {"h0_limit", "surface_limit"}, "compare")
+        c = _block(self.raw, "compare", {"h0_limit", "surface_limit"})
         out = {
             "h0_limit": _number(c.get("h0_limit", 1e-2), "compare.h0_limit"),
             "surface_limit": _number(c.get("surface_limit", 2e-2), "compare.surface_limit"),
@@ -338,29 +325,6 @@ class ExperimentConfig:
         if out["h0_limit"] <= 0 or out["surface_limit"] <= 0:
             raise ConfigError("compare limits must be positive")
         return out
-
-    # builders -----------------------------------------------------------------
-
-    def model(self):
-        return self._model
-
-    def measure(self) -> PayoffMeasure:
-        return self._measure
-
-    def settings(self) -> QuadratureSettings:
-        return self._settings
-
-    def pde_grid(self) -> GridConfig:
-        return self._grid
-
-    def surface_grid(self) -> dict:
-        return self._surface
-
-    def validation(self) -> dict:
-        return dict(self._validation)
-
-    def compare_limits(self) -> dict:
-        return dict(self._compare)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -372,4 +336,4 @@ def load_config(path: str) -> ExperimentConfig:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return ExperimentConfig(raw=raw, path=path)
+    return ExperimentConfig(raw)

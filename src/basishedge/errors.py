@@ -49,4 +49,11 @@ class ConfigError(BasisHedgeError, ValueError):
 
 
 class CheckFailure(BasisHedgeError, RuntimeError):
-    """A validation check ran to completion and failed its threshold."""
+    """A validation check ran to completion and failed its threshold.
+
+    `report` carries the full report of the run, which is still written.
+    """
+
+    def __init__(self, message: str, report: dict):
+        super().__init__(message)
+        self.report = report

@@ -19,20 +19,13 @@ import bisect
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, StructureConditionError
 
-__all__ = [
-    "AdditiveModel",
-    "PiecewiseAdditiveModel",
-    "GaussianJumps",
-    "FixedJumps",
-    "GeneratorCheck",
-    "generator_gap",
-]
+__all__ = ["AdditiveModel", "PiecewiseAdditiveModel"]
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
@@ -103,20 +96,10 @@ class PiecewiseAdditiveModel:
         self._check_time(t)
         return self._integral(0.0, t, lambda w, seg: w * seg.psi(z1, z2))
 
-    def eta(self, t, z1, z2):
-        """Drift-corrected cumulant integral entering the propagation factor."""
-        self._check_time(t)
-        return self._integral(0.0, t, lambda w, seg: w * seg.eta_rate(z1, z2))
-
     def lambda_coeff(self, t, z1, z2):
         """Propagation factor exp(integral_t^T eta_rate(z)); equals 1 at T."""
         self._check_time(t)
         return np.exp(self._integral(t, self.horizon, lambda w, seg: w * seg.eta_rate(z1, z2)))
-
-    def rho_s(self, t):
-        """Bracket of the martingale part of log S over [0, t]."""
-        self._check_time(t)
-        return self._integral(0.0, t, lambda w, seg: w * seg.rho_bar)
 
     def tradeoff(self, t):
         """Mean-variance trade-off K_t = integral_0^t psi(0,1)^2 / rho_bar."""
@@ -257,12 +240,6 @@ class AdditiveModel(PiecewiseAdditiveModel):
             out = out + self.jump_intensity * (np.exp(ex) - 1.0)
         return out
 
-    def rho(self, t, za, zb):
-        """Covariation cumulant kappa_t(za+zb) - kappa_t(za) - kappa_t(zb)."""
-        (a1, a2), (b1, b2) = za, zb
-        rate = self.psi(np.add(a1, b1), np.add(a2, b2)) - self.psi(a1, a2) - self.psi(b1, b2)
-        return np.asarray(t, dtype=float) * rate
-
     @property
     def rho_bar(self) -> float:
         """Bracket rate of the martingale part of S; strictly positive."""
@@ -359,110 +336,3 @@ def vols_to_covariance(vol_x: float, vol_s: float, corr: float) -> np.ndarray:
             [corr * vol_x * vol_s, vol_s ** 2],
         ]
     )
-
-
-# -- small-time generator check ----------------------------------------------
-#
-# One-dimensional sanity check tying the model's jump part to its
-# infinitesimal generator, with the zero-truncation-drift convention:
-# the process is the compound Poisson sum compensated by the small-jump
-# mean, so L f(s) = integral (f(s+y) - f(s) - y f'(s) 1_{|y|<1}) nu(dy).
-
-_GH_X, _GH_W = np.polynomial.hermite.hermgauss(80)
-
-
-@dataclass(frozen=True)
-class GaussianJumps:
-    """Compound Poisson marginal with N(mean, std^2) jumps."""
-
-    intensity: float
-    mean: float
-    std: float
-
-    def __post_init__(self):
-        if self.intensity < 0 or self.std < 0:
-            raise DomainError("intensity and std must be nonnegative")
-
-
-@dataclass(frozen=True)
-class FixedJumps:
-    """Compound Poisson marginal with deterministic jump size."""
-
-    intensity: float
-    size: float
-
-    def __post_init__(self):
-        if self.intensity < 0:
-            raise DomainError("intensity must be nonnegative")
-
-
-@dataclass(frozen=True)
-class GeneratorCheck:
-    finite_difference: float
-    generator: float
-    gap: float
-
-
-def _small_jump_mean(marginal) -> float:
-    """integral_{|y|<1} y nu(dy), by quadrature for the Gaussian law."""
-    if isinstance(marginal, FixedJumps):
-        return marginal.intensity * marginal.size * (1.0 if abs(marginal.size) < 1.0 else 0.0)
-    lam, m, sd = marginal.intensity, marginal.mean, marginal.std
-    if sd == 0.0:
-        return lam * m * (1.0 if abs(m) < 1.0 else 0.0)
-    from .payoffs import panel_nodes
-
-    y, w = panel_nodes(-1.0, 1.0, 16)
-    dens = np.exp(-0.5 * ((y - m) / sd) ** 2) / (sd * np.sqrt(2.0 * np.pi))
-    return lam * float(np.sum(w * y * dens))
-
-
-def _gaussian_expect(f: Callable, mean: float, std: float) -> float:
-    if std == 0.0:
-        return float(f(np.asarray(mean)))
-    pts = mean + std * np.sqrt(2.0) * _GH_X
-    return float(np.sum(_GH_W * f(pts)) / np.sqrt(np.pi))
-
-
-def generator_gap(marginal, f: Callable, fprime: Callable, s: float, dt: float) -> GeneratorCheck:
-    """Compare (P_dt f - f)/dt against the generator at a point.
-
-    f must be C^2 with bounded second derivative near the mass of
-    s + jumps; the gap decays linearly in dt for such f.  The transition
-    expectation is computed by conditioning on the jump count, the
-    generator by quadrature against the jump law.
-    """
-    if dt <= 0:
-        raise DomainError("dt must be positive")
-    lam = marginal.intensity
-    comp = _small_jump_mean(marginal)
-    base = s - dt * comp
-
-    # transition expectation E[f(s + L_dt)] via the Poisson mixture
-    mu = lam * dt
-    pk = np.exp(-mu)
-    fd = pk * float(f(np.asarray(base)))
-    k = 0
-    while True:
-        k += 1
-        pk = pk * mu / k
-        if isinstance(marginal, FixedJumps):
-            term = float(f(np.asarray(base + k * marginal.size)))
-        else:
-            term = _gaussian_expect(f, base + k * marginal.mean, marginal.std * np.sqrt(k))
-        fd += pk * term
-        if pk < 1e-18 and k > 2:
-            break
-        if k > 400:
-            break
-    fd_rate = (fd - float(f(np.asarray(s)))) / dt
-
-    # generator L f(s) = lam*E[f(s+J) - f(s)] - f'(s)*integral_{|y|<1} y nu
-    if isinstance(marginal, FixedJumps):
-        jump_part = lam * (float(f(np.asarray(s + marginal.size))) - float(f(np.asarray(s))))
-    else:
-        jump_part = lam * (
-            _gaussian_expect(f, s + marginal.mean, marginal.std) - float(f(np.asarray(s)))
-        )
-    gen = jump_part - float(fprime(np.asarray(s))) * comp
-    return GeneratorCheck(finite_difference=fd_rate, generator=gen, gap=fd_rate - gen)

@@ -542,9 +542,8 @@ def call_claim(strike: float, abscissa: float = 0.5, axis: int = 2) -> PayoffMea
 
 
 def put_claim(strike: float, abscissa: float = 1.5, axis: int = 2) -> PayoffMeasure:
-    """Plain put (K - v)^+ (alias of put_measure with claim components)."""
-    m = put_measure(strike, abscissa, axis)
-    return replace(m, components=(("put", float(strike), axis, 1.0),))
+    """Plain put (K - v)^+: put_measure already encodes the whole claim."""
+    return put_measure(strike, abscissa, axis)
 
 
 def combine(terms: Sequence[tuple[float, PayoffMeasure]]) -> PayoffMeasure:

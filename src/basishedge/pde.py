@@ -49,6 +49,8 @@ _REGIMES = ("black-scholes", "bounded-elliptic")
 # ellipticity guards for the callable regime, checked on the grid
 _MIN_EIG = 1e-10
 _MAX_EIG = 1e4
+# largest log-price whose exponential is a finite float
+_LOG_MAX = float(np.log(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -270,6 +272,8 @@ def solve(spec: DiffusionSpec, measure, grid: GridConfig = GridConfig()) -> PDES
 
     `measure` provides payoff(x, s) of a real claim; the returned solution
     holds value and hedge snapshots on grid.nt times spanning [0, horizon].
+    A price grid that overflows, or a snapshot that is not finite, raises
+    DomainError.
     """
     if not measure.is_real_claim():
         raise AssumptionError("the finite-difference route requires a real-valued claim")
@@ -283,6 +287,11 @@ def solve(spec: DiffusionSpec, measure, grid: GridConfig = GridConfig()) -> PDES
     half_s = grid.radius_stddevs * np.sqrt(c22c * T) + abs(b2c) * T
     xi = np.log(x0) + np.linspace(-half_x, half_x, grid.nx)
     eta = np.log(s0) + np.linspace(-half_s, half_s, grid.ns)
+    if not max(np.abs(xi).max(), np.abs(eta).max()) < _LOG_MAX:
+        raise DomainError(
+            f"the price grid overflows: log-price half-widths {half_x:.3g} and "
+            f"{half_s:.3g}; lower pde_grid.radius_stddevs"
+        )
     dxi = xi[1] - xi[0]
     deta = eta[1] - eta[0]
     xg, sg = np.exp(xi), np.exp(eta)
@@ -321,15 +330,20 @@ def solve(spec: DiffusionSpec, measure, grid: GridConfig = GridConfig()) -> PDES
     y_snap = np.empty((grid.nt, nx, ns))
     z_snap = np.empty_like(y_snap)
 
-    y_snap[-1] = measure.payoff(xx, ss)
-
-    def hedge_from(yarr, t):
+    def snapshot(k, yarr, t):
+        y_snap[k] = yarr
         _, _, _, c12t, c22t = spec.fields(t, xx, ss)
-        dyx = np.gradient(yarr, dxi, axis=0)
-        dys = np.gradient(yarr, deta, axis=1)
-        return (dys + (c12t / c22t) * dyx) / ss
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            dyx = np.gradient(y_snap[k], dxi, axis=0)
+            dys = np.gradient(y_snap[k], deta, axis=1)
+            z_snap[k] = (dys + (c12t / c22t) * dyx) / ss
+        if not (np.isfinite(y_snap[k]).all() and np.isfinite(z_snap[k]).all()):
+            raise DomainError(
+                f"the finite-difference solution is not finite at t={t:g}; "
+                "lower pde_grid.radius_stddevs"
+            )
 
-    z_snap[-1] = hedge_from(y_snap[-1], T)
+    snapshot(-1, measure.payoff(xx, ss), T)
 
     # y_new = sum_k w_k shift_k(y) on the flat run, two buffers in turn
     shifts = {
@@ -376,9 +390,7 @@ def solve(spec: DiffusionSpec, measure, grid: GridConfig = GridConfig()) -> PDES
         cur, nxt = nxt, cur
 
         if (n - 1) % per_snap == 0:
-            k = (n - 1) // per_snap
-            y_snap[k] = g
-            z_snap[k] = hedge_from(g, (n - 1) * dt)
+            snapshot((n - 1) // per_snap, g, (n - 1) * dt)
 
     return PDESolution(
         times=times,

@@ -122,6 +122,13 @@ def simulate(model, n_paths: int, n_steps: int, seed: int = 0) -> PathEnsemble:
     return PathEnsemble(times=times, x=x, s=s, seed=seed, model_digest=model.digest())
 
 
+def _mean_stderr_t(vals, target: float = 0.0):
+    """Sample mean, its standard error and the t-statistic of mean - target."""
+    mean = float(vals.mean())
+    serr = float(vals.std(ddof=1) / math.sqrt(vals.size))
+    return mean, serr, (mean - target) / serr if serr > 0 else 0.0
+
+
 def _norm_powers(ensemble: PathEnsemble, i: int, z1: complex, z2: complex):
     lx = np.log(ensemble.x[:, i] / ensemble.x[0, 0])
     ls = np.log(ensemble.s[:, i] / ensemble.s[0, 0])
@@ -160,12 +167,9 @@ def martingale_test(model, ensemble: PathEnsemble, exponents: Optional[Sequence]
     rows = []
     worst = 0.0
     for (z1, z2), w in zip(zs, ws):
-        n = w.size
         out = {"z1": z1, "z2": z2}
         for part, vals in (("re", w.real), ("im", w.imag)):
-            mean = float(vals.mean())
-            serr = float(vals.std(ddof=1) / math.sqrt(n))
-            t = mean / serr if serr > 0 else 0.0
+            mean, serr, t = _mean_stderr_t(vals)
             out[f"mean_{part}"] = mean
             out[f"stderr_{part}"] = serr
             out[f"tstat_{part}"] = t
@@ -187,12 +191,9 @@ def moment_check(model, ensemble: PathEnsemble, exponents: Optional[Sequence] = 
         vals = _norm_powers(ensemble, ensemble.n_steps, z1, z2) * np.exp(
             -model.kappa(T, z1, z2)
         )
-        n = vals.size
         out = {"z1": z1, "z2": z2}
         for part, arr, target in (("re", vals.real, 1.0), ("im", vals.imag, 0.0)):
-            mean = float(arr.mean())
-            serr = float(arr.std(ddof=1) / math.sqrt(n))
-            t = (mean - target) / serr if serr > 0 else 0.0
+            mean, serr, t = _mean_stderr_t(arr, target)
             out[f"mean_{part}"] = mean
             out[f"stderr_{part}"] = serr
             out[f"tstat_{part}"] = t
@@ -218,11 +219,8 @@ class HedgeRunResult:
     self_check_error: float = 0.0
 
     def __post_init__(self):
-        r = self.residuals
-        self.residual_mean = float(r.mean())
-        self.residual_stderr = float(r.std(ddof=1) / math.sqrt(r.size))
-        self.residual_tstat = (
-            self.residual_mean / self.residual_stderr if self.residual_stderr > 0 else 0.0
+        self.residual_mean, self.residual_stderr, self.residual_tstat = _mean_stderr_t(
+            self.residuals
         )
 
 
@@ -347,12 +345,13 @@ def hedge_run(
                 pick = check_rng.integers(0, n_paths, size=4)
                 y_ref, z_ref = dec.value_and_hedge(t, x_i[pick], s_i[pick])
                 sc_y = max(1.0, float(np.max(np.abs(y_ref))))
-                err = max(
-                    float(np.max(np.abs(y_i[pick] - y_ref))) / sc_y,
-                    float(np.max(np.abs(z_i[pick] - z_ref))),
-                )
+                # np.maximum and the negated test let a NaN gap fail
+                err = float(np.maximum(
+                    np.max(np.abs(y_i[pick] - y_ref)) / sc_y,
+                    np.max(np.abs(z_i[pick] - z_ref)),
+                ))
                 worst_check = max(worst_check, err)
-                if err > check_tol:
+                if not err <= check_tol:
                     raise MismatchError(
                         f"interpolated hedge deviates from exact evaluation by {err:.2e} "
                         f"at t={t:g} (tolerance {check_tol:g})"
@@ -466,7 +465,6 @@ def tradeoff_check(model, ensemble: PathEnsemble) -> dict:
         incr = S[:, i + 1] - S[:, i] - S[:, i] * mu * dt
         acc += (mu / (S[:, i] * rb)) ** 2 * incr * incr
     exact = float(model.tradeoff(model.horizon))
-    est = float(acc.mean())
-    serr = float(acc.std(ddof=1) / math.sqrt(acc.size))
+    est, serr, _ = _mean_stderr_t(acc)
     rel = abs(est - exact) / abs(exact) if exact != 0 else abs(est)
     return {"estimate": est, "stderr": serr, "exact": exact, "rel_error": rel}

@@ -13,7 +13,6 @@ import pytest
 from scipy import integrate, stats
 
 from basishedge.engine import decompose
-from basishedge.models import GaussianJumps, generator_gap
 from basishedge.payoffs import call_claim, call_measure, power_claim
 from basishedge.pde import DiffusionSpec, GridConfig, monte_carlo_representation, solve
 from basishedge.simulation import (
@@ -25,7 +24,7 @@ from basishedge.simulation import (
     tradeoff_check,
 )
 
-from oracles import lognormal_call, rk4_backward
+from oracles import GaussianJumps, generator_gap, lognormal_call, rk4_backward
 
 
 def _report(num: int, name: str, ok: bool, detail: str):

@@ -18,9 +18,10 @@ except ModuleNotFoundError:  # Python 3.10: pytest depends on tomli there
     import tomli as tomllib
 
 import basishedge
+from basishedge import pde, simulation
 from basishedge.cli import _surface_csv, main
 from basishedge.config import ExperimentConfig, load_config
-from basishedge.errors import ConfigError
+from basishedge.errors import ConfigError, DomainError, MismatchError
 
 BASE = {
     "model": {
@@ -56,24 +57,24 @@ def _with(base, **blocks) -> dict:
 def test_minimal_config_defaults():
     cfg = ExperimentConfig(raw=copy.deepcopy(BASE))
     assert cfg.route == "fourier"
-    st = cfg.settings()
+    st = cfg.settings
     assert (st.rel_tol, st.panel_budget, st.max_extension) == (1e-8, 512, 6)
-    grid = cfg.pde_grid()
+    grid = cfg.pde_grid
     assert (grid.nx, grid.ns, grid.nt) == (161, 161, 41)
-    surf = cfg.surface_grid()
+    surf = cfg.surface_grid
     assert surf["times"] == [0.0, 0.5, 1.0]
     assert surf["x"][0] == 50.0 and surf["x"][-1] == 150.0 and len(surf["x"]) == 21
-    val = cfg.validation()
+    val = cfg.validation
     assert val["n_paths"] == 20000 and val["n_steps"] == 125 and val["seed"] == 0
     assert val["tests"] == ["martingale", "moments", "orthogonality", "tradeoff", "baselines"]
     assert (val["tstat_limit"], val["orthogonality_limit"], val["tradeoff_limit"]) == (
         3.0, 0.02, 0.1,
     )
-    lim = cfg.compare_limits()
+    lim = cfg.compare_limits
     assert (lim["h0_limit"], lim["surface_limit"]) == (1e-2, 2e-2)
     assert cfg.output_directory is None
-    assert cfg.model().horizon == 1.0
-    assert cfg.measure().payoff(130.0, 90.0) == pytest.approx(30.0)
+    assert cfg.model.horizon == 1.0
+    assert cfg.measure.payoff(130.0, 90.0) == pytest.approx(30.0)
 
 
 def _broken_configs():
@@ -124,14 +125,14 @@ def test_sum_and_power_payoffs():
             },
         )
     )
-    m = cfg.measure()
+    m = cfg.measure
     assert m.payoff(130.0, 90.0) == pytest.approx(2.0 * 30.0 - 90.0)
     assert m.payoff(70.0, 110.0) == pytest.approx(-110.0)
     # exponents accept [re, im] pairs
     cfg = ExperimentConfig(
         raw=_with(BASE, payoff={"kind": "power", "exponents": [[0.0, 1.5], 0.5]})
     )
-    (atom,) = cfg.measure().atoms
+    (atom,) = cfg.measure.atoms
     assert atom.z1 == 1.5j and atom.z2 == 0.5
 
 
@@ -150,7 +151,7 @@ def test_piecewise_model_config():
             ],
         },
     )
-    model = ExperimentConfig(raw=raw).model()
+    model = ExperimentConfig(raw=raw).model
     assert model.kind == "piecewise"
     assert model.horizon == pytest.approx(1.0)
     assert len(model.segments) == 2
@@ -219,6 +220,12 @@ def test_cli_exit_2_on_config_errors(tmp_path, capsys):
     assert not out.exists()  # invalid configs write nothing
     assert main(["price", "--config", str(tmp_path / "absent.json")]) == 2
     assert "not found" in capsys.readouterr().err
+    # an output directory that cannot be made is a config error too
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    path = _write(tmp_path, BASE)
+    assert main(["price", "--config", path, "--out", str(blocker / "sub")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 SHIPPED_CHECK = Path(__file__).resolve().parents[1] / "configs" / "merton_validation.json"
@@ -504,6 +511,82 @@ def test_cli_compare_tight_limits_exit_4(tmp_path, capsys):
     assert "route agreement" in capsys.readouterr().err
     payload = json.loads((out / "summary.json").read_text())
     assert payload["h0_gap_rel"] > 1e-9
+
+
+SHIPPED_PDE = Path(__file__).resolve().parents[1] / "configs" / "hulley_mcwalter.json"
+
+
+@pytest.mark.parametrize("command", ["price", "pde", "compare"])
+def test_cli_exit_3_on_overflowing_pde_grid(tmp_path, capsys, command):
+    # a radius of 1e6 standard deviations puts exp(3e5) on the price grid
+    cfg = json.loads(SHIPPED_PDE.read_text())
+    cfg["pde_grid"].update(radius_stddevs=1e6, nt=2)
+    out = tmp_path / "never"
+    path = _write(tmp_path, cfg)
+    assert main([command, "--config", path, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "pde_grid.radius_stddevs" in err
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_compare_fails_on_nan_gaps(tmp_path, capsys, monkeypatch):
+    solve = pde.solve
+
+    def nan_solve(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        sol.h0 = float("nan")
+        sol.y[0] = float("nan")
+        return sol
+
+    monkeypatch.setattr(pde, "solve", nan_solve)
+    cfg = _with(BASE, pde_grid={"nx": 21, "ns": 21, "nt": 2}, validation={"n_paths": 200})
+    out = tmp_path / "art"
+    path = _write(tmp_path, cfg)
+    assert main(["compare", "--config", path, "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "check failure: route agreement outside limits: h0, surfaces\n"
+    payload = json.loads((out / "summary.json").read_text())
+    assert payload["h0_gap_rel"] == "nan"
+    assert payload["interior_value_gap_rel"] == "nan"
+    assert "model_digest" in payload and "measure_digest" in payload
+
+
+SMALL_REPLAY = {"n_paths": 200, "n_steps": 4, "seed": 1}
+
+
+@pytest.mark.parametrize("command", ["simulate", "check"])
+@pytest.mark.parametrize("error", [DomainError, MismatchError])
+def test_cli_exit_3_on_domain_and_mismatch_errors(tmp_path, capsys, monkeypatch, command, error):
+    def failing_run(*args, **kwargs):
+        raise error("interpolated hedge deviates from exact evaluation")
+
+    monkeypatch.setattr(simulation, "hedge_run", failing_run)
+    cfg = _with(BASE, validation=SMALL_REPLAY)
+    out = tmp_path / "never"
+    path = _write(tmp_path, cfg)
+    assert main([command, "--config", path, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "evaluation failed: interpolated hedge deviates from exact evaluation\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "check"])
+def test_cli_rejects_complex_claim_before_simulating(tmp_path, capsys, monkeypatch, command):
+    def no_simulate(*args, **kwargs):
+        raise AssertionError("paths were simulated for a claim that is not real")
+
+    monkeypatch.setattr(simulation, "simulate", no_simulate)
+    cfg = _with(
+        BASE,
+        payoff={"kind": "power", "exponents": [[0.5, 1.0], 0.0]},
+        validation=SMALL_REPLAY,
+    )
+    out = tmp_path / "never"
+    path = _write(tmp_path, cfg)
+    assert main([command, "--config", path, "--out", str(out)]) == 3
+    assert "real-valued claim" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -8,14 +8,8 @@ from scipy.stats import norm
 
 import oracles
 from basishedge.errors import DomainError, StructureConditionError
-from basishedge.models import (
-    AdditiveModel,
-    FixedJumps,
-    GaussianJumps,
-    PiecewiseAdditiveModel,
-    generator_gap,
-    vols_to_covariance,
-)
+from basishedge.models import AdditiveModel, PiecewiseAdditiveModel, vols_to_covariance
+from oracles import FixedJumps, GaussianJumps, generator_gap
 
 
 @pytest.fixture(params=["bs_model", "merton_model"])
@@ -70,9 +64,10 @@ def test_bracket_rate_closed_form(bs_model, merton_model):
 
 
 def test_bracket_cumulant_consistency(any_model):
+    # the bracket rate is the covariation cumulant psi(0,2) - 2 psi(0,1)
     m = any_model
-    rho = complex(m.rho(0.7, (0.0, 1.0), (0.0, 1.0)))
-    assert abs(rho - m.rho_s(0.7)) < 1e-14 * (1.0 + abs(rho))
+    rho = complex(m.psi(0.0, 2.0) - 2.0 * m.psi(0.0, 1.0))
+    assert abs(rho - m.rho_bar) < 1e-14 * (1.0 + abs(rho))
 
 
 def test_gaussian_hedge_weight_is_affine(bs_model):
@@ -166,8 +161,6 @@ def test_piecewise_cumulant_is_segment_weighted(two_piece, bs_model, merton_mode
     for t, wa, wb in ((1.0, 0.4, 0.6), (0.7, 0.4, 0.3), (0.25, 0.25, 0.0)):
         want = wa * complex(bs_model.psi(*z)) + wb * complex(merton_model.psi(*z))
         assert abs(complex(two_piece.kappa(t, *z)) - want) < 1e-13 * (1 + abs(want))
-    want = 0.4 * complex(bs_model.eta_rate(*z)) + 0.3 * complex(merton_model.eta_rate(*z))
-    assert abs(complex(two_piece.eta(0.7, *z)) - want) < 1e-13 * (1 + abs(want))
 
 
 def test_piecewise_propagation_multiplies_segments(two_piece, bs_model, merton_model):
@@ -181,8 +174,6 @@ def test_piecewise_propagation_multiplies_segments(two_piece, bs_model, merton_m
 
 
 def test_piecewise_bracket_and_tradeoff(two_piece, bs_model, merton_model):
-    want = 0.4 * bs_model.rho_bar + 0.6 * merton_model.rho_bar
-    assert abs(two_piece.rho_s(1.0) - want) < 1e-14
     want = (
         0.4 * bs_model.traded_growth_rate ** 2 / bs_model.rho_bar
         + 0.6 * merton_model.traded_growth_rate ** 2 / merton_model.rho_bar
@@ -229,7 +220,6 @@ def test_equal_segments_reduce_to_homogeneous(bs_model):
         a = complex(pm.lambda_coeff(t, *z))
         b = complex(bs_model.lambda_coeff(t, *z))
         assert abs(a - b) < 1e-13 * (1.0 + abs(b))
-    assert abs(pm.rho_s(0.8) - bs_model.rho_s(0.8)) < 1e-15
     assert abs(pm.tradeoff(1.0) - bs_model.tradeoff(1.0)) < 1e-15
 
 

@@ -239,6 +239,21 @@ def test_coarse_interpolation_grid_is_caught(bs_model, bs_call_x):
     assert run.self_check_error == 0.0
 
 
+@pytest.mark.parametrize("nan_part", [0, 1])
+def test_non_finite_self_check_is_caught(bs_model, bs_call_x, monkeypatch, nan_part):
+    exact = bs_call_x.value_and_hedge
+
+    def nan_reference(t, x, s):
+        parts = list(exact(t, x, s))
+        parts[nan_part] = np.full(np.shape(x), np.nan)
+        return tuple(parts)
+
+    monkeypatch.setattr(bs_call_x, "value_and_hedge", nan_reference)
+    ens = simulate(bs_model, 500, 10, seed=8)
+    with pytest.raises(MismatchError, match="deviates from exact evaluation by nan"):
+        hedge_run(bs_call_x, ens)
+
+
 # -- baselines and tradeoff -------------------------------------------------------
 
 
