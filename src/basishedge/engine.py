@@ -19,6 +19,8 @@ decay of lambda at the cutoff.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from .errors import AssumptionError, ConvergenceError, DomainError
@@ -42,6 +44,10 @@ _ALIAS_MARGIN = 100.0
 _UNTAGGED_STRIP = 0.25
 # caps the node cache of one line at a few 16 MB arrays
 _MAX_UNIFORM_NODES = 1 << 20
+# segment -> {line shape: (gamma, eta_rate, psi) at the shape's nodes}; the
+# claim enters a line only through its density, so every decomposition on
+# a model shares these, and an entry dies with its segment
+_RATES = weakref.WeakKeyDictionary()
 
 
 def _chirp_z(x, theta, m):
@@ -96,6 +102,8 @@ class HedgeDecomposition:
         self.assumptions = self._check_assumptions()
         x0, s0 = float(model.spot[0]), float(model.spot[1])
         h0 = complex(np.asarray(self._flat(np.array([0.0]), np.array([x0]), np.array([s0]), "y")[0]).ravel()[0])
+        if not (np.isfinite(h0.real) and np.isfinite(h0.imag)):
+            raise ConvergenceError(f"the contour quadrature of the initial capital is not finite: {h0!r}")
         if self._real:
             scale = max(1.0, abs(h0.real))
             if abs(h0.imag) > _IM_ABORT * scale:
@@ -137,12 +145,10 @@ class HedgeDecomposition:
         times = np.atleast_1d(np.asarray(times, dtype=float))
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         ss = np.atleast_1d(np.asarray(ss, dtype=float))
-        tt, xx, yy = np.meshgrid(times, xs, ss, indexing="ij")
-        y, z = self._broadcast(tt, xx, yy, "both")
-        return y, z
+        return self._broadcast(*np.meshgrid(times, xs, ss, indexing="ij"), "both")
 
     def quadrature_report(self) -> dict:
-        rep = {
+        return {
             "h0_im_residual": self._im_residual,
             "lines": [dict(d) for d in self._line_stats],
             "settings": {
@@ -150,7 +156,6 @@ class HedgeDecomposition:
                 "panel_budget": self.settings.panel_budget,
             },
         }
-        return rep
 
     # -- assumption checks ----------------------------------------------------
 
@@ -164,9 +169,12 @@ class HedgeDecomposition:
             failures.append("strictly-increasing-bracket")
 
         tv = sum(abs(complex(a.weight)) for a in self.measure.atoms)
+        sup = 0.0
         for idx in range(len(self.measure.lines)):
             nd = self._nodes(idx, 0, 1)
             tv += float(np.sum(np.abs(nd.w * nd.dens)))
+            for _, _, psis in nd.rates.values():
+                sup = max(sup, float(np.max(np.abs(psis))) / rb)
         checks["integrable-claim-transform"] = tv
         if not np.isfinite(tv):
             failures.append("integrable-claim-transform")
@@ -179,10 +187,6 @@ class HedgeDecomposition:
         if not ok:
             failures.append("cumulant-domain-contains-support")
 
-        sup = 0.0
-        for idx in range(len(self.measure.lines)):
-            for _, _, psis in self._nodes(idx, 0, 1).rates.values():
-                sup = max(sup, float(np.max(np.abs(psis))) / rb)
         for a in self.measure.atoms:
             for seg in segments:
                 sup = max(sup, abs(complex(seg.psi(a.z1, a.z2))) / rb)
@@ -217,6 +221,9 @@ class HedgeDecomposition:
             if arr is None:
                 out.append(None)
                 continue
+            bad = arr.size - int(np.count_nonzero(np.isfinite(arr)))
+            if bad:
+                raise ConvergenceError(f"the contour quadrature is not finite at {bad} of {arr.size} points")
             if self._real:
                 im = float(np.max(np.abs(arr.imag))) if arr.size else 0.0
                 sc = max(1.0, float(np.max(np.abs(arr.real))) if arr.size else 0.0)
@@ -281,30 +288,39 @@ class HedgeDecomposition:
         return y, z
 
     def _nodes(self, idx: int, level: int, umult: int, uniform: int = 0) -> _LineNodes:
-        """Line nodes at a refinement level (see payoffs.line_nodes), cached
-        with the cumulant rates of every model segment there."""
+        """Line nodes at a refinement level (see payoffs.line_nodes) with the
+        claim's density there, cached, and the model's shared rates."""
         key = (idx, level, umult, uniform)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
         ln = self.measure.lines[idx]
         u, w = line_nodes(ln, level, umult, uniform)
-        zrun = ln.abscissa + 1j * u
-        zfix = np.full(u.shape, complex(ln.fixed_exponent), dtype=complex)
-        z1, z2 = (zrun, zfix) if ln.axis == 1 else (zfix, zrun)
-        rates = {
-            seg: (seg.gamma(z1, z2), seg.eta_rate(z1, z2), seg.psi(z1, z2))
-            for _, _, seg in self.model.segments
-        }
-        nd = _LineNodes(u, w, np.asarray(ln.density(u), dtype=complex), rates)
-        self._cache[key] = nd
+        dens = np.asarray(ln.density(u), dtype=complex)
+        self._cache[key] = nd = _LineNodes(u, w, dens, self._rates(ln, u, level, umult, uniform))
         return nd
 
-    def _propagate(self, nd: _LineNodes, ti: float):
-        """(lambda, gamma, psi) at the line's nodes at time ti."""
+    def _rates(self, ln, u, level: int, umult: int, uniform: int) -> dict:
+        """(gamma, eta_rate, psi) of every model segment at the line's nodes u
+        (line_nodes of the same arguments), read from or put into _RATES."""
+        f = complex(ln.fixed_exponent)
+        shape = (ln.axis, f, ln.abscissa, ln.truncation, ln.panels, ln.symmetric, level, umult, uniform)
+        rates = {}
+        for _, _, seg in self.model.segments:
+            per = _RATES.setdefault(seg, {})
+            if shape not in per:
+                zrun = ln.abscissa + 1j * u
+                per[shape] = seg.rates(*((zrun, f) if ln.axis == 1 else (f, zrun)))
+                for arr in per[shape]:
+                    arr.flags.writeable = False
+            rates[seg] = per[shape]
+        return rates
+
+    def _propagate(self, rates: dict, ti: float):
+        """(lambda, gamma, psi) at a line's nodes at time ti."""
         m = self.model
-        log_lam = m._integral(ti, m.horizon, lambda w, seg: w * nd.rates[seg][1])
-        gam, _, psi = nd.rates[m.segment_at(ti)]
+        log_lam = m._integral(ti, m.horizon, lambda w, seg: w * rates[seg][1])
+        gam, _, psi = rates[m.segment_at(ti)]
         return np.exp(log_lam), gam, psi
 
     def _line_group(self, idx, ti, v, fixed, which):
@@ -336,7 +352,7 @@ class HedgeDecomposition:
 
         def coefficients(level):
             nd = self._nodes(idx, level, umult)
-            lam, gam, psi = self._propagate(nd, ti)
+            lam, gam, psi = self._propagate(nd.rates, ti)
             coef = nd.w * nd.dens * lam
             cy = (coef * psi if which == "gen" else coef) if need_y else None
             return nd.u, (cy, coef * gam if need_z else None)
@@ -363,7 +379,7 @@ class HedgeDecomposition:
         stats["umult"] = max(stats["umult"], umult)
         stats["tail_bound"] = max(stats["tail_bound"], bound)
         nd = self._nodes(idx, 0, umult, uniform=self._uniform_count(idx, umult, glx))
-        lam, gam, _ = self._propagate(nd, ti)
+        lam, gam, _ = self._propagate(nd.rates, ti)
         coef = nd.w * nd.dens * lam
         # exp((R + i u_k) glx_j) = exp((R + i lo) glx_j) exp(i k h glx_0) exp(i h dx jk)
         lo, h = nd.u[0], nd.u[1] - nd.u[0]
@@ -418,21 +434,13 @@ class HedgeDecomposition:
             dtail = abs(complex(np.asarray(ln.density(np.array([ln.truncation])))[0]))
             amp = dtail * ln.truncation ** 2 * vpow * fmax
             floor = 0.1 * self.settings.rel_tol * max(1.0, amp / max(ln.truncation, 1.0))
-        f = complex(ln.fixed_exponent)
         for k_ext in range(self.settings.max_extension + 1):
             umult = 1 << k_ext
-            u_hi = ln.truncation * umult
-            if ln.axis == 1:
-                z1, z2 = ln.abscissa + 1j * u_hi, f
-            else:
-                z1, z2 = f, ln.abscissa + 1j * u_hi
-            lam_edge = complex(np.asarray(self.model.lambda_coeff(ti, z1, z2)).ravel()[0])
-            decay = abs(lam_edge)
-            growth = 1.0
-            if which in ("z", "both"):
-                g_edge = complex(np.asarray(self.model.segment_at(ti).gamma(z1, z2)).ravel()[0])
-                growth = max(1.0, abs(g_edge))
-            bound = 2.0 * amp * decay * growth / u_hi
+            # the one-interval trapezoid line ends at the cutoff truncation * umult
+            edge = line_nodes(ln, 0, umult, 1)[0]
+            lam, gam, _ = self._propagate(self._rates(ln, edge, 0, umult, 1), ti)
+            growth = max(1.0, abs(gam[-1])) if which in ("z", "both") else 1.0
+            bound = 2.0 * amp * abs(lam[-1]) * growth / float(edge[-1])
             if bound <= floor:
                 mode = "skipped-negligible" if k_ext == 0 else "extended"
                 return umult, mode, bound

@@ -250,18 +250,22 @@ class AdditiveModel(PiecewiseAdditiveModel):
         """psi(0,1): exponential growth rate of E[S_t]."""
         return float(np.real(self.psi(0.0, 1.0)))
 
-    def gamma(self, z1, z2):
-        """Hedge-ratio weight of the power claim x**z1 s**z2.
+    def rates(self, z1, z2):
+        """(gamma, eta_rate, psi) at z from psi(z), psi(z + e2) and psi(0, 1).
 
-        Ratio of the (claim, S) covariation rate to the bracket rate of
-        S; constant in time for this family.  gamma(0,1) = 1 and
-        gamma(0,0) = 0 identically.
+        gamma, the hedge-ratio weight of x**z1 s**z2, is the (claim, S)
+        covariation rate over the bracket rate of S: gamma(0,1) = 1 and
+        gamma(0,0) = 0.  eta_rate = psi - gamma psi(0,1) is the log-rate of lambda.
         """
-        num = self.psi(z1, np.asarray(z2, dtype=complex) + 1.0) - self.psi(z1, z2) - self.psi(0.0, 1.0)
-        return num / self._rho_bar
+        p, p01 = self.psi(z1, z2), self.psi(0.0, 1.0)
+        g = (self.psi(z1, np.asarray(z2, dtype=complex) + 1.0) - p - p01) / self._rho_bar
+        return g, p - g * p01, p
+
+    def gamma(self, z1, z2):
+        return self.rates(z1, z2)[0]
 
     def eta_rate(self, z1, z2):
-        return self.psi(z1, z2) - self.gamma(z1, z2) * self.psi(0.0, 1.0)
+        return self.rates(z1, z2)[1]
 
     def gamma_affine(self, axis: int, fixed_exponent: complex):
         """Affine asymptote (g0, g1) of gamma along a contour, or None.

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.special import ndtr
 
 from .errors import AssumptionError, DomainError, MismatchError
 
@@ -77,17 +78,11 @@ def simulate(model, n_paths: int, n_steps: int, seed: int = 0) -> PathEnsemble:
     s[:, 0] = s0
 
     # per-segment factors reused across steps
-    factors: dict[int, tuple] = {}
-
-    def seg_factors(seg):
-        key = id(seg)
-        got = factors.get(key)
-        if got is None:
-            lj = seg.jump_factor() if seg.jump_intensity > 0 else None
-            got = (seg.drift, seg.diffusion_factor(), seg.jump_intensity,
-                   seg.jump_mean, lj)
-            factors[key] = got
-        return got
+    factors = {
+        seg: (seg.drift, seg.diffusion_factor(), seg.jump_intensity, seg.jump_mean,
+              seg.jump_factor() if seg.jump_intensity > 0 else None)
+        for _, _, seg in model.segments
+    }
 
     n_blocks = (n_paths + _BLOCK - 1) // _BLOCK
     children = np.random.SeedSequence(seed).spawn(n_blocks)
@@ -103,7 +98,7 @@ def simulate(model, n_paths: int, n_steps: int, seed: int = 0) -> PathEnsemble:
                 dur = min(times[i + 1], b) - max(times[i], a)
                 if dur <= 1e-15:
                     continue
-                drift, ldiff, lam, jmean, ljump = seg_factors(seg)
+                drift, ldiff, lam, jmean, ljump = factors[seg]
                 g = rng.standard_normal((nb, 2)) @ ldiff.T
                 dx = drift[0] * dur + math.sqrt(dur) * g[:, 0]
                 ds = drift[1] * dur + math.sqrt(dur) * g[:, 1]
@@ -150,19 +145,16 @@ def martingale_test(model, ensemble: PathEnsemble, exponents: Optional[Sequence]
     zs = [(complex(z1), complex(z2)) for z1, z2 in exponents]
     # one pass over the steps: the log-prices of a step serve every exponent
     ws = [np.zeros(ensemble.n_paths, dtype=complex) for _ in zs]
-    v_prev = [_norm_powers(ensemble, 0, z1, z2) * model.lambda_coeff(times[0], z1, z2)
-              for z1, z2 in zs]
+    kap = [model.kappa(times, z1, z2) for z1, z2 in zs]
+    lam = [model.lambda_coeff(times, z1, z2) for z1, z2 in zs]
+    v_prev = [_norm_powers(ensemble, 0, z1, z2) * lam[k][0] for k, (z1, z2) in enumerate(zs)]
     for i in range(ensemble.n_steps):
         lx = np.log(ensemble.x[:, i + 1] / ensemble.x[0, 0])
         ls = np.log(ensemble.s[:, i + 1] / ensemble.s[0, 0])
         for k, (z1, z2) in enumerate(zs):
-            growth = np.exp(
-                model.kappa(times[i + 1], z1, z2) - model.kappa(times[i], z1, z2)
-            )
-            lam_next = model.lambda_coeff(times[i + 1], z1, z2)
-            lam_here = model.lambda_coeff(times[i], z1, z2)
-            v_next = np.exp(z1 * lx + z2 * ls) * lam_next
-            ws[k] += v_next - v_prev[k] * (growth * lam_next / lam_here)
+            growth = np.exp(kap[k][i + 1] - kap[k][i])
+            v_next = np.exp(z1 * lx + z2 * ls) * lam[k][i + 1]
+            ws[k] += v_next - v_prev[k] * (growth * lam[k][i + 1] / lam[k][i])
             v_prev[k] = v_next
     rows = []
     worst = 0.0
@@ -303,6 +295,7 @@ def hedge_run(
     X, S = ensemble.x, ensemble.s
     n_paths, n_steps = ensemble.n_paths, ensemble.n_steps
     h0 = float(np.real(dec.h0))
+    kappa_s = np.real(model.kappa(times, 0.0, 1.0))
 
     check_steps = set()
     if self_check > 0 and n_steps > 2:
@@ -359,10 +352,7 @@ def hedge_run(
             s_next = np.ascontiguousarray(S[:, i + 1])
             ds = s_next - s_i
             gains += z_i * ds
-            kstep = float(
-                np.real(model.kappa(times[i + 1], 0.0, 1.0) - model.kappa(t, 0.0, 1.0))
-            )
-            comp_prev = s_i * np.expm1(kstep)
+            comp_prev = s_i * np.expm1(float(kappa_s[i + 1] - kappa_s[i]))
             y_prev, z_prev, ds_prev, s_i = y_i, z_i, ds, s_next
         else:
             payoff = y_i
@@ -392,8 +382,6 @@ def baseline_comparison(dec, ensemble: PathEnsemble, run: HedgeRunResult) -> dic
     log variance; claims without vanilla components report only the
     no-hedge baseline.
     """
-    from scipy.stats import norm
-
     model = dec.model
     _require_same_model(model, ensemble)
     times = ensemble.times
@@ -437,7 +425,7 @@ def baseline_comparison(dec, ensemble: PathEnsemble, run: HedgeRunResult) -> dic
             delta = np.zeros(ensemble.n_paths)
             for kind, strike, _axis, weight in comps:
                 d1 = (np.log(S[:, i] / strike) + 0.5 * sig * sig) / sig
-                nd1 = norm.cdf(d1)
+                nd1 = ndtr(d1)
                 delta += float(np.real(weight)) * (nd1 if kind == "call" else nd1 - 1.0)
             gains += delta * (S[:, i + 1] - S[:, i])
         v_naive, se_naive = var_with_se(payoff - h0 - gains)

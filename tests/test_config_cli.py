@@ -18,7 +18,7 @@ except ModuleNotFoundError:  # Python 3.10: pytest depends on tomli there
     import tomli as tomllib
 
 import basishedge
-from basishedge import pde, simulation
+from basishedge import engine, pde, simulation
 from basishedge.cli import _surface_csv, main
 from basishedge.config import ExperimentConfig, load_config
 from basishedge.errors import ConfigError, DomainError, MismatchError
@@ -666,3 +666,44 @@ def test_cli_import_leaves_scipy_signal_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_check_leaves_scipy_stats_unloaded(tmp_path):
+    # scipy.stats costs about a second to import; the naive delta hedge of
+    # the baseline comparison takes the normal cdf from scipy.special.ndtr
+    cfg = _with(BASE, validation={**SMALL_REPLAY, "tests": ["baselines"]})
+    path = _write(tmp_path, cfg)
+    src = str(Path(basishedge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys; from basishedge.cli import main; "
+        f"rc = main(['check', '--config', {path!r}, '--out', {str(tmp_path / 'out')!r}]); "
+        "assert rc in (0, 4), rc; assert 'scipy.stats' not in sys.modules"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "naive_delta_variance" in (tmp_path / "out" / "sim_report.json").read_text()
+
+
+@pytest.mark.parametrize("command", ["price", "hedge-surface"])
+def test_cli_exit_3_on_non_finite_fourier_result(tmp_path, capsys, monkeypatch, command):
+    propagate = engine.HedgeDecomposition._propagate
+
+    def nan_inside(self, rates, ti):
+        # NaN at every quadrature node; the tail plan reads only the last node
+        lam, gam, psi = propagate(self, rates, ti)
+        lam = lam.copy()
+        lam[:-1] = np.nan
+        return lam, gam, psi
+
+    monkeypatch.setattr(engine.HedgeDecomposition, "_propagate", nan_inside)
+    out = tmp_path / "never"
+    path = _write(tmp_path, _with(BASE, route="fourier"))
+    assert main([command, "--config", path, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("quadrature failed:") and "not finite" in err
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -1,5 +1,7 @@
 """Value/hedge surfaces against lognormal closed forms and identities."""
 
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +10,8 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 from scipy.stats import norm
 
 import oracles
-from basishedge.engine import decompose
+from basishedge import engine
+from basishedge.engine import HedgeDecomposition, decompose
 from basishedge.errors import AssumptionError, ConvergenceError, DomainError
 from basishedge.models import AdditiveModel, PiecewiseAdditiveModel, vols_to_covariance
 from basishedge.payoffs import (
@@ -384,3 +387,104 @@ def test_line_grid_node_count_is_capped(bs_model):
     assert dec._uniform_count(0, 1, glx) == 2048
     with pytest.raises(ConvergenceError, match="uniform quadrature"):
         dec._uniform_count(0, 1 << 12, glx)
+
+
+# -- line rates shared by every claim on one model -----------------------------
+
+
+def _fresh_bs():
+    return AdditiveModel.black_scholes(
+        log_drift=[0.035, 0.02875], vol_x=0.3, vol_s=0.25, corr=0.8,
+        horizon=1.0, spot=[100.0, 100.0],
+    )
+
+
+def _fresh_merton():
+    return AdditiveModel.merton(
+        log_drift=[0.03, 0.025], vol_x=0.25, vol_s=0.2, corr=0.6,
+        jump_intensity=0.7, jump_mean=[-0.05, -0.04], jump_vol_x=0.12,
+        jump_vol_s=0.1, jump_corr=0.5, horizon=1.0, spot=[100.0, 100.0],
+    )
+
+
+def test_claims_on_one_model_share_line_rates(monkeypatch):
+    model = _fresh_bs()
+    first = decompose(model, call_claim(100.0, axis=1))
+    psi = AdditiveModel.psi
+    node_calls = []
+
+    def spy(self, z1, z2):
+        if np.ndim(z1) or np.ndim(z2):
+            node_calls.append(np.size(z1))
+        return psi(self, z1, z2)
+
+    monkeypatch.setattr(AdditiveModel, "psi", spy)
+    second = decompose(model, call_claim(104.0, axis=1))
+    assert node_calls == []
+    a, b = first._nodes(0, 0, 1), second._nodes(0, 0, 1)
+    assert b.rates[model] is a.rates[model]
+    assert all(x is y for x, y in zip(a.rates[model], b.rates[model]))
+    # only the density carries the strike
+    assert not np.array_equal(a.dens, b.dens)
+
+
+@pytest.mark.parametrize("build", [_fresh_bs, _fresh_merton, _two_seasons],
+                         ids=["black-scholes", "merton", "two-seasons"])
+def test_warm_rates_are_bit_identical_to_a_fresh_model(build):
+    warm = build()
+    # near maturity the Merton lines run over a doubled truncation
+    times, xs, ss = [0.0, 0.3, 0.99, 1.0], np.linspace(70.0, 140.0, 9), [85.0, 100.0, 120.0]
+    glx = np.linspace(np.log(60.0), np.log(160.0), 65)
+    # lines that differ from the first claim's in one field of the shape each
+    line = call_measure(100.0, axis=1).lines[0]
+    variants = [replace(line, fixed_exponent=1.0), replace(line, truncation=120.0),
+                replace(line, panels=24), replace(line, symmetric=False)]
+    claims = [call_claim(100.0, axis=1), put_claim(95.0, axis=2), call_claim(112.0, axis=2),
+              *(PayoffMeasure(lines=(ln,)) for ln in variants)]
+
+    def outputs(dec):
+        return [np.array(dec.h0), *dec.value_and_hedge(0.4, xs, 100.0),
+                *dec.hedge_surface(times, xs, ss), *dec._line_grid(0, 0.5, glx)]
+
+    for claim in claims:
+        outputs(decompose(warm, claim))
+    for claim in claims:
+        hot, cold = decompose(warm, claim), decompose(build(), claim)
+        got, want = outputs(hot), outputs(cold)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+        # a wrong shared rate can hide behind refinement, but not from the levels
+        assert hot.quadrature_report() == cold.quadrature_report()
+
+
+def test_rates_die_with_the_model():
+    before = len(engine._RATES)
+    model = _two_seasons()
+    dec = decompose(model, call_claim(100.0, axis=1))
+    dec.value(0.5, 100.0, 100.0)
+    segments = [weakref.ref(seg) for _, _, seg in model.segments]
+    assert len(engine._RATES) == before + len(segments)
+    del model, dec
+    gc.collect()
+    assert all(ref() is None for ref in segments)
+    assert len(engine._RATES) <= before
+
+
+def test_non_finite_fourier_result_is_rejected(bs_model, monkeypatch):
+    dec = decompose(bs_model, call_claim(100.0, axis=1))
+    propagate = HedgeDecomposition._propagate
+
+    def nan_inside(self, rates, ti):
+        # NaN at every quadrature node; the tail plan reads only the last node
+        lam, gam, psi = propagate(self, rates, ti)
+        lam = lam.copy()
+        lam[:-1] = np.nan
+        return lam, gam, psi
+
+    monkeypatch.setattr(HedgeDecomposition, "_propagate", nan_inside)
+    with pytest.raises(ConvergenceError, match="initial capital is not finite"):
+        decompose(bs_model, call_claim(100.0, axis=1))
+    for evaluate in (dec.value, dec.hedge, dec.value_and_hedge):
+        with pytest.raises(ConvergenceError, match="not finite at 1 of 1 points"):
+            evaluate(0.5, 100.0, 100.0)
+    with pytest.raises(ConvergenceError, match="not finite"):
+        dec.hedge_surface([0.25, 0.5], [90.0, 110.0], [100.0])
