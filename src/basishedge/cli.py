@@ -17,11 +17,11 @@ the JSON report is printed to stdout.  Outputs are deterministic for a
 fixed config and seed: JSON is key-sorted with no timestamps, files are
 written atomically, and nothing is written for an invalid config.  Exit
 codes: 0 success, 2 configuration errors, 3 violated model/regime
-assumptions, contour quadrature that does not converge, a PDE grid or
-solution that is not finite, or an argument outside an operation's
-domain or a failed replay self-check (DomainError, MismatchError), 4
-failed validation checks (the report is still written).  Each failure
-prints one line to stderr.
+assumptions, contour quadrature that does not converge, a Fourier
+result, PDE grid or solution that is not finite, or an argument outside
+an operation's domain or a failed replay self-check (DomainError,
+MismatchError), 4 failed validation checks (the report is still
+written).  Each failure prints one line to stderr.
 """
 
 from __future__ import annotations

@@ -120,7 +120,7 @@ class PiecewiseAdditiveModel:
             raise DomainError(f"time must lie in [0, {self.horizon}]")
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class AdditiveModel(PiecewiseAdditiveModel):
     """Time-homogeneous exponential additive pair: the one-segment model.
 
@@ -142,25 +142,23 @@ class AdditiveModel(PiecewiseAdditiveModel):
     jump_cov: np.ndarray | None = None
 
     def __post_init__(self):
-        self.drift = np.asarray(self.drift, dtype=float).reshape(2)
-        self.covariance = _as_matrix(self.covariance, "covariance")
-        self.spot = np.asarray(self.spot, dtype=float).reshape(2)
-        self.jump_mean = (
-            np.zeros(2) if self.jump_mean is None
-            else np.asarray(self.jump_mean, dtype=float).reshape(2)
-        )
-        self.jump_cov = (
-            np.zeros((2, 2)) if self.jump_cov is None
-            else _as_matrix(self.jump_cov, "jump_cov")
-        )
+        # frozen: the engine shares the line rates of a segment across claims
+        put = lambda name, value: object.__setattr__(self, name, value)  # noqa: E731
+        put("drift", np.asarray(self.drift, dtype=float).reshape(2))
+        put("covariance", _as_matrix(self.covariance, "covariance"))
+        put("spot", np.asarray(self.spot, dtype=float).reshape(2))
+        put("jump_mean", np.zeros(2) if self.jump_mean is None
+            else np.asarray(self.jump_mean, dtype=float).reshape(2))
+        put("jump_cov", np.zeros((2, 2)) if self.jump_cov is None
+            else _as_matrix(self.jump_cov, "jump_cov"))
         if not np.isfinite(self.horizon) or self.horizon <= 0:
             raise DomainError("horizon must be a positive float")
         if np.any(self.spot <= 0) or not np.all(np.isfinite(self.spot)):
             raise DomainError("spot prices must be strictly positive")
         if self.jump_intensity < 0 or not np.isfinite(self.jump_intensity):
             raise DomainError("jump intensity must be nonnegative")
-        self.horizon = float(self.horizon)
-        self.jump_intensity = float(self.jump_intensity)
+        put("horizon", float(self.horizon))
+        put("jump_intensity", float(self.jump_intensity))
         for a in (self.drift, self.covariance, self.spot, self.jump_mean, self.jump_cov):
             a.flags.writeable = False
         rb = float(np.real(self.psi(0.0, 2.0) - 2.0 * self.psi(0.0, 1.0)))
@@ -170,7 +168,7 @@ class AdditiveModel(PiecewiseAdditiveModel):
                 f"bracket rate psi(0,2) - 2*psi(0,1) = {rb:.3e} must be "
                 "positive for the hedge ratio to be defined"
             )
-        self._rho_bar = rb
+        put("_rho_bar", rb)
 
     @property
     def segments(self) -> tuple:

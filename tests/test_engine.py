@@ -2,7 +2,7 @@
 
 import gc
 import weakref
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -426,6 +426,11 @@ def test_claims_on_one_model_share_line_rates(monkeypatch):
     assert all(x is y for x, y in zip(a.rates[model], b.rates[model]))
     # only the density carries the strike
     assert not np.array_equal(a.dens, b.dens)
+    # a model and its shared rates are immutable, so the rates cannot go stale
+    with pytest.raises(FrozenInstanceError):
+        model.covariance = np.eye(2)
+    with pytest.raises(ValueError, match="read-only"):
+        a.rates[model][0][0] = 0.0
 
 
 @pytest.mark.parametrize("build", [_fresh_bs, _fresh_merton, _two_seasons],
