@@ -260,6 +260,7 @@ class AdditiveModel(PiecewiseAdditiveModel):
         return g, p - g * p01, p
 
     def gamma(self, z1, z2):
+        """Hedge-ratio weight of the power claim x**z1 s**z2 (see rates)."""
         return self.rates(z1, z2)[0]
 
     def eta_rate(self, z1, z2):
