@@ -440,7 +440,7 @@ class HedgeDecomposition:
             edge = line_nodes(ln, 0, umult, 1)[0]
             lam, gam, _ = self._propagate(self._rates(ln, edge, 0, umult, 1), ti)
             growth = max(1.0, abs(gam[-1])) if which in ("z", "both") else 1.0
-            bound = 2.0 * amp * abs(lam[-1]) * growth / float(edge[-1])
+            bound = float(2.0 * amp * abs(lam[-1]) * growth / edge[-1])
             if bound <= floor:
                 mode = "skipped-negligible" if k_ext == 0 else "extended"
                 return umult, mode, bound
