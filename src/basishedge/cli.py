@@ -114,7 +114,7 @@ def _pde_solution(cfg):
 
 
 def _replay_setup(cfg, args):
-    """Sizes, seed, decomposition and simulated paths of simulate and check.
+    """Sizes, seed, decomposition and path stream of simulate and check.
 
     A claim that is not real is rejected before any path is drawn.
     """
@@ -127,8 +127,8 @@ def _replay_setup(cfg, args):
     dec = _decompose(cfg)
     if not cfg.measure.is_real_claim():
         raise AssumptionError("path replay requires a real-valued claim")
-    ens = simulation.simulate(cfg.model, sizes["n_paths"], sizes["n_steps"], sizes["seed"])
-    return sizes, dec, ens
+    src = simulation.PathStream(cfg.model, sizes["n_paths"], sizes["n_steps"], sizes["seed"])
+    return sizes, dec, src
 
 
 def _cmd_price(cfg, args) -> dict:
@@ -167,8 +167,8 @@ def _cmd_hedge_surface(cfg, args) -> dict:
 
 
 def _cmd_simulate(cfg, args) -> dict:
-    sizes, dec, ens = _replay_setup(cfg, args)
-    run = simulation.hedge_run(dec, ens)
+    sizes, dec, src = _replay_setup(cfg, args)
+    run = simulation.hedge_run(dec, src)
     return {
         **sizes,
         "h0": run.initial_capital,
@@ -270,8 +270,23 @@ def _cmd_compare(cfg, args) -> dict:
 
 
 def _cmd_check(cfg, args) -> dict:
-    sizes, dec, ens = _replay_setup(cfg, args)
+    """The validation battery: every selected test is a fold of one pass over the paths."""
+    sizes, dec, src = _replay_setup(cfg, args)
     model, val = cfg.model, cfg.validation
+    tests = val["tests"]
+    folds = {}
+    if "martingale" in tests:
+        folds["martingale"] = simulation.MartingaleFold(model, src)
+    if "moments" in tests:
+        folds["moments"] = simulation.MomentFold(model, src)
+    if "orthogonality" in tests or "baselines" in tests:
+        folds["replay"] = simulation.HedgeFold(dec, src)
+    if "baselines" in tests:
+        folds["baselines"] = simulation.BaselineFold(dec, src)
+    if "tradeoff" in tests:
+        folds["tradeoff"] = simulation.TradeoffFold(model, src)
+    simulation.run_folds(src, *folds.values())
+
     results = {}
     failed = []
 
@@ -281,16 +296,13 @@ def _cmd_check(cfg, args) -> dict:
         if not ok:
             failed.append(name)
 
-    tests = val["tests"]
-    run = None
     if "martingale" in tests:
-        mt = simulation.martingale_test(model, ens)
+        mt = folds["martingale"].finish()
         record("martingale", mt, mt["max_tstat"] <= val["tstat_limit"])
     if "moments" in tests:
-        mc = simulation.moment_check(model, ens)
+        mc = folds["moments"].finish()
         record("moments", mc, mc["max_tstat"] <= val["tstat_limit"])
-    if "orthogonality" in tests or "baselines" in tests:
-        run = simulation.hedge_run(dec, ens)
+    run = folds["replay"].finish() if "replay" in folds else None
     if "orthogonality" in tests:
         payload = {
             "corr": run.orthogonality_corr,
@@ -303,13 +315,13 @@ def _cmd_check(cfg, args) -> dict:
         )
         record("orthogonality", payload, ok)
     if "baselines" in tests:
-        base = simulation.baseline_comparison(dec, ens, run)
+        base = folds["baselines"].finish(run)
         ok = base["fs_variance"] < base["no_hedge_variance"] and base[
             "fs_variance"
         ] < base.get("naive_delta_variance", float("inf"))
         record("baselines", base, ok)
     if "tradeoff" in tests:
-        to = simulation.tradeoff_check(model, ens)
+        to = folds["tradeoff"].finish()
         record("tradeoff", to, to["rel_error"] <= val["tradeoff_limit"])
 
     out = {**sizes, "results": results, "failed": failed}

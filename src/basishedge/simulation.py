@@ -7,6 +7,15 @@ of the propagated powers, exponential moments, orthogonality of the
 hedging residual to the traded martingale part, and the mean-variance
 tradeoff integral.
 
+Paths come from a step source, which yields (i, t_i, x_i, s_i) with
+contiguous read-only arrays over all paths, one rebalance time at a
+time.  A `PathStream` draws each step as it is asked for; a
+`PathEnsemble` (what `simulate` returns) is the same stream stored.
+Every check is a fold over the steps with per-path accumulators, and
+`run_folds` feeds any set of folds from one pass over a source, so a
+validation battery over a stream holds O(paths) memory, not
+O(paths x steps).  The public check functions fold a source alone.
+
 The path replay tabulates each contour line (payoff mixtures are
 separable) on a uniform grid in its varying log coordinate at every
 rebalance time, by one chirp-z transform of the trapezoid rule on
@@ -26,8 +35,15 @@ from scipy.special import ndtr
 from .errors import AssumptionError, DomainError, MismatchError
 
 __all__ = [
+    "PathStream",
     "PathEnsemble",
     "simulate",
+    "run_folds",
+    "MartingaleFold",
+    "MomentFold",
+    "HedgeFold",
+    "BaselineFold",
+    "TradeoffFold",
     "martingale_test",
     "moment_check",
     "hedge_run",
@@ -39,82 +55,136 @@ __all__ = [
 _BLOCK = 8192
 
 
-@dataclass(frozen=True)
-class PathEnsemble:
-    """Simulated paths on a uniform time grid; arrays are read-only."""
-
-    times: np.ndarray
-    x: np.ndarray
-    s: np.ndarray
-    seed: int
-    model_digest: str
-
-    @property
-    def n_paths(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def n_steps(self) -> int:
-        return self.x.shape[1] - 1
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
-def simulate(model, n_paths: int, n_steps: int, seed: int = 0) -> PathEnsemble:
-    """Exact-in-law paths of (X, S) on a uniform grid over [0, T].
+class PathStream:
+    """Exact-in-law paths of (X, S) on a uniform grid over [0, T], drawn step by step.
 
     Each step draws the Gaussian part from the log covariance and the
     jump part as a Poisson count with a conditionally Gaussian sum, so
     no discretisation bias enters the marginals.  Streams are Philox
-    counters seeded per block of 8192 paths: results are reproducible
-    for a fixed (seed, n_paths, n_steps).
+    counters seeded per block of 8192 paths, each block drawing its
+    steps in order: paths are reproducible for a fixed (seed, n_paths,
+    n_steps), and every iteration yields the same paths.  Iterating
+    yields (i, t_i, x_i, s_i) for i = 0..n_steps, with fresh read-only
+    arrays over all paths; only the current step is held.
     """
-    if n_paths < 1 or n_steps < 1:
-        raise DomainError("need at least one path and one step")
-    T = model.horizon
-    times = np.linspace(0.0, T, n_steps + 1)
-    x0, s0 = float(model.spot[0]), float(model.spot[1])
-    x = np.empty((n_paths, n_steps + 1))
-    s = np.empty((n_paths, n_steps + 1))
-    x[:, 0] = x0
-    s[:, 0] = s0
 
-    # per-segment factors reused across steps
-    factors = {
-        seg: (seg.drift, seg.diffusion_factor(), seg.jump_intensity, seg.jump_mean,
-              seg.jump_factor() if seg.jump_intensity > 0 else None)
-        for _, _, seg in model.segments
-    }
+    def __init__(self, model, n_paths: int, n_steps: int, seed: int = 0):
+        if n_paths < 1 or n_steps < 1:
+            raise DomainError("need at least one path and one step")
+        self.model = model
+        self.n_paths = n_paths
+        self.n_steps = n_steps
+        self.seed = seed
+        self.times = _frozen(np.linspace(0.0, model.horizon, n_steps + 1))
+        self.model_digest = model.digest()
 
-    n_blocks = (n_paths + _BLOCK - 1) // _BLOCK
-    children = np.random.SeedSequence(seed).spawn(n_blocks)
-    for b in range(n_blocks):
-        rng = np.random.Generator(np.random.Philox(children[b]))
-        rows = slice(b * _BLOCK, min((b + 1) * _BLOCK, n_paths))
-        nb = rows.stop - rows.start
-        lx = np.zeros(nb)
-        ls = np.zeros(nb)
-        for i in range(n_steps):
-            for a, b, seg in model.segments:
-                # the part of the step inside this constant segment
-                dur = min(times[i + 1], b) - max(times[i], a)
-                if dur <= 1e-15:
-                    continue
-                drift, ldiff, lam, jmean, ljump = factors[seg]
-                g = rng.standard_normal((nb, 2)) @ ldiff.T
-                dx = drift[0] * dur + math.sqrt(dur) * g[:, 0]
-                ds = drift[1] * dur + math.sqrt(dur) * g[:, 1]
-                if lam > 0:
-                    k = rng.poisson(lam * dur, nb).astype(float)
-                    gj = rng.standard_normal((nb, 2)) @ ljump.T
-                    rk = np.sqrt(k)
-                    dx = dx + k * jmean[0] + rk * gj[:, 0]
-                    ds = ds + k * jmean[1] + rk * gj[:, 1]
-                lx += dx
-                ls += ds
-            x[rows, i + 1] = x0 * np.exp(lx)
-            s[rows, i + 1] = s0 * np.exp(ls)
-    for arr in (times, x, s):
-        arr.setflags(write=False)
-    return PathEnsemble(times=times, x=x, s=s, seed=seed, model_digest=model.digest())
+    def __iter__(self):
+        model, times, n = self.model, self.times, self.n_paths
+        x0, s0 = float(model.spot[0]), float(model.spot[1])
+        # per-segment factors reused across steps
+        factors = {
+            seg: (seg.drift, seg.diffusion_factor(), seg.jump_intensity, seg.jump_mean,
+                  seg.jump_factor() if seg.jump_intensity > 0 else None)
+            for _, _, seg in model.segments
+        }
+        children = np.random.SeedSequence(self.seed).spawn((n + _BLOCK - 1) // _BLOCK)
+        blocks = [
+            (slice(k * _BLOCK, min((k + 1) * _BLOCK, n)), np.random.Generator(np.random.Philox(c)))
+            for k, c in enumerate(children)
+        ]
+        lx = np.zeros(n)
+        ls = np.zeros(n)
+        yield 0, float(times[0]), _frozen(np.full(n, x0)), _frozen(np.full(n, s0))
+        for i in range(self.n_steps):
+            for rows, rng in blocks:
+                nb = rows.stop - rows.start
+                for a, b, seg in model.segments:
+                    # the part of the step inside this constant segment
+                    dur = min(times[i + 1], b) - max(times[i], a)
+                    if dur <= 1e-15:
+                        continue
+                    drift, ldiff, lam, jmean, ljump = factors[seg]
+                    g = rng.standard_normal((nb, 2)) @ ldiff.T
+                    dx = drift[0] * dur + math.sqrt(dur) * g[:, 0]
+                    ds = drift[1] * dur + math.sqrt(dur) * g[:, 1]
+                    if lam > 0:
+                        k = rng.poisson(lam * dur, nb).astype(float)
+                        gj = rng.standard_normal((nb, 2)) @ ljump.T
+                        rk = np.sqrt(k)
+                        dx = dx + k * jmean[0] + rk * gj[:, 0]
+                        ds = ds + k * jmean[1] + rk * gj[:, 1]
+                    lx[rows] += dx
+                    ls[rows] += ds
+            yield i + 1, float(times[i + 1]), _frozen(x0 * np.exp(lx)), _frozen(s0 * np.exp(ls))
+
+
+@dataclass(frozen=True)
+class PathEnsemble:
+    """Stored paths: a step source over time-major read-only arrays.
+
+    `xt` and `st` hold one contiguous row of all paths per time; `x` and
+    `s` are their (paths, steps + 1) transposed views.
+    """
+
+    times: np.ndarray
+    xt: np.ndarray
+    st: np.ndarray
+    seed: int
+    model_digest: str
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.xt.T
+
+    @property
+    def s(self) -> np.ndarray:
+        return self.st.T
+
+    @property
+    def n_paths(self) -> int:
+        return self.xt.shape[1]
+
+    @property
+    def n_steps(self) -> int:
+        return self.xt.shape[0] - 1
+
+    def __iter__(self):
+        for i, t in enumerate(self.times.tolist()):
+            yield i, t, self.xt[i], self.st[i]
+
+
+def simulate(model, n_paths: int, n_steps: int, seed: int = 0) -> PathEnsemble:
+    """Exact-in-law paths of (X, S) on a uniform grid over [0, T], stored.
+
+    The materialised `PathStream` of the same arguments (see there for
+    the law and the seeding): its memory grows with paths x steps, so
+    passes that need each step once should fold over the stream instead.
+    """
+    src = PathStream(model, n_paths, n_steps, seed)
+    xt = np.empty((n_steps + 1, n_paths))
+    st = np.empty((n_steps + 1, n_paths))
+    for i, _, x, s in src:
+        xt[i] = x
+        st[i] = s
+    return PathEnsemble(times=src.times, xt=_frozen(xt), st=_frozen(st), seed=seed,
+                        model_digest=src.model_digest)
+
+
+def run_folds(source, *folds):
+    """Feed every step of the source, in order, to each fold: one pass for all."""
+    for step in source:
+        for fold in folds:
+            fold.step(*step)
+
+
+def _fold_alone(source, fold, *args):
+    run_folds(source, fold)
+    return fold.finish(*args)
 
 
 def _mean_stderr_t(vals, target: float = 0.0):
@@ -124,13 +194,95 @@ def _mean_stderr_t(vals, target: float = 0.0):
     return mean, serr, (mean - target) / serr if serr > 0 else 0.0
 
 
-def _norm_powers(ensemble: PathEnsemble, i: int, z1: complex, z2: complex):
-    lx = np.log(ensemble.x[:, i] / ensemble.x[0, 0])
-    ls = np.log(ensemble.s[:, i] / ensemble.s[0, 0])
-    return np.exp(z1 * lx + z2 * ls)
+def _stat_row(z1, z2, parts) -> tuple[dict, float]:
+    """One report row of (part, values, target) t-tests and its largest |t|."""
+    out = {"z1": z1, "z2": z2}
+    worst = 0.0
+    for part, vals, target in parts:
+        mean, serr, t = _mean_stderr_t(vals, target)
+        out[f"mean_{part}"] = mean
+        out[f"stderr_{part}"] = serr
+        out[f"tstat_{part}"] = t
+        worst = max(worst, abs(t))
+    return out, worst
 
 
-def martingale_test(model, ensemble: PathEnsemble, exponents: Optional[Sequence] = None) -> dict:
+def _require_same_model(model, source):
+    if source.model_digest != model.digest():
+        raise MismatchError(
+            "path ensemble was simulated from a different model "
+            f"(digest {source.model_digest} != {model.digest()})"
+        )
+
+
+class MartingaleFold:
+    """The fold behind `martingale_test`."""
+
+    def __init__(self, model, source, exponents: Optional[Sequence] = None):
+        _require_same_model(model, source)
+        if exponents is None:
+            exponents = [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.5 + 1.5j, 0.5)]
+        times = source.times
+        self.zs = [(complex(z1), complex(z2)) for z1, z2 in exponents]
+        self.kap = [model.kappa(times, z1, z2) for z1, z2 in self.zs]
+        self.lam = [model.lambda_coeff(times, z1, z2) for z1, z2 in self.zs]
+        self.ws = [np.zeros(source.n_paths, dtype=complex) for _ in self.zs]
+        self.v_prev = None
+
+    def step(self, i, t, x, s):
+        if i == 0:
+            self.x0, self.s0 = x[0], s[0]
+        # the log-prices of a step serve every exponent
+        lx = np.log(x / self.x0)
+        ls = np.log(s / self.s0)
+        v = [np.exp(z1 * lx + z2 * ls) * lam[i] for (z1, z2), lam in zip(self.zs, self.lam)]
+        if i > 0:
+            for w, v_next, v_prev, kap, lam in zip(self.ws, v, self.v_prev, self.kap, self.lam):
+                growth = np.exp(kap[i] - kap[i - 1])
+                w += v_next - v_prev * (growth * lam[i] / lam[i - 1])
+        self.v_prev = v
+
+    def finish(self) -> dict:
+        rows = []
+        worst = 0.0
+        for (z1, z2), w in zip(self.zs, self.ws):
+            row, t = _stat_row(z1, z2, (("re", w.real, 0.0), ("im", w.imag, 0.0)))
+            rows.append(row)
+            worst = max(worst, t)
+        return {"rows": rows, "max_tstat": worst}
+
+
+class MomentFold:
+    """The fold behind `moment_check`."""
+
+    def __init__(self, model, source, exponents: Optional[Sequence] = None):
+        _require_same_model(model, source)
+        if exponents is None:
+            exponents = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.0, 2.0), (2.0, 0.0)]
+        self.model = model
+        self.zs = [(complex(z1), complex(z2)) for z1, z2 in exponents]
+        self.n_steps = source.n_steps
+        self.rows = []
+        self.worst = 0.0
+
+    def step(self, i, t, x, s):
+        if i == 0:
+            self.x0, self.s0 = x[0], s[0]
+        if i < self.n_steps:
+            return
+        lx = np.log(x / self.x0)
+        ls = np.log(s / self.s0)
+        for z1, z2 in self.zs:
+            vals = np.exp(z1 * lx + z2 * ls) * np.exp(-self.model.kappa(t, z1, z2))
+            row, worst = _stat_row(z1, z2, (("re", vals.real, 1.0), ("im", vals.imag, 0.0)))
+            self.rows.append(row)
+            self.worst = max(self.worst, worst)
+
+    def finish(self) -> dict:
+        return {"rows": self.rows, "max_tstat": self.worst}
+
+
+def martingale_test(model, source, exponents: Optional[Sequence] = None) -> dict:
     """t-statistics of the compensated propagated-power increments.
 
     For each exponent pair z, the process x**z1 s**z2 lambda(t, z) is a
@@ -138,60 +290,12 @@ def martingale_test(model, ensemble: PathEnsemble, exponents: Optional[Sequence]
     D_i = V_{i+1} - V_i exp(kappa_step(z)) lambda(t_{i+1}) / lambda(t_i)
     per path and reports mean / stderr for real and imaginary parts.
     """
-    _require_same_model(model, ensemble)
-    if exponents is None:
-        exponents = [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.5 + 1.5j, 0.5)]
-    times = ensemble.times
-    zs = [(complex(z1), complex(z2)) for z1, z2 in exponents]
-    # one pass over the steps: the log-prices of a step serve every exponent
-    ws = [np.zeros(ensemble.n_paths, dtype=complex) for _ in zs]
-    kap = [model.kappa(times, z1, z2) for z1, z2 in zs]
-    lam = [model.lambda_coeff(times, z1, z2) for z1, z2 in zs]
-    v_prev = [_norm_powers(ensemble, 0, z1, z2) * lam[k][0] for k, (z1, z2) in enumerate(zs)]
-    for i in range(ensemble.n_steps):
-        lx = np.log(ensemble.x[:, i + 1] / ensemble.x[0, 0])
-        ls = np.log(ensemble.s[:, i + 1] / ensemble.s[0, 0])
-        for k, (z1, z2) in enumerate(zs):
-            growth = np.exp(kap[k][i + 1] - kap[k][i])
-            v_next = np.exp(z1 * lx + z2 * ls) * lam[k][i + 1]
-            ws[k] += v_next - v_prev[k] * (growth * lam[k][i + 1] / lam[k][i])
-            v_prev[k] = v_next
-    rows = []
-    worst = 0.0
-    for (z1, z2), w in zip(zs, ws):
-        out = {"z1": z1, "z2": z2}
-        for part, vals in (("re", w.real), ("im", w.imag)):
-            mean, serr, t = _mean_stderr_t(vals)
-            out[f"mean_{part}"] = mean
-            out[f"stderr_{part}"] = serr
-            out[f"tstat_{part}"] = t
-            worst = max(worst, abs(t))
-        rows.append(out)
-    return {"rows": rows, "max_tstat": worst}
+    return _fold_alone(source, MartingaleFold(model, source, exponents))
 
 
-def moment_check(model, ensemble: PathEnsemble, exponents: Optional[Sequence] = None) -> dict:
+def moment_check(model, source, exponents: Optional[Sequence] = None) -> dict:
     """Terminal exponential moments against exp(kappa_T(z))."""
-    _require_same_model(model, ensemble)
-    if exponents is None:
-        exponents = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.0, 2.0), (2.0, 0.0)]
-    T = ensemble.times[-1]
-    rows = []
-    worst = 0.0
-    for z1, z2 in exponents:
-        z1, z2 = complex(z1), complex(z2)
-        vals = _norm_powers(ensemble, ensemble.n_steps, z1, z2) * np.exp(
-            -model.kappa(T, z1, z2)
-        )
-        out = {"z1": z1, "z2": z2}
-        for part, arr, target in (("re", vals.real, 1.0), ("im", vals.imag, 0.0)):
-            mean, serr, t = _mean_stderr_t(arr, target)
-            out[f"mean_{part}"] = mean
-            out[f"stderr_{part}"] = serr
-            out[f"tstat_{part}"] = t
-            worst = max(worst, abs(t))
-        rows.append(out)
-    return {"rows": rows, "max_tstat": worst}
+    return _fold_alone(source, MomentFold(model, source, exponents))
 
 
 @dataclass
@@ -213,14 +317,6 @@ class HedgeRunResult:
     def __post_init__(self):
         self.residual_mean, self.residual_stderr, self.residual_tstat = _mean_stderr_t(
             self.residuals
-        )
-
-
-def _require_same_model(model, ensemble: PathEnsemble):
-    if ensemble.model_digest != model.digest():
-        raise MismatchError(
-            "path ensemble was simulated from a different model "
-            f"(digest {ensemble.model_digest} != {model.digest()})"
         )
 
 
@@ -268,9 +364,89 @@ def _surface_on_paths(dec, t, xcol, scol, grid_points):
     return y, z
 
 
+class HedgeFold:
+    """The fold behind `hedge_run`: the replay, one rebalance time per step."""
+
+    def __init__(self, dec, source, grid_points: int = 4096, self_check: int = 8,
+                 check_tol: float = 5e-3):
+        _require_same_model(dec.model, source)
+        if not dec.measure.is_real_claim():
+            raise AssumptionError("path replay requires a real-valued claim")
+        self.dec = dec
+        self.grid_points = grid_points
+        self.check_tol = check_tol
+        self.n_paths, self.n_steps = source.n_paths, source.n_steps
+        self.h0 = float(np.real(dec.h0))
+        self.kappa_s = np.real(dec.model.kappa(source.times, 0.0, 1.0))
+        self.check_steps = set()
+        if self_check > 0 and self.n_steps > 2:
+            # skip the terminal boundary layer where the kink steepens the grid
+            upto = max(1, int(0.95 * self.n_steps))
+            self.check_steps = set(np.linspace(0, upto - 1, min(self_check, upto)).astype(int))
+        self.check_rng = np.random.default_rng(np.random.SeedSequence(source.seed + 1))
+        self.worst_check = 0.0
+        self.gains = np.zeros(self.n_paths)
+        # pooled sums of dO, dM, dO**2, dM**2 and dO dM for corr(dO, dM)
+        self.cnt = 0
+        self.sums = [0.0] * 5
+
+    def step(self, i, t, x, s):
+        dec = self.dec
+        if i > 0:
+            ds = s - self.s_prev
+            self.gains += self.z_prev * ds
+            comp = self.s_prev * np.expm1(float(self.kappa_s[i] - self.kappa_s[i - 1]))
+        if i == self.n_steps:
+            y = self.payoff = np.asarray(dec.measure.payoff(x, s), dtype=float)
+            z = None
+        else:
+            y, z = _surface_on_paths(dec, t, x, s, self.grid_points)
+        if i > 0:
+            d_o = y - self.y_prev - self.z_prev * ds
+            d_m = ds - comp
+            self.cnt += d_o.size
+            for k, v in enumerate((d_o, d_m, d_o * d_o, d_m * d_m, d_o * d_m)):
+                self.sums[k] += float(v.sum())
+        if i in self.check_steps:
+            pick = self.check_rng.integers(0, self.n_paths, size=4)
+            y_ref, z_ref = dec.value_and_hedge(t, x[pick], s[pick])
+            sc_y = max(1.0, float(np.max(np.abs(y_ref))))
+            # np.maximum and the negated test let a NaN gap fail
+            err = float(np.maximum(
+                np.max(np.abs(y[pick] - y_ref)) / sc_y,
+                np.max(np.abs(z[pick] - z_ref)),
+            ))
+            self.worst_check = max(self.worst_check, err)
+            if not err <= self.check_tol:
+                raise MismatchError(
+                    f"interpolated hedge deviates from exact evaluation by {err:.2e} "
+                    f"at t={t:g} (tolerance {self.check_tol:g})"
+                )
+        self.y_prev, self.z_prev, self.s_prev = y, z, s
+
+    def finish(self) -> HedgeRunResult:
+        residuals = self.payoff - self.h0 - self.gains
+        cnt = self.cnt
+        s_a, s_b, s_aa, s_bb, s_ab = self.sums
+        var_a = s_aa / cnt - (s_a / cnt) ** 2
+        var_b = s_bb / cnt - (s_b / cnt) ** 2
+        cov = s_ab / cnt - (s_a / cnt) * (s_b / cnt)
+        corr = cov / math.sqrt(var_a * var_b) if var_a > 0 and var_b > 0 else 0.0
+        return HedgeRunResult(
+            initial_capital=self.h0,
+            n_paths=self.n_paths,
+            n_steps=self.n_steps,
+            residuals=residuals,
+            orthogonality_corr=float(corr),
+            payoff_mean=float(self.payoff.mean()),
+            gain_mean=float(self.gains.mean()),
+            self_check_error=self.worst_check,
+        )
+
+
 def hedge_run(
     dec,
-    ensemble: PathEnsemble,
+    source,
     grid_points: int = 4096,
     self_check: int = 8,
     check_tol: float = 5e-3,
@@ -287,94 +463,75 @@ def hedge_run(
     hedge (absolute) gap beyond check_tol raises MismatchError, and the
     worst gap is returned as self_check_error.
     """
-    model = dec.model
-    _require_same_model(model, ensemble)
-    if not dec.measure.is_real_claim():
-        raise AssumptionError("path replay requires a real-valued claim")
-    times = ensemble.times
-    X, S = ensemble.x, ensemble.s
-    n_paths, n_steps = ensemble.n_paths, ensemble.n_steps
-    h0 = float(np.real(dec.h0))
-    kappa_s = np.real(model.kappa(times, 0.0, 1.0))
+    return _fold_alone(source, HedgeFold(dec, source, grid_points, self_check, check_tol))
 
-    check_steps = set()
-    if self_check > 0 and n_steps > 2:
-        # skip the terminal boundary layer where the kink steepens the grid
-        upto = max(1, int(0.95 * n_steps))
-        check_steps = set(np.linspace(0, upto - 1, min(self_check, upto)).astype(int))
-    check_rng = np.random.default_rng(np.random.SeedSequence(ensemble.seed + 1))
-    worst_check = 0.0
 
-    gains = np.zeros(n_paths)
-    # pooled accumulators for corr(dO, dM)
-    cnt = 0
-    s_a = s_b = s_aa = s_bb = s_ab = 0.0
-    y_prev = None
-    z_prev = None
-    ds_prev = None
-    comp_prev = None
+class BaselineFold:
+    """The fold behind `baseline_comparison`; `finish` takes the replay's result."""
 
-    s_i = np.ascontiguousarray(S[:, 0])
-    for i in range(n_steps + 1):
-        t = float(times[i])
-        # contiguous copies of the path columns make the vector work cheap
-        x_i = np.ascontiguousarray(X[:, i])
-        if i == n_steps:
-            y_i = np.asarray(dec.measure.payoff(x_i, s_i), dtype=float)
-            z_i = None
-        else:
-            y_i, z_i = _surface_on_paths(dec, t, x_i, s_i, grid_points)
+    def __init__(self, dec, source):
+        model = dec.model
+        _require_same_model(model, source)
+        self.dec = dec
+        self.n_steps = source.n_steps
+        self.T = float(source.times[-1])
+        self.comps = [c for c in dec.measure.components if c[0] in ("call", "put")]
+        if self.comps:
+            # time-averaged log variance rate of S
+            self.var_rate = sum(
+                (b - a)
+                * (
+                    seg.covariance[1, 1]
+                    + seg.jump_intensity
+                    * (float(seg.jump_mean[1]) ** 2 + float(seg.jump_cov[1, 1]))
+                )
+                for a, b, seg in model.segments
+            ) / self.T
+            self.gains = np.zeros(source.n_paths)
+
+    def step(self, i, t, x, s):
+        if i == self.n_steps:
+            self.payoff = np.asarray(self.dec.measure.payoff(x, s), dtype=float)
+        if not self.comps:
+            return
         if i > 0:
-            d_o = y_i - y_prev - z_prev * ds_prev
-            d_m = ds_prev - comp_prev
-            cnt += d_o.size
-            s_a += float(d_o.sum())
-            s_b += float(d_m.sum())
-            s_aa += float((d_o * d_o).sum())
-            s_bb += float((d_m * d_m).sum())
-            s_ab += float((d_o * d_m).sum())
-        if i < n_steps:
-            if i in check_steps:
-                pick = check_rng.integers(0, n_paths, size=4)
-                y_ref, z_ref = dec.value_and_hedge(t, x_i[pick], s_i[pick])
-                sc_y = max(1.0, float(np.max(np.abs(y_ref))))
-                # np.maximum and the negated test let a NaN gap fail
-                err = float(np.maximum(
-                    np.max(np.abs(y_i[pick] - y_ref)) / sc_y,
-                    np.max(np.abs(z_i[pick] - z_ref)),
-                ))
-                worst_check = max(worst_check, err)
-                if not err <= check_tol:
-                    raise MismatchError(
-                        f"interpolated hedge deviates from exact evaluation by {err:.2e} "
-                        f"at t={t:g} (tolerance {check_tol:g})"
-                    )
-            s_next = np.ascontiguousarray(S[:, i + 1])
-            ds = s_next - s_i
-            gains += z_i * ds
-            comp_prev = s_i * np.expm1(float(kappa_s[i + 1] - kappa_s[i]))
-            y_prev, z_prev, ds_prev, s_i = y_i, z_i, ds, s_next
-        else:
-            payoff = y_i
+            self.gains += self.delta * (s - self.s_prev)
+        if i < self.n_steps:
+            tau = self.T - t
+            sig = math.sqrt(self.var_rate * max(tau, 1e-300))
+            delta = np.zeros(s.size)
+            for kind, strike, _axis, weight in self.comps:
+                d1 = (np.log(s / strike) + 0.5 * sig * sig) / sig
+                nd1 = ndtr(d1)
+                delta += float(np.real(weight)) * (nd1 if kind == "call" else nd1 - 1.0)
+            self.delta, self.s_prev = delta, s
 
-    residuals = payoff - h0 - gains
-    var_a = s_aa / cnt - (s_a / cnt) ** 2
-    var_b = s_bb / cnt - (s_b / cnt) ** 2
-    cov = s_ab / cnt - (s_a / cnt) * (s_b / cnt)
-    corr = cov / math.sqrt(var_a * var_b) if var_a > 0 and var_b > 0 else 0.0
-    return HedgeRunResult(
-        initial_capital=h0,
-        n_paths=n_paths,
-        n_steps=n_steps,
-        residuals=residuals,
-        orthogonality_corr=float(corr),
-        payoff_mean=float(payoff.mean()),
-        gain_mean=float(gains.mean()),
-        self_check_error=worst_check,
-    )
+    def finish(self, run: HedgeRunResult) -> dict:
+        h0 = float(np.real(self.dec.h0))
+
+        def var_with_se(r):
+            # standard error of the sample variance from the fourth moment
+            c = r - r.mean()
+            m2 = float(np.mean(c * c))
+            m4 = float(np.mean(c**4))
+            return float(r.var(ddof=1)), math.sqrt(max(m4 - m2 * m2, 0.0) / r.size)
+
+        v_fs, se_fs = var_with_se(run.residuals)
+        v_none, se_none = var_with_se(self.payoff - h0)
+        out = {
+            "fs_variance": v_fs,
+            "fs_variance_stderr": se_fs,
+            "no_hedge_variance": v_none,
+            "no_hedge_variance_stderr": se_none,
+        }
+        if self.comps:
+            v_naive, se_naive = var_with_se(self.payoff - h0 - self.gains)
+            out["naive_delta_variance"] = v_naive
+            out["naive_delta_variance_stderr"] = se_naive
+        return out
 
 
-def baseline_comparison(dec, ensemble: PathEnsemble, run: HedgeRunResult) -> dict:
+def baseline_comparison(dec, source, run: HedgeRunResult) -> dict:
     """Residual variance against no hedging and a naive delta hedge.
 
     The naive hedger treats each vanilla component as written on the
@@ -382,77 +539,38 @@ def baseline_comparison(dec, ensemble: PathEnsemble, run: HedgeRunResult) -> dic
     log variance; claims without vanilla components report only the
     no-hedge baseline.
     """
-    model = dec.model
-    _require_same_model(model, ensemble)
-    times = ensemble.times
-    S = ensemble.s
-    T = float(times[-1])
-    payoff = np.asarray(dec.measure.payoff(ensemble.x[:, -1], S[:, -1]), dtype=float)
-    h0 = float(np.real(dec.h0))
-
-    def var_with_se(r):
-        # standard error of the sample variance from the fourth moment
-        c = r - r.mean()
-        m2 = float(np.mean(c * c))
-        m4 = float(np.mean(c**4))
-        return float(r.var(ddof=1)), math.sqrt(max(m4 - m2 * m2, 0.0) / r.size)
-
-    v_fs, se_fs = var_with_se(run.residuals)
-    v_none, se_none = var_with_se(payoff - h0)
-    out = {
-        "fs_variance": v_fs,
-        "fs_variance_stderr": se_fs,
-        "no_hedge_variance": v_none,
-        "no_hedge_variance_stderr": se_none,
-    }
-
-    comps = [c for c in dec.measure.components if c[0] in ("call", "put")]
-    if comps:
-        # time-averaged log variance rate of S
-        var_rate = sum(
-            (b - a)
-            * (
-                seg.covariance[1, 1]
-                + seg.jump_intensity
-                * (float(seg.jump_mean[1]) ** 2 + float(seg.jump_cov[1, 1]))
-            )
-            for a, b, seg in model.segments
-        ) / T
-        gains = np.zeros(ensemble.n_paths)
-        for i in range(ensemble.n_steps):
-            tau = T - float(times[i])
-            sig = math.sqrt(var_rate * max(tau, 1e-300))
-            delta = np.zeros(ensemble.n_paths)
-            for kind, strike, _axis, weight in comps:
-                d1 = (np.log(S[:, i] / strike) + 0.5 * sig * sig) / sig
-                nd1 = ndtr(d1)
-                delta += float(np.real(weight)) * (nd1 if kind == "call" else nd1 - 1.0)
-            gains += delta * (S[:, i + 1] - S[:, i])
-        v_naive, se_naive = var_with_se(payoff - h0 - gains)
-        out["naive_delta_variance"] = v_naive
-        out["naive_delta_variance_stderr"] = se_naive
-    return out
+    return _fold_alone(source, BaselineFold(dec, source), run)
 
 
-def tradeoff_check(model, ensemble: PathEnsemble) -> dict:
+class TradeoffFold:
+    """The fold behind `tradeoff_check`."""
+
+    def __init__(self, model, source):
+        _require_same_model(model, source)
+        self.model = model
+        self.acc = np.zeros(source.n_paths)
+
+    def step(self, i, t, x, s):
+        if i > 0:
+            dt = t - self.t_prev
+            seg = self.model.segment_at(self.t_prev)
+            mu, rb = seg.traded_growth_rate, seg.rho_bar
+            incr = s - self.s_prev - self.s_prev * mu * dt
+            self.acc += (mu / (self.s_prev * rb)) ** 2 * incr * incr
+        self.t_prev, self.s_prev = t, s
+
+    def finish(self) -> dict:
+        exact = float(self.model.tradeoff(self.model.horizon))
+        est, serr, _ = _mean_stderr_t(self.acc)
+        rel = abs(est - exact) / abs(exact) if exact != 0 else abs(est)
+        return {"estimate": est, "stderr": serr, "exact": exact, "rel_error": rel}
+
+
+def tradeoff_check(model, source) -> dict:
     """Realised mean-variance tradeoff integral against its closed form.
 
     Accumulates (mu_t / (S_t rho_bar))**2 (dS_t - S_t mu_t dt)**2 along
     paths; the expectation is the deterministic integral of
     mu_t**2 / rho_bar_t over [0, T].
     """
-    _require_same_model(model, ensemble)
-    times = ensemble.times
-    S = ensemble.s
-    acc = np.zeros(ensemble.n_paths)
-    for i in range(ensemble.n_steps):
-        t = float(times[i])
-        dt = float(times[i + 1] - times[i])
-        seg = model.segment_at(t)
-        mu, rb = seg.traded_growth_rate, seg.rho_bar
-        incr = S[:, i + 1] - S[:, i] - S[:, i] * mu * dt
-        acc += (mu / (S[:, i] * rb)) ** 2 * incr * incr
-    exact = float(model.tradeoff(model.horizon))
-    est, serr, _ = _mean_stderr_t(acc)
-    rel = abs(est - exact) / abs(exact) if exact != 0 else abs(est)
-    return {"estimate": est, "stderr": serr, "exact": exact, "rel_error": rel}
+    return _fold_alone(source, TradeoffFold(model, source))

@@ -4,8 +4,9 @@ Everything here is derived from first principles with stock scipy/numpy
 tools, sharing no code paths with the package internals it checks:
 lognormal pricing via the normal CDF, ODE integration by explicit RK4,
 cumulants by fresh Monte Carlo with a different RNG family, contour
-tails by brute-force adaptive quadrature, and a small-time check of the
-jump generator.
+tails by brute-force adaptive quadrature, a small-time check of the
+jump generator, and the block-by-block path simulation that the step
+stream must reproduce.
 """
 
 from __future__ import annotations
@@ -64,6 +65,47 @@ def rk4_backward(rate, t0: float, t1: float, n: int) -> complex:
         f = f + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t -= h
     return f
+
+
+def block_major_paths(model, n_paths: int, n_steps: int, seed: int):
+    """(x, s) of shape (paths, steps + 1), simulated one path block at a time.
+
+    The loop order of the simulator before it streamed steps: every block
+    of 8192 paths runs all its steps from its own Philox stream before the
+    next block starts.  A step stream that draws each block's numbers in
+    the same order must match it bit for bit.
+    """
+    block = 8192
+    times = np.linspace(0.0, model.horizon, n_steps + 1)
+    x0, s0 = float(model.spot[0]), float(model.spot[1])
+    x = np.empty((n_paths, n_steps + 1))
+    s = np.empty((n_paths, n_steps + 1))
+    x[:, 0], s[:, 0] = x0, s0
+    children = np.random.SeedSequence(seed).spawn((n_paths + block - 1) // block)
+    for b, child in enumerate(children):
+        rng = np.random.Generator(np.random.Philox(child))
+        rows = slice(b * block, min((b + 1) * block, n_paths))
+        nb = rows.stop - rows.start
+        lx, ls = np.zeros(nb), np.zeros(nb)
+        for i in range(n_steps):
+            for lo, hi, seg in model.segments:
+                dur = min(times[i + 1], hi) - max(times[i], lo)
+                if dur <= 1e-15:
+                    continue
+                g = rng.standard_normal((nb, 2)) @ seg.diffusion_factor().T
+                dx = seg.drift[0] * dur + np.sqrt(dur) * g[:, 0]
+                ds = seg.drift[1] * dur + np.sqrt(dur) * g[:, 1]
+                if seg.jump_intensity > 0:
+                    k = rng.poisson(seg.jump_intensity * dur, nb).astype(float)
+                    gj = rng.standard_normal((nb, 2)) @ seg.jump_factor().T
+                    rk = np.sqrt(k)
+                    dx = dx + k * seg.jump_mean[0] + rk * gj[:, 0]
+                    ds = ds + k * seg.jump_mean[1] + rk * gj[:, 1]
+                lx += dx
+                ls += ds
+            x[rows, i + 1] = x0 * np.exp(lx)
+            s[rows, i + 1] = s0 * np.exp(ls)
+    return x, s
 
 
 def sample_terminal(model, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

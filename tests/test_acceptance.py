@@ -16,10 +16,14 @@ from basishedge.engine import decompose
 from basishedge.payoffs import call_claim, call_measure, power_claim
 from basishedge.pde import DiffusionSpec, GridConfig, monte_carlo_representation, solve
 from basishedge.simulation import (
+    HedgeFold,
+    MartingaleFold,
+    MomentFold,
+    PathStream,
+    TradeoffFold,
     baseline_comparison,
     hedge_run,
-    martingale_test,
-    moment_check,
+    run_folds,
     simulate,
     tradeoff_check,
 )
@@ -34,15 +38,20 @@ def _report(num: int, name: str, ok: bool, detail: str):
 
 @pytest.fixture(scope="module")
 def merton_suite(merton_model, merton_call_x):
-    """Full-scale validation battery on the jump model, timed as a whole."""
+    """Full-scale validation battery on the jump model: one streamed pass, timed as a whole."""
     t0 = time.perf_counter()
-    ens = simulate(merton_model, 100_000, 250, seed=17)
-    run = hedge_run(merton_call_x, ens)
+    paths = PathStream(merton_model, 100_000, 250, seed=17)
     freqs = [(0.5 + u * 1j, 0.0) for u in (1.0, 3.7, 8.2, 14.9, 20.0)]
-    mart = martingale_test(merton_model, ens, exponents=freqs)
-    mom = moment_check(merton_model, ens)
+    folds = (
+        HedgeFold(merton_call_x, paths),
+        MartingaleFold(merton_model, paths, exponents=freqs),
+        MomentFold(merton_model, paths),
+        TradeoffFold(merton_model, paths),
+    )
+    run_folds(paths, *folds)
+    run, mart, mom, trade = (fold.finish() for fold in folds)
     elapsed = time.perf_counter() - t0
-    return {"ens": ens, "run": run, "mart": mart, "mom": mom, "elapsed": elapsed}
+    return {"run": run, "mart": mart, "mom": mom, "tradeoff": trade, "elapsed": elapsed}
 
 
 @pytest.fixture(scope="module")
@@ -202,9 +211,9 @@ def test_06_orthogonality_and_martingale_suite(merton_suite):
     )
 
 
-def test_07_tradeoff_closed_form(bs_model, merton_model, bs_suite, merton_suite):
+def test_07_tradeoff_closed_form(bs_model, bs_suite, merton_suite):
     out_bs = tradeoff_check(bs_model, bs_suite["ens"])
-    out_mj = tradeoff_check(merton_model, merton_suite["ens"])
+    out_mj = merton_suite["tradeoff"]
     ok = out_bs["rel_error"] <= 0.05 and out_mj["rel_error"] <= 0.10
     _report(
         7, "mean-variance-tradeoff", ok,

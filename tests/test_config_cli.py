@@ -558,10 +558,11 @@ SMALL_REPLAY = {"n_paths": 200, "n_steps": 4, "seed": 1}
 @pytest.mark.parametrize("command", ["simulate", "check"])
 @pytest.mark.parametrize("error", [DomainError, MismatchError])
 def test_cli_exit_3_on_domain_and_mismatch_errors(tmp_path, capsys, monkeypatch, command, error):
-    def failing_run(*args, **kwargs):
+    def failing_step(*args, **kwargs):
         raise error("interpolated hedge deviates from exact evaluation")
 
-    monkeypatch.setattr(simulation, "hedge_run", failing_run)
+    # both commands replay the hedge through the same fold
+    monkeypatch.setattr(simulation.HedgeFold, "step", failing_step)
     cfg = _with(BASE, validation=SMALL_REPLAY)
     out = tmp_path / "never"
     path = _write(tmp_path, cfg)
@@ -576,7 +577,7 @@ def test_cli_rejects_complex_claim_before_simulating(tmp_path, capsys, monkeypat
     def no_simulate(*args, **kwargs):
         raise AssertionError("paths were simulated for a claim that is not real")
 
-    monkeypatch.setattr(simulation, "simulate", no_simulate)
+    monkeypatch.setattr(simulation, "PathStream", no_simulate)
     cfg = _with(
         BASE,
         payoff={"kind": "power", "exponents": [[0.5, 1.0], 0.0]},

@@ -1,22 +1,34 @@
 """Monte Carlo harness: path law, statistical checks, hedge replay."""
 
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from basishedge import cli
 from basishedge.engine import decompose
 from basishedge.errors import AssumptionError, DomainError, MismatchError
 from basishedge.models import PiecewiseAdditiveModel
 from basishedge.payoffs import call_claim, power_claim
 from basishedge.simulation import (
+    BaselineFold,
+    HedgeFold,
+    MartingaleFold,
+    MomentFold,
+    PathStream,
+    TradeoffFold,
     baseline_comparison,
     hedge_run,
     martingale_test,
     moment_check,
+    run_folds,
     simulate,
     tradeoff_check,
 )
+
+from oracles import block_major_paths
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +86,89 @@ def test_simulate_rejects_empty_requests(bs_model):
         simulate(bs_model, 0, 5)
     with pytest.raises(DomainError, match="at least one path"):
         simulate(bs_model, 5, 0)
+
+
+def _seasons(bs_model, merton_model):
+    """The two-season model: Black-Scholes for 0.5, then Merton for 0.5."""
+    return PiecewiseAdditiveModel([(0.5, bs_model), (0.5, merton_model)])
+
+
+@pytest.mark.parametrize("which", ["bs", "merton", "seasons"])
+def test_stream_reproduces_block_simulation_bit_for_bit(which, bs_model, merton_model):
+    model = {"bs": bs_model, "merton": merton_model,
+             "seasons": _seasons(bs_model, merton_model)}[which]
+    # two full path blocks and a straddling one; step 2 of 3 crosses the season boundary
+    n_paths, n_steps = 2 * 8192 + 5, 3
+    want_x, want_s = block_major_paths(model, n_paths, n_steps, seed=31)
+    ens = simulate(model, n_paths, n_steps, seed=31)
+    assert np.array_equal(ens.x, want_x) and np.array_equal(ens.s, want_s)
+    paths = PathStream(model, n_paths, n_steps, seed=31)
+    for _ in range(2):  # every iteration replays the same paths
+        steps = list(paths)
+        assert [i for i, *_ in steps] == list(range(n_steps + 1))
+        for i, t, x, s in steps:
+            assert t == ens.times[i]
+            assert x.flags.c_contiguous and not x.flags.writeable
+            assert np.array_equal(x, want_x[:, i]) and np.array_equal(s, want_s[:, i])
+
+
+def test_one_pass_check_equals_public_functions(tmp_path, capsys, merton_model, merton_call_x):
+    n_paths, n_steps, seed = 3000, 12, 41
+    cfg = {
+        "model": {"kind": "merton", "drift": [0.03, 0.025], "vol_x": 0.25, "vol_s": 0.2,
+                  "corr": 0.6, "jump_intensity": 0.7, "jump_mean": [-0.05, -0.04],
+                  "jump_vol_x": 0.12, "jump_vol_s": 0.1, "jump_corr": 0.5,
+                  "horizon": 1.0, "spot": [100.0, 100.0]},
+        "payoff": {"kind": "call", "strike": 100.0, "asset": "x"},
+        "validation": {"n_paths": n_paths, "n_steps": n_steps, "seed": seed},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["check", "--config", str(path), "--out", str(tmp_path)]) in (0, 4)
+    capsys.readouterr()
+    report = json.loads((tmp_path / "sim_report.json").read_text())["results"]
+
+    ens = simulate(merton_model, n_paths, n_steps, seed=seed)
+    run = hedge_run(merton_call_x, ens)
+    want = {
+        "martingale": martingale_test(merton_model, ens),
+        "moments": moment_check(merton_model, ens),
+        "orthogonality": {"corr": run.orthogonality_corr,
+                          "residual_tstat": run.residual_tstat,
+                          "self_check_error": run.self_check_error},
+        "baselines": baseline_comparison(merton_call_x, ens, run),
+        "tradeoff": tradeoff_check(merton_model, ens),
+    }
+    got = {name: {k: v for k, v in res.items() if k != "passed"} for name, res in report.items()}
+    assert got == cli._jsonable(want)
+
+    paths = PathStream(merton_model, n_paths, n_steps, seed=seed)
+    fold = HedgeFold(merton_call_x, paths)
+    run_folds(paths, fold)
+    streamed = fold.finish()
+    assert np.array_equal(streamed.residuals, run.residuals)
+    assert streamed.residuals.tobytes() == run.residuals.tobytes()
+
+
+def _check_pass_peak(model, dec, n_paths, n_steps) -> int:
+    """tracemalloc peak in bytes of every check fold over one streamed pass."""
+    tracemalloc.start()
+    try:
+        paths = PathStream(model, n_paths, n_steps, seed=4)
+        folds = (MartingaleFold(model, paths), MomentFold(model, paths), HedgeFold(dec, paths),
+                 BaselineFold(dec, paths), TradeoffFold(model, paths))
+        run_folds(paths, *folds)
+        folds[3].finish(folds[2].finish())
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_check_pass_memory_does_not_grow_with_steps(bs_model, bs_call_x):
+    # stored paths would grow the peak 8x from 10 to 80 steps (3.5 MB -> 26 MB)
+    short = _check_pass_peak(bs_model, bs_call_x, 20_000, 10)
+    long = _check_pass_peak(bs_model, bs_call_x, 20_000, 80)
+    assert abs(long - short) <= 0.1 * short, (short, long)
 
 
 def _log_law_moments(model):
