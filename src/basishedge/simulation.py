@@ -224,9 +224,16 @@ class MartingaleFold:
             exponents = [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.5 + 1.5j, 0.5)]
         times = source.times
         self.zs = [(complex(z1), complex(z2)) for z1, z2 in exponents]
-        self.kap = [model.kappa(times, z1, z2) for z1, z2 in self.zs]
-        self.lam = [model.lambda_coeff(times, z1, z2) for z1, z2 in self.zs]
-        self.ws = [np.zeros(source.n_paths, dtype=complex) for _ in self.zs]
+        # a real exponent pair has a real power process: it runs in float
+        # arithmetic, and its imaginary row comes out as exact zeros
+        self.powers, self.kap, self.lam, self.ws = [], [], [], []
+        for z1, z2 in self.zs:
+            real = not (z1.imag or z2.imag)
+            kap, lam = model.kappa(times, z1, z2), model.lambda_coeff(times, z1, z2)
+            self.powers.append((z1.real, z2.real) if real else (z1, z2))
+            self.kap.append(kap.real if real else kap)
+            self.lam.append(lam.real if real else lam)
+            self.ws.append(np.zeros(source.n_paths, dtype=float if real else complex))
         self.v_prev = None
 
     def step(self, i, t, x, s):
@@ -235,7 +242,7 @@ class MartingaleFold:
         # the log-prices of a step serve every exponent
         lx = np.log(x / self.x0)
         ls = np.log(s / self.s0)
-        v = [np.exp(z1 * lx + z2 * ls) * lam[i] for (z1, z2), lam in zip(self.zs, self.lam)]
+        v = [np.exp(p1 * lx + p2 * ls) * lam[i] for (p1, p2), lam in zip(self.powers, self.lam)]
         if i > 0:
             for w, v_next, v_prev, kap, lam in zip(self.ws, v, self.v_prev, self.kap, self.lam):
                 growth = np.exp(kap[i] - kap[i - 1])

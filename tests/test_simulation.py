@@ -244,6 +244,26 @@ def test_martingale_test_custom_exponents(bs_model, bs_ens):
     assert out["rows"][0]["stderr_im"] == 0.0
 
 
+def test_martingale_real_exponents_match_complex_arithmetic(merton_model, merton_ens):
+    # real exponents run in float arithmetic; np.exp of a real and of a
+    # complex argument may differ in the last bit, so the means agree to
+    # rounding and the imaginary rows are exact (positive) zeros
+    real = [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (2.0, -0.5)]
+    rows = martingale_test(merton_model, merton_ens, exponents=real)["rows"]
+    x, s, times = merton_ens.x, merton_ens.s, merton_ens.times
+    for row, (z1, z2) in zip(rows, real):
+        z1, z2 = complex(z1), complex(z2)
+        kap, lam = merton_model.kappa(times, z1, z2), merton_model.lambda_coeff(times, z1, z2)
+        v = [np.exp(z1 * np.log(x[:, i] / 100.0) + z2 * np.log(s[:, i] / 100.0)) * lam[i]
+             for i in range(times.size)]
+        w = sum(v[i + 1] - v[i] * (np.exp(kap[i + 1] - kap[i]) * lam[i + 1] / lam[i])
+                for i in range(times.size - 1))
+        assert abs(row["mean_re"] - w.real.mean()) <= 1e-12
+        assert row["stderr_re"] == pytest.approx(w.real.std(ddof=1) / math.sqrt(w.size), rel=1e-9)
+        for key in ("mean_im", "stderr_im", "tstat_im"):
+            assert row[key] == 0.0 and math.copysign(1.0, row[key]) == 1.0
+
+
 def test_piecewise_step_straddles_boundary(bs_model, merton_model):
     # 3 uniform steps put the 0.4 segment boundary strictly inside a step
     pw = PiecewiseAdditiveModel([(0.4, bs_model), (0.6, merton_model)])
