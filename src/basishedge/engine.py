@@ -378,6 +378,7 @@ class HedgeDecomposition:
         stats = self._line_stats[idx]
         stats["umult"] = max(stats["umult"], umult)
         stats["tail_bound"] = max(stats["tail_bound"], bound)
+        stats["tail_mode"] = tail_mode
         nd = self._nodes(idx, 0, umult, uniform=self._uniform_count(idx, umult, glx))
         lam, gam, _ = self._propagate(nd.rates, ti)
         coef = nd.w * nd.dens * lam

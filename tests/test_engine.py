@@ -365,6 +365,15 @@ def test_line_grid_covers_extended_truncation(merton_model):
     assert _grid_error(dec, t, glx) <= 1e-8
 
 
+def test_line_grid_reports_its_tail_mode(merton_model):
+    # the doubled truncation near maturity shows in the report as "extended"
+    dec = decompose(merton_model, call_claim(100.0, axis=1))
+    assert dec.quadrature_report()["lines"][0]["tail_mode"] == "skipped-negligible"
+    dec._line_grid(0, 0.99 * merton_model.horizon, np.linspace(np.log(50.0), np.log(200.0), 512))
+    line = dec.quadrature_report()["lines"][0]
+    assert (line["umult"], line["tail_mode"]) == (2, "extended")
+
+
 def test_line_grid_single_point(merton_model):
     # at the first replay step every path sits at spot
     dec = decompose(merton_model, call_measure(100.0, axis=1))
