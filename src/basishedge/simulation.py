@@ -234,7 +234,7 @@ class MartingaleFold:
             self.kap.append(kap.real if real else kap)
             self.lam.append(lam.real if real else lam)
             self.ws.append(np.zeros(source.n_paths, dtype=float if real else complex))
-        self.v_prev = None
+        self.v_prev = [None] * len(self.zs)
 
     def step(self, i, t, x, s):
         if i == 0:
@@ -242,12 +242,13 @@ class MartingaleFold:
         # the log-prices of a step serve every exponent
         lx = np.log(x / self.x0)
         ls = np.log(s / self.s0)
-        v = [np.exp(p1 * lx + p2 * ls) * lam[i] for (p1, p2), lam in zip(self.powers, self.lam)]
-        if i > 0:
-            for w, v_next, v_prev, kap, lam in zip(self.ws, v, self.v_prev, self.kap, self.lam):
+        for k, ((p1, p2), kap, lam) in enumerate(zip(self.powers, self.kap, self.lam)):
+            v = np.exp(p1 * lx + p2 * ls) * lam[i]
+            if i > 0:
                 growth = np.exp(kap[i] - kap[i - 1])
-                w += v_next - v_prev * (growth * lam[i] / lam[i - 1])
-        self.v_prev = v
+                self.ws[k] += v - self.v_prev[k] * (growth * lam[i] / lam[i - 1])
+            # one exponent's previous powers are dropped before the next one's are made
+            self.v_prev[k] = v
 
     def finish(self) -> dict:
         rows = []
