@@ -101,14 +101,15 @@ class PathStream:
         ls = np.zeros(n)
         yield 0, float(times[0]), _frozen(np.full(n, x0)), _frozen(np.full(n, s0))
         for i in range(self.n_steps):
+            # the parts of the step inside each constant segment
+            parts = []
+            for a, b, seg in model.segments:
+                dur = min(times[i + 1], b) - max(times[i], a)
+                if dur > 1e-15:
+                    parts.append((dur, *factors[seg]))
             for rows, rng in blocks:
                 nb = rows.stop - rows.start
-                for a, b, seg in model.segments:
-                    # the part of the step inside this constant segment
-                    dur = min(times[i + 1], b) - max(times[i], a)
-                    if dur <= 1e-15:
-                        continue
-                    drift, ldiff, lam, jmean, ljump = factors[seg]
+                for dur, drift, ldiff, lam, jmean, ljump in parts:
                     g = rng.standard_normal((nb, 2)) @ ldiff.T
                     dx = drift[0] * dur + math.sqrt(dur) * g[:, 0]
                     ds = drift[1] * dur + math.sqrt(dur) * g[:, 1]
