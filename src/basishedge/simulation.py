@@ -395,9 +395,9 @@ class HedgeFold:
         self.check_rng = np.random.default_rng(np.random.SeedSequence(source.seed + 1))
         self.worst_check = 0.0
         self.gains = np.zeros(self.n_paths)
-        # pooled sums of dO, dM, dO**2, dM**2 and dO dM for corr(dO, dM)
+        # pooled accumulators for corr(dO, dM)
         self.cnt = 0
-        self.sums = [0.0] * 5
+        self.s_a = self.s_b = self.s_aa = self.s_bb = self.s_ab = 0.0
 
     def step(self, i, t, x, s):
         dec = self.dec
@@ -414,8 +414,11 @@ class HedgeFold:
             d_o = y - self.y_prev - self.z_prev * ds
             d_m = ds - comp
             self.cnt += d_o.size
-            for k, v in enumerate((d_o, d_m, d_o * d_o, d_m * d_m, d_o * d_m)):
-                self.sums[k] += float(v.sum())
+            self.s_a += float(d_o.sum())
+            self.s_b += float(d_m.sum())
+            self.s_aa += float((d_o * d_o).sum())
+            self.s_bb += float((d_m * d_m).sum())
+            self.s_ab += float((d_o * d_m).sum())
         if i in self.check_steps:
             pick = self.check_rng.integers(0, self.n_paths, size=4)
             y_ref, z_ref = dec.value_and_hedge(t, x[pick], s[pick])
@@ -435,11 +438,10 @@ class HedgeFold:
 
     def finish(self) -> HedgeRunResult:
         residuals = self.payoff - self.h0 - self.gains
-        cnt = self.cnt
-        s_a, s_b, s_aa, s_bb, s_ab = self.sums
-        var_a = s_aa / cnt - (s_a / cnt) ** 2
-        var_b = s_bb / cnt - (s_b / cnt) ** 2
-        cov = s_ab / cnt - (s_a / cnt) * (s_b / cnt)
+        cnt, s_a, s_b = self.cnt, self.s_a, self.s_b
+        var_a = self.s_aa / cnt - (s_a / cnt) ** 2
+        var_b = self.s_bb / cnt - (s_b / cnt) ** 2
+        cov = self.s_ab / cnt - (s_a / cnt) * (s_b / cnt)
         corr = cov / math.sqrt(var_a * var_b) if var_a > 0 and var_b > 0 else 0.0
         return HedgeRunResult(
             initial_capital=self.h0,
