@@ -224,6 +224,7 @@ class MartingaleFold:
         if exponents is None:
             exponents = [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.5 + 1.5j, 0.5)]
         times = source.times
+        self.x0, self.s0 = float(model.spot[0]), float(model.spot[1])
         self.zs = [(complex(z1), complex(z2)) for z1, z2 in exponents]
         # a real exponent pair has a real power process: it runs in float
         # arithmetic, and its imaginary row comes out as exact zeros
@@ -238,8 +239,6 @@ class MartingaleFold:
         self.v_prev = [None] * len(self.zs)
 
     def step(self, i, t, x, s):
-        if i == 0:
-            self.x0, self.s0 = x[0], s[0]
         # the log-prices of a step serve every exponent
         lx = np.log(x / self.x0)
         ls = np.log(s / self.s0)
@@ -269,14 +268,13 @@ class MomentFold:
         if exponents is None:
             exponents = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.0, 2.0), (2.0, 0.0)]
         self.model = model
+        self.x0, self.s0 = float(model.spot[0]), float(model.spot[1])
         self.zs = [(complex(z1), complex(z2)) for z1, z2 in exponents]
         self.n_steps = source.n_steps
         self.rows = []
         self.worst = 0.0
 
     def step(self, i, t, x, s):
-        if i == 0:
-            self.x0, self.s0 = x[0], s[0]
         if i < self.n_steps:
             return
         lx = np.log(x / self.x0)
