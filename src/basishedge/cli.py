@@ -216,17 +216,12 @@ def _cmd_compare(cfg, args) -> dict:
     half_s = 2.0 * float(np.sqrt(model.covariance[1, 1] * T))
     ix = np.abs(np.log(sol.x / model.spot[0])) <= half_x
     isl = np.abs(np.log(sol.s / model.spot[1])) <= half_s
-    xs, ss = sol.x[ix], sol.s[isl]
-    gap_y = gap_z = 0.0
-    for k, t in enumerate(sol.times):
-        if t > 0.9 * T:
-            continue
-        yf, zf = dec.hedge_surface([t], xs, ss)
-        yp = sol.y[k][np.ix_(ix, isl)]
-        zp = sol.z[k][np.ix_(ix, isl)]
-        # np.maximum keeps a NaN gap
-        gap_y = float(np.maximum(gap_y, np.max(np.abs(yp - yf[0]) / np.maximum(np.abs(yf[0]), 1.0))))
-        gap_z = float(np.maximum(gap_z, np.max(np.abs(zp - zf[0]) / np.maximum(np.abs(zf[0]), 0.05))))
+    inner = sol.times <= 0.9 * T
+    yf, zf = dec.hedge_surface(sol.times[inner], sol.x[ix], sol.s[isl])
+    box = np.ix_(inner, ix, isl)
+    # np.max keeps a NaN gap
+    gap_y = float(np.max(np.abs(sol.y[box] - yf) / np.maximum(np.abs(yf), 1.0)))
+    gap_z = float(np.max(np.abs(sol.z[box] - zf) / np.maximum(np.abs(zf), 0.05)))
     h0_f = float(np.real(dec.h0))
 
     x0, s0 = float(model.spot[0]), float(model.spot[1])

@@ -253,16 +253,13 @@ class ExperimentConfig:
 
     def _build_grid(self) -> GridConfig:
         g = _block(self.raw, "pde_grid", {"nx", "ns", "nt", "radius_stddevs", "cfl_fraction"})
+        sizes = (("nx", 5), ("ns", 5), ("nt", 2))
+        kw = {k: _integer(g[k], f"pde_grid.{k}", lo) for k, lo in sizes if k in g}
+        for k in ("radius_stddevs", "cfl_fraction"):
+            if k in g:
+                kw[k] = _number(g[k], f"pde_grid.{k}")
         try:
-            return GridConfig(
-                nx=_integer(g.get("nx", 161), "pde_grid.nx", 5),
-                ns=_integer(g.get("ns", 161), "pde_grid.ns", 5),
-                nt=_integer(g.get("nt", 41), "pde_grid.nt", 2),
-                radius_stddevs=_number(g.get("radius_stddevs", 6.0), "pde_grid.radius_stddevs"),
-                cfl_fraction=_number(g.get("cfl_fraction", 0.4), "pde_grid.cfl_fraction"),
-            )
-        except ConfigError:
-            raise
+            return GridConfig(**kw)
         except Exception as exc:
             raise ConfigError(f"bad pde_grid: {exc}") from exc
 

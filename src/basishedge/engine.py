@@ -131,15 +131,6 @@ class HedgeDecomposition:
         """Both surfaces from one pass over shared quadrature nodes."""
         return self._broadcast(t, x, s, "both")
 
-    def apply_generator(self, t, x, s):
-        """Cumulant-weighted surface: the model generator applied nodewise.
-
-        Power payoffs are eigenfunctions of the additive generator with
-        eigenvalue psi(z); this returns the corresponding reweighting of
-        the value surface, used to validate the defining equations.
-        """
-        return self._broadcast(t, x, s, "gen")[0]
-
     def hedge_surface(self, times, xs, ss):
         """Dense (t, x, s) grids -> value/hedge arrays (nt, nx, ns)."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -240,22 +231,20 @@ class HedgeDecomposition:
 
     def _flat(self, t, x, s, which):
         n = t.size
-        need_y = which in ("y", "both", "gen")
+        need_y = which in ("y", "both")
         need_z = which in ("z", "both")
         y = np.zeros(n, dtype=complex) if need_y else None
         z = np.zeros(n, dtype=complex) if need_z else None
         logx, logs = np.log(x), np.log(s)
 
-        if which == "gen" or need_z:
-            # atoms take gamma and psi of the segment in force at each time
+        if need_z:
+            # atoms take gamma of the segment in force at each time
             times, at = np.unique(t, return_inverse=True)
             segs = [self.model.segment_at(ti) for ti in times]
         for a in self.measure.atoms:
             lam = self.model.lambda_coeff(t, a.z1, a.z2)
             base = a.weight * np.exp(a.z1 * logx + a.z2 * logs) * lam
-            if which == "gen":
-                y += base * np.array([complex(seg.psi(a.z1, a.z2)) for seg in segs])[at]
-            elif need_y:
+            if need_y:
                 y += base
             if need_z:
                 z += base * np.array([complex(seg.gamma(a.z1, a.z2)) for seg in segs])[at] / s
@@ -317,11 +306,10 @@ class HedgeDecomposition:
         return rates
 
     def _propagate(self, rates: dict, ti: float):
-        """(lambda, gamma, psi) at a line's nodes at time ti."""
+        """(lambda, gamma) at a line's nodes at time ti."""
         m = self.model
         log_lam = m._integral(ti, m.horizon, lambda w, seg: w * rates[seg][1])
-        gam, _, psi = rates[m.segment_at(ti)]
-        return np.exp(log_lam), gam, psi
+        return np.exp(log_lam), rates[m.segment_at(ti)][0]
 
     def _line_group(self, idx, ti, v, fixed, which):
         """Raw line values (y, z) at the varying coordinates v at time ti.
@@ -331,18 +319,13 @@ class HedgeDecomposition:
         which the truncation plan has to cover.
         """
         ln = self.measure.lines[idx]
-        need_y = which in ("y", "both", "gen")
+        need_y = which in ("y", "both")
         need_z = which in ("z", "both")
-
-        umult, tail_mode, bound = self._tail_plan(idx, ti, v, fixed, which)
-        stats = self._line_stats[idx]
-        stats["umult"] = max(stats["umult"], umult)
-        stats["tail_bound"] = max(stats["tail_bound"], bound)
-        stats["tail_mode"] = tail_mode
+        umult, tail_mode = self._plan(idx, ti, v, fixed, which)
 
         tail_y = tail_z = 0.0
         if tail_mode == "terminal" and ln.tail is not None:
-            if which in ("y", "both"):
+            if need_y:
                 tail_y = line_tail(ln, v)
             if need_z:
                 last = self.model.segment_at(self.model.horizon)
@@ -352,45 +335,70 @@ class HedgeDecomposition:
 
         def coefficients(level):
             nd = self._nodes(idx, level, umult)
-            lam, gam, psi = self._propagate(nd.rates, ti)
+            lam, gam = self._propagate(nd.rates, ti)
             coef = nd.w * nd.dens * lam
-            cy = (coef * psi if which == "gen" else coef) if need_y else None
-            return nd.u, (cy, coef * gam if need_z else None)
+            return nd.u, (coef if need_y else None, coef * gam if need_z else None)
 
         y, z, level = refine_line(
             ln, np.log(v), coefficients, (tail_y, tail_z), self.settings, umult
         )
+        stats = self._line_stats[idx]
         stats["levels"] = max(stats["levels"], level)
         return y, z
 
-    def _line_grid(self, idx, ti, glx):
-        """Raw line values (y, z) on a uniform log grid at an interior time.
-
-        The trapezoid rule on uniform nodes u_k = lo + k*h makes the line
-        a Fourier sum in the grid index, evaluated at every point by one
-        chirp-z transform.  Values exclude the fixed-coordinate factor and
-        the 1/s hedging division.  Used by the Monte Carlo replay.
+    def _path_slice(self, t, x, s, grid_points):
+        """Real value and hedge of a real claim at one time t < T on all
+        paths (x, s), for the Monte Carlo replay.  Atoms are exact; each
+        line is a Fourier sum in the index of a uniform grid of grid_points
+        in its varying log coordinate (trapezoid rule on uniform nodes
+        u_k = u_0 + k*h), done by one chirp-z transform and interpolated.
         """
-        ln = self.measure.lines[idx]
-        umult, tail_mode, bound = self._tail_plan(idx, ti, np.exp(glx), np.ones(1), "both")
-        if tail_mode == "terminal":
-            raise DomainError("the grid shortcut does not cover the terminal time")
-        stats = self._line_stats[idx]
-        stats["umult"] = max(stats["umult"], umult)
-        stats["tail_bound"] = max(stats["tail_bound"], bound)
-        stats["tail_mode"] = tail_mode
-        nd = self._nodes(idx, 0, umult, uniform=self._uniform_count(idx, umult, glx))
-        lam, gam, _ = self._propagate(nd.rates, ti)
-        coef = nd.w * nd.dens * lam
-        # exp((R + i u_k) glx_j) = exp((R + i lo) glx_j) exp(i k h glx_0) exp(i h dx jk)
-        lo, h = nd.u[0], nd.u[1] - nd.u[0]
-        dx = glx[1] - glx[0] if glx.size > 1 else 0.0
-        shift = np.exp(1j * (nd.u - lo) * glx[0])
-        vals = _chirp_z(np.stack([coef * shift, coef * gam * shift]), h * dx, glx.size)
-        vals *= np.exp((ln.abscissa + 1j * lo) * glx)
-        if ln.symmetric:
-            vals = 2.0 * vals.real
-        return vals[0], vals[1]
+        model = self.model
+        y, z = np.zeros(x.size), np.zeros(x.size)
+        logx, logs = np.log(x), np.log(s)
+        for a in self.measure.atoms:
+            lam = complex(np.asarray(model.lambda_coeff(t, a.z1, a.z2)).ravel()[0])
+            gam = complex(np.asarray(model.segment_at(t).gamma(a.z1, a.z2)).ravel()[0])
+            z1, z2 = complex(a.z1), complex(a.z2)
+            # real exponents, as in the unit atoms of calls, skip the complex exp
+            power = np.exp(z1.real * logx + z2.real * logs)
+            if z1.imag or z2.imag:
+                power = power * np.exp(1j * (z1.imag * logx + z2.imag * logs))
+            y += (a.weight * lam * power).real
+            z += (a.weight * lam * gam * power).real / s
+        for idx, ln in enumerate(self.measure.lines):
+            f = float(np.real(ln.fixed_exponent))
+            logv = logx if ln.axis == 1 else logs
+            lo, hi = float(logv.min()), float(logv.max())
+            # all paths at one price (the first step) give a one-point grid
+            glx = np.linspace(lo, hi, grid_points if hi - lo >= 1e-12 else 1)
+            umult, tail_mode = self._plan(idx, t, np.exp(glx), np.ones(1), "both")
+            if tail_mode == "terminal":
+                raise DomainError("the grid shortcut does not cover the terminal time")
+            nd = self._nodes(idx, 0, umult, uniform=self._uniform_count(idx, umult, glx))
+            lam, gam = self._propagate(nd.rates, t)
+            coef = nd.w * nd.dens * lam
+            # exp((R + i u_k) glx_j) = exp((R + i u_0) glx_j) exp(i k h glx_0) exp(i h dx jk)
+            u0, h = nd.u[0], nd.u[1] - nd.u[0]
+            dx = glx[1] - glx[0] if glx.size > 1 else 0.0
+            shift = np.exp(1j * (nd.u - u0) * glx[0])
+            vals = _chirp_z(np.stack([coef * shift, coef * gam * shift]), h * dx, glx.size)
+            vals *= np.exp((ln.abscissa + 1j * u0) * glx)
+            if ln.symmetric:
+                vals = 2.0 * vals.real
+            # linear interpolation by index on the uniform grid (one point: constant)
+            pos = (logv - lo) * ((glx.size - 1) / max(hi - lo, 1e-300))
+            j = np.minimum(pos.astype(np.intp), max(glx.size - 2, 0))
+            frac = pos - j
+            j1 = np.minimum(j + 1, glx.size - 1)
+            yv, zv = (tab[j] + frac * (tab[j1] - tab[j]) for tab in np.real(vals))
+            if ln.axis == 1:
+                y += yv * s**f
+                z += zv * s ** (f - 1.0)
+            else:
+                y += yv * x**f
+                z += zv * x**f / s
+        return y, z
 
     def _uniform_count(self, idx, umult, glx) -> int:
         """Trapezoid intervals (a power of two) for a line on a log grid.
@@ -417,6 +425,15 @@ class HedgeDecomposition:
             )
         return n
 
+    def _plan(self, idx, ti, v, fixed, which) -> tuple[int, str]:
+        """(umult, tail_mode) of a line at time ti, recorded in its stats."""
+        umult, tail_mode, bound = self._tail_plan(idx, ti, v, fixed, which)
+        stats = self._line_stats[idx]
+        stats["umult"] = max(stats["umult"], umult)
+        stats["tail_bound"] = max(stats["tail_bound"], bound)
+        stats["tail_mode"] = tail_mode
+        return umult, tail_mode
+
     def _tail_plan(self, idx, ti, v, fixed, which) -> tuple[int, str, float]:
         ln = self.measure.lines[idx]
         horizon = self.model.horizon
@@ -439,7 +456,7 @@ class HedgeDecomposition:
             umult = 1 << k_ext
             # the one-interval trapezoid line ends at the cutoff truncation * umult
             edge = line_nodes(ln, 0, umult, 1)[0]
-            lam, gam, _ = self._propagate(self._rates(ln, edge, 0, umult, 1), ti)
+            lam, gam = self._propagate(self._rates(ln, edge, 0, umult, 1), ti)
             growth = max(1.0, abs(gam[-1])) if which in ("z", "both") else 1.0
             bound = float(2.0 * amp * abs(lam[-1]) * growth / edge[-1])
             if bound <= floor:

@@ -465,6 +465,26 @@ def _vanilla_density(strike: float, abscissa: float) -> Callable[[np.ndarray], n
     return density
 
 
+def _vanilla_measure(strike: float, contour: float, axis: int, payoff, kind: str) -> PayoffMeasure:
+    """One line of the rational vanilla kernel at Re z = contour, with the
+    closed form payoff(v) of the claim coordinate v."""
+    if not (np.isfinite(strike) and strike > 0):
+        raise DomainError("strike must be a positive finite number")
+    line = ContourLine(
+        axis=axis,
+        fixed_exponent=0.0,
+        abscissa=contour,
+        density=_vanilla_density(float(strike), contour),
+        symmetric=True,
+        tail=RationalKernelTail(strike=float(strike)),
+    )
+    return PayoffMeasure(
+        lines=(line,),
+        closed_form=lambda x, s: payoff(x if axis == 1 else s),
+        components=((kind, float(strike), axis, 1.0),),
+    )
+
+
 def call_measure(strike: float, abscissa: float = 0.5, axis: int = 2) -> PayoffMeasure:
     """Measure encoding (v - K)^+ - v on the chosen coordinate.
 
@@ -475,25 +495,9 @@ def call_measure(strike: float, abscissa: float = 0.5, axis: int = 2) -> PayoffM
     """
     if not (0.0 < abscissa < 1.0):
         raise DomainError("call abscissa must lie in (0, 1)")
-    if not (np.isfinite(strike) and strike > 0):
-        raise DomainError("strike must be a positive finite number")
-    line = ContourLine(
-        axis=axis,
-        fixed_exponent=0.0,
-        abscissa=float(abscissa),
-        density=_vanilla_density(float(strike), float(abscissa)),
-        symmetric=True,
-        tail=RationalKernelTail(strike=float(strike)),
-    )
-
-    def cf(x, s):
-        v = x if axis == 1 else s
-        return np.maximum(v - strike, 0.0) - v
-
-    return PayoffMeasure(
-        lines=(line,),
-        closed_form=cf,
-        components=(("call-minus-underlying", float(strike), axis, 1.0),),
+    return _vanilla_measure(
+        strike, float(abscissa), axis,
+        lambda v: np.maximum(v - strike, 0.0) - v, "call-minus-underlying",
     )
 
 
@@ -507,26 +511,8 @@ def put_measure(strike: float, abscissa: float = 1.5, axis: int = 2) -> PayoffMe
     """
     if abscissa <= 0.0:
         raise DomainError("put abscissa must be positive")
-    if not (np.isfinite(strike) and strike > 0):
-        raise DomainError("strike must be a positive finite number")
-    contour = -float(abscissa)
-    line = ContourLine(
-        axis=axis,
-        fixed_exponent=0.0,
-        abscissa=contour,
-        density=_vanilla_density(float(strike), contour),
-        symmetric=True,
-        tail=RationalKernelTail(strike=float(strike)),
-    )
-
-    def cf(x, s):
-        v = x if axis == 1 else s
-        return np.maximum(strike - v, 0.0)
-
-    return PayoffMeasure(
-        lines=(line,),
-        closed_form=cf,
-        components=(("put", float(strike), axis, 1.0),),
+    return _vanilla_measure(
+        strike, -float(abscissa), axis, lambda v: np.maximum(strike - v, 0.0), "put"
     )
 
 

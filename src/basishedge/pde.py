@@ -74,6 +74,11 @@ class GridConfig:
             raise DomainError("radius_stddevs must exceed 1")
 
 
+def _hedging_drift(b1, b2, c12, c22):
+    """(bh1, bh2): the log drift after the hedging-measure adjustment."""
+    return b1 - (c12 / c22) * (b2 + 0.5 * c22), -0.5 * c22
+
+
 class DiffusionSpec:
     """Diffusion pair accepted by the finite-difference solver.
 
@@ -184,9 +189,8 @@ class DiffusionSpec:
 
     def adjusted_drift(self, t: float, x, s):
         """Drift (bh1, bh2) under the hedging measure; traded asset driftless."""
-        b1, b2, c11, c12, c22 = self.fields(t, x, s)
-        growth = b2 + 0.5 * c22
-        return b1 - (c12 / c22) * growth, -0.5 * c22
+        b1, b2, _, c12, c22 = self.fields(t, x, s)
+        return _hedging_drift(b1, b2, c12, c22)
 
 
 @dataclass
@@ -307,8 +311,7 @@ def solve(spec: DiffusionSpec, measure, grid: GridConfig = GridConfig()) -> PDES
 
     def adjusted(t):
         b1, b2, c11, c12, c22 = spec.fields(t, *points)
-        growth = b2 + 0.5 * c22
-        bh1, bh2 = b1 - (c12 / c22) * growth, -0.5 * c22
+        bh1, bh2 = _hedging_drift(b1, b2, c12, c22)
         denom = (
             c11 / dxi**2
             + c22 / deta**2
@@ -441,9 +444,7 @@ def monte_carlo_representation(
             tk = t + k * dt
             xk, sk = np.exp(lx), np.exp(ls)
             b1, b2, c11, c12, c22 = spec.fields(tk, xk, sk)
-            growth = b2 + 0.5 * c22
-            bh1 = b1 - (c12 / c22) * growth
-            bh2 = -0.5 * c22
+            bh1, bh2 = _hedging_drift(b1, b2, c12, c22)
             z1 = rng.standard_normal(n_paths)
             z2 = rng.standard_normal(n_paths)
             sx = np.sqrt(c11)

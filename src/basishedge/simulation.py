@@ -16,11 +16,11 @@ Every check is a fold over the steps with per-path accumulators, and
 validation battery over a stream holds O(paths) memory, not
 O(paths x steps).  The public check functions fold a source alone.
 
-The path replay tabulates each contour line (payoff mixtures are
-separable) on a uniform grid in its varying log coordinate at every
-rebalance time, by one chirp-z transform of the trapezoid rule on
-uniform contour nodes, and interpolates the paths on it; a sampled
-self-check against exact pointwise evaluation guards the shortcut.
+The path replay asks the decomposition for its value and hedge on all
+paths at each rebalance time (`HedgeDecomposition._path_slice`, which
+tabulates each contour line on a uniform grid and interpolates the
+paths on it); a sampled self-check against exact pointwise evaluation
+guards the shortcut.
 """
 
 from __future__ import annotations
@@ -189,10 +189,18 @@ def _fold_alone(source, fold, *args):
 
 
 def _mean_stderr_t(vals, target: float = 0.0):
-    """Sample mean, its standard error and the t-statistic of mean - target."""
+    """Sample mean, its standard error and the t-statistic of mean - target,
+    which fails closed: NaN without a finite standard error (one sample has
+    none), infinite for a zero standard error and a mean off target."""
     mean = float(vals.mean())
-    serr = float(vals.std(ddof=1) / math.sqrt(vals.size))
-    return mean, serr, (mean - target) / serr if serr > 0 else 0.0
+    serr = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else math.nan
+    if not math.isfinite(serr):
+        t = math.nan
+    elif serr > 0:
+        t = (mean - target) / serr
+    else:
+        t = 0.0 if mean == target else math.copysign(math.inf, mean - target)
+    return mean, serr, t
 
 
 def _stat_row(z1, z2, parts) -> tuple[dict, float]:
@@ -204,7 +212,8 @@ def _stat_row(z1, z2, parts) -> tuple[dict, float]:
         out[f"mean_{part}"] = mean
         out[f"stderr_{part}"] = serr
         out[f"tstat_{part}"] = t
-        worst = max(worst, abs(t))
+        # np.maximum keeps a NaN statistic
+        worst = float(np.maximum(worst, abs(t)))
     return out, worst
 
 
@@ -256,7 +265,7 @@ class MartingaleFold:
         for (z1, z2), w in zip(self.zs, self.ws):
             row, t = _stat_row(z1, z2, (("re", w.real, 0.0), ("im", w.imag, 0.0)))
             rows.append(row)
-            worst = max(worst, t)
+            worst = float(np.maximum(worst, t))
         return {"rows": rows, "max_tstat": worst}
 
 
@@ -283,7 +292,7 @@ class MomentFold:
             vals = np.exp(z1 * lx + z2 * ls) * np.exp(-self.model.kappa(t, z1, z2))
             row, worst = _stat_row(z1, z2, (("re", vals.real, 1.0), ("im", vals.imag, 0.0)))
             self.rows.append(row)
-            self.worst = max(self.worst, worst)
+            self.worst = float(np.maximum(self.worst, worst))
 
     def finish(self) -> dict:
         return {"rows": self.rows, "max_tstat": self.worst}
@@ -327,50 +336,6 @@ class HedgeRunResult:
         )
 
 
-def _surface_on_paths(dec, t, xcol, scol, grid_points):
-    """Value/hedge at one rebalance time for all paths.
-
-    Lines are separable, so each is tabulated on a 1-d grid in its
-    varying log coordinate and interpolated; atoms are exact.  The
-    claim is real, so the real parts of its terms add up to it.
-    """
-    model = dec.model
-    y = np.zeros(xcol.size)
-    z = np.zeros(xcol.size)
-    logx = np.log(xcol)
-    logs = np.log(scol)
-    for a in dec.measure.atoms:
-        lam = complex(np.asarray(model.lambda_coeff(t, a.z1, a.z2)).ravel()[0])
-        gam = complex(np.asarray(model.segment_at(t).gamma(a.z1, a.z2)).ravel()[0])
-        z1, z2 = complex(a.z1), complex(a.z2)
-        # real exponents, as in the unit atoms of calls, skip the complex exp
-        power = np.exp(z1.real * logx + z2.real * logs)
-        if z1.imag or z2.imag:
-            power = power * np.exp(1j * (z1.imag * logx + z2.imag * logs))
-        y += (a.weight * lam * power).real
-        z += (a.weight * lam * gam * power).real / scol
-    for idx, ln in enumerate(dec.measure.lines):
-        f = float(np.real(ln.fixed_exponent))
-        logv = logx if ln.axis == 1 else logs
-        lo, hi = float(logv.min()), float(logv.max())
-        # all paths at one price (the first step) give a one-point grid
-        glx = np.linspace(lo, hi, grid_points if hi - lo >= 1e-12 else 1)
-        gy, gz = dec._line_grid(idx, t, glx)
-        # linear interpolation by index on the uniform grid (one point: constant)
-        pos = (logv - lo) * ((glx.size - 1) / max(hi - lo, 1e-300))
-        j = np.minimum(pos.astype(np.intp), max(glx.size - 2, 0))
-        frac = pos - j
-        j1 = np.minimum(j + 1, glx.size - 1)
-        yv, zv = (tab[j] + frac * (tab[j1] - tab[j]) for tab in (np.real(gy), np.real(gz)))
-        if ln.axis == 1:
-            y += yv * scol**f
-            z += zv * scol ** (f - 1.0)
-        else:
-            y += yv * xcol**f
-            z += zv * xcol**f / scol
-    return y, z
-
-
 class HedgeFold:
     """The fold behind `hedge_run`: the replay, one rebalance time per step."""
 
@@ -407,7 +372,7 @@ class HedgeFold:
             y = self.payoff = np.asarray(dec.measure.payoff(x, s), dtype=float)
             z = None
         else:
-            y, z = _surface_on_paths(dec, t, x, s, self.grid_points)
+            y, z = dec._path_slice(t, x, s, self.grid_points)
         if i > 0:
             d_o = y - self.y_prev - self.z_prev * ds
             d_m = ds - comp
@@ -523,7 +488,8 @@ class BaselineFold:
             c = r - r.mean()
             m2 = float(np.mean(c * c))
             m4 = float(np.mean(c**4))
-            return float(r.var(ddof=1)), math.sqrt(max(m4 - m2 * m2, 0.0) / r.size)
+            var = float(r.var(ddof=1)) if r.size > 1 else math.nan
+            return var, math.sqrt(max(m4 - m2 * m2, 0.0) / r.size)
 
         v_fs, se_fs = var_with_se(run.residuals)
         v_none, se_none = var_with_se(self.payoff - h0)

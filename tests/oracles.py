@@ -5,8 +5,9 @@ tools, sharing no code paths with the package internals it checks:
 lognormal pricing via the normal CDF, ODE integration by explicit RK4,
 cumulants by fresh Monte Carlo with a different RNG family, contour
 tails by brute-force adaptive quadrature, a small-time check of the
-jump generator, and the block-by-block path simulation that the step
-stream must reproduce.
+jump generator, the generator of the log pair applied to a value
+surface by finite differences and Gauss-Hermite quadrature, and the
+block-by-block path simulation that the step stream must reproduce.
 """
 
 from __future__ import annotations
@@ -65,6 +66,53 @@ def rk4_backward(rate, t0: float, t1: float, n: int) -> complex:
         f = f + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t -= h
     return f
+
+
+# probabilists' Gauss-Hermite rule: E f(N(0, 1)) = sum(w f(x)) / sqrt(2 pi)
+_GHE_X, _GHE_W = np.polynomial.hermite_e.hermegauss(20)
+
+
+def generator_fd(dec, t: float, x: float, s: float, h: float = 2.5e-4) -> float:
+    """L y at (t, x, s), from the value surface y = dec.value alone.
+
+    L is the generator of the log pair Z = (ln X, ln S) in the model
+    segment in force at t, with drift b, diffusion covariance C and
+    N(m, D) co-jumps at intensity lam, acting on g(z) = y(t, exp(z)):
+
+        L g = b . grad g + tr(C hess g) / 2 + lam (E g(z + J) - g(z)).
+
+    Derivatives are central differences of step h in (ln x, ln s) on a
+    3x3 stencil; the jump expectation is a 20x20 probabilists'
+    Gauss-Hermite rule through a Cholesky factor of D (which must be
+    positive definite when lam > 0).  All points go to one vectorised
+    `value` call, so they share one quadrature level and its error
+    stays smooth across the stencil.
+    """
+    seg = dec.model.segment_at(t)
+    lx, ls = np.log(x), np.log(s)
+    steps = np.array([-h, 0.0, h])
+    d1, d2 = (a.ravel() for a in np.meshgrid(steps, steps, indexing="ij"))
+    z1, z2 = [lx + d1], [ls + d2]
+    lam = seg.jump_intensity
+    if lam > 0:
+        g1, g2 = (a.ravel() for a in np.meshgrid(_GHE_X, _GHE_X, indexing="ij"))
+        weights = np.outer(_GHE_W, _GHE_W).ravel() / (2.0 * np.pi)
+        chol = np.linalg.cholesky(seg.jump_cov)
+        z1.append(lx + seg.jump_mean[0] + chol[0, 0] * g1)
+        z2.append(ls + seg.jump_mean[1] + chol[1, 0] * g1 + chol[1, 1] * g2)
+    vals = np.asarray(dec.value(t, np.exp(np.concatenate(z1)), np.exp(np.concatenate(z2))))
+    g = vals[:9].reshape(3, 3)
+    y0 = g[1, 1]
+    gx = (g[2, 1] - g[0, 1]) / (2.0 * h)
+    gs = (g[1, 2] - g[1, 0]) / (2.0 * h)
+    gxx = (g[2, 1] - 2.0 * y0 + g[0, 1]) / h**2
+    gss = (g[1, 2] - 2.0 * y0 + g[1, 0]) / h**2
+    gxs = (g[2, 2] - g[2, 0] - g[0, 2] + g[0, 0]) / (4.0 * h**2)
+    b, c = seg.drift, seg.covariance
+    out = b[0] * gx + b[1] * gs + 0.5 * (c[0, 0] * gxx + c[1, 1] * gss) + c[0, 1] * gxs
+    if lam > 0:
+        out += lam * (float(np.sum(weights * vals[9:])) - y0)
+    return float(out)
 
 
 def block_major_paths(model, n_paths: int, n_steps: int, seed: int):

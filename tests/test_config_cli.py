@@ -480,6 +480,24 @@ def test_cli_check_failure_exits_4_with_report(tmp_path, capsys):
     assert (out / "checks.log").read_text() == "orthogonality: FAIL\n"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_check_with_one_path_fails_closed(tmp_path, capsys):
+    # one path has no standard error: its t-statistics are NaN, and NaN fails
+    cfg = json.loads(SHIPPED_CHECK.read_text())
+    cfg["validation"].update(n_paths=1, n_steps=5)
+    path = _write(tmp_path, cfg)
+    out = tmp_path / "art"
+    assert main(["check", "--config", path, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("check failure:") and err.count("\n") == 1
+    payload = json.loads((out / "sim_report.json").read_text())
+    assert {"martingale", "moments"} <= set(payload["failed"])
+    for name in ("martingale", "moments"):
+        result = payload["results"][name]
+        assert result["passed"] is False and result["max_tstat"] == "nan"
+        assert all(row["tstat_re"] == "nan" for row in result["rows"])
+
+
 def test_cli_compare_agrees_on_basis_call(tmp_path, capsys):
     cfg = _with(
         BASE,
@@ -694,10 +712,10 @@ def test_cli_exit_3_on_non_finite_fourier_result(tmp_path, capsys, monkeypatch, 
 
     def nan_inside(self, rates, ti):
         # NaN at every quadrature node; the tail plan reads only the last node
-        lam, gam, psi = propagate(self, rates, ti)
+        lam, gam = propagate(self, rates, ti)
         lam = lam.copy()
         lam[:-1] = np.nan
-        return lam, gam, psi
+        return lam, gam
 
     monkeypatch.setattr(engine.HedgeDecomposition, "_propagate", nan_inside)
     out = tmp_path / "never"

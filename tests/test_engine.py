@@ -140,12 +140,13 @@ def test_hedge_surface_matches_pointwise(bs_call_x):
 
 @pytest.mark.parametrize("point", [(0.37, 104.0, 91.0), (0.7, 95.0, 112.0)])
 def test_value_surface_solves_pricing_equation(merton_call_x, point):
-    # d/dt y + (generator y) - psi(0,1) * s * hedge = 0
+    # d/dt y + (generator y) - psi(0,1) * s * hedge = 0, with the generator
+    # applied to the value surface by an independent oracle
     t, x, s = point
     dec = merton_call_x
     h = 1e-4
     dy_dt = (dec.value(t + h, x, s) - dec.value(t - h, x, s)) / (2.0 * h)
-    gen = dec.apply_generator(t, x, s)
+    gen = oracles.generator_fd(dec, t, x, s)
     mu = dec.model.traded_growth_rate
     resid = dy_dt + gen - mu * s * dec.hedge(t, x, s)
     assert abs(resid) <= 2e-5 * max(1.0, abs(gen))
@@ -296,7 +297,7 @@ def test_initial_capital_between_convexity_bounds(strike, corr, vol_x):
     assert max(fwd - strike, 0.0) - 1e-7 <= dec.h0 <= fwd + 1e-7
 
 
-# -- uniform-grid line evaluation (Monte Carlo replay) ----------------------------
+# -- path slices on uniform line grids (Monte Carlo replay) -----------------------
 
 
 def _two_seasons():
@@ -312,22 +313,24 @@ def _two_seasons():
     return PiecewiseAdditiveModel([(0.5, calm), (0.5, stressed)])
 
 
-def _grid_error(dec, t, glx):
-    """Uniform-grid line values against exact evaluation, scaled as in
-    hedge_run's self-check.  The measure is one line with a zero fixed
-    exponent, so value_and_hedge returns the raw line values (the hedge
-    divided by s)."""
-    gy, gz = dec._line_grid(0, t, glx)
-    pick = np.arange(0, glx.size, 16)
-    v = np.exp(glx[pick])
+def _slice_prices(dec, glx):
+    """(x, s) at the prices exp(glx) of the claim line's varying coordinate."""
+    v = np.exp(glx)
     other = np.full(v.shape, 100.0)
-    axis = dec.measure.lines[0].axis
-    x, s = (v, other) if axis == 1 else (other, v)
-    y, z = dec.value_and_hedge(t, x, s)
+    return (v, other) if dec.measure.lines[0].axis == 1 else (other, v)
+
+
+def _grid_error(dec, t, glx):
+    """Path-slice values at the prices exp(glx), which span its line grid,
+    against exact evaluation, scaled as in hedge_run's self-check."""
+    x, s = _slice_prices(dec, glx)
+    gy, gz = dec._path_slice(t, x, s, glx.size)
+    pick = np.arange(0, glx.size, 16)
+    y, z = dec.value_and_hedge(t, x[pick], s[pick])
     sc_y = max(1.0, float(np.max(np.abs(y))))
     return max(
         float(np.max(np.abs(gy[pick] - y))) / sc_y,
-        float(np.max(np.abs(gz[pick] / s - z))),
+        float(np.max(np.abs(gz[pick] - z))),
     )
 
 
@@ -369,7 +372,8 @@ def test_line_grid_reports_its_tail_mode(merton_model):
     # the doubled truncation near maturity shows in the report as "extended"
     dec = decompose(merton_model, call_claim(100.0, axis=1))
     assert dec.quadrature_report()["lines"][0]["tail_mode"] == "skipped-negligible"
-    dec._line_grid(0, 0.99 * merton_model.horizon, np.linspace(np.log(50.0), np.log(200.0), 512))
+    glx = np.linspace(np.log(50.0), np.log(200.0), 512)
+    dec._path_slice(0.99 * merton_model.horizon, *_slice_prices(dec, glx), glx.size)
     line = dec.quadrature_report()["lines"][0]
     assert (line["umult"], line["tail_mode"]) == (2, "extended")
 
@@ -377,9 +381,10 @@ def test_line_grid_reports_its_tail_mode(merton_model):
 def test_line_grid_single_point(merton_model):
     # at the first replay step every path sits at spot
     dec = decompose(merton_model, call_measure(100.0, axis=1))
-    glx = np.array([np.log(100.0)])
-    gy, gz = dec._line_grid(0, 0.0, glx)
-    assert gy.shape == gz.shape == (1,)
+    glx = np.full(3, np.log(100.0))
+    gy, gz = dec._path_slice(0.0, *_slice_prices(dec, glx), 4096)
+    assert gy.shape == gz.shape == (3,)
+    assert gy[0] == gy[1] == gy[2] and gz[0] == gz[1] == gz[2]
     assert _grid_error(dec, 0.0, glx) <= 1e-8
 
 
@@ -387,7 +392,7 @@ def test_line_grid_rejects_terminal_time(bs_model):
     dec = decompose(bs_model, call_measure(100.0, axis=1))
     glx = np.linspace(np.log(60.0), np.log(160.0), 33)
     with pytest.raises(DomainError, match="terminal time"):
-        dec._line_grid(0, bs_model.horizon, glx)
+        dec._path_slice(bs_model.horizon, *_slice_prices(dec, glx), glx.size)
 
 
 def test_line_grid_node_count_is_capped(bs_model):
@@ -448,7 +453,8 @@ def test_warm_rates_are_bit_identical_to_a_fresh_model(build):
     warm = build()
     # near maturity the Merton lines run over a doubled truncation
     times, xs, ss = [0.0, 0.3, 0.99, 1.0], np.linspace(70.0, 140.0, 9), [85.0, 100.0, 120.0]
-    glx = np.linspace(np.log(60.0), np.log(160.0), 65)
+    # the slice prices run over the grid in both coordinates
+    v = np.exp(np.linspace(np.log(60.0), np.log(160.0), 65))
     # lines that differ from the first claim's in one field of the shape each
     line = call_measure(100.0, axis=1).lines[0]
     variants = [replace(line, fixed_exponent=1.0), replace(line, truncation=120.0),
@@ -458,7 +464,7 @@ def test_warm_rates_are_bit_identical_to_a_fresh_model(build):
 
     def outputs(dec):
         return [np.array(dec.h0), *dec.value_and_hedge(0.4, xs, 100.0),
-                *dec.hedge_surface(times, xs, ss), *dec._line_grid(0, 0.5, glx)]
+                *dec.hedge_surface(times, xs, ss), *dec._path_slice(0.5, v, v, v.size)]
 
     for claim in claims:
         outputs(decompose(warm, claim))
@@ -489,10 +495,10 @@ def test_non_finite_fourier_result_is_rejected(bs_model, monkeypatch):
 
     def nan_inside(self, rates, ti):
         # NaN at every quadrature node; the tail plan reads only the last node
-        lam, gam, psi = propagate(self, rates, ti)
+        lam, gam = propagate(self, rates, ti)
         lam = lam.copy()
         lam[:-1] = np.nan
-        return lam, gam, psi
+        return lam, gam
 
     monkeypatch.setattr(HedgeDecomposition, "_propagate", nan_inside)
     with pytest.raises(ConvergenceError, match="initial capital is not finite"):

@@ -19,6 +19,8 @@ from basishedge.simulation import (
     MomentFold,
     PathStream,
     TradeoffFold,
+    _mean_stderr_t,
+    _stat_row,
     baseline_comparison,
     hedge_run,
     martingale_test,
@@ -367,6 +369,25 @@ def test_non_finite_self_check_is_caught(bs_model, bs_call_x, monkeypatch, nan_p
     ens = simulate(bs_model, 500, 10, seed=8)
     with pytest.raises(MismatchError, match="deviates from exact evaluation by nan"):
         hedge_run(bs_call_x, ens)
+
+
+@pytest.mark.parametrize(
+    "vals, target, want",
+    [
+        ([2.0, 2.0, 2.0], 2.0, 0.0),
+        ([2.0, 2.0, 2.0], 1.0, math.inf),
+        ([2.0, 2.0, 2.0], 3.0, -math.inf),
+        ([2.0], 0.0, math.nan),
+        ([1.0, math.nan], 0.0, math.nan),
+    ],
+    ids=["zero-stderr-on-target", "zero-stderr-above", "zero-stderr-below", "one-sample", "nan"],
+)
+def test_t_statistic_fails_closed(vals, target, want):
+    _, _, t = _mean_stderr_t(np.array(vals), target)
+    assert t == want or (math.isnan(t) and math.isnan(want))
+    # the largest |t| of a report row carries a NaN through
+    _, worst = _stat_row(0.0, 1.0, (("re", np.zeros(2), 0.0), ("im", np.array(vals), target)))
+    assert worst == abs(want) or (math.isnan(worst) and math.isnan(want))
 
 
 # -- baselines and tradeoff -------------------------------------------------------
