@@ -177,7 +177,7 @@ def _cmd_simulate(cfg, args) -> dict:
         "residual_mean": run.residual_mean,
         "residual_stderr": run.residual_stderr,
         "residual_tstat": run.residual_tstat,
-        "residual_variance": float(run.residuals.var(ddof=1)),
+        "residual_variance": run.residual_variance,
         "orthogonality_corr": run.orthogonality_corr,
         "self_check_error": run.self_check_error,
     }

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import exp1
 
 from .errors import ConvergenceError, DomainError
 
@@ -100,6 +99,10 @@ class RationalKernelTail:
 
 def _oscillatory_pole_tail(a: float, w, truncation: float):
     """integral_{U}^{inf} exp(i*u*w) / (a + i*u) du for real a, w != 0."""
+    # scipy.special takes a third of a second to import; only values and
+    # hedges at maturity reach this tail, so the import waits for the first
+    from scipy.special import exp1
+
     zeta = -1j * w * (truncation - 1j * a)
     return -1j * np.exp(-a * w) * exp1(zeta)
 

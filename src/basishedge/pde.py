@@ -204,12 +204,13 @@ class PDESolution:
     z: np.ndarray
     cfl_number: float
     steps: int
+    spot: tuple[float, float]
     h0: float = field(init=False)
 
     def __post_init__(self):
-        x0 = self.x[(len(self.x) - 1) // 2]
-        s0 = self.s[(len(self.s) - 1) // 2]
-        self.h0 = float(self.value_at(0.0, x0, s0))
+        # the spot is the centre node of an odd grid and lies between
+        # two nodes of an even one
+        self.h0 = float(self.value_at(0.0, *self.spot))
 
     def _interp(self, cube, t, x, s):
         t = np.asarray(t, dtype=float)
@@ -403,6 +404,7 @@ def solve(spec: DiffusionSpec, measure, grid: GridConfig = GridConfig()) -> PDES
         z=z_snap,
         cfl_number=cfl_seen,
         steps=steps,
+        spot=(x0, s0),
     )
 
 

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import AssumptionError, DomainError, MismatchError
 
@@ -188,12 +187,17 @@ def _fold_alone(source, fold, *args):
     return fold.finish(*args)
 
 
+def _sample_var(vals) -> float:
+    """Sample variance (ddof 1); NaN, without a warning, for one sample."""
+    return float(vals.var(ddof=1)) if vals.size > 1 else math.nan
+
+
 def _mean_stderr_t(vals, target: float = 0.0):
     """Sample mean, its standard error and the t-statistic of mean - target,
     which fails closed: NaN without a finite standard error (one sample has
     none), infinite for a zero standard error and a mean off target."""
     mean = float(vals.mean())
-    serr = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else math.nan
+    serr = math.sqrt(_sample_var(vals)) / math.sqrt(vals.size)
     if not math.isfinite(serr):
         t = math.nan
     elif serr > 0:
@@ -248,11 +252,20 @@ class MartingaleFold:
         self.v_prev = [None] * len(self.zs)
 
     def step(self, i, t, x, s):
-        # the log-prices of a step serve every exponent
-        lx = np.log(x / self.x0)
-        ls = np.log(s / self.s0)
+        # the log-prices of a step serve every exponent; a zero exponent's
+        # term is skipped, and a log-price that no exponent needs is not taken
+        lx = np.log(x / self.x0) if any(p1 for p1, _ in self.powers) else None
+        ls = np.log(s / self.s0) if any(p2 for _, p2 in self.powers) else None
         for k, ((p1, p2), kap, lam) in enumerate(zip(self.powers, self.kap, self.lam)):
-            v = np.exp(p1 * lx + p2 * ls) * lam[i]
+            if p1 and p2:
+                e = p1 * lx + p2 * ls
+            elif p1:
+                e = p1 * lx
+            elif p2:
+                e = p2 * ls
+            else:
+                e = np.zeros(x.size)
+            v = np.exp(e) * lam[i]
             if i > 0:
                 growth = np.exp(kap[i] - kap[i - 1])
                 self.ws[k] += v - self.v_prev[k] * (growth * lam[i] / lam[i - 1])
@@ -325,6 +338,7 @@ class HedgeRunResult:
     residual_mean: float = field(init=False)
     residual_stderr: float = field(init=False)
     residual_tstat: float = field(init=False)
+    residual_variance: float = field(init=False)
     orthogonality_corr: float = 0.0
     payoff_mean: float = 0.0
     gain_mean: float = 0.0
@@ -334,6 +348,7 @@ class HedgeRunResult:
         self.residual_mean, self.residual_stderr, self.residual_tstat = _mean_stderr_t(
             self.residuals
         )
+        self.residual_variance = _sample_var(self.residuals)
 
 
 class HedgeFold:
@@ -471,6 +486,10 @@ class BaselineFold:
         if i > 0:
             self.gains += self.delta * (s - self.s_prev)
         if i < self.n_steps:
+            # scipy.special loads with the first naive delta rather than with
+            # the package, whose start-up it would double
+            from scipy.special import ndtr
+
             tau = self.T - t
             sig = math.sqrt(self.var_rate * max(tau, 1e-300))
             delta = np.zeros(s.size)
@@ -488,8 +507,7 @@ class BaselineFold:
             c = r - r.mean()
             m2 = float(np.mean(c * c))
             m4 = float(np.mean(c**4))
-            var = float(r.var(ddof=1)) if r.size > 1 else math.nan
-            return var, math.sqrt(max(m4 - m2 * m2, 0.0) / r.size)
+            return _sample_var(r), math.sqrt(max(m4 - m2 * m2, 0.0) / r.size)
 
         v_fs, se_fs = var_with_se(run.residuals)
         v_none, se_none = var_with_se(self.payoff - h0)

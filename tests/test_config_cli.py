@@ -445,6 +445,19 @@ def test_cli_simulate_traded_claim_records_zero_residual(tmp_path, capsys):
     assert payload["seed"] == 99
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_simulate_with_one_path_warns_nothing(tmp_path, capsys):
+    # one path has no sample variance: NaN, without numpy's ddof warnings
+    cfg = json.loads(SHIPPED_CHECK.read_text())
+    cfg["validation"].update(n_paths=1, n_steps=5)
+    path = _write(tmp_path, cfg)
+    out = tmp_path / "art"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+    assert "RuntimeWarning" not in capsys.readouterr().err
+    payload = json.loads((out / "sim_report.json").read_text())
+    assert payload["residual_variance"] == payload["residual_stderr"] == "nan"
+
+
 def test_cli_check_passes(tmp_path, capsys):
     cfg = _with(
         BASE,
@@ -704,6 +717,48 @@ def test_cli_check_leaves_scipy_stats_unloaded(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "naive_delta_variance" in (tmp_path / "out" / "sim_report.json").read_text()
+
+
+def test_cli_loads_scipy_special_only_where_it_is_used(tmp_path):
+    # scipy.special costs about a third of a second to import, most of the
+    # package's start-up; only the closed-form tail at maturity (exp1) and
+    # the naive delta of the baselines (ndtr) need it, and they import it
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    shipped = [str(configs / name) for name in ("hulley_mcwalter.json", "merton_validation.json")]
+    small_pde = json.loads((configs / "hulley_mcwalter.json").read_text())
+    small_pde["pde_grid"] = {"nx": 41, "ns": 41, "nt": 5}
+    at_maturity = _with(BASE, surface={
+        "times": [0.5, 1.0], "x": {"lo": 80.0, "hi": 120.0, "n": 3},
+        "s": {"lo": 90.0, "hi": 110.0, "n": 2},
+    })
+    baselines = _with(BASE, validation={**SMALL_REPLAY, "tests": ["baselines"]})
+    out = str(tmp_path / "out")
+    runs = [["price", "--config", path] for path in shipped] + [
+        ["pde", "--config", _write(tmp_path, small_pde, "pde.json")],
+    ]
+    loads = [
+        ["hedge-surface", "--config", _write(tmp_path, at_maturity, "surface.json")],
+        ["check", "--config", _write(tmp_path, baselines, "check.json")],
+    ]
+    code = (
+        "import sys, basishedge, basishedge.cli\n"
+        "from basishedge.cli import main\n"
+        "assert 'scipy.special' not in sys.modules, 'import'\n"
+        f"for argv in {runs!r}:\n"
+        f"    assert main(argv + ['--out', {out!r}]) == 0, argv\n"
+        "    assert 'scipy.special' not in sys.modules, argv\n"
+        f"for argv in {loads!r}:\n"
+        f"    assert main(argv + ['--out', {out!r}]) == 0, argv\n"
+        "assert 'scipy.special' in sys.modules\n"
+    )
+    src = str(Path(basishedge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / "out" / "sim_report.json").read_text())
+    assert report["results"]["baselines"]["naive_delta_variance"] > 0
 
 
 @pytest.mark.parametrize("command", ["price", "hedge-surface"])

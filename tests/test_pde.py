@@ -119,6 +119,16 @@ def test_pde_matches_fourier_route(bs_solution, bs_call_x, bs_model):
             assert abs(h - hw) <= 3e-2 * max(0.05, abs(hw))
 
 
+@pytest.mark.parametrize("n", [100, 200])
+def test_even_grid_reads_h0_at_the_spot(bs_spec, bs_call_x, n):
+    # an even grid has no node at the spot; the centre node lies half a
+    # cell below it, and read there h0 missed by 8% (100) and 4% (200)
+    sol = solve(bs_spec, call_claim(100.0, axis=1), GridConfig(nx=n, ns=n, nt=2))
+    assert sol.h0 == sol.value_at(0.0, 100.0, 100.0)
+    # within the default compare.h0_limit
+    assert abs(sol.h0 - bs_call_x.h0) <= 1e-2 * abs(bs_call_x.h0)
+
+
 def test_interpolation_reproduces_grid_nodes(bs_solution):
     sol = bs_solution
     for it, ix, is_ in [(0, 60, 60), (5, 30, 81), (10, 97, 12)]:

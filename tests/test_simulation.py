@@ -266,6 +266,35 @@ def test_martingale_real_exponents_match_complex_arithmetic(merton_model, merton
             assert row[key] == 0.0 and math.copysign(1.0, row[key]) == 1.0
 
 
+class _AllTermsMartingaleFold(MartingaleFold):
+    """The martingale fold with every exponent's term, zero or not."""
+
+    def step(self, i, t, x, s):
+        lx = np.log(x / self.x0)
+        ls = np.log(s / self.s0)
+        for k, ((p1, p2), kap, lam) in enumerate(zip(self.powers, self.kap, self.lam)):
+            v = np.exp(p1 * lx + p2 * ls) * lam[i]
+            if i > 0:
+                growth = np.exp(kap[i] - kap[i - 1])
+                self.ws[k] += v - self.v_prev[k] * (growth * lam[i] / lam[i - 1])
+            self.v_prev[k] = v
+
+
+@pytest.mark.parametrize("exponents", [
+    # acceptance 06's: no exponent needs the traded log-price
+    [(0.5 + u * 1j, 0.0) for u in (0.0, 1.0, 2.5, 5.0, 10.0)],
+    [(0.0, 0.5 - 2.0j), (0.5 + 1.5j, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0), (0.5, 0.5)],
+])
+def test_martingale_fold_skips_zero_exponent_terms_exactly(merton_model, merton_ens, exponents):
+    # a zero exponent's term is an exact zero: skipping it moves no bit
+    skip = MartingaleFold(merton_model, merton_ens, exponents)
+    full = _AllTermsMartingaleFold(merton_model, merton_ens, exponents)
+    run_folds(merton_ens, skip, full)
+    for a, b in zip(skip.ws, full.ws):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert json.dumps(skip.finish(), default=str) == json.dumps(full.finish(), default=str)
+
+
 def test_piecewise_step_straddles_boundary(bs_model, merton_model):
     # 3 uniform steps put the 0.4 segment boundary strictly inside a step
     pw = PiecewiseAdditiveModel([(0.4, bs_model), (0.6, merton_model)])
