@@ -100,43 +100,30 @@ class HedgeDecomposition:
         self._real = measure.is_real_claim()
         self._im_residual = 0.0
         self.assumptions = self._check_assumptions()
-        x0, s0 = float(model.spot[0]), float(model.spot[1])
-        h0 = complex(np.asarray(self._flat(np.array([0.0]), np.array([x0]), np.array([s0]), "y")[0]).ravel()[0])
-        if not (np.isfinite(h0.real) and np.isfinite(h0.imag)):
-            raise ConvergenceError(f"the contour quadrature of the initial capital is not finite: {h0!r}")
-        if self._real:
-            scale = max(1.0, abs(h0.real))
-            if abs(h0.imag) > _IM_ABORT * scale:
-                raise ConvergenceError(
-                    "conjugate-symmetry residual of the initial capital "
-                    f"exceeds {_IM_ABORT:g} relative: {h0!r}",
-                    residual=abs(h0.imag) / scale,
-                )
-            self._im_residual = abs(h0.imag) / scale
-            self.h0 = float(h0.real)
-        else:
-            self.h0 = h0
+        # h0 is value(0, spot), called below the public methods so that a
+        # tracer wrapping them counts only the caller's own evaluations
+        self.h0 = self._broadcast(0.0, *model.spot, False)[0]
 
     # -- public surface -------------------------------------------------------
 
     def value(self, t, x, s):
         """Hedging value y(t, x, s); y(T, .) reproduces the payoff."""
-        return self._broadcast(t, x, s, "y")[0]
+        return self._broadcast(t, x, s, False)[0]
 
     def hedge(self, t, x, s):
-        """Hedge ratio z(t, x, s) in units of the traded asset."""
-        return self._broadcast(t, x, s, "z")[1]
+        """Hedge ratio z(t, x, s) in units of the traded asset, from the joint pass."""
+        return self._broadcast(t, x, s, True)[1]
 
     def value_and_hedge(self, t, x, s):
         """Both surfaces from one pass over shared quadrature nodes."""
-        return self._broadcast(t, x, s, "both")
+        return self._broadcast(t, x, s, True)
 
     def hedge_surface(self, times, xs, ss):
         """Dense (t, x, s) grids -> value/hedge arrays (nt, nx, ns)."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         ss = np.atleast_1d(np.asarray(ss, dtype=float))
-        return self._broadcast(*np.meshgrid(times, xs, ss, indexing="ij"), "both")
+        return self._broadcast(*np.meshgrid(times, xs, ss, indexing="ij"), True)
 
     def quadrature_report(self) -> dict:
         return {
@@ -193,19 +180,19 @@ class HedgeDecomposition:
 
     # -- internals ------------------------------------------------------------
 
-    def _broadcast(self, t, x, s, which):
+    def _broadcast(self, t, x, s, need_z):
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
         s = np.asarray(s, dtype=float)
-        if np.any(x <= 0) or np.any(s <= 0):
+        if (x <= 0).any() or (s <= 0).any():
             raise DomainError("prices must be strictly positive")
-        if np.any(t < -1e-12) or np.any(t > self.model.horizon * (1 + 1e-12)):
+        if (t < -1e-12).any() or (t > self.model.horizon * (1 + 1e-12)).any():
             raise DomainError(f"time must lie in [0, {self.model.horizon}]")
         tb, xb, sb = np.broadcast_arrays(t, x, s)
         scalar = tb.ndim == 0
         shape = tb.shape
         y, z = self._flat(
-            np.atleast_1d(tb).ravel(), np.atleast_1d(xb).ravel(), np.atleast_1d(sb).ravel(), which
+            np.atleast_1d(tb).ravel(), np.atleast_1d(xb).ravel(), np.atleast_1d(sb).ravel(), need_z
         )
         out = []
         for arr in (y, z):
@@ -216,8 +203,8 @@ class HedgeDecomposition:
             if bad:
                 raise ConvergenceError(f"the contour quadrature is not finite at {bad} of {arr.size} points")
             if self._real:
-                im = float(np.max(np.abs(arr.imag))) if arr.size else 0.0
-                sc = max(1.0, float(np.max(np.abs(arr.real))) if arr.size else 0.0)
+                im = float(np.abs(arr.imag).max()) if arr.size else 0.0
+                sc = max(1.0, float(np.abs(arr.real).max()) if arr.size else 0.0)
                 if im > _IM_ABORT * sc:
                     raise ConvergenceError(
                         f"conjugate-symmetry residual {im / sc:.2e} exceeds {_IM_ABORT:g}",
@@ -229,51 +216,38 @@ class HedgeDecomposition:
             out.append(arr[()].item() if scalar else arr)
         return tuple(out)
 
-    def _flat(self, t, x, s, which):
-        n = t.size
-        need_y = which in ("y", "both")
-        need_z = which in ("z", "both")
-        y = np.zeros(n, dtype=complex) if need_y else None
-        z = np.zeros(n, dtype=complex) if need_z else None
+    def _flat(self, t, x, s, need_z):
+        y = np.zeros(t.size, dtype=complex)
+        z = np.zeros(t.size, dtype=complex) if need_z else None
         logx, logs = np.log(x), np.log(s)
-
+        # one grouping by time: atoms take gamma of the segment in force at
+        # each time, and lines are evaluated one time at a time
+        times, at = np.unique(t, return_inverse=True)
         if need_z:
-            # atoms take gamma of the segment in force at each time
-            times, at = np.unique(t, return_inverse=True)
             segs = [self.model.segment_at(ti) for ti in times]
         for a in self.measure.atoms:
             lam = self.model.lambda_coeff(t, a.z1, a.z2)
             base = a.weight * np.exp(a.z1 * logx + a.z2 * logs) * lam
-            if need_y:
-                y += base
+            y += base
             if need_z:
                 z += base * np.array([complex(seg.gamma(a.z1, a.z2)) for seg in segs])[at] / s
 
         if self.measure.lines:
-            order = np.argsort(t, kind="stable")
-            ts = t[order]
-            boundaries = np.flatnonzero(np.diff(ts)) + 1
-            for rows in np.split(order, boundaries):
-                ti = float(t[rows[0]])
+            groups = np.split(np.argsort(at, kind="stable"), np.cumsum(np.bincount(at))[:-1])
+            for ti, rows in zip(times, groups):
                 for idx, ln in enumerate(self.measure.lines):
                     # a line depends on its varying coordinate only: evaluate
                     # each distinct value once, then scale per point
                     v, other = (x, s) if ln.axis == 1 else (s, x)
                     fixed = np.exp(complex(ln.fixed_exponent) * np.log(other[rows]))
                     uv, inv = np.unique(v[rows], return_inverse=True)
-                    ly = np.empty(uv.size, dtype=complex)
-                    lz = np.empty(uv.size, dtype=complex)
-                    for start in range(0, uv.size, _CHUNK):
-                        part = slice(start, start + _CHUNK)
-                        cy, cz = self._line_group(idx, ti, uv[part], fixed, which)
-                        if need_y:
-                            ly[part] = cy
-                        if need_z:
-                            lz[part] = cz
-                    if need_y:
-                        y[rows] += fixed * ly[inv]
+                    chunks = [
+                        self._line_group(idx, float(ti), uv[i:i + _CHUNK], fixed, need_z)
+                        for i in range(0, uv.size, _CHUNK)
+                    ]
+                    y[rows] += fixed * np.concatenate([cy for cy, _ in chunks])[inv]
                     if need_z:
-                        z[rows] += fixed * lz[inv] / s[rows]
+                        z[rows] += fixed * np.concatenate([cz for _, cz in chunks])[inv] / s[rows]
         return y, z
 
     def _nodes(self, idx: int, level: int, umult: int, uniform: int = 0) -> _LineNodes:
@@ -311,22 +285,20 @@ class HedgeDecomposition:
         log_lam = m._integral(ti, m.horizon, lambda w, seg: w * rates[seg][1])
         return np.exp(log_lam), rates[m.segment_at(ti)][0]
 
-    def _line_group(self, idx, ti, v, fixed, which):
-        """Raw line values (y, z) at the varying coordinates v at time ti.
+    def _line_group(self, idx, ti, v, fixed, need_z):
+        """Raw line values (y, z) at the varying coordinates v at time ti;
+        z is None unless need_z.
 
         Values exclude the fixed-coordinate factor and the 1/s hedging
         division; `fixed` holds the factors of the points sharing them,
         which the truncation plan has to cover.
         """
         ln = self.measure.lines[idx]
-        need_y = which in ("y", "both")
-        need_z = which in ("z", "both")
-        umult, tail_mode = self._plan(idx, ti, v, fixed, which)
+        umult, tail_mode = self._plan(idx, ti, v, fixed, need_z)
 
         tail_y = tail_z = 0.0
         if tail_mode == "terminal" and ln.tail is not None:
-            if need_y:
-                tail_y = line_tail(ln, v)
+            tail_y = line_tail(ln, v)
             if need_z:
                 last = self.model.segment_at(self.model.horizon)
                 aff = last.gamma_affine(ln.axis, ln.fixed_exponent)
@@ -337,7 +309,7 @@ class HedgeDecomposition:
             nd = self._nodes(idx, level, umult)
             lam, gam = self._propagate(nd.rates, ti)
             coef = nd.w * nd.dens * lam
-            return nd.u, (coef if need_y else None, coef * gam if need_z else None)
+            return nd.u, (coef, coef * gam if need_z else None)
 
         y, z, level = refine_line(
             ln, np.log(v), coefficients, (tail_y, tail_z), self.settings, umult
@@ -372,7 +344,7 @@ class HedgeDecomposition:
             lo, hi = float(logv.min()), float(logv.max())
             # all paths at one price (the first step) give a one-point grid
             glx = np.linspace(lo, hi, grid_points if hi - lo >= 1e-12 else 1)
-            umult, tail_mode = self._plan(idx, t, np.exp(glx), np.ones(1), "both")
+            umult, tail_mode = self._plan(idx, t, np.exp(glx), np.ones(1), True)
             if tail_mode == "terminal":
                 raise DomainError("the grid shortcut does not cover the terminal time")
             nd = self._nodes(idx, 0, umult, uniform=self._uniform_count(idx, umult, glx))
@@ -425,16 +397,16 @@ class HedgeDecomposition:
             )
         return n
 
-    def _plan(self, idx, ti, v, fixed, which) -> tuple[int, str]:
+    def _plan(self, idx, ti, v, fixed, need_z) -> tuple[int, str]:
         """(umult, tail_mode) of a line at time ti, recorded in its stats."""
-        umult, tail_mode, bound = self._tail_plan(idx, ti, v, fixed, which)
+        umult, tail_mode, bound = self._tail_plan(idx, ti, v, fixed, need_z)
         stats = self._line_stats[idx]
         stats["umult"] = max(stats["umult"], umult)
         stats["tail_bound"] = max(stats["tail_bound"], bound)
         stats["tail_mode"] = tail_mode
         return umult, tail_mode
 
-    def _tail_plan(self, idx, ti, v, fixed, which) -> tuple[int, str, float]:
+    def _tail_plan(self, idx, ti, v, fixed, need_z) -> tuple[int, str, float]:
         ln = self.measure.lines[idx]
         horizon = self.model.horizon
         if (horizon - ti) <= _TERMINAL_FRACTION * horizon:
@@ -457,7 +429,7 @@ class HedgeDecomposition:
             # the one-interval trapezoid line ends at the cutoff truncation * umult
             edge = line_nodes(ln, 0, umult, 1)[0]
             lam, gam = self._propagate(self._rates(ln, edge, 0, umult, 1), ti)
-            growth = max(1.0, abs(gam[-1])) if which in ("z", "both") else 1.0
+            growth = max(1.0, abs(gam[-1])) if need_z else 1.0
             bound = float(2.0 * amp * abs(lam[-1]) * growth / edge[-1])
             if bound <= floor:
                 mode = "skipped-negligible" if k_ext == 0 else "extended"

@@ -36,6 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import AssumptionError, DomainError, RegimeError
+from .simulation import _sample_var
 
 __all__ = [
     "DiffusionSpec",
@@ -458,5 +459,5 @@ def monte_carlo_representation(
             ls = ls + bh2 * dt + ssd * np.sqrt(dt) * w2
     vals = np.asarray(measure.payoff(np.exp(lx), np.exp(ls)), dtype=float)
     est = float(vals.mean())
-    serr = float(vals.std(ddof=1) / np.sqrt(n_paths))
+    serr = float(np.sqrt(_sample_var(vals)) / np.sqrt(n_paths))
     return est, serr

@@ -467,15 +467,10 @@ class BaselineFold:
         self.comps = [c for c in dec.measure.components if c[0] in ("call", "put")]
         if self.comps:
             # time-averaged log variance rate of S
-            self.var_rate = sum(
-                (b - a)
-                * (
-                    seg.covariance[1, 1]
-                    + seg.jump_intensity
-                    * (float(seg.jump_mean[1]) ** 2 + float(seg.jump_cov[1, 1]))
-                )
-                for a, b, seg in model.segments
-            ) / self.T
+            self.var_rate = model._integral(0.0, self.T, lambda w, seg: w * (
+                seg.covariance[1, 1]
+                + seg.jump_intensity * (float(seg.jump_mean[1]) ** 2 + float(seg.jump_cov[1, 1]))
+            )) / self.T
             self.gains = np.zeros(source.n_paths)
 
     def step(self, i, t, x, s):

@@ -458,6 +458,24 @@ def test_cli_simulate_with_one_path_warns_nothing(tmp_path, capsys):
     assert payload["residual_variance"] == payload["residual_stderr"] == "nan"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_compare_with_one_path_warns_nothing(tmp_path, capsys):
+    # the probabilistic column has no standard error on one path: NaN, quietly
+    cfg = _with(
+        BASE,
+        pde_grid={"nx": 21, "ns": 21, "nt": 3},
+        compare={"h0_limit": 1e-9, "surface_limit": 1e-9},
+        validation={"n_paths": 1, "seed": 2},
+    )
+    path = _write(tmp_path, cfg)
+    out = tmp_path / "art"
+    assert main(["compare", "--config", path, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("check failure:") and err.count("\n") == 1
+    payload = json.loads((out / "summary.json").read_text())
+    assert all(row["mc_stderr"] == "nan" for row in payload["table"])
+
+
 def test_cli_check_passes(tmp_path, capsys):
     cfg = _with(
         BASE,

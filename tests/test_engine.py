@@ -364,7 +364,7 @@ def test_line_grid_covers_extended_truncation(merton_model):
     dec = decompose(merton_model, call_measure(100.0, axis=1))
     glx = np.linspace(np.log(60.0), np.log(160.0), 257)
     t = 0.99 * merton_model.horizon
-    assert dec._tail_plan(0, t, np.exp(glx), np.ones(1), "both")[0] > 1
+    assert dec._tail_plan(0, t, np.exp(glx), np.ones(1), True)[0] > 1
     assert _grid_error(dec, t, glx) <= 1e-8
 
 
@@ -501,10 +501,43 @@ def test_non_finite_fourier_result_is_rejected(bs_model, monkeypatch):
         return lam, gam
 
     monkeypatch.setattr(HedgeDecomposition, "_propagate", nan_inside)
-    with pytest.raises(ConvergenceError, match="initial capital is not finite"):
+    with pytest.raises(ConvergenceError, match="not finite at 1 of 1 points"):
         decompose(bs_model, call_claim(100.0, axis=1))
     for evaluate in (dec.value, dec.hedge, dec.value_and_hedge):
         with pytest.raises(ConvergenceError, match="not finite at 1 of 1 points"):
             evaluate(0.5, 100.0, 100.0)
     with pytest.raises(ConvergenceError, match="not finite"):
         dec.hedge_surface([0.25, 0.5], [90.0, 110.0], [100.0])
+
+
+@pytest.mark.parametrize("model_name", ["bs_model", "merton_model", "seasons"])
+def test_every_evaluation_takes_one_path(request, model_name):
+    # h0 is the value surface at the spot, and hedge is the joint pass's hedge
+    model = _two_seasons() if model_name == "seasons" else request.getfixturevalue(model_name)
+    T = model.horizon
+    points = [
+        (0.0, 100.0, 100.0),
+        (0.5 * T, 90.0, 110.0),
+        (T, 110.0, 90.0),
+        (np.array([0.0, 0.3 * T, 0.7 * T, T]), np.array([80.0, 95.0, 100.0, 120.0]), 100.0),
+    ]
+    for claim in (call_claim(100.0, axis=1), put_claim(95.0, axis=2)):
+        dec = decompose(model, claim)
+        assert dec.h0 == dec.value(0.0, *model.spot)
+        for t, x, s in points:
+            y, z = dec.value_and_hedge(t, x, s)
+            assert np.all(dec.value(t, x, s) == y)
+            assert np.all(dec.hedge(t, x, s) == z)
+
+
+@pytest.mark.parametrize(
+    "claim", [call_claim(100.0, axis=1), power_claim(1.0, 0.0)], ids=["lines", "atoms-only"]
+)
+def test_empty_inputs_give_empty_outputs(bs_model, claim):
+    dec = decompose(bs_model, claim)
+    assert dec.value([], [], []).shape == (0,)
+    assert dec.hedge([], [], []).shape == (0,)
+    y, z = dec.value_and_hedge([], [], [])
+    assert y.shape == z.shape == (0,)
+    y, z = dec.hedge_surface([], [90.0], [100.0])
+    assert y.shape == z.shape == (0, 1, 1)
