@@ -35,7 +35,6 @@ from .payoffs import (
 
 __all__ = ["HedgeDecomposition", "decompose"]
 
-_CHUNK = 4096
 _TERMINAL_FRACTION = 1e-9
 _IM_ABORT = 1e-5
 # aliasing of the uniform replay grid is held to rel_tol / _ALIAS_MARGIN
@@ -241,13 +240,10 @@ class HedgeDecomposition:
                     v, other = (x, s) if ln.axis == 1 else (s, x)
                     fixed = np.exp(complex(ln.fixed_exponent) * np.log(other[rows]))
                     uv, inv = np.unique(v[rows], return_inverse=True)
-                    chunks = [
-                        self._line_group(idx, float(ti), uv[i:i + _CHUNK], fixed, need_z)
-                        for i in range(0, uv.size, _CHUNK)
-                    ]
-                    y[rows] += fixed * np.concatenate([cy for cy, _ in chunks])[inv]
+                    cy, cz = self._line_group(idx, float(ti), uv, fixed, need_z)
+                    y[rows] += fixed * cy[inv]
                     if need_z:
-                        z[rows] += fixed * np.concatenate([cz for _, cz in chunks])[inv] / s[rows]
+                        z[rows] += fixed * cz[inv] / s[rows]
         return y, z
 
     def _nodes(self, idx: int, level: int, umult: int, uniform: int = 0) -> _LineNodes:

@@ -47,6 +47,8 @@ __all__ = [
 
 _GL_POINTS = 16
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_POINTS)
+# entries of one block of a contour line's complex power matrix (32 MB)
+_BLOCK = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -248,8 +250,10 @@ def refine_line(ln: ContourLine, logv, coefficients, tails, settings: Quadrature
     """The Gauss-Legendre refinement loop of every contour-line integral.
 
     coefficients(level) returns the level's running nodes u and the node
-    weights (cy, cz) of the two integrals sum_k c_k exp((R + i u_k) logv),
-    None for one that is not wanted; tails holds what is added to each.
+    weights (cy, cz) of the two integrals sum_k c_k exp((R + i u_k) logv)
+    at the 1-d logv, None for one that is not wanted; tails holds what is
+    added to each.  The power matrix is built in row blocks of at most
+    _BLOCK entries, so memory does not grow with the number of points.
     Panels double per level until successive levels agree to
     settings.rel_tol relative.  Returns (y, z, level), without the
     fixed-coordinate factor.
@@ -260,8 +264,14 @@ def refine_line(ln: ContourLine, logv, coefficients, tails, settings: Quadrature
     level = 0
     while ln.panels * umult * (1 << level) <= budget:
         u, coefs = coefficients(level)
-        powers = np.exp(np.multiply.outer(logv, ln.abscissa + 1j * u))
-        cur = [None if c is None else powers @ c + tail for c, tail in zip(coefs, tails)]
+        cur = [None if c is None else np.empty(logv.shape, dtype=complex) for c in coefs]
+        rows = max(1, _BLOCK // u.size)
+        for i in range(0, logv.size, rows):
+            powers = np.exp(np.multiply.outer(logv[i:i + rows], ln.abscissa + 1j * u))
+            for out, c in zip(cur, coefs):
+                if c is not None:
+                    out[i:i + rows] = powers @ c
+        cur = [None if c is None else c + tail for c, tail in zip(cur, tails)]
         if ln.symmetric:
             cur = [None if c is None else 2.0 * c.real for c in cur]
         if prev is not None:
@@ -536,8 +546,6 @@ def put_claim(strike: float, abscissa: float = 1.5, axis: int = 2) -> PayoffMeas
 
 
 def combine(terms: Sequence[tuple[float, PayoffMeasure]]) -> PayoffMeasure:
-    """Weighted sum of measures."""
-    out = PayoffMeasure()
-    for w, m in terms:
-        out = out + w * m
-    return out
+    """Weighted sum of measures; it keeps a closed form when every term has one."""
+    scaled = [w * m for w, m in terms]
+    return sum(scaled[1:], scaled[0]) if scaled else PayoffMeasure()

@@ -14,10 +14,10 @@ where (bh1, bh2) is the drift after the hedging-measure adjustment
 so that the traded asset is driftless.  The hedge ratio is read off the
 solution gradient: z = (y_eta + (c12 / c22) y_xi) / s.
 
-Two coefficient regimes are supported: constant coefficients
-("black-scholes") and bounded elliptic coefficient fields given by
-callables of (t, x, s) ("bounded-elliptic").  Anything else, including
-models with jumps, is rejected with RegimeError.
+Each coefficient is a number or a bounded elliptic field given by a
+callable of (t, x, s); when all five are numbers (the correlated
+lognormal pair) the solver takes its constant fast path.  Models with
+jumps are rejected with RegimeError.
 
 The scheme is explicit Euler in time with central differences and a
 sign-adapted cross term, written as one linear update over the nine
@@ -31,7 +31,6 @@ CFL bound and boundary values are linearly extrapolated each step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -46,8 +45,8 @@ __all__ = [
     "monte_carlo_representation",
 ]
 
-_REGIMES = ("black-scholes", "bounded-elliptic")
-# ellipticity guards for the callable regime, checked on the grid
+_NAMES = ("b1", "b2", "c11", "c12", "c22")
+# ellipticity guards, checked at the spot of a constant spec and on the grid
 _MIN_EIG = 1e-10
 _MAX_EIG = 1e4
 # largest log-price whose exponential is a finite float
@@ -83,55 +82,32 @@ def _hedging_drift(b1, b2, c12, c22):
 class DiffusionSpec:
     """Diffusion pair accepted by the finite-difference solver.
 
-    regime "black-scholes": constant log-drift vector and log-covariance
-    matrix.  regime "bounded-elliptic": `coefficients` maps the names
-    b1, b2, c11, c12, c22 to callables of (t, x, s) returning
-    elementwise log-drift and log-covariance fields.
+    `coefficients` maps each of b1, b2 (log drift) and c11, c12, c22 (log
+    covariance) to a number or to a callable of (t, x, s) returning an
+    elementwise field.  A spec whose five coefficients are all numbers is
+    `constant`: its ellipticity is checked at the spot on construction,
+    `solve` marches it with scalar weights and `monte_carlo_representation`
+    samples it exactly.
     """
 
-    def __init__(
-        self,
-        *,
-        horizon: float,
-        spot,
-        regime: str = "black-scholes",
-        drift=None,
-        covariance=None,
-        coefficients: Optional[dict] = None,
-    ):
-        if regime not in _REGIMES:
-            raise RegimeError(
-                f"unsupported coefficient regime {regime!r}; expected one of {_REGIMES}"
-            )
-        self.regime = regime
+    def __init__(self, *, horizon: float, spot, coefficients: dict):
         self.horizon = float(horizon)
         if not self.horizon > 0:
             raise DomainError("horizon must be positive")
         self.spot = np.asarray(spot, dtype=float)
         if self.spot.shape != (2,) or np.any(self.spot <= 0):
             raise DomainError("spot must be two positive prices")
-        if regime == "black-scholes":
-            self.drift = np.asarray(drift, dtype=float).reshape(2)
-            cov = np.asarray(covariance, dtype=float).reshape(2, 2)
-            if not np.allclose(cov, cov.T):
-                raise DomainError("covariance must be symmetric")
-            eig = np.linalg.eigvalsh(cov)
-            if eig.min() <= 0 or cov[1, 1] <= 0:
-                raise RegimeError(
-                    "constant-coefficient regime requires a positive definite "
-                    "log-covariance; got eigenvalues " + repr(eig.tolist())
-                )
-            self.covariance = cov
-            self.coefficients = None
-        else:
-            needed = ("b1", "b2", "c11", "c12", "c22")
-            if coefficients is None or any(k not in coefficients for k in needed):
-                raise RegimeError(
-                    "bounded-elliptic regime needs callables " + ", ".join(needed)
-                )
-            self.coefficients = {k: coefficients[k] for k in needed}
-            self.drift = None
-            self.covariance = None
+        if any(k not in coefficients for k in _NAMES):
+            raise RegimeError(
+                "coefficients need a number or a callable for each of " + ", ".join(_NAMES)
+            )
+        self.coefficients = {
+            k: coefficients[k] if callable(coefficients[k]) else float(coefficients[k])
+            for k in _NAMES
+        }
+        self.constant = not any(map(callable, self.coefficients.values()))
+        if self.constant:
+            self.check_fields(0.0, *self.spot)
 
     @classmethod
     def from_additive(cls, model) -> "DiffusionSpec":
@@ -144,54 +120,36 @@ class DiffusionSpec:
                 "the finite-difference route covers diffusions only; "
                 f"this model carries jumps at rate {seg.jump_intensity:g}"
             )
+        (c11, c12), (_, c22) = seg.covariance
         return cls(
             horizon=model.horizon,
             spot=model.spot,
-            regime="black-scholes",
-            drift=seg.drift,
-            covariance=seg.covariance,
+            coefficients=dict(b1=seg.drift[0], b2=seg.drift[1], c11=c11, c12=c12, c22=c22),
         )
 
     def fields(self, t: float, x, s):
         """Coefficient arrays (b1, b2, c11, c12, c22) at time t on (x, s)."""
-        if self.regime == "black-scholes":
-            shp = np.broadcast(x, s).shape
-            b, c = self.drift, self.covariance
-            return tuple(
-                np.full(shp, v)
-                for v in (b[0], b[1], c[0, 0], c[0, 1], c[1, 1])
-            )
-        vals = tuple(
-            np.asarray(self.coefficients[k](t, x, s), dtype=float)
-            for k in ("b1", "b2", "c11", "c12", "c22")
+        shape = np.broadcast(x, s).shape
+        return tuple(
+            np.broadcast_to(np.asarray(f(t, x, s) if callable(f) else f, dtype=float), shape)
+            for f in self.coefficients.values()
         )
-        b1, b2, c11, c12, c22 = (np.broadcast_to(v, np.broadcast(x, s).shape) for v in vals)
-        return b1, b2, c11, c12, c22
 
     def check_fields(self, t: float, x, s):
         """Ellipticity and boundedness on sample points; RegimeError if violated."""
-        b1, b2, c11, c12, c22 = self.fields(t, x, s)
-        for name, arr in (("b1", b1), ("b2", b2), ("c11", c11), ("c12", c12), ("c22", c22)):
-            if not np.all(np.isfinite(arr)):
-                raise RegimeError(f"coefficient {name} is not finite on the grid")
+        vals = self.fields(t, x, s)
+        for name, arr in zip(_NAMES, vals):
+            if not np.isfinite(arr).all():
+                raise RegimeError(f"coefficient {name} is not finite at the sample points")
+        _, _, c11, c12, c22 = vals
         tr = c11 + c22
-        det = c11 * c22 - c12 * c12
-        lo = 0.5 * (tr - np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0)))
-        hi = 0.5 * (tr + np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0)))
-        if float(lo.min()) <= _MIN_EIG:
-            raise RegimeError(
-                f"coefficients lose ellipticity on the grid (min eig {float(lo.min()):.3e})"
-            )
-        if float(hi.max()) >= _MAX_EIG:
-            raise RegimeError(
-                f"coefficients exceed the boundedness guard (max eig {float(hi.max()):.3e})"
-            )
-        return float(lo.min()), float(hi.max())
-
-    def adjusted_drift(self, t: float, x, s):
-        """Drift (bh1, bh2) under the hedging measure; traded asset driftless."""
-        b1, b2, _, c12, c22 = self.fields(t, x, s)
-        return _hedging_drift(b1, b2, c12, c22)
+        root = np.sqrt(np.maximum(tr * tr - 4.0 * (c11 * c22 - c12 * c12), 0.0))
+        lo, hi = float((0.5 * (tr - root)).min()), float((0.5 * (tr + root)).max())
+        if lo <= _MIN_EIG:
+            raise RegimeError(f"coefficients lose ellipticity (min eig {lo:.3e})")
+        if hi >= _MAX_EIG:
+            raise RegimeError(f"coefficients exceed the boundedness guard (max eig {hi:.3e})")
+        return lo, hi
 
 
 @dataclass
@@ -286,9 +244,7 @@ def solve(spec: DiffusionSpec, measure, grid: GridConfig = GridConfig()) -> PDES
     T = spec.horizon
     x0, s0 = float(spec.spot[0]), float(spec.spot[1])
 
-    b1c, b2c, c11c, c12c, c22c = (
-        float(np.asarray(v).ravel()[0]) for v in spec.fields(0.0, x0, s0)
-    )
+    b1c, b2c, c11c, _, c22c = map(float, spec.fields(0.0, x0, s0))
     half_x = grid.radius_stddevs * np.sqrt(c11c * T) + abs(b1c) * T
     half_s = grid.radius_stddevs * np.sqrt(c22c * T) + abs(b2c) * T
     xi = np.log(x0) + np.linspace(-half_x, half_x, grid.nx)
@@ -304,9 +260,8 @@ def solve(spec: DiffusionSpec, measure, grid: GridConfig = GridConfig()) -> PDES
     xx, ss = np.meshgrid(xg, sg, indexing="ij")
 
     spec.check_fields(0.0, xx, ss)
-    static = spec.regime == "black-scholes"
     # constant coefficients stay scalars; fields are taken on the flat C-ordered grid
-    points = (x0, s0) if static else (xx.ravel(), ss.ravel())
+    points = (x0, s0) if spec.constant else (xx.ravel(), ss.ravel())
     nx, ns = grid.nx, grid.ns
     # the interior in flat order, with the edge columns of rows 1..nx-2
     run = slice(ns + 1, nx * ns - ns - 1)
@@ -321,7 +276,7 @@ def solve(spec: DiffusionSpec, measure, grid: GridConfig = GridConfig()) -> PDES
             + np.abs(bh1) / dxi
             + np.abs(bh2) / deta
         )
-        if not static:
+        if not spec.constant:
             bh1, bh2, c11, c12, c22 = (v[run] for v in (bh1, bh2, c11, c12, c22))
         return (bh1, bh2, c11, c12, c22), float(denom.max())
 
@@ -369,7 +324,7 @@ def solve(spec: DiffusionSpec, measure, grid: GridConfig = GridConfig()) -> PDES
     cfl_seen = 0.0
     for n in range(steps, 0, -1):
         t_next = n * dt  # level where y currently lives
-        if not static:
+        if not spec.constant:
             coeffs, denom_max = adjusted(t_next)
             if n % max(1, steps // 8) == 0:
                 spec.check_fields(t_next, xx, ss)
@@ -421,21 +376,23 @@ def monte_carlo_representation(
 ):
     """Probabilistic value at (t, x, s): mean payoff under the hedging measure.
 
-    Exact lognormal sampling in the constant-coefficient regime, Euler
-    stepping otherwise.  Returns (estimate, standard_error); serves as an
+    Exact lognormal sampling for a constant spec, Euler stepping
+    otherwise.  Returns (estimate, standard_error); serves as an
     independent cross-check of the finite-difference solution.
     """
     if not 0.0 <= t <= spec.horizon:
         raise DomainError("t outside [0, horizon]")
+    if n_paths < 1 or n_steps < 1:
+        raise DomainError("need at least one path and one step")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     tau = spec.horizon - t
     if tau == 0.0:
         v = float(np.asarray(measure.payoff(x, s)).ravel()[0])
         return v, 0.0
-    if spec.regime == "black-scholes":
-        bh1, bh2 = (float(np.asarray(v).ravel()[0]) for v in spec.adjusted_drift(t, x, s))
-        cov = spec.covariance * tau
-        l = np.linalg.cholesky(cov)
+    if spec.constant:
+        b1, b2, c11, c12, c22 = spec.fields(t, x, s)
+        bh1, bh2 = _hedging_drift(b1, b2, c12, c22)
+        l = np.linalg.cholesky(np.array([[c11, c12], [c12, c22]]) * tau)
         g = rng.standard_normal((n_paths, 2)) @ l.T
         lx = np.log(x) + bh1 * tau + g[:, 0]
         ls = np.log(s) + bh2 * tau + g[:, 1]

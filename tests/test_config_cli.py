@@ -580,6 +580,23 @@ def test_cli_exit_3_on_overflowing_pde_grid(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["pde", "compare", "price"])
+def test_cli_exit_3_on_singular_constant_covariance(tmp_path, capsys, command):
+    # corr 1 makes the log-covariance singular; the spec's ellipticity
+    # guard rejects it before any grid is built
+    cfg = json.loads(SHIPPED_PDE.read_text())
+    cfg["model"]["corr"] = 1.0
+    assert cfg["route"] == "both"
+    out = tmp_path / "never"
+    path = _write(tmp_path, cfg)
+    assert main([command, "--config", path, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("assumption violated:")
+    assert "ellipticity" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_compare_fails_on_nan_gaps(tmp_path, capsys, monkeypatch):
     solve = pde.solve
 

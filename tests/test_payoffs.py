@@ -1,10 +1,13 @@
 """Claim-measure construction, quadrature, and the vanilla kernel tails."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 import oracles
+from basishedge import payoffs
 from basishedge.errors import ConvergenceError, DomainError
 from basishedge.payoffs import (
     ContourLine,
@@ -106,6 +109,35 @@ def test_call_put_parity():
     s = np.array([40.0, 100.0, 260.0])
     got = parity.evaluate(1.0, s)
     assert np.max(np.abs(got - (s - strike))) <= 2e-6 * (1.0 + strike)
+
+
+def test_combine_keeps_the_closed_form():
+    call, put = call_claim(100.0, axis=1), put_claim(90.0, axis=1)
+    mix = combine([(1, call), (0.5, put)])
+    assert mix.closed_form is not None
+    x = np.linspace(50.0, 150.0, 2001)
+    s = np.full_like(x, 100.0)
+    assert np.array_equal(mix.payoff(x, s), (1 * call + 0.5 * put).payoff(x, s))
+    empty = combine([])
+    assert (empty.atoms, empty.lines, empty.closed_form) == ((), (), None)
+
+
+def test_power_matrix_is_built_in_bounded_blocks(monkeypatch):
+    # 300 points on a line refined to 8192 nodes: one whole power matrix
+    # holds 2.5 million complex entries (39 MB)
+    m = call_measure(100.0, axis=1)
+    x = np.linspace(50.0, 200.0, 300)
+    s = np.ones_like(x)
+    whole = m.evaluate(x, s)
+    monkeypatch.setattr(payoffs, "_BLOCK", 1 << 12)
+    tracemalloc.start()
+    try:
+        blocked = m.evaluate(x, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(blocked - whole)) <= 1e-12 * max(1.0, np.abs(whole).max())
+    assert peak < 4e6
 
 
 def test_payoff_uses_closed_form():

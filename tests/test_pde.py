@@ -9,6 +9,7 @@ from basishedge.models import PiecewiseAdditiveModel
 from basishedge.pde import (
     DiffusionSpec,
     GridConfig,
+    _hedging_drift,
     monte_carlo_representation,
     solve,
 )
@@ -37,16 +38,14 @@ def test_grid_config_validation():
 
 
 def test_spec_regime_validation(merton_model, bs_model):
-    with pytest.raises(RegimeError, match="unsupported coefficient regime"):
-        DiffusionSpec(horizon=1.0, spot=[100.0, 100.0], regime="heston")
-    with pytest.raises(RegimeError, match="positive definite"):
+    with pytest.raises(RegimeError, match="ellipticity"):
         DiffusionSpec(
             horizon=1.0, spot=[100.0, 100.0],
-            drift=[0.0, 0.0], covariance=[[0.04, 0.02], [0.02, 0.01]],
+            coefficients=dict(b1=0.0, b2=0.0, c11=0.04, c12=0.02, c22=0.01),
         )
-    with pytest.raises(RegimeError, match="needs callables"):
+    with pytest.raises(RegimeError, match="a number or a callable for each of"):
         DiffusionSpec(
-            horizon=1.0, spot=[100.0, 100.0], regime="bounded-elliptic",
+            horizon=1.0, spot=[100.0, 100.0],
             coefficients={"b1": lambda t, x, s: 0.0},
         )
     with pytest.raises(RegimeError, match="jumps"):
@@ -58,21 +57,24 @@ def test_spec_regime_validation(merton_model, bs_model):
     with pytest.raises(DomainError, match="spot"):
         DiffusionSpec(
             horizon=1.0, spot=[100.0, -5.0],
-            drift=[0.0, 0.0], covariance=[[0.04, 0.0], [0.0, 0.04]],
+            coefficients=dict(b1=0.0, b2=0.0, c11=0.04, c12=0.0, c22=0.04),
         )
 
 
-def test_adjusted_drift_makes_traded_asset_driftless(bs_spec):
-    bh1, bh2 = bs_spec.adjusted_drift(0.0, 100.0, 100.0)
-    c = bs_spec.covariance
+def test_adjusted_drift_makes_traded_asset_driftless(bs_spec, bs_model):
+    assert bs_spec.constant
+    b1, b2, c11, c12, c22 = bs_spec.fields(0.0, 100.0, 100.0)
+    bh1, bh2 = _hedging_drift(b1, b2, c12, c22)
+    b, c = bs_model.drift, bs_model.covariance
+    assert (b1, b2, c11, c12, c22) == (b[0], b[1], c[0, 0], c[0, 1], c[1, 1])
     assert abs(bh2 + 0.5 * c[1, 1]) < 1e-15
-    growth = bs_spec.drift[1] + 0.5 * c[1, 1]
-    want = bs_spec.drift[0] - (c[0, 1] / c[1, 1]) * growth
+    growth = b[1] + 0.5 * c[1, 1]
+    want = b[0] - (c[0, 1] / c[1, 1]) * growth
     assert abs(bh1 - want) < 1e-15
 
 
 def test_field_guards_catch_bad_coefficients():
-    base = dict(horizon=1.0, spot=[100.0, 100.0], regime="bounded-elliptic")
+    base = dict(horizon=1.0, spot=[100.0, 100.0])
     flat = {
         "b1": lambda t, x, s: 0.0,
         "b2": lambda t, x, s: 0.0,
@@ -143,7 +145,6 @@ def test_constant_callables_reduce_to_static_regime(bs_model, bs_spec):
     dyn = DiffusionSpec(
         horizon=1.0,
         spot=[100.0, 100.0],
-        regime="bounded-elliptic",
         coefficients={
             "b1": lambda t, x, s: b[0],
             "b2": lambda t, x, s: b[1],
@@ -173,7 +174,6 @@ def tanh_spec():
     return DiffusionSpec(
         horizon=1.0,
         spot=[100.0, 100.0],
-        regime="bounded-elliptic",
         coefficients={
             "b1": lambda t, x, s: 0.02,
             "b2": lambda t, x, s: 0.01,
@@ -193,6 +193,26 @@ def test_state_dependent_solve_agrees_with_simulation(tanh_spec):
     assert abs(sol.h0 - est) <= max(4.0 * serr, 1.5e-2 * est)
 
 
+def test_numeric_drift_with_callable_covariance_solves_as_all_callable(tanh_spec):
+    coef = tanh_spec.coefficients
+    mixed = DiffusionSpec(
+        horizon=1.0, spot=[100.0, 100.0], coefficients={**coef, "b1": 0.02, "b2": 0.01}
+    )
+    assert not mixed.constant and not tanh_spec.constant
+    measure = power_claim(0.5, 0.5)
+    grid = GridConfig(nx=31, ns=37, nt=3)
+    a, b = solve(mixed, measure, grid), solve(tanh_spec, measure, grid)
+    assert np.array_equal(a.y, b.y)
+    assert np.array_equal(a.z, b.z)
+
+
+@pytest.mark.parametrize("size", [{"n_paths": 0}, {"n_steps": 0}, {"n_paths": -3}])
+def test_mc_representation_rejects_empty_sizes(size, bs_spec, tanh_spec):
+    for spec in (bs_spec, tanh_spec):
+        with pytest.raises(DomainError, match="at least one path and one step"):
+            monte_carlo_representation(spec, call_claim(100.0, axis=1), 0.0, 100.0, 100.0, **size)
+
+
 @pytest.mark.parametrize("case", ["bs-corr-pos", "bs-corr-neg", "tanh"])
 def test_march_matches_term_by_term_reference(case, bs_spec, tanh_spec):
     if case == "bs-corr-pos":
@@ -200,8 +220,8 @@ def test_march_matches_term_by_term_reference(case, bs_spec, tanh_spec):
     elif case == "bs-corr-neg":
         cross = -0.6 * 0.3 * 0.25
         spec = DiffusionSpec(
-            horizon=1.0, spot=[100.0, 100.0], drift=[0.035, 0.02875],
-            covariance=[[0.09, cross], [cross, 0.0625]],
+            horizon=1.0, spot=[100.0, 100.0],
+            coefficients=dict(b1=0.035, b2=0.02875, c11=0.09, c12=cross, c22=0.0625),
         )
     else:
         spec = tanh_spec
