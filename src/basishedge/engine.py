@@ -185,8 +185,7 @@ class HedgeDecomposition:
         s = np.asarray(s, dtype=float)
         if (x <= 0).any() or (s <= 0).any():
             raise DomainError("prices must be strictly positive")
-        if (t < -1e-12).any() or (t > self.model.horizon * (1 + 1e-12)).any():
-            raise DomainError(f"time must lie in [0, {self.model.horizon}]")
+        self.model._check_time(t)
         tb, xb, sb = np.broadcast_arrays(t, x, s)
         scalar = tb.ndim == 0
         shape = tb.shape

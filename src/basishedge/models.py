@@ -116,7 +116,7 @@ class PiecewiseAdditiveModel:
 
     def _check_time(self, t):
         t = np.asarray(t, dtype=float)
-        if np.any(t < -1e-12) or np.any(t > self.horizon * (1.0 + 1e-12)):
+        if (t < -1e-12).any() or (t > self.horizon * (1.0 + 1e-12)).any():
             raise DomainError(f"time must lie in [0, {self.horizon}]")
 
 

@@ -66,6 +66,15 @@ class QuadratureSettings:
     panel_budget: int = 512
     max_extension: int = 6
 
+    def __post_init__(self):
+        # the negated tests reject NaN
+        if not 0 < self.rel_tol < np.inf:
+            raise DomainError(f"rel_tol must be a finite number > 0, got {self.rel_tol!r}")
+        if not self.panel_budget >= 1:
+            raise DomainError(f"panel_budget must be at least 1, got {self.panel_budget!r}")
+        if not self.max_extension >= 0:
+            raise DomainError(f"max_extension must be at least 0, got {self.max_extension!r}")
+
 
 DEFAULT_SETTINGS = QuadratureSettings()
 

@@ -9,12 +9,12 @@ tradeoff integral.
 
 Paths come from a step source, which yields (i, t_i, x_i, s_i) with
 contiguous read-only arrays over all paths, one rebalance time at a
-time.  A `PathStream` draws each step as it is asked for; a
-`PathEnsemble` (what `simulate` returns) is the same stream stored.
+time.  A `PathStream` (what `simulate` returns) draws each step as it
+is asked for, and every pass over it draws the same paths again.
 Every check is a fold over the steps with per-path accumulators, and
 `run_folds` feeds any set of folds from one pass over a source, so a
-validation battery over a stream holds O(paths) memory, not
-O(paths x steps).  The public check functions fold a source alone.
+validation battery holds O(paths) memory, not O(paths x steps).  The
+public check functions fold a source alone.
 
 The path replay asks the decomposition for its value and hedge on all
 paths at each rebalance time (`HedgeDecomposition._path_slice`, which
@@ -35,7 +35,6 @@ from .errors import AssumptionError, DomainError, MismatchError
 
 __all__ = [
     "PathStream",
-    "PathEnsemble",
     "simulate",
     "run_folds",
     "MartingaleFold",
@@ -52,6 +51,11 @@ __all__ = [
 ]
 
 _BLOCK = 8192
+# the replay's uniform line grid, its self-checked rebalance times and
+# the tolerance of their gap to exact evaluation
+_GRID_POINTS = 4096
+_SELF_CHECKS = 8
+_CHECK_TOL = 5e-3
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -123,56 +127,9 @@ class PathStream:
             yield i + 1, float(times[i + 1]), _frozen(x0 * np.exp(lx)), _frozen(s0 * np.exp(ls))
 
 
-@dataclass(frozen=True)
-class PathEnsemble:
-    """Stored paths: a step source over time-major read-only arrays.
-
-    `xt` and `st` hold one contiguous row of all paths per time; `x` and
-    `s` are their (paths, steps + 1) transposed views.
-    """
-
-    times: np.ndarray
-    xt: np.ndarray
-    st: np.ndarray
-    seed: int
-    model_digest: str
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.xt.T
-
-    @property
-    def s(self) -> np.ndarray:
-        return self.st.T
-
-    @property
-    def n_paths(self) -> int:
-        return self.xt.shape[1]
-
-    @property
-    def n_steps(self) -> int:
-        return self.xt.shape[0] - 1
-
-    def __iter__(self):
-        for i, t in enumerate(self.times.tolist()):
-            yield i, t, self.xt[i], self.st[i]
-
-
-def simulate(model, n_paths: int, n_steps: int, seed: int = 0) -> PathEnsemble:
-    """Exact-in-law paths of (X, S) on a uniform grid over [0, T], stored.
-
-    The materialised `PathStream` of the same arguments (see there for
-    the law and the seeding): its memory grows with paths x steps, so
-    passes that need each step once should fold over the stream instead.
-    """
-    src = PathStream(model, n_paths, n_steps, seed)
-    xt = np.empty((n_steps + 1, n_paths))
-    st = np.empty((n_steps + 1, n_paths))
-    for i, _, x, s in src:
-        xt[i] = x
-        st[i] = s
-    return PathEnsemble(times=src.times, xt=_frozen(xt), st=_frozen(st), seed=seed,
-                        model_digest=src.model_digest)
+def simulate(model, n_paths: int, n_steps: int, seed: int = 0) -> PathStream:
+    """Exact-in-law paths of (X, S) on a uniform grid over [0, T] (see `PathStream`)."""
+    return PathStream(model, n_paths, n_steps, seed)
 
 
 def run_folds(source, *folds):
@@ -224,7 +181,7 @@ def _stat_row(z1, z2, parts) -> tuple[dict, float]:
 def _require_same_model(model, source):
     if source.model_digest != model.digest():
         raise MismatchError(
-            "path ensemble was simulated from a different model "
+            "paths were simulated from a different model "
             f"(digest {source.model_digest} != {model.digest()})"
         )
 
@@ -354,22 +311,19 @@ class HedgeRunResult:
 class HedgeFold:
     """The fold behind `hedge_run`: the replay, one rebalance time per step."""
 
-    def __init__(self, dec, source, grid_points: int = 4096, self_check: int = 8,
-                 check_tol: float = 5e-3):
+    def __init__(self, dec, source):
         _require_same_model(dec.model, source)
         if not dec.measure.is_real_claim():
             raise AssumptionError("path replay requires a real-valued claim")
         self.dec = dec
-        self.grid_points = grid_points
-        self.check_tol = check_tol
         self.n_paths, self.n_steps = source.n_paths, source.n_steps
         self.h0 = float(np.real(dec.h0))
         self.kappa_s = np.real(dec.model.kappa(source.times, 0.0, 1.0))
         self.check_steps = set()
-        if self_check > 0 and self.n_steps > 2:
+        if self.n_steps > 2:
             # skip the terminal boundary layer where the kink steepens the grid
             upto = max(1, int(0.95 * self.n_steps))
-            self.check_steps = set(np.linspace(0, upto - 1, min(self_check, upto)).astype(int))
+            self.check_steps = set(np.linspace(0, upto - 1, min(_SELF_CHECKS, upto)).astype(int))
         self.check_rng = np.random.default_rng(np.random.SeedSequence(source.seed + 1))
         self.worst_check = 0.0
         self.gains = np.zeros(self.n_paths)
@@ -387,7 +341,7 @@ class HedgeFold:
             y = self.payoff = np.asarray(dec.measure.payoff(x, s), dtype=float)
             z = None
         else:
-            y, z = dec._path_slice(t, x, s, self.grid_points)
+            y, z = dec._path_slice(t, x, s, _GRID_POINTS)
         if i > 0:
             d_o = y - self.y_prev - self.z_prev * ds
             d_m = ds - comp
@@ -407,10 +361,10 @@ class HedgeFold:
                 np.max(np.abs(z[pick] - z_ref)),
             ))
             self.worst_check = max(self.worst_check, err)
-            if not err <= self.check_tol:
+            if not err <= _CHECK_TOL:
                 raise MismatchError(
                     f"interpolated hedge deviates from exact evaluation by {err:.2e} "
-                    f"at t={t:g} (tolerance {self.check_tol:g})"
+                    f"at t={t:g} (tolerance {_CHECK_TOL:g})"
                 )
         self.y_prev, self.z_prev, self.s_prev = y, z, s
 
@@ -433,26 +387,20 @@ class HedgeFold:
         )
 
 
-def hedge_run(
-    dec,
-    source,
-    grid_points: int = 4096,
-    self_check: int = 8,
-    check_tol: float = 5e-3,
-) -> HedgeRunResult:
+def hedge_run(dec, source) -> HedgeRunResult:
     """Replay the hedge on simulated paths and test the residual.
 
     Runs the self-financing replay with left-endpoint hedge ratios,
     returns terminal residuals g - h0 - sum z dS and the pooled
     correlation between residual increments and compensated traded
     increments (orthogonality check).  Each step tabulates every line on
-    `grid_points` uniform log points by a chirp-z transform and
-    interpolates the paths.  `self_check` interior rebalance times are
+    `_GRID_POINTS` uniform log points by a chirp-z transform and
+    interpolates the paths.  `_SELF_CHECKS` interior rebalance times are
     re-evaluated exactly at four sampled paths; a value (relative) or
-    hedge (absolute) gap beyond check_tol raises MismatchError, and the
-    worst gap is returned as self_check_error.
+    hedge (absolute) gap beyond `_CHECK_TOL` raises MismatchError, and
+    the worst gap is returned as self_check_error.
     """
-    return _fold_alone(source, HedgeFold(dec, source, grid_points, self_check, check_tol))
+    return _fold_alone(source, HedgeFold(dec, source))
 
 
 class BaselineFold:

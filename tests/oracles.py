@@ -7,7 +7,8 @@ cumulants by fresh Monte Carlo with a different RNG family, contour
 tails by brute-force adaptive quadrature, a small-time check of the
 jump generator, the generator of the log pair applied to a value
 surface by finite differences and Gauss-Hermite quadrature, and the
-block-by-block path simulation that the step stream must reproduce.
+block-by-block path simulation that the step stream must reproduce
+(with `stacked_paths`, the stream's steps laid out the same way).
 """
 
 from __future__ import annotations
@@ -113,6 +114,13 @@ def generator_fd(dec, t: float, x: float, s: float, h: float = 2.5e-4) -> float:
     if lam > 0:
         out += lam * (float(np.sum(weights * vals[9:])) - y0)
     return float(out)
+
+
+def stacked_paths(source):
+    """(x, s) of shape (paths, steps + 1): one pass over a step source, a column per step."""
+    steps = list(source)
+    return (np.stack([x for _, _, x, _ in steps], axis=1),
+            np.stack([s for _, _, _, s in steps], axis=1))
 
 
 def block_major_paths(model, n_paths: int, n_steps: int, seed: int):

@@ -290,6 +290,19 @@ def test_cli_exit_2_on_bad_numbers(tmp_path, capsys, command, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rel_tol", [0, -1e-8])
+def test_cli_exit_2_on_nonpositive_rel_tol(tmp_path, capsys, rel_tol):
+    cfg = json.loads(SHIPPED_CHECK.read_text())
+    cfg["quadrature"] = {"rel_tol": rel_tol}
+    out = tmp_path / "never"
+    path = _write(tmp_path, cfg)
+    assert main(["price", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad quadrature settings: rel_tol must be a finite number > 0")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_exit_3_on_quadrature_failure(tmp_path, capsys):
     # a panel budget below the line's base panel count cannot converge
     cfg = json.loads(SHIPPED_CHECK.read_text())

@@ -239,6 +239,17 @@ def test_quadrature_budget_errors():
         m.evaluate(1.0, 90.0, QuadratureSettings(rel_tol=1e-14, panel_budget=32))
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("rel_tol", 0.0), ("rel_tol", -1e-8), ("rel_tol", float("nan")), ("rel_tol", float("inf")),
+     ("panel_budget", 0), ("max_extension", -1)],
+)
+def test_quadrature_settings_reject_bad_values(key, value):
+    # a malformed setting fails where it is made, not as a quadrature failure later
+    with pytest.raises(DomainError, match=key):
+        QuadratureSettings(**{key: value})
+
+
 @hyp_settings(max_examples=30, deadline=None)
 @given(
     strike=st.floats(5.0, 500.0),

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from basishedge import cli
+from basishedge import cli, simulation
 from basishedge.engine import decompose
 from basishedge.errors import AssumptionError, DomainError, MismatchError
 from basishedge.models import PiecewiseAdditiveModel
@@ -30,7 +30,7 @@ from basishedge.simulation import (
     tradeoff_check,
 )
 
-from oracles import block_major_paths
+from oracles import block_major_paths, stacked_paths
 
 
 @pytest.fixture(scope="module")
@@ -53,34 +53,37 @@ def bs_run(bs_call_x, bs_ens):
 
 def test_simulate_shapes_and_initial_state(bs_model):
     ens = simulate(bs_model, 300, 7, seed=3)
+    assert isinstance(ens, PathStream)
+    x, s = stacked_paths(ens)
     assert ens.times.shape == (8,)
-    assert ens.x.shape == (300, 8)
-    assert ens.s.shape == (300, 8)
+    assert x.shape == (300, 8)
+    assert s.shape == (300, 8)
     assert ens.n_paths == 300
     assert ens.n_steps == 7
     assert ens.seed == 3
     assert ens.model_digest == bs_model.digest()
     np.testing.assert_allclose(ens.times, np.linspace(0.0, 1.0, 8), rtol=0, atol=0)
-    assert np.all(ens.x[:, 0] == 100.0)
-    assert np.all(ens.s[:, 0] == 100.0)
-    assert np.all(ens.x > 0) and np.all(ens.s > 0)
+    assert np.all(x[:, 0] == 100.0)
+    assert np.all(s[:, 0] == 100.0)
+    assert np.all(x > 0) and np.all(s > 0)
 
 
 def test_simulate_is_reproducible_and_seed_sensitive(merton_model):
-    a = simulate(merton_model, 128, 5, seed=11)
-    b = simulate(merton_model, 128, 5, seed=11)
-    c = simulate(merton_model, 128, 5, seed=12)
-    np.testing.assert_array_equal(a.x, b.x)
-    np.testing.assert_array_equal(a.s, b.s)
-    assert np.max(np.abs(a.x - c.x)) > 0
+    ax, a_s = stacked_paths(simulate(merton_model, 128, 5, seed=11))
+    bx, b_s = stacked_paths(simulate(merton_model, 128, 5, seed=11))
+    cx, _ = stacked_paths(simulate(merton_model, 128, 5, seed=12))
+    np.testing.assert_array_equal(ax, bx)
+    np.testing.assert_array_equal(a_s, b_s)
+    assert np.max(np.abs(ax - cx)) > 0
 
 
 def test_simulate_arrays_are_read_only(bs_ens):
-    assert not bs_ens.x.flags.writeable
-    assert not bs_ens.s.flags.writeable
+    for _, _, x, s in bs_ens:
+        assert not x.flags.writeable
+        assert not s.flags.writeable
     assert not bs_ens.times.flags.writeable
     with pytest.raises(ValueError):
-        bs_ens.x[0, 0] = 1.0
+        x[0] = 1.0
 
 
 def test_simulate_rejects_empty_requests(bs_model):
@@ -103,7 +106,8 @@ def test_stream_reproduces_block_simulation_bit_for_bit(which, bs_model, merton_
     n_paths, n_steps = 2 * 8192 + 5, 3
     want_x, want_s = block_major_paths(model, n_paths, n_steps, seed=31)
     ens = simulate(model, n_paths, n_steps, seed=31)
-    assert np.array_equal(ens.x, want_x) and np.array_equal(ens.s, want_s)
+    got_x, got_s = stacked_paths(ens)
+    assert np.array_equal(got_x, want_x) and np.array_equal(got_s, want_s)
     paths = PathStream(model, n_paths, n_steps, seed=31)
     for _ in range(2):  # every iteration replays the same paths
         steps = list(paths)
@@ -152,11 +156,11 @@ def test_one_pass_check_equals_public_functions(tmp_path, capsys, merton_model, 
     assert streamed.residuals.tobytes() == run.residuals.tobytes()
 
 
-def _check_pass_peak(model, dec, n_paths, n_steps) -> int:
-    """tracemalloc peak in bytes of every check fold over one streamed pass."""
+def _check_pass_peak(source, model, dec, n_paths, n_steps) -> int:
+    """tracemalloc peak in bytes of every check fold over one pass of a new source."""
     tracemalloc.start()
     try:
-        paths = PathStream(model, n_paths, n_steps, seed=4)
+        paths = source(model, n_paths, n_steps, seed=4)
         folds = (MartingaleFold(model, paths), MomentFold(model, paths), HedgeFold(dec, paths),
                  BaselineFold(dec, paths), TradeoffFold(model, paths))
         run_folds(paths, *folds)
@@ -166,10 +170,11 @@ def _check_pass_peak(model, dec, n_paths, n_steps) -> int:
         tracemalloc.stop()
 
 
-def test_check_pass_memory_does_not_grow_with_steps(bs_model, bs_call_x):
+@pytest.mark.parametrize("source", [PathStream, simulate], ids=["stream", "simulate"])
+def test_check_pass_memory_does_not_grow_with_steps(bs_model, bs_call_x, source):
     # stored paths would grow the peak 8x from 10 to 80 steps (3.5 MB -> 26 MB)
-    short = _check_pass_peak(bs_model, bs_call_x, 20_000, 10)
-    long = _check_pass_peak(bs_model, bs_call_x, 20_000, 80)
+    short = _check_pass_peak(source, bs_model, bs_call_x, 20_000, 10)
+    long = _check_pass_peak(source, bs_model, bs_call_x, 20_000, 80)
     assert abs(long - short) <= 0.1 * short, (short, long)
 
 
@@ -188,9 +193,9 @@ def _log_law_moments(model):
 @pytest.mark.parametrize("which,seed", [("bs", 21), ("merton", 22)])
 def test_terminal_log_law(which, seed, bs_model, merton_model):
     model = bs_model if which == "bs" else merton_model
-    ens = simulate(model, 60_000, 4, seed=seed)
-    la = np.log(ens.x[:, -1] / 100.0)
-    lb = np.log(ens.s[:, -1] / 100.0)
+    x, s = stacked_paths(simulate(model, 60_000, 4, seed=seed))
+    la = np.log(x[:, -1] / 100.0)
+    lb = np.log(s[:, -1] / 100.0)
     T = model.horizon
     mean, cov = _log_law_moments(model)
     n = la.size
@@ -252,7 +257,7 @@ def test_martingale_real_exponents_match_complex_arithmetic(merton_model, merton
     # rounding and the imaginary rows are exact (positive) zeros
     real = [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (2.0, -0.5)]
     rows = martingale_test(merton_model, merton_ens, exponents=real)["rows"]
-    x, s, times = merton_ens.x, merton_ens.s, merton_ens.times
+    (x, s), times = stacked_paths(merton_ens), merton_ens.times
     for row, (z1, z2) in zip(rows, real):
         z1, z2 = complex(z1), complex(z2)
         kap, lam = merton_model.kappa(times, z1, z2), merton_model.lambda_coeff(times, z1, z2)
@@ -376,12 +381,15 @@ def test_consumers_reject_foreign_ensembles(
         tradeoff_check(merton_model, bs_ens)
 
 
-def test_coarse_interpolation_grid_is_caught(bs_model, bs_call_x):
+def test_coarse_interpolation_grid_is_caught(bs_model, bs_call_x, monkeypatch):
     ens = simulate(bs_model, 500, 10, seed=8)
+    monkeypatch.setattr(simulation, "_GRID_POINTS", 2)
+    monkeypatch.setattr(simulation, "_CHECK_TOL", 1e-6)
     with pytest.raises(MismatchError, match="interpolated hedge deviates"):
-        hedge_run(bs_call_x, ens, grid_points=2, check_tol=1e-6)
+        hedge_run(bs_call_x, ens)
     # disabling the certificate lets the coarse run finish
-    run = hedge_run(bs_call_x, ens, grid_points=2, self_check=0)
+    monkeypatch.setattr(simulation, "_SELF_CHECKS", 0)
+    run = hedge_run(bs_call_x, ens)
     assert run.self_check_error == 0.0
 
 
@@ -461,7 +469,7 @@ def test_piecewise_replay_matches_homogeneous(bs_model, bs_call_x):
     dec = decompose(pw, call_claim(100.0, axis=1))
     assert dec.h0 == pytest.approx(bs_call_x.h0, rel=1e-10)
     ens = simulate(pw, 800, 12, seed=9)
-    run = hedge_run(dec, ens, grid_points=1024)
+    run = hedge_run(dec, ens)
     assert abs(run.residual_tstat) < 3.5
     assert abs(run.orthogonality_corr) < 0.1
     out = tradeoff_check(pw, ens)
