@@ -43,6 +43,8 @@ _ALIAS_MARGIN = 100.0
 _UNTAGGED_STRIP = 0.25
 # caps the node cache of one line at a few 16 MB arrays
 _MAX_UNIFORM_NODES = 1 << 20
+# 2**_MIN_EXTENSION is the smallest truncation multiple a line plan tries
+_MIN_EXTENSION = -3
 # segment -> {line shape: (gamma, eta_rate, psi) at the shape's nodes}; the
 # claim enters a line only through its density, so every decomposition on
 # a model shares these, and an entry dies with its segment
@@ -93,7 +95,7 @@ class HedgeDecomposition:
         self.settings = settings
         self._cache: dict[tuple, _LineNodes] = {}
         self._line_stats = [
-            {"levels": 0, "umult": 1, "tail_bound": 0.0, "tail_mode": "none"}
+            {"levels": 0, "umult": 0, "tail_bound": 0.0, "tail_mode": "none"}
             for _ in measure.lines
         ]
         self._real = measure.is_real_claim()
@@ -245,7 +247,7 @@ class HedgeDecomposition:
                         z[rows] += fixed * cz[inv] / s[rows]
         return y, z
 
-    def _nodes(self, idx: int, level: int, umult: int, uniform: int = 0) -> _LineNodes:
+    def _nodes(self, idx: int, level: int, umult: float, uniform: int = 0) -> _LineNodes:
         """Line nodes at a refinement level (see payoffs.line_nodes) with the
         claim's density there, cached, and the model's shared rates."""
         key = (idx, level, umult, uniform)
@@ -258,7 +260,7 @@ class HedgeDecomposition:
         self._cache[key] = nd = _LineNodes(u, w, dens, self._rates(ln, u, level, umult, uniform))
         return nd
 
-    def _rates(self, ln, u, level: int, umult: int, uniform: int) -> dict:
+    def _rates(self, ln, u, level: int, umult: float, uniform: int) -> dict:
         """(gamma, eta_rate, psi) of every model segment at the line's nodes u
         (line_nodes of the same arguments), read from or put into _RATES."""
         f = complex(ln.fixed_exponent)
@@ -289,7 +291,7 @@ class HedgeDecomposition:
         which the truncation plan has to cover.
         """
         ln = self.measure.lines[idx]
-        umult, tail_mode = self._plan(idx, ti, v, fixed, need_z)
+        umult, tail_mode = self._plan(idx, ti, v, fixed)
 
         tail_y = tail_z = 0.0
         if tail_mode == "terminal" and ln.tail is not None:
@@ -339,7 +341,7 @@ class HedgeDecomposition:
             lo, hi = float(logv.min()), float(logv.max())
             # all paths at one price (the first step) give a one-point grid
             glx = np.linspace(lo, hi, grid_points if hi - lo >= 1e-12 else 1)
-            umult, tail_mode = self._plan(idx, t, np.exp(glx), np.ones(1), True)
+            umult, tail_mode = self._plan(idx, t, np.exp(glx), np.ones(1))
             if tail_mode == "terminal":
                 raise DomainError("the grid shortcut does not cover the terminal time")
             nd = self._nodes(idx, 0, umult, uniform=self._uniform_count(idx, umult, glx))
@@ -392,43 +394,45 @@ class HedgeDecomposition:
             )
         return n
 
-    def _plan(self, idx, ti, v, fixed, need_z) -> tuple[int, str]:
+    def _plan(self, idx, ti, v, fixed) -> tuple[float, str]:
         """(umult, tail_mode) of a line at time ti, recorded in its stats."""
-        umult, tail_mode, bound = self._tail_plan(idx, ti, v, fixed, need_z)
+        umult, tail_mode, bound = self._tail_plan(idx, ti, v, fixed)
         stats = self._line_stats[idx]
         stats["umult"] = max(stats["umult"], umult)
         stats["tail_bound"] = max(stats["tail_bound"], bound)
         stats["tail_mode"] = tail_mode
         return umult, tail_mode
 
-    def _tail_plan(self, idx, ti, v, fixed, need_z) -> tuple[int, str, float]:
+    def _tail_plan(self, idx, ti, v, fixed) -> tuple[float, str, float]:
+        """The first truncation multiple 2**k (k >= _MIN_EXTENSION, whole panels)
+        whose tail bound, which covers the hedge's growth too, passes the floor."""
         ln = self.measure.lines[idx]
         horizon = self.model.horizon
         if (horizon - ti) <= _TERMINAL_FRACTION * horizon:
             return 1, "terminal", 0.0
+        ks = [k for k in range(_MIN_EXTENSION, self.settings.max_extension + 1) if (ln.panels * 2**k) % 1 == 0]
         # max of v**R sits at the small end of the grid for negative abscissas
         vpow = float(np.max(np.asarray(v) ** ln.abscissa))
         fmax = float(np.max(np.abs(fixed))) if np.size(fixed) else 1.0
         if ln.tail is not None:
             k = ln.tail.strike
             c0 = abs(ln.tail.scale) * k ** (1.0 - ln.abscissa) / (2.0 * np.pi)
-            amp = c0 * vpow * fmax
+            amps = [c0 * vpow * fmax] * len(ks)
             floor = 0.1 * self.settings.rel_tol * (1.0 + k)
         else:
-            # generic line: use the sampled density magnitude at the cutoff
-            dtail = abs(complex(np.asarray(ln.density(np.array([ln.truncation])))[0]))
-            amp = dtail * ln.truncation ** 2 * vpow * fmax
-            floor = 0.1 * self.settings.rel_tol * max(1.0, amp / max(ln.truncation, 1.0))
-        for k_ext in range(self.settings.max_extension + 1):
-            umult = 1 << k_ext
+            # generic line: the sampled density magnitude at each cutoff; the
+            # floor takes the nominal one
+            cuts = ln.truncation * 2.0 ** np.array(ks)
+            amps = np.abs(np.asarray(ln.density(cuts), dtype=complex)) * cuts ** 2 * vpow * fmax
+            floor = 0.1 * self.settings.rel_tol * max(1.0, amps[ks.index(0)] / max(ln.truncation, 1.0))
+        for k_ext, amp in zip(ks, amps):
+            umult = 2 ** k_ext
             # the one-interval trapezoid line ends at the cutoff truncation * umult
             edge = line_nodes(ln, 0, umult, 1)[0]
             lam, gam = self._propagate(self._rates(ln, edge, 0, umult, 1), ti)
-            growth = max(1.0, abs(gam[-1])) if need_z else 1.0
-            bound = float(2.0 * amp * abs(lam[-1]) * growth / edge[-1])
+            bound = float(2.0 * amp * abs(lam[-1]) * max(1.0, abs(gam[-1])) / edge[-1])
             if bound <= floor:
-                mode = "skipped-negligible" if k_ext == 0 else "extended"
-                return umult, mode, bound
+                return umult, "extended" if k_ext > 0 else "skipped-negligible", bound
         if ln.tail is None:
             return 1 << self.settings.max_extension, "bound-only", bound
         raise ConvergenceError(

@@ -238,16 +238,16 @@ def panel_nodes(lo: float, hi: float, n_panels: int) -> tuple[np.ndarray, np.nda
     return u, w
 
 
-def line_nodes(ln: ContourLine, level: int, umult: int = 1, uniform: int = 0):
+def line_nodes(ln: ContourLine, level: int, umult: float = 1, uniform: int = 0):
     """Running nodes and weights of a line whose truncation is scaled by umult.
 
-    Composite Gauss-Legendre on ln.panels * umult * 2**level panels, or
-    the trapezoid rule on `uniform` equal intervals when that is nonzero.
+    Composite Gauss-Legendre on ln.panels * umult (a whole number) * 2**level
+    panels, or the trapezoid rule on `uniform` equal intervals when nonzero.
     """
     hi = ln.truncation * umult
     lo = 0.0 if ln.symmetric else -hi
     if not uniform:
-        return panel_nodes(lo, hi, ln.panels * umult * (1 << level))
+        return panel_nodes(lo, hi, int(ln.panels * umult) << level)
     u = np.linspace(lo, hi, uniform + 1)
     w = np.full(u.shape, (hi - lo) / uniform)
     w[[0, -1]] *= 0.5
@@ -255,7 +255,7 @@ def line_nodes(ln: ContourLine, level: int, umult: int = 1, uniform: int = 0):
 
 
 def refine_line(ln: ContourLine, logv, coefficients, tails, settings: QuadratureSettings,
-                umult: int = 1):
+                umult: float = 1):
     """The Gauss-Legendre refinement loop of every contour-line integral.
 
     coefficients(level) returns the level's running nodes u and the node
@@ -271,7 +271,7 @@ def refine_line(ln: ContourLine, logv, coefficients, tails, settings: Quadrature
     prev = None
     diff = float("nan")
     level = 0
-    while ln.panels * umult * (1 << level) <= budget:
+    while int(ln.panels * umult) << level <= budget:
         u, coefs = coefficients(level)
         cur = [None if c is None else np.empty(logv.shape, dtype=complex) for c in coefs]
         rows = max(1, _BLOCK // u.size)
@@ -296,7 +296,7 @@ def refine_line(ln: ContourLine, logv, coefficients, tails, settings: Quadrature
     if prev is None:
         raise ConvergenceError("panel budget below the base panel count")
     raise ConvergenceError(
-        f"contour quadrature did not stabilise within {budget} panels", residual=diff
+        f"contour quadrature did not stabilise within {int(budget)} panels", residual=diff
     )
 
 

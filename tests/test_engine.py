@@ -207,6 +207,9 @@ def test_quadrature_report(merton_call_x):
     assert rep["h0_im_residual"] <= 1e-8
     assert rep["settings"]["panel_budget"] >= 32
     assert len(rep["lines"]) == len(merton_call_x.measure.lines)
+    # the report gives the multiple the plan picked: h0 alone needs under 1
+    fresh = decompose(merton_call_x.model, merton_call_x.measure).quadrature_report()
+    assert 0 < fresh["lines"][0]["umult"] < 1
 
 
 @pytest.mark.parametrize("build", [call_measure, put_measure])
@@ -364,7 +367,7 @@ def test_line_grid_covers_extended_truncation(merton_model):
     dec = decompose(merton_model, call_measure(100.0, axis=1))
     glx = np.linspace(np.log(60.0), np.log(160.0), 257)
     t = 0.99 * merton_model.horizon
-    assert dec._tail_plan(0, t, np.exp(glx), np.ones(1), True)[0] > 1
+    assert dec._tail_plan(0, t, np.exp(glx), np.ones(1))[0] > 1
     assert _grid_error(dec, t, glx) <= 1e-8
 
 
@@ -401,6 +404,158 @@ def test_line_grid_node_count_is_capped(bs_model):
     assert dec._uniform_count(0, 1, glx) == 2048
     with pytest.raises(ConvergenceError, match="uniform quadrature"):
         dec._uniform_count(0, 1 << 12, glx)
+
+
+# -- truncation plans follow the decay of lambda -----------------------------------
+
+# h0, then (value, hedge) at (t, 97, 104) for t = 0, 0.5, 0.97, of strike-100
+# claims, computed while every plan ran out to the nominal truncation or beyond
+_NOMINAL_TRUNCATION_PINS = {
+    ("bs_model", "call", 1): (
+        13.224572616258897,
+        11.478596343749928, 0.5027017494897181,
+        7.447019566108239, 0.4582530293020481,
+        0.9014939261499251, 0.2617133105886461,
+    ),
+    ("bs_model", "call", 2): (
+        9.947644966022622,
+        12.270540077670788, 0.610983330881254,
+        9.35966952719707, 0.6218161736499723,
+        4.438763627262446, 0.8231442414466149,
+    ),
+    ("bs_model", "put", 1): (
+        10.959296238795705,
+        12.28127825761069, -0.4129658020746469,
+        9.354512949366704, -0.4472162625447997,
+        3.8362880194193827, -0.634273205473485,
+    ),
+    ("bs_model", "put", 2): (
+        9.947644966022821,
+        8.270540077671072, -0.3890166691187461,
+        5.359669527197374, -0.3781838263500277,
+        0.4387636272626705, -0.17685575855338495,
+    ),
+    ("merton_model", "call", 1): (
+        11.720896900337607,
+        10.012762910345856, 0.3663411002493388,
+        6.4611058848671235, 0.3322315086159074,
+        0.6724964059587819, 0.16991814712180042,
+    ),
+    ("merton_model", "call", 2): (
+        8.684687795252145,
+        11.020958404224473, 0.6068470260627166,
+        8.475413317291483, 0.6199343390677189,
+        4.301069268188357, 0.8125558647339344,
+    ),
+    ("merton_model", "put", 1): (
+        10.056245062123253,
+        11.398050627277973, -0.3321231599652651,
+        8.657081982690379, -0.3604908410144182,
+        3.6244419088464115, -0.5174498532534413,
+    ),
+    ("merton_model", "put", 2): (
+        8.684687795252355,
+        7.02095840422477, -0.3931529739372836,
+        4.475413317291766, -0.38006566093228117,
+        0.30106926818873564, -0.187444135266057,
+    ),
+    ("seasons", "call", 1): (
+        12.767437890356476,
+        11.095105325717242, 0.473803189327519,
+        9.373487030449795, 0.35139020962032247,
+        1.3212428188441265, 0.21526053031620818,
+    ),
+    ("seasons", "call", 2): (
+        10.730306877842708,
+        13.080042118775381, 0.6155703633594729,
+        11.80389038945951, 0.598213875117263,
+        4.862286859220859, 0.7094121434722668,
+    ),
+    ("seasons", "put", 1): (
+        12.346968319276897,
+        13.68724984177009, -0.41077669487499513,
+        12.732658876204933, -0.36715659013143104,
+        4.342830724014531, -0.5057962837306176,
+    ),
+    ("seasons", "put", 2): (
+        10.730306877842914,
+        9.080042118775657, -0.38442963664052726,
+        7.803890389459779, -0.401786124882737,
+        0.8622868592211228, -0.290587856527733,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", ["call", "put"])
+@pytest.mark.parametrize("axis", [1, 2])
+@pytest.mark.parametrize("model_name", ["bs_model", "merton_model", "seasons"])
+def test_shrunk_truncation_keeps_the_numbers(request, model_name, kind, axis):
+    model = _two_seasons() if model_name == "seasons" else request.getfixturevalue(model_name)
+    dec = decompose(model, (call_claim if kind == "call" else put_claim)(100.0, axis=axis))
+    got = [dec.h0]
+    for t in (0.0, 0.5, 0.97):
+        got += dec.value_and_hedge(t, 97.0, 104.0)
+    assert got == pytest.approx(_NOMINAL_TRUNCATION_PINS[model_name, kind, axis], rel=1e-9, abs=0.0)
+
+
+def test_a_quote_builds_a_fraction_of_the_nominal_power_matrix(monkeypatch, bs_model):
+    # refine_line builds one power-matrix entry per point and node and level;
+    # with the truncation held at its nominal 200 a t = 0 quote built 15,360
+    entries = []
+    refine = engine.refine_line
+
+    def spy(ln, logv, coefficients, *args):
+        def counted(level):
+            u, coefs = coefficients(level)
+            entries.append(logv.size * u.size)
+            return u, coefs
+
+        return refine(ln, logv, counted, *args)
+
+    monkeypatch.setattr(engine, "refine_line", spy)
+    dec = decompose(bs_model, call_claim(100.0, axis=1))
+    dec.value_and_hedge(0.0, *bs_model.spot)
+    assert 0 < sum(entries) <= 15_360 // 4
+
+
+def test_lines_without_whole_shrunk_panels_keep_the_nominal_truncation(bs_model):
+    # 3 panels cannot be halved, so the plan starts at the nominal cutoff
+    line = replace(call_measure(100.0, axis=1).lines[0], panels=3)
+    dec = decompose(bs_model, PayoffMeasure(lines=(line,)))
+    got = [dec.h0]
+    for t in (0.0, 0.5, 0.97):
+        got += dec.value_and_hedge(t, 97.0, 104.0)
+    assert dec.quadrature_report()["lines"][0]["umult"] == 1
+    want = [-89.04070376120501, -87.71872174239002, -0.41296580207464845, -90.64548705063403,
+            -0.44721626254480107, -96.16371198058134, -0.6342732054734863]
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    # the same line on 32 panels shrinks to an eighth at t = 0
+    dec32 = decompose(bs_model, PayoffMeasure(lines=(replace(line, panels=32),)))
+    assert dec32.quadrature_report()["lines"][0]["umult"] == 0.125
+
+
+def test_untagged_line_samples_its_density_at_the_shrunk_cutoff(bs_model):
+    # this density has all but vanished at the nominal cutoff 200, not at 25:
+    # near maturity, where lambda decays slowly, a bound sampled at 200 would
+    # pass at 25 and drop the mass between
+    kernel = call_measure(100.0, axis=1).lines[0]
+
+    def density(u):
+        return kernel.density(u) * np.exp(-((np.asarray(u, dtype=float) / 40.0) ** 2))
+
+    line = ContourLine(axis=1, fixed_exponent=0.0, abscissa=kernel.abscissa,
+                       density=density, symmetric=True)
+    dec = decompose(bs_model, PayoffMeasure(lines=(line,)))
+    x, t = np.array([80.0, 100.0, 125.0]), 0.97
+    assert dec._tail_plan(0, 0.0, x, np.ones(1))[0] == 0.125
+    assert dec._tail_plan(0, t, x, np.ones(1))[:2] == (1, "skipped-negligible")
+    # reference: 40 Gauss-Legendre panels of 200 nodes on [0, 400]
+    gl_x, gl_w = np.polynomial.legendre.leggauss(200)
+    u = (np.arange(40)[:, None] * 10.0 + 5.0 + 5.0 * gl_x).ravel()
+    z = kernel.abscissa + 1j * u
+    coef = np.tile(5.0 * gl_w, 40) * density(u) * bs_model.lambda_coeff(t, z, 0.0)
+    want = 2.0 * np.real(np.exp(np.multiply.outer(np.log(x), z)) @ coef)
+    assert np.all(np.abs(dec.value(t, x, 100.0) - want) <= 1e-9 * np.abs(want))
 
 
 # -- line rates shared by every claim on one model -----------------------------
