@@ -17,11 +17,11 @@ the JSON report is printed to stdout.  Outputs are deterministic for a
 fixed config and seed: JSON is key-sorted with no timestamps, files are
 written atomically, and nothing is written for an invalid config.  Exit
 codes: 0 success, 2 configuration errors, 3 violated model/regime
-assumptions, contour quadrature that does not converge, a Fourier
-result, PDE grid or solution that is not finite, or an argument outside
-an operation's domain or a failed replay self-check (DomainError,
-MismatchError), 4 failed validation checks (the report is still
-written).  Each failure prints one line to stderr.
+assumptions or a claim that is not real, contour quadrature that does
+not converge, a Fourier result, PDE grid or solution that is not
+finite, or an argument outside an operation's domain or a failed replay
+self-check (DomainError, MismatchError), 4 failed validation checks (the
+report is still written).  Each failure prints one line to stderr.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import sys
 import numpy as np
 
 from . import engine, pde, simulation
-from .config import _integer, load_config
+from .config import load_config
 from .errors import (
     AssumptionError,
     CheckFailure,
@@ -105,6 +105,9 @@ def _surface_csv(times, xs, ss, y, z) -> str:
 
 
 def _decompose(cfg):
+    # the reports hold real numbers: a claim that is not real is rejected first
+    if not cfg.measure.is_real_claim():
+        raise AssumptionError("the command line requires a real-valued claim")
     return engine.decompose(cfg.model, cfg.measure, cfg.settings)
 
 
@@ -113,20 +116,10 @@ def _pde_solution(cfg):
     return spec, pde.solve(spec, cfg.measure, cfg.pde_grid)
 
 
-def _replay_setup(cfg, args):
-    """Sizes, seed, decomposition and path stream of simulate and check.
-
-    A claim that is not real is rejected before any path is drawn.
-    """
-    val = cfg.validation
-    sizes = {
-        "seed": val["seed"] if args.seed is None else args.seed,
-        "n_paths": val["n_paths"],
-        "n_steps": val["n_steps"],
-    }
+def _replay_setup(cfg):
+    """Sizes, seed, decomposition and path stream of simulate and check."""
+    sizes = {k: cfg.validation[k] for k in ("seed", "n_paths", "n_steps")}
     dec = _decompose(cfg)
-    if not cfg.measure.is_real_claim():
-        raise AssumptionError("path replay requires a real-valued claim")
     src = simulation.PathStream(cfg.model, sizes["n_paths"], sizes["n_steps"], sizes["seed"])
     return sizes, dec, src
 
@@ -135,7 +128,7 @@ def _cmd_price(cfg, args) -> dict:
     out = {"route": cfg.route}
     if cfg.route in ("fourier", "both"):
         dec = _decompose(cfg)
-        out["h0"] = float(np.real(dec.h0))
+        out["h0"] = float(dec.h0)
         out["assumptions"] = dec.assumptions
         out["quadrature"] = dec.quadrature_report()
     if cfg.route in ("pde", "both"):
@@ -159,7 +152,7 @@ def _cmd_hedge_surface(cfg, args) -> dict:
     if args.outdir:
         print(f"wrote {csv_path}")
     return {
-        "h0": float(np.real(dec.h0)),
+        "h0": float(dec.h0),
         "csv": csv_path,
         "shape": [len(times), len(xs), len(ss)],
         "quadrature": dec.quadrature_report(),
@@ -167,7 +160,7 @@ def _cmd_hedge_surface(cfg, args) -> dict:
 
 
 def _cmd_simulate(cfg, args) -> dict:
-    sizes, dec, src = _replay_setup(cfg, args)
+    sizes, dec, src = _replay_setup(cfg)
     run = simulation.hedge_run(dec, src)
     return {
         **sizes,
@@ -222,7 +215,7 @@ def _cmd_compare(cfg, args) -> dict:
     # np.max keeps a NaN gap
     gap_y = float(np.max(np.abs(sol.y[box] - yf) / np.maximum(np.abs(yf), 1.0)))
     gap_z = float(np.max(np.abs(sol.z[box] - zf) / np.maximum(np.abs(zf), 0.05)))
-    h0_f = float(np.real(dec.h0))
+    h0_f = float(dec.h0)
 
     x0, s0 = float(model.spot[0]), float(model.spot[1])
     mid = float(sol.times[np.searchsorted(sol.times, 0.5 * T)])
@@ -230,7 +223,7 @@ def _cmd_compare(cfg, args) -> dict:
     for t in (0.0, mid):
         for bump in (0.85, 1.0, 1.15):
             xq = x0 * bump
-            y_f = float(np.real(dec.value(t, xq, s0)))
+            y_f = float(dec.value(t, xq, s0))
             y_p = float(sol.value_at(t, xq, s0))
             y_m, se = pde.monte_carlo_representation(
                 spec, cfg.measure, t, xq, s0,
@@ -266,7 +259,7 @@ def _cmd_compare(cfg, args) -> dict:
 
 def _cmd_check(cfg, args) -> dict:
     """The validation battery: every selected test is a fold of one pass over the paths."""
-    sizes, dec, src = _replay_setup(cfg, args)
+    sizes, dec, src = _replay_setup(cfg)
     model, val = cfg.model, cfg.validation
     tests = val["tests"]
     folds = {}
@@ -358,7 +351,6 @@ def _parser() -> argparse.ArgumentParser:
             "--out", default=None,
             help="directory for report artifacts (default: config output.directory)",
         )
-        sp.add_argument("--seed", type=int, default=None, help="override the validation seed")
     return p
 
 
@@ -378,8 +370,6 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.seed is not None:
-            args.seed = _integer(args.seed, "--seed", 0)
         args.outdir = args.out or cfg.output_directory
         command, report_name = _COMMANDS[args.command]
         failure = None

@@ -238,26 +238,21 @@ class ExperimentConfig:
         self.output_directory = _block(raw, "output", {"directory"}).get("directory")
 
     def _build_settings(self) -> QuadratureSettings:
-        q = _block(self.raw, "quadrature", {"rel_tol", "panel_budget", "max_extension"})
+        q = _block(self.raw, "quadrature", {"rel_tol", "panel_budget"})
         kw = {}
         if "rel_tol" in q:
             kw["rel_tol"] = _number(q["rel_tol"], "quadrature.rel_tol")
         if "panel_budget" in q:
             kw["panel_budget"] = _integer(q["panel_budget"], "quadrature.panel_budget", 1)
-        if "max_extension" in q:
-            kw["max_extension"] = _integer(q["max_extension"], "quadrature.max_extension", 0)
         try:
             return QuadratureSettings(**kw) if kw else DEFAULT_SETTINGS
         except Exception as exc:
             raise ConfigError(f"bad quadrature settings: {exc}") from exc
 
     def _build_grid(self) -> GridConfig:
-        g = _block(self.raw, "pde_grid", {"nx", "ns", "nt", "radius_stddevs", "cfl_fraction"})
+        g = _block(self.raw, "pde_grid", {"nx", "ns", "nt"})
         sizes = (("nx", 5), ("ns", 5), ("nt", 2))
         kw = {k: _integer(g[k], f"pde_grid.{k}", lo) for k, lo in sizes if k in g}
-        for k in ("radius_stddevs", "cfl_fraction"):
-            if k in g:
-                kw[k] = _number(g[k], f"pde_grid.{k}")
         try:
             return GridConfig(**kw)
         except Exception as exc:
@@ -301,6 +296,8 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"unknown validation test {t!r}; available: {_CHECKS}"
                 )
+        if len(set(tests)) < len(tests):
+            raise ConfigError(f"validation.tests lists a test twice: {tests}")
         return {
             "n_paths": _integer(v.get("n_paths", 20000), "validation.n_paths", 1),
             "n_steps": _integer(v.get("n_steps", 125), "validation.n_steps", 1),

@@ -43,8 +43,9 @@ _ALIAS_MARGIN = 100.0
 _UNTAGGED_STRIP = 0.25
 # caps the node cache of one line at a few 16 MB arrays
 _MAX_UNIFORM_NODES = 1 << 20
-# 2**_MIN_EXTENSION is the smallest truncation multiple a line plan tries
+# a line plan tries truncation multiples 2**k, _MIN_EXTENSION <= k <= _MAX_EXTENSION
 _MIN_EXTENSION = -3
+_MAX_EXTENSION = 6
 # segment -> {line shape: (gamma, eta_rate, psi) at the shape's nodes}; the
 # claim enters a line only through its density, so every decomposition on
 # a model shares these, and an entry dies with its segment
@@ -337,11 +338,13 @@ class HedgeDecomposition:
             z += (a.weight * lam * gam * power).real / s
         for idx, ln in enumerate(self.measure.lines):
             f = float(np.real(ln.fixed_exponent))
-            logv = logx if ln.axis == 1 else logs
+            logv, other = (logx, s) if ln.axis == 1 else (logs, x)
             lo, hi = float(logv.min()), float(logv.max())
             # all paths at one price (the first step) give a one-point grid
             glx = np.linspace(lo, hi, grid_points if hi - lo >= 1e-12 else 1)
-            umult, tail_mode = self._plan(idx, t, np.exp(glx), np.ones(1))
+            # |other**f| peaks at an end of the other coordinate's range
+            fixed = np.array([other.min(), other.max()]) ** f
+            umult, tail_mode = self._plan(idx, t, np.exp(glx), fixed)
             if tail_mode == "terminal":
                 raise DomainError("the grid shortcut does not cover the terminal time")
             nd = self._nodes(idx, 0, umult, uniform=self._uniform_count(idx, umult, glx))
@@ -410,7 +413,7 @@ class HedgeDecomposition:
         horizon = self.model.horizon
         if (horizon - ti) <= _TERMINAL_FRACTION * horizon:
             return 1, "terminal", 0.0
-        ks = [k for k in range(_MIN_EXTENSION, self.settings.max_extension + 1) if (ln.panels * 2**k) % 1 == 0]
+        ks = [k for k in range(_MIN_EXTENSION, _MAX_EXTENSION + 1) if (ln.panels * 2**k) % 1 == 0]
         # max of v**R sits at the small end of the grid for negative abscissas
         vpow = float(np.max(np.asarray(v) ** ln.abscissa))
         fmax = float(np.max(np.abs(fixed))) if np.size(fixed) else 1.0
@@ -434,7 +437,7 @@ class HedgeDecomposition:
             if bound <= floor:
                 return umult, "extended" if k_ext > 0 else "skipped-negligible", bound
         if ln.tail is None:
-            return 1 << self.settings.max_extension, "bound-only", bound
+            return 1 << _MAX_EXTENSION, "bound-only", bound
         raise ConvergenceError(
             f"truncation tail of line {idx} is not controlled at t={ti:g}: "
             f"the propagation factor does not decay along this contour "

@@ -58,13 +58,10 @@ class QuadratureSettings:
     rel_tol:       stop refining once successive panel doublings agree to
                    this relative tolerance.
     panel_budget:  maximum number of panels per line and refinement pass.
-    max_extension: number of times the truncation may be doubled when the
-                   integrand has not decayed at the nominal cutoff.
     """
 
     rel_tol: float = 1e-8
     panel_budget: int = 512
-    max_extension: int = 6
 
     def __post_init__(self):
         # the negated tests reject NaN
@@ -72,8 +69,6 @@ class QuadratureSettings:
             raise DomainError(f"rel_tol must be a finite number > 0, got {self.rel_tol!r}")
         if not self.panel_budget >= 1:
             raise DomainError(f"panel_budget must be at least 1, got {self.panel_budget!r}")
-        if not self.max_extension >= 0:
-            raise DomainError(f"max_extension must be at least 0, got {self.max_extension!r}")
 
 
 DEFAULT_SETTINGS = QuadratureSettings()

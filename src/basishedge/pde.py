@@ -51,6 +51,10 @@ _MIN_EIG = 1e-10
 _MAX_EIG = 1e4
 # largest log-price whose exponential is a finite float
 _LOG_MAX = float(np.log(np.finfo(float).max))
+# the grid spans this many log standard deviations (plus the drift) around
+# the spot, and the time step takes this fraction of the CFL limit
+_RADIUS_STDDEVS = 6.0
+_CFL_FRACTION = 0.4
 
 
 @dataclass(frozen=True)
@@ -60,18 +64,12 @@ class GridConfig:
     nx: int = 161
     ns: int = 161
     nt: int = 41
-    radius_stddevs: float = 6.0
-    cfl_fraction: float = 0.4
 
     def __post_init__(self):
         if self.nx < 5 or self.ns < 5:
             raise DomainError("grids need at least 5 points per axis")
         if self.nt < 2:
             raise DomainError("need at least 2 snapshot times")
-        if not 0 < self.cfl_fraction <= 0.9:
-            raise DomainError("cfl_fraction must lie in (0, 0.9]")
-        if self.radius_stddevs <= 1.0:
-            raise DomainError("radius_stddevs must exceed 1")
 
 
 def _hedging_drift(b1, b2, c12, c22):
@@ -245,14 +243,14 @@ def solve(spec: DiffusionSpec, measure, grid: GridConfig = GridConfig()) -> PDES
     x0, s0 = float(spec.spot[0]), float(spec.spot[1])
 
     b1c, b2c, c11c, _, c22c = map(float, spec.fields(0.0, x0, s0))
-    half_x = grid.radius_stddevs * np.sqrt(c11c * T) + abs(b1c) * T
-    half_s = grid.radius_stddevs * np.sqrt(c22c * T) + abs(b2c) * T
+    half_x = _RADIUS_STDDEVS * np.sqrt(c11c * T) + abs(b1c) * T
+    half_s = _RADIUS_STDDEVS * np.sqrt(c22c * T) + abs(b2c) * T
     xi = np.log(x0) + np.linspace(-half_x, half_x, grid.nx)
     eta = np.log(s0) + np.linspace(-half_s, half_s, grid.ns)
     if not max(np.abs(xi).max(), np.abs(eta).max()) < _LOG_MAX:
         raise DomainError(
             f"the price grid overflows: log-price half-widths {half_x:.3g} and "
-            f"{half_s:.3g}; lower pde_grid.radius_stddevs"
+            f"{half_s:.3g} around the spot reach past the largest float"
         )
     dxi = xi[1] - xi[0]
     deta = eta[1] - eta[0]
@@ -281,7 +279,7 @@ def solve(spec: DiffusionSpec, measure, grid: GridConfig = GridConfig()) -> PDES
         return (bh1, bh2, c11, c12, c22), float(denom.max())
 
     coeffs, denom_max = adjusted(T)
-    dt_cfl = grid.cfl_fraction / denom_max
+    dt_cfl = _CFL_FRACTION / denom_max
     per_snap = max(1, int(np.ceil((T / (grid.nt - 1)) / dt_cfl)))
     steps = per_snap * (grid.nt - 1)
     dt = T / steps
@@ -299,8 +297,8 @@ def solve(spec: DiffusionSpec, measure, grid: GridConfig = GridConfig()) -> PDES
             z_snap[k] = (dys + (c12t / c22t) * dyx) / ss
         if not (np.isfinite(y_snap[k]).all() and np.isfinite(z_snap[k]).all()):
             raise DomainError(
-                f"the finite-difference solution is not finite at t={t:g}; "
-                "lower pde_grid.radius_stddevs"
+                f"the finite-difference solution is not finite at t={t:g} on log-price "
+                f"half-widths {half_x:.3g} and {half_s:.3g}"
             )
 
     snapshot(-1, measure.payoff(xx, ss), T)

@@ -1,6 +1,7 @@
 """Config validation and the command-line front end."""
 
 import copy
+import dataclasses
 import importlib
 import json
 import os
@@ -57,10 +58,8 @@ def _with(base, **blocks) -> dict:
 def test_minimal_config_defaults():
     cfg = ExperimentConfig(raw=copy.deepcopy(BASE))
     assert cfg.route == "fourier"
-    st = cfg.settings
-    assert (st.rel_tol, st.panel_budget, st.max_extension) == (1e-8, 512, 6)
-    grid = cfg.pde_grid
-    assert (grid.nx, grid.ns, grid.nt) == (161, 161, 41)
+    assert dataclasses.asdict(cfg.settings) == {"rel_tol": 1e-8, "panel_budget": 512}
+    assert dataclasses.asdict(cfg.pde_grid) == {"nx": 161, "ns": 161, "nt": 41}
     surf = cfg.surface_grid
     assert surf["times"] == [0.0, 0.5, 1.0]
     assert surf["x"][0] == 50.0 and surf["x"][-1] == 150.0 and len(surf["x"]) == 21
@@ -101,6 +100,12 @@ def _broken_configs():
     case("pde-grid-too-small", lambda c: c.update(pde_grid={"nt": 1}))
     case("surface-time-after-horizon", lambda c: c.update(surface={"times": [2.5]}))
     case("unknown-validation-test", lambda c: c.update(validation={"tests": ["nonsense"]}))
+    case("validation-test-twice",
+         lambda c: c.update(validation={"tests": ["tradeoff", "tradeoff", "moments"]}))
+    # settings that were retired into constants are unknown keys
+    case("quadrature-max-extension", lambda c: c.update(quadrature={"max_extension": 6}))
+    case("pde-grid-radius-stddevs", lambda c: c.update(pde_grid={"radius_stddevs": 6.0}))
+    case("pde-grid-cfl-fraction", lambda c: c.update(pde_grid={"cfl_fraction": 0.4}))
     case("output-not-object", lambda c: c.update(output=[1]))
     case("compare-negative-limit", lambda c: c.update(compare={"h0_limit": -1.0}))
     return cases
@@ -110,6 +115,16 @@ def _broken_configs():
 def test_invalid_configs_raise(raw):
     with pytest.raises(ConfigError):
         ExperimentConfig(raw=raw)
+
+
+@pytest.mark.parametrize("raw", _broken_configs())
+def test_cli_exit_2_on_broken_configs(tmp_path, capsys, raw):
+    out = tmp_path / "never"
+    path = _write(tmp_path, raw)
+    assert main(["check", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_sum_and_power_payoffs():
@@ -228,6 +243,18 @@ def test_cli_exit_2_on_config_errors(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+def test_cli_takes_no_seed_flag(tmp_path, capsys):
+    # the seed comes from validation.seed only; argparse rejects the flag
+    out = tmp_path / "never"
+    path = _write(tmp_path, BASE)
+    for command in ("price", "hedge-surface", "simulate", "pde", "compare", "check"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", path, "--out", str(out), "--seed", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 SHIPPED_CHECK = Path(__file__).resolve().parents[1] / "configs" / "merton_validation.json"
 
 
@@ -261,29 +288,22 @@ def test_cli_exit_2_on_bad_validation_integers(tmp_path, capsys, command, key, v
         ("price", "payoff.strike", float("nan")),
         ("price", "payoff.strike", float("-inf")),
         ("price", "quadrature.panel_budget", 16.5),
-        ("price", "quadrature.max_extension", -1),
         ("pde", "pde_grid.nx", 3),
         ("pde", "pde_grid.nt", "41"),
-        ("pde", "pde_grid.cfl_fraction", float("inf")),
         ("hedge-surface", "surface.x.n", 0),
         ("hedge-surface", "surface.s.n", True),
-        ("check", "--seed", -1),
     ],
 )
 def test_cli_exit_2_on_bad_numbers(tmp_path, capsys, command, key, value):
     cfg = json.loads(SHIPPED_CHECK.read_text())
     out = tmp_path / "never"
-    extra = []
-    if key.startswith("--"):
-        extra = [key, str(value)]
-    else:
-        *blocks, leaf = key.split(".")
-        target = cfg
-        for name in blocks:
-            target = target.setdefault(name, {})
-        target[leaf] = value
+    *blocks, leaf = key.split(".")
+    target = cfg
+    for name in blocks:
+        target = target.setdefault(name, {})
+    target[leaf] = value
     path = _write(tmp_path, cfg)
-    assert main([command, "--config", path, "--out", str(out), *extra]) == 2
+    assert main([command, "--config", path, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {key}")
     assert "Traceback" not in err
@@ -342,13 +362,26 @@ def test_cli_exit_3_pde_route_rejects_jumps(tmp_path, capsys):
     assert "jumps" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["simulate", "check", "pde", "price"])
-def test_cli_exit_3_on_complex_claim(tmp_path, capsys, command):
-    # the replay and the finite-difference route need a real claim
+COMPLEX_POWER = {"kind": "power", "exponents": [[0.5, 1.0], 0.0]}
+
+
+@pytest.mark.parametrize(
+    "command, route, payoff",
+    [
+        *((c, "both", COMPLEX_POWER) for c in ("simulate", "check", "pde", "price", "hedge-surface")),
+        # the Fourier route alone once reported only the real part
+        ("price", "fourier", {"kind": "power", "exponents": [[0.5, 1.5], 0.5]}),
+        ("price", "fourier", {"kind": "call", "strike": 100.0, "asset": "x", "weight": [0, 1]}),
+    ],
+    ids=["simulate", "check", "pde", "price", "hedge-surface", "price-fourier",
+         "price-fourier-imaginary-weight"],
+)
+def test_cli_exit_3_on_complex_claim(tmp_path, capsys, command, route, payoff):
+    # every report holds real numbers, so every command needs a real claim
     cfg = _with(
         BASE,
-        payoff={"kind": "power", "exponents": [[0.5, 1.0], 0.0]},
-        route="both",
+        payoff=payoff,
+        route=route,
         pde_grid={"nx": 11, "ns": 11, "nt": 2},
         validation={"n_paths": 200, "n_steps": 4, "seed": 1},
     )
@@ -452,10 +485,6 @@ def test_cli_simulate_traded_claim_records_zero_residual(tmp_path, capsys):
     assert payload["seed"] == 3
     assert payload["h0"] == pytest.approx(100.0, abs=1e-9)
     assert payload["residual_variance"] < 1e-18
-    # the seed flag overrides the configured one and is recorded
-    assert main(["simulate", "--config", path, "--seed", "99"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["seed"] == 99
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -580,14 +609,16 @@ SHIPPED_PDE = Path(__file__).resolve().parents[1] / "configs" / "hulley_mcwalter
 
 @pytest.mark.parametrize("command", ["price", "pde", "compare"])
 def test_cli_exit_3_on_overflowing_pde_grid(tmp_path, capsys, command):
-    # a radius of 1e6 standard deviations puts exp(3e5) on the price grid
+    # six log standard deviations plus the drift over two years put about
+    # exp(8900) on the price grid of x; the drift keeps the Fourier route finite
     cfg = json.loads(SHIPPED_PDE.read_text())
-    cfg["pde_grid"].update(radius_stddevs=1e6, nt=2)
+    cfg["model"].update(vol_x=90.0, horizon=2.0, drift=[-4050.0, 0.02875])
+    cfg["pde_grid"].update(nt=2)
     out = tmp_path / "never"
     path = _write(tmp_path, cfg)
     assert main([command, "--config", path, "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert "pde_grid.radius_stddevs" in err
+    assert "price grid overflows" in err
     assert err.count("\n") == 1
     assert "Traceback" not in err
     assert not out.exists()

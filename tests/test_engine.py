@@ -381,6 +381,31 @@ def test_line_grid_reports_its_tail_mode(merton_model):
     assert (line["umult"], line["tail_mode"]) == (2, "extended")
 
 
+def test_line_grid_plan_covers_the_fixed_coordinate(merton_model, monkeypatch):
+    # a line scaled by s: the replay's truncation plan covers the paths'
+    # fixed factors, as exact evaluation of the same paths does
+    line = replace(call_measure(100.0, axis=1).lines[0], fixed_exponent=1.0)
+    dec = decompose(merton_model, PayoffMeasure(lines=(line,)))
+    x, s = 100.0 * np.exp(0.3 * np.random.default_rng(0).standard_normal((2, 2000)))
+    plan = dec._plan
+
+    def picked(evaluate):
+        umults = []
+
+        def spy(*args):
+            out = plan(*args)
+            umults.append(out[0])
+            return out
+
+        monkeypatch.setattr(dec, "_plan", spy)
+        evaluate()
+        return umults
+
+    exact = picked(lambda: dec.value_and_hedge(0.0, x[:20], s[:20]))
+    assert exact == [0.25]
+    assert picked(lambda: dec._path_slice(0.0, x, s, 257)) == exact
+
+
 def test_line_grid_single_point(merton_model):
     # at the first replay step every path sits at spot
     dec = decompose(merton_model, call_measure(100.0, axis=1))

@@ -242,7 +242,7 @@ def test_quadrature_budget_errors():
 @pytest.mark.parametrize(
     "key, value",
     [("rel_tol", 0.0), ("rel_tol", -1e-8), ("rel_tol", float("nan")), ("rel_tol", float("inf")),
-     ("panel_budget", 0), ("max_extension", -1)],
+     ("panel_budget", 0)],
 )
 def test_quadrature_settings_reject_bad_values(key, value):
     # a malformed setting fails where it is made, not as a quadrature failure later

@@ -31,10 +31,6 @@ def test_grid_config_validation():
         GridConfig(nx=4)
     with pytest.raises(DomainError, match="at least 2"):
         GridConfig(nt=1)
-    with pytest.raises(DomainError, match="cfl_fraction"):
-        GridConfig(cfl_fraction=0.95)
-    with pytest.raises(DomainError, match="radius_stddevs"):
-        GridConfig(radius_stddevs=1.0)
 
 
 def test_spec_regime_validation(merton_model, bs_model):
