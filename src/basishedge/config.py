@@ -289,8 +289,8 @@ class ExperimentConfig:
              "orthogonality_limit", "tradeoff_limit"},
         )
         tests = v.get("tests", list(_CHECKS))
-        if not isinstance(tests, list):
-            raise ConfigError("validation.tests must be a list")
+        if not isinstance(tests, list) or not tests:
+            raise ConfigError("validation.tests must be a non-empty list")
         for t in tests:
             if t not in _CHECKS:
                 raise ConfigError(

@@ -37,12 +37,6 @@ __all__ = ["HedgeDecomposition", "decompose"]
 
 _TERMINAL_FRACTION = 1e-9
 _IM_ABORT = 1e-5
-# aliasing of the uniform replay grid is held to rel_tol / _ALIAS_MARGIN
-_ALIAS_MARGIN = 100.0
-# analytic strip half-width assumed for a density without a known kernel
-_UNTAGGED_STRIP = 0.25
-# caps the node cache of one line at a few 16 MB arrays
-_MAX_UNIFORM_NODES = 1 << 20
 # a line plan tries truncation multiples 2**k, _MIN_EXTENSION <= k <= _MAX_EXTENSION
 _MIN_EXTENSION = -3
 _MAX_EXTENSION = 6
@@ -192,9 +186,8 @@ class HedgeDecomposition:
         tb, xb, sb = np.broadcast_arrays(t, x, s)
         scalar = tb.ndim == 0
         shape = tb.shape
-        y, z = self._flat(
-            np.atleast_1d(tb).ravel(), np.atleast_1d(xb).ravel(), np.atleast_1d(sb).ravel(), need_z
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            y, z = self._flat(*(np.atleast_1d(a).ravel() for a in (tb, xb, sb)), need_z)
         out = []
         for arr in (y, z):
             if arr is None:
@@ -242,30 +235,30 @@ class HedgeDecomposition:
                     v, other = (x, s) if ln.axis == 1 else (s, x)
                     fixed = np.exp(complex(ln.fixed_exponent) * np.log(other[rows]))
                     uv, inv = np.unique(v[rows], return_inverse=True)
-                    cy, cz = self._line_group(idx, float(ti), uv, fixed, need_z)
+                    cy, cz = self._line_group(idx, float(ti), uv, fixed, need_z)[:2]
                     y[rows] += fixed * cy[inv]
                     if need_z:
                         z[rows] += fixed * cz[inv] / s[rows]
         return y, z
 
-    def _nodes(self, idx: int, level: int, umult: float, uniform: int = 0) -> _LineNodes:
-        """Line nodes at a refinement level (see payoffs.line_nodes) with the
+    def _nodes(self, idx: int, level: int, umult: float, base: int = 0) -> _LineNodes:
+        """The nodes a refinement level adds (see payoffs.line_nodes) with the
         claim's density there, cached, and the model's shared rates."""
-        key = (idx, level, umult, uniform)
+        key = (idx, level, umult, base)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
         ln = self.measure.lines[idx]
-        u, w = line_nodes(ln, level, umult, uniform)
+        u, w = line_nodes(ln, level, umult, base)
         dens = np.asarray(ln.density(u), dtype=complex)
-        self._cache[key] = nd = _LineNodes(u, w, dens, self._rates(ln, u, level, umult, uniform))
+        self._cache[key] = nd = _LineNodes(u, w, dens, self._rates(ln, u, level, umult, base))
         return nd
 
-    def _rates(self, ln, u, level: int, umult: float, uniform: int) -> dict:
-        """(gamma, eta_rate, psi) of every model segment at the line's nodes u
-        (line_nodes of the same arguments), read from or put into _RATES."""
+    def _rates(self, ln, u, *tag) -> dict:
+        """(gamma, eta_rate, psi) of every model segment at the line's nodes u,
+        which the line and tag fix, read from or put into _RATES."""
         f = complex(ln.fixed_exponent)
-        shape = (ln.axis, f, ln.abscissa, ln.truncation, ln.panels, ln.symmetric, level, umult, uniform)
+        shape = (ln.axis, f, ln.abscissa, ln.truncation, ln.panels, ln.symmetric, *tag)
         rates = {}
         for _, _, seg in self.model.segments:
             per = _RATES.setdefault(seg, {})
@@ -284,8 +277,9 @@ class HedgeDecomposition:
         return np.exp(log_lam), rates[m.segment_at(ti)][0]
 
     def _line_group(self, idx, ti, v, fixed, need_z):
-        """Raw line values (y, z) at the varying coordinates v at time ti;
-        z is None unless need_z.
+        """Raw line values (y, z) at the varying coordinates v at time ti,
+        with the truncation multiple and the level they took; z is None
+        unless need_z.
 
         Values exclude the fixed-coordinate factor and the 1/s hedging
         division; `fixed` holds the factors of the points sharing them,
@@ -314,16 +308,18 @@ class HedgeDecomposition:
         )
         stats = self._line_stats[idx]
         stats["levels"] = max(stats["levels"], level)
-        return y, z
+        return y, z, umult, level
 
     def _path_slice(self, t, x, s, grid_points):
         """Real value and hedge of a real claim at one time t < T on all
         paths (x, s), for the Monte Carlo replay.  Atoms are exact; each
         line is a Fourier sum in the index of a uniform grid of grid_points
-        in its varying log coordinate (trapezoid rule on uniform nodes
-        u_k = u_0 + k*h), done by one chirp-z transform and interpolated.
+        in its varying log coordinate, done by one chirp-z transform on the
+        uniform nodes of the line's whole trapezoid rule and interpolated.
         """
         model = self.model
+        if (model.horizon - t) <= _TERMINAL_FRACTION * model.horizon:
+            raise DomainError("the grid shortcut does not cover the terminal time")
         y, z = np.zeros(x.size), np.zeros(x.size)
         logx, logs = np.log(x), np.log(s)
         for a in self.measure.atoms:
@@ -344,10 +340,10 @@ class HedgeDecomposition:
             glx = np.linspace(lo, hi, grid_points if hi - lo >= 1e-12 else 1)
             # |other**f| peaks at an end of the other coordinate's range
             fixed = np.array([other.min(), other.max()]) ** f
-            umult, tail_mode = self._plan(idx, t, np.exp(glx), fixed)
-            if tail_mode == "terminal":
-                raise DomainError("the grid shortcut does not cover the terminal time")
-            nd = self._nodes(idx, 0, umult, uniform=self._uniform_count(idx, umult, glx))
+            # the aliasing error grows with |log-moneyness|, which peaks at an
+            # end of the grid, so the level refined there serves the grid
+            umult, level = self._line_group(idx, t, np.exp(glx[[0, -1]]), fixed, True)[2:]
+            nd = self._nodes(idx, 0, umult, 16 * int(ln.panels * umult) << level)
             lam, gam = self._propagate(nd.rates, t)
             coef = nd.w * nd.dens * lam
             # exp((R + i u_k) glx_j) = exp((R + i u_0) glx_j) exp(i k h glx_0) exp(i h dx jk)
@@ -371,31 +367,6 @@ class HedgeDecomposition:
                 y += yv * x**f
                 z += zv * x**f / s
         return y, z
-
-    def _uniform_count(self, idx, umult, glx) -> int:
-        """Trapezoid intervals (a power of two) for a line on a log grid.
-
-        The trapezoid error is aliasing, about exp(-d (2 pi / h - |w|))
-        relative, with d the distance from the contour to the density's
-        nearest singularity and w the log-moneyness; h keeps it below
-        rel_tol / _ALIAS_MARGIN over the grid.
-        """
-        ln = self.measure.lines[idx]
-        if ln.tail is not None:
-            # rational kernel: poles at z = 0 and z = 1, oscillation log(v / K)
-            dist = min(abs(ln.abscissa), abs(ln.abscissa - 1.0))
-            w = np.abs(glx - np.log(ln.tail.strike))
-        else:
-            dist, w = _UNTAGGED_STRIP, np.abs(glx)
-        h = 2.0 * np.pi / (float(w.max()) + np.log(_ALIAS_MARGIN / self.settings.rel_tol) / dist)
-        span = ln.truncation * umult * (1.0 if ln.symmetric else 2.0)
-        n = 1 << max(int(np.ceil(np.log2(span / h))), 1)
-        if n > _MAX_UNIFORM_NODES:
-            raise ConvergenceError(
-                f"uniform quadrature for line {idx} needs {n} nodes, "
-                f"more than {_MAX_UNIFORM_NODES}"
-            )
-        return n
 
     def _plan(self, idx, ti, v, fixed) -> tuple[float, str]:
         """(umult, tail_mode) of a line at time ti, recorded in its stats."""
@@ -430,10 +401,9 @@ class HedgeDecomposition:
             floor = 0.1 * self.settings.rel_tol * max(1.0, amps[ks.index(0)] / max(ln.truncation, 1.0))
         for k_ext, amp in zip(ks, amps):
             umult = 2 ** k_ext
-            # the one-interval trapezoid line ends at the cutoff truncation * umult
-            edge = line_nodes(ln, 0, umult, 1)[0]
-            lam, gam = self._propagate(self._rates(ln, edge, 0, umult, 1), ti)
-            bound = float(2.0 * amp * abs(lam[-1]) * max(1.0, abs(gam[-1])) / edge[-1])
+            cut = np.array([ln.truncation * umult])
+            lam, gam = self._propagate(self._rates(ln, cut, umult), ti)
+            bound = float(2.0 * amp * abs(lam[0]) * max(1.0, abs(gam[0])) / cut[0])
             if bound <= floor:
                 return umult, "extended" if k_ext > 0 else "skipped-negligible", bound
         if ln.tail is None:

@@ -45,8 +45,10 @@ __all__ = [
     "DEFAULT_SETTINGS",
 ]
 
-_GL_POINTS = 16
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_POINTS)
+# Gregory's end correction to the trapezoid rule at a cut end, end node
+# first, from the differences of orders 1 to 6: exact through degree 7
+_END = np.array([-3383 / 17280, 6961 / 15120, -66109 / 120960, 33 / 70,
+                 -31523 / 120960, 1247 / 15120, -275 / 24192])
 # entries of one block of a contour line's complex power matrix (32 MB)
 _BLOCK = 1 << 21
 
@@ -55,9 +57,11 @@ _BLOCK = 1 << 21
 class QuadratureSettings:
     """Tolerances and budgets for contour quadrature.
 
-    rel_tol:       stop refining once successive panel doublings agree to
-                   this relative tolerance.
-    panel_budget:  maximum number of panels per line and refinement pass.
+    rel_tol:       stop refining once successive levels agree to this
+                   relative tolerance.
+    panel_budget:  cap on the work per line and refinement pass: a panel is
+                   16 trapezoid intervals at level 0, and the nested levels
+                   stop at twice this many panels.
     """
 
     rel_tol: float = 1e-8
@@ -192,6 +196,7 @@ class ContourLine:
     density: complex density d(u) including all normalisation; the line
         contributes integral du d(u) * (varying coord)**(abscissa+i*u)
         times (fixed coord)**fixed_exponent.
+    panels: level-0 panels of 16 trapezoid intervals each (see line_nodes).
     symmetric: d(-u) == conj(d(u)); evaluated on [0, U] and doubled.
         None means probe numerically at construction time.
     tail: optional analytic-tail marker for the call/put kernel.
@@ -223,59 +228,67 @@ class ContourLine:
             object.__setattr__(self, "symmetric", sym)
 
 
-def panel_nodes(lo: float, hi: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite 16-point Gauss-Legendre rule on [lo, hi]."""
-    edges = np.linspace(lo, hi, n_panels + 1)
-    half = 0.5 * (edges[1] - edges[0])
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    u = (mids[:, None] + half * _GL_X[None, :]).ravel()
-    w = np.tile(half * _GL_W, n_panels)
-    return u, w
+def line_nodes(ln: ContourLine, level: int, umult: float = 1, base: int = 0):
+    """Running nodes and weights that a refinement level adds to a line
+    whose truncation is scaled by umult.
 
-
-def line_nodes(ln: ContourLine, level: int, umult: float = 1, uniform: int = 0):
-    """Running nodes and weights of a line whose truncation is scaled by umult.
-
-    Composite Gauss-Legendre on ln.panels * umult (a whole number) * 2**level
-    panels, or the trapezoid rule on `uniform` equal intervals when nonzero.
+    The rule is the trapezoid rule on (base or 16 * ln.panels * umult)
+    * 2**level equal intervals, with Gregory weights at each cut end (u = 0
+    of a symmetric line is no cut: Re of its integrand is even there).
+    Level 0 is the whole rule; a later level holds its midpoints and moves
+    the end weights from the coarser spacing to its own, so that its sum
+    plus half the previous level's is the whole finer rule.
     """
+    n = (base or 16 * int(ln.panels * umult)) << level
     hi = ln.truncation * umult
     lo = 0.0 if ln.symmetric else -hi
-    if not uniform:
-        return panel_nodes(lo, hi, int(ln.panels * umult) << level)
-    u = np.linspace(lo, hi, uniform + 1)
-    w = np.full(u.shape, (hi - lo) / uniform)
-    w[[0, -1]] *= 0.5
-    return u, w
+    if level == 0:
+        w, end = np.r_[0.5, np.ones(n - 1), 0.5], _END
+    else:
+        w = np.zeros(n + 1)
+        w[1::2] = 1.0
+        # the end weights at this spacing less those at twice it
+        end = np.zeros(2 * _END.size - 1)
+        end[:_END.size] = _END
+        end[::2] -= _END
+    w[n + 1 - end.size:] += end[::-1]
+    if not ln.symmetric:
+        w[:end.size] += end
+    j = np.flatnonzero(w)
+    return lo + (hi - lo) * (j / n), (hi - lo) / n * w[j]
 
 
 def refine_line(ln: ContourLine, logv, coefficients, tails, settings: QuadratureSettings,
                 umult: float = 1):
-    """The Gauss-Legendre refinement loop of every contour-line integral.
+    """The refinement loop of every contour-line integral.
 
-    coefficients(level) returns the level's running nodes u and the node
-    weights (cy, cz) of the two integrals sum_k c_k exp((R + i u_k) logv)
-    at the 1-d logv, None for one that is not wanted; tails holds what is
-    added to each.  The power matrix is built in row blocks of at most
-    _BLOCK entries, so memory does not grow with the number of points.
-    Panels double per level until successive levels agree to
-    settings.rel_tol relative.  Returns (y, z, level), without the
-    fixed-coordinate factor.
+    coefficients(level) returns the nodes u that the level adds (see
+    line_nodes) and their weights (cy, cz) in the two integrals
+    sum_k c_k exp((R + i u_k) logv) at the 1-d logv, None for one that is
+    not wanted; tails holds what is added to each.  The power matrix is
+    built in row blocks of at most _BLOCK entries, so memory does not grow
+    with the number of points.  Intervals double per level until
+    successive levels agree to settings.rel_tol relative; the levels nest,
+    so the work up to the level past the budget equals that of a rule
+    rebuilt whole at every level up to the budget.  Returns (y, z, level),
+    without the fixed-coordinate factor.
     """
     budget = settings.panel_budget * umult
+    if ln.panels * umult > budget:
+        raise ConvergenceError("panel budget below the base panel count")
+    acc = [np.zeros(logv.shape, dtype=complex) for _ in tails]
     prev = None
     diff = float("nan")
     level = 0
-    while int(ln.panels * umult) << level <= budget:
+    while int(ln.panels * umult) << level <= 2 * budget:
         u, coefs = coefficients(level)
-        cur = [None if c is None else np.empty(logv.shape, dtype=complex) for c in coefs]
         rows = max(1, _BLOCK // u.size)
         for i in range(0, logv.size, rows):
             powers = np.exp(np.multiply.outer(logv[i:i + rows], ln.abscissa + 1j * u))
-            for out, c in zip(cur, coefs):
+            for out, c in zip(acc, coefs):
                 if c is not None:
-                    out[i:i + rows] = powers @ c
-        cur = [None if c is None else c + tail for c, tail in zip(cur, tails)]
+                    out[i:i + rows] = 0.5 * out[i:i + rows] + powers @ c
+        cur = [None if c is None else a + tail for a, c, tail in zip(acc, coefs, tails)]
         if ln.symmetric:
             cur = [None if c is None else 2.0 * c.real for c in cur]
         if prev is not None:
@@ -288,8 +301,6 @@ def refine_line(ln: ContourLine, logv, coefficients, tails, settings: Quadrature
                 return cur[0], cur[1], level
         prev = cur
         level += 1
-    if prev is None:
-        raise ConvergenceError("panel budget below the base panel count")
     raise ConvergenceError(
         f"contour quadrature did not stabilise within {int(budget)} panels", residual=diff
     )

@@ -20,7 +20,18 @@ import numpy as np
 from scipy.stats import norm
 
 from basishedge.errors import DomainError
-from basishedge.payoffs import panel_nodes
+
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+
+
+def panel_nodes(lo: float, hi: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite 16-point Gauss-Legendre rule on [lo, hi], a reference rule."""
+    edges = np.linspace(lo, hi, n_panels + 1)
+    half = 0.5 * (edges[1] - edges[0])
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    u = (mids[:, None] + half * _GL_X[None, :]).ravel()
+    w = np.tile(half * _GL_W, n_panels)
+    return u, w
 
 
 def lognormal_call(forward: float, strike: float, total_var: float) -> float:

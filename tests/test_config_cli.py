@@ -102,6 +102,7 @@ def _broken_configs():
     case("unknown-validation-test", lambda c: c.update(validation={"tests": ["nonsense"]}))
     case("validation-test-twice",
          lambda c: c.update(validation={"tests": ["tradeoff", "tradeoff", "moments"]}))
+    case("validation-empty", lambda c: c.update(validation={"tests": []}))
     # settings that were retired into constants are unknown keys
     case("quadrature-max-extension", lambda c: c.update(quadrature={"max_extension": 6}))
     case("pde-grid-radius-stddevs", lambda c: c.update(pde_grid={"radius_stddevs": 6.0}))
@@ -622,6 +623,36 @@ def test_cli_exit_3_on_overflowing_pde_grid(tmp_path, capsys, command):
     assert err.count("\n") == 1
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_cli_overflowing_fourier_result_prints_one_line(tmp_path):
+    # a child process, because pytest turns numpy warnings into errors: the
+    # quadrature's overflow shows only as the guard's one line
+    cfg = json.loads(SHIPPED_PDE.read_text())
+    cfg["model"].update(vol_x=90.0, horizon=2.0)
+    out = tmp_path / "never"
+    src = str(Path(basishedge.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "basishedge.cli", "price", "--config", _write(tmp_path, cfg),
+         "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("quadrature failed:") and proc.stderr.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_hedge_surface_with_the_call_contour_near_a_pole(tmp_path, capsys):
+    # at abscissa 0.1 the t = T slice needs the cut end's Gregory weights
+    cfg = json.loads(SHIPPED_PDE.read_text())
+    cfg["payoff"]["abscissa"] = 0.1
+    out = tmp_path / "art"
+    assert main(["hedge-surface", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    lines = (out / "hedge_surface.csv").read_text().strip().splitlines()[1:]
+    rows = np.array([[float(v) for v in ln.split(",")] for ln in lines])
+    last = rows[rows[:, 0] == cfg["model"]["horizon"]]
+    assert last.size and np.all(np.abs(last[:, 3] - np.maximum(last[:, 1] - 100.0, 0.0)) <= 1e-6 * 101.0)
 
 
 @pytest.mark.parametrize("command", ["pde", "compare", "price"])

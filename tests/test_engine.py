@@ -17,6 +17,7 @@ from basishedge.models import AdditiveModel, PiecewiseAdditiveModel, vols_to_cov
 from basishedge.payoffs import (
     ContourLine,
     PayoffMeasure,
+    QuadratureSettings,
     call_claim,
     call_measure,
     power_claim,
@@ -423,12 +424,14 @@ def test_line_grid_rejects_terminal_time(bs_model):
         dec._path_slice(bs_model.horizon, *_slice_prices(dec, glx), glx.size)
 
 
-def test_line_grid_node_count_is_capped(bs_model):
-    dec = decompose(bs_model, call_measure(100.0, axis=1))
-    glx = np.linspace(np.log(60.0), np.log(160.0), 33)
-    assert dec._uniform_count(0, 1, glx) == 2048
-    with pytest.raises(ConvergenceError, match="uniform quadrature"):
-        dec._uniform_count(0, 1 << 12, glx)
+def test_line_grid_refinement_is_capped_by_the_panel_budget(bs_model):
+    # the grid's node count comes from the refinement at its two ends, under
+    # the same budget as a point's: log-moneyness out to 9 needs more
+    dec = decompose(bs_model, call_measure(100.0, axis=1), QuadratureSettings(panel_budget=128))
+    assert _grid_error(dec, 0.0, np.linspace(np.log(60.0), np.log(160.0), 33)) <= 1e-8
+    glx = np.linspace(np.log(1e-2), np.log(1e6), 33)
+    with pytest.raises(ConvergenceError, match="did not stabilise within 16 panels"):
+        dec._path_slice(0.0, *_slice_prices(dec, glx), glx.size)
 
 
 # -- truncation plans follow the decay of lambda -----------------------------------
