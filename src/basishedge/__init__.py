@@ -24,7 +24,6 @@ from .errors import (
 from .models import AdditiveModel, PiecewiseAdditiveModel, vols_to_covariance
 from .payoffs import (
     PayoffMeasure,
-    QuadratureSettings,
     call_claim,
     call_measure,
     combine,
@@ -41,7 +40,6 @@ __all__ = [
     "PiecewiseAdditiveModel",
     "vols_to_covariance",
     "PayoffMeasure",
-    "QuadratureSettings",
     "call_claim",
     "call_measure",
     "put_claim",

@@ -108,7 +108,7 @@ def _decompose(cfg):
     # the reports hold real numbers: a claim that is not real is rejected first
     if not cfg.measure.is_real_claim():
         raise AssumptionError("the command line requires a real-valued claim")
-    return engine.decompose(cfg.model, cfg.measure, cfg.settings)
+    return engine.decompose(cfg.model, cfg.measure)
 
 
 def _pde_solution(cfg):

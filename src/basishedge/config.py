@@ -5,7 +5,6 @@ A config file is one JSON object with blocks
     model       required; kind "black-scholes", "merton" or "piecewise"
     payoff      required; kind "call", "put", "power" or "sum"
     route       "fourier" (default), "pde" or "both"
-    quadrature  optional contour-quadrature overrides
     pde_grid    optional finite-difference grid overrides
     surface     optional hedge-surface grid (times / x / s)
     validation  Monte Carlo sizes, seed and the list of checks to run
@@ -28,11 +27,13 @@ import numpy as np
 from . import payoffs
 from .errors import ConfigError, DomainError
 from .models import AdditiveModel, PiecewiseAdditiveModel, vols_to_covariance
-from .payoffs import DEFAULT_SETTINGS, PayoffMeasure, QuadratureSettings
+from .payoffs import PayoffMeasure
 from .pde import GridConfig
 
 __all__ = ["ExperimentConfig", "load_config"]
 
+# the blocks of the config root (see the module docstring)
+_ROOT_KEYS = ("model", "payoff", "route", "pde_grid", "surface", "validation", "compare", "output")
 _ROUTES = ("fourier", "pde", "both")
 _CHECKS = ("martingale", "moments", "orthogonality", "tradeoff", "baselines")
 
@@ -206,7 +207,7 @@ class ExperimentConfig:
     """Validated experiment description.
 
     Everything is built once, up front, into plain attributes: model,
-    measure, settings, pde_grid, surface_grid, validation,
+    measure, pde_grid, surface_grid, validation,
     compare_limits, route and output_directory.
     """
 
@@ -214,12 +215,7 @@ class ExperimentConfig:
         self.raw = raw
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-        _check_unknown(
-            raw,
-            {"model", "payoff", "route", "quadrature", "pde_grid", "surface",
-             "validation", "compare", "output"},
-            "config",
-        )
+        _check_unknown(raw, set(_ROOT_KEYS), "config")
         # parameter-domain failures count as config errors, while model
         # structure violations keep their own type (and exit code)
         try:
@@ -230,24 +226,11 @@ class ExperimentConfig:
         self.route = raw.get("route", "fourier")
         if self.route not in _ROUTES:
             raise ConfigError(f"route must be one of {_ROUTES}, got {self.route!r}")
-        self.settings = self._build_settings()
         self.pde_grid = self._build_grid()
         self.surface_grid = self._build_surface()
         self.validation = self._build_validation()
         self.compare_limits = self._build_compare()
         self.output_directory = _block(raw, "output", {"directory"}).get("directory")
-
-    def _build_settings(self) -> QuadratureSettings:
-        q = _block(self.raw, "quadrature", {"rel_tol", "panel_budget"})
-        kw = {}
-        if "rel_tol" in q:
-            kw["rel_tol"] = _number(q["rel_tol"], "quadrature.rel_tol")
-        if "panel_budget" in q:
-            kw["panel_budget"] = _integer(q["panel_budget"], "quadrature.panel_budget", 1)
-        try:
-            return QuadratureSettings(**kw) if kw else DEFAULT_SETTINGS
-        except Exception as exc:
-            raise ConfigError(f"bad quadrature settings: {exc}") from exc
 
     def _build_grid(self) -> GridConfig:
         g = _block(self.raw, "pde_grid", {"nx", "ns", "nt"})

@@ -23,15 +23,9 @@ import weakref
 
 import numpy as np
 
+from . import payoffs
 from .errors import AssumptionError, ConvergenceError, DomainError
-from .payoffs import (
-    DEFAULT_SETTINGS,
-    PayoffMeasure,
-    QuadratureSettings,
-    line_nodes,
-    line_tail,
-    refine_line,
-)
+from .payoffs import PayoffMeasure, line_nodes, line_tail, refine_line
 
 __all__ = ["HedgeDecomposition", "decompose"]
 
@@ -63,15 +57,6 @@ def _chirp_z(x, theta, m):
     return np.fft.ifft(spec)[..., :m] * chirp[:m]
 
 
-class _LineNodes:
-    """Nodes of one line with (gamma, eta_rate, psi) there for each model segment."""
-
-    __slots__ = ("u", "w", "dens", "rates")
-
-    def __init__(self, u, w, dens, rates):
-        self.u, self.w, self.dens, self.rates = u, w, dens, rates
-
-
 class HedgeDecomposition:
     """Value and hedge surfaces of a claim under quadratic hedging.
 
@@ -79,23 +64,19 @@ class HedgeDecomposition:
     initial capital h0.  value/hedge accept broadcastable (t, x, s).
     """
 
-    def __init__(
-        self,
-        model,
-        measure: PayoffMeasure,
-        settings: QuadratureSettings = DEFAULT_SETTINGS,
-    ):
+    def __init__(self, model, measure: PayoffMeasure):
         self.model = model
         self.measure = measure
-        self.settings = settings
-        self._cache: dict[tuple, _LineNodes] = {}
+        self._cache: dict[tuple, tuple] = {}
         self._line_stats = [
             {"levels": 0, "umult": 0, "tail_bound": 0.0, "tail_mode": "none"}
             for _ in measure.lines
         ]
         self._real = measure.is_real_claim()
         self._im_residual = 0.0
-        self.assumptions = self._check_assumptions()
+        # the checks test finiteness, so an overflow there fails them
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.assumptions = self._check_assumptions()
         # h0 is value(0, spot), called below the public methods so that a
         # tracer wrapping them counts only the caller's own evaluations
         self.h0 = self._broadcast(0.0, *model.spot, False)[0]
@@ -125,10 +106,8 @@ class HedgeDecomposition:
         return {
             "h0_im_residual": self._im_residual,
             "lines": [dict(d) for d in self._line_stats],
-            "settings": {
-                "rel_tol": self.settings.rel_tol,
-                "panel_budget": self.settings.panel_budget,
-            },
+            # the rule the numbers came from
+            "settings": {"rel_tol": payoffs._REL_TOL, "panel_budget": payoffs._PANEL_BUDGET},
         }
 
     # -- assumption checks ----------------------------------------------------
@@ -145,9 +124,9 @@ class HedgeDecomposition:
         tv = sum(abs(complex(a.weight)) for a in self.measure.atoms)
         sup = 0.0
         for idx in range(len(self.measure.lines)):
-            nd = self._nodes(idx, 0, 1)
-            tv += float(np.sum(np.abs(nd.w * nd.dens)))
-            for _, _, psis in nd.rates.values():
+            _, wd, rates = self._nodes(idx, 0, 1)
+            tv += float(np.sum(np.abs(wd)))
+            for _, _, psis in rates.values():
                 sup = max(sup, float(np.max(np.abs(psis))) / rb)
         checks["integrable-claim-transform"] = tv
         if not np.isfinite(tv):
@@ -241,18 +220,26 @@ class HedgeDecomposition:
                         z[rows] += fixed * cz[inv] / s[rows]
         return y, z
 
-    def _nodes(self, idx: int, level: int, umult: float, base: int = 0) -> _LineNodes:
-        """The nodes a refinement level adds (see payoffs.line_nodes) with the
-        claim's density there, cached, and the model's shared rates."""
+    def _nodes(self, idx: int, level: int, umult: float, base: int = 0) -> tuple:
+        """(u, w * density, rates): the nodes a refinement level adds (see
+        payoffs.line_nodes), their weights times the claim's density, cached,
+        and the model's shared rates there."""
         key = (idx, level, umult, base)
         hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        ln = self.measure.lines[idx]
-        u, w = line_nodes(ln, level, umult, base)
-        dens = np.asarray(ln.density(u), dtype=complex)
-        self._cache[key] = nd = _LineNodes(u, w, dens, self._rates(ln, u, level, umult, base))
-        return nd
+        if hit is None:
+            ln = self.measure.lines[idx]
+            u, w = line_nodes(ln, level, umult, base)
+            wd = w * np.asarray(ln.density(u), dtype=complex)
+            hit = self._cache[key] = (u, wd, self._rates(ln, u, level, umult, base))
+        return hit
+
+    def _coefficients(self, idx: int, level: int, umult: float, t: float, base: int = 0):
+        """(u, coef, coef * gamma) at the nodes of _nodes at time t, where
+        coef is weight * density * lambda: a line's one coefficient path."""
+        u, wd, rates = self._nodes(idx, level, umult, base)
+        lam, gam = self._propagate(rates, t)
+        coef = wd * lam
+        return u, coef, coef * gam
 
     def _rates(self, ln, u, *tag) -> dict:
         """(gamma, eta_rate, psi) of every model segment at the line's nodes u,
@@ -279,14 +266,14 @@ class HedgeDecomposition:
     def _line_group(self, idx, ti, v, fixed, need_z):
         """Raw line values (y, z) at the varying coordinates v at time ti,
         with the truncation multiple and the level they took; z is None
-        unless need_z.
+        unless need_z.  The plan and the level go into the line's stats.
 
         Values exclude the fixed-coordinate factor and the 1/s hedging
         division; `fixed` holds the factors of the points sharing them,
         which the truncation plan has to cover.
         """
         ln = self.measure.lines[idx]
-        umult, tail_mode = self._plan(idx, ti, v, fixed)
+        umult, tail_mode, bound = self._tail_plan(idx, ti, v, fixed)
 
         tail_y = tail_z = 0.0
         if tail_mode == "terminal" and ln.tail is not None:
@@ -298,16 +285,15 @@ class HedgeDecomposition:
                     tail_z = line_tail(ln, v, *aff)
 
         def coefficients(level):
-            nd = self._nodes(idx, level, umult)
-            lam, gam = self._propagate(nd.rates, ti)
-            coef = nd.w * nd.dens * lam
-            return nd.u, (coef, coef * gam if need_z else None)
+            u, coef, coef_gam = self._coefficients(idx, level, umult, ti)
+            return u, (coef, coef_gam if need_z else None)
 
-        y, z, level = refine_line(
-            ln, np.log(v), coefficients, (tail_y, tail_z), self.settings, umult
-        )
+        y, z, level = refine_line(ln, np.log(v), coefficients, (tail_y, tail_z), umult)
         stats = self._line_stats[idx]
         stats["levels"] = max(stats["levels"], level)
+        stats["umult"] = max(stats["umult"], umult)
+        stats["tail_bound"] = max(stats["tail_bound"], bound)
+        stats["tail_mode"] = tail_mode
         return y, z, umult, level
 
     def _path_slice(self, t, x, s, grid_points):
@@ -343,14 +329,14 @@ class HedgeDecomposition:
             # the aliasing error grows with |log-moneyness|, which peaks at an
             # end of the grid, so the level refined there serves the grid
             umult, level = self._line_group(idx, t, np.exp(glx[[0, -1]]), fixed, True)[2:]
-            nd = self._nodes(idx, 0, umult, 16 * int(ln.panels * umult) << level)
-            lam, gam = self._propagate(nd.rates, t)
-            coef = nd.w * nd.dens * lam
+            u, coef, coef_gam = self._coefficients(
+                idx, 0, umult, t, 16 * int(ln.panels * umult) << level
+            )
             # exp((R + i u_k) glx_j) = exp((R + i u_0) glx_j) exp(i k h glx_0) exp(i h dx jk)
-            u0, h = nd.u[0], nd.u[1] - nd.u[0]
+            u0, h = u[0], u[1] - u[0]
             dx = glx[1] - glx[0] if glx.size > 1 else 0.0
-            shift = np.exp(1j * (nd.u - u0) * glx[0])
-            vals = _chirp_z(np.stack([coef * shift, coef * gam * shift]), h * dx, glx.size)
+            shift = np.exp(1j * (u - u0) * glx[0])
+            vals = _chirp_z(np.stack([coef * shift, coef_gam * shift]), h * dx, glx.size)
             vals *= np.exp((ln.abscissa + 1j * u0) * glx)
             if ln.symmetric:
                 vals = 2.0 * vals.real
@@ -368,15 +354,6 @@ class HedgeDecomposition:
                 z += zv * x**f / s
         return y, z
 
-    def _plan(self, idx, ti, v, fixed) -> tuple[float, str]:
-        """(umult, tail_mode) of a line at time ti, recorded in its stats."""
-        umult, tail_mode, bound = self._tail_plan(idx, ti, v, fixed)
-        stats = self._line_stats[idx]
-        stats["umult"] = max(stats["umult"], umult)
-        stats["tail_bound"] = max(stats["tail_bound"], bound)
-        stats["tail_mode"] = tail_mode
-        return umult, tail_mode
-
     def _tail_plan(self, idx, ti, v, fixed) -> tuple[float, str, float]:
         """The first truncation multiple 2**k (k >= _MIN_EXTENSION, whole panels)
         whose tail bound, which covers the hedge's growth too, passes the floor."""
@@ -392,13 +369,13 @@ class HedgeDecomposition:
             k = ln.tail.strike
             c0 = abs(ln.tail.scale) * k ** (1.0 - ln.abscissa) / (2.0 * np.pi)
             amps = [c0 * vpow * fmax] * len(ks)
-            floor = 0.1 * self.settings.rel_tol * (1.0 + k)
+            floor = 0.1 * payoffs._REL_TOL * (1.0 + k)
         else:
             # generic line: the sampled density magnitude at each cutoff; the
             # floor takes the nominal one
             cuts = ln.truncation * 2.0 ** np.array(ks)
             amps = np.abs(np.asarray(ln.density(cuts), dtype=complex)) * cuts ** 2 * vpow * fmax
-            floor = 0.1 * self.settings.rel_tol * max(1.0, amps[ks.index(0)] / max(ln.truncation, 1.0))
+            floor = 0.1 * payoffs._REL_TOL * max(1.0, amps[ks.index(0)] / max(ln.truncation, 1.0))
         for k_ext, amp in zip(ks, amps):
             umult = 2 ** k_ext
             cut = np.array([ln.truncation * umult])
@@ -417,10 +394,10 @@ class HedgeDecomposition:
         )
 
 
-def decompose(model, measure: PayoffMeasure, settings: QuadratureSettings = DEFAULT_SETTINGS) -> HedgeDecomposition:
+def decompose(model, measure: PayoffMeasure) -> HedgeDecomposition:
     """Build the quadratic-hedging decomposition of a claim.
 
     Returns an object with initial capital h0, value/hedge surfaces and
     the standing-assumption report.
     """
-    return HedgeDecomposition(model, measure, settings)
+    return HedgeDecomposition(model, measure)

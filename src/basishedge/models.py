@@ -161,12 +161,14 @@ class AdditiveModel(PiecewiseAdditiveModel):
         put("jump_intensity", float(self.jump_intensity))
         for a in (self.drift, self.covariance, self.spot, self.jump_mean, self.jump_cov):
             a.flags.writeable = False
-        rb = float(np.real(self.psi(0.0, 2.0) - 2.0 * self.psi(0.0, 1.0)))
-        if rb <= 0.0:
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            rb = float(np.real(self.psi(0.0, 2.0) - 2.0 * self.psi(0.0, 1.0)))
+        # the negated test rejects NaN
+        if not 0.0 < rb < np.inf:
             raise StructureConditionError(
                 "martingale part of the traded asset is degenerate: the "
                 f"bracket rate psi(0,2) - 2*psi(0,1) = {rb:.3e} must be "
-                "positive for the hedge ratio to be defined"
+                "positive and finite for the hedge ratio to be defined"
             )
         put("_rho_bar", rb)
 

@@ -31,7 +31,6 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
-    "QuadratureSettings",
     "ExponentAtom",
     "RationalKernelTail",
     "ContourLine",
@@ -42,7 +41,6 @@ __all__ = [
     "call_claim",
     "put_claim",
     "combine",
-    "DEFAULT_SETTINGS",
 ]
 
 # Gregory's end correction to the trapezoid rule at a cut end, end node
@@ -51,31 +49,11 @@ _END = np.array([-3383 / 17280, 6961 / 15120, -66109 / 120960, 33 / 70,
                  -31523 / 120960, 1247 / 15120, -275 / 24192])
 # entries of one block of a contour line's complex power matrix (32 MB)
 _BLOCK = 1 << 21
-
-
-@dataclass(frozen=True)
-class QuadratureSettings:
-    """Tolerances and budgets for contour quadrature.
-
-    rel_tol:       stop refining once successive levels agree to this
-                   relative tolerance.
-    panel_budget:  cap on the work per line and refinement pass: a panel is
-                   16 trapezoid intervals at level 0, and the nested levels
-                   stop at twice this many panels.
-    """
-
-    rel_tol: float = 1e-8
-    panel_budget: int = 512
-
-    def __post_init__(self):
-        # the negated tests reject NaN
-        if not 0 < self.rel_tol < np.inf:
-            raise DomainError(f"rel_tol must be a finite number > 0, got {self.rel_tol!r}")
-        if not self.panel_budget >= 1:
-            raise DomainError(f"panel_budget must be at least 1, got {self.panel_budget!r}")
-
-
-DEFAULT_SETTINGS = QuadratureSettings()
+# refinement stops once successive levels agree to _REL_TOL relative; a
+# panel is 16 trapezoid intervals at level 0, and the nested levels stop
+# at twice _PANEL_BUDGET panels
+_REL_TOL = 1e-8
+_PANEL_BUDGET = 512
 
 
 @dataclass(frozen=True)
@@ -258,8 +236,7 @@ def line_nodes(ln: ContourLine, level: int, umult: float = 1, base: int = 0):
     return lo + (hi - lo) * (j / n), (hi - lo) / n * w[j]
 
 
-def refine_line(ln: ContourLine, logv, coefficients, tails, settings: QuadratureSettings,
-                umult: float = 1):
+def refine_line(ln: ContourLine, logv, coefficients, tails, umult: float = 1):
     """The refinement loop of every contour-line integral.
 
     coefficients(level) returns the nodes u that the level adds (see
@@ -268,12 +245,12 @@ def refine_line(ln: ContourLine, logv, coefficients, tails, settings: Quadrature
     not wanted; tails holds what is added to each.  The power matrix is
     built in row blocks of at most _BLOCK entries, so memory does not grow
     with the number of points.  Intervals double per level until
-    successive levels agree to settings.rel_tol relative; the levels nest,
-    so the work up to the level past the budget equals that of a rule
-    rebuilt whole at every level up to the budget.  Returns (y, z, level),
-    without the fixed-coordinate factor.
+    successive levels agree to _REL_TOL relative; the levels nest, so the
+    work up to the level past _PANEL_BUDGET equals that of a rule rebuilt
+    whole at every level up to it.  Returns (y, z, level), without the
+    fixed-coordinate factor.
     """
-    budget = settings.panel_budget * umult
+    budget = _PANEL_BUDGET * umult
     if ln.panels * umult > budget:
         raise ConvergenceError("panel budget below the base panel count")
     acc = [np.zeros(logv.shape, dtype=complex) for _ in tails]
@@ -297,7 +274,7 @@ def refine_line(ln: ContourLine, logv, coefficients, tails, settings: Quadrature
                 if c is not None:
                     sc = max(float(np.max(np.abs(c))), 1.0)
                     diff = max(diff, float(np.max(np.abs(c - p))) / sc)
-            if diff <= settings.rel_tol:
+            if diff <= _REL_TOL:
                 return cur[0], cur[1], level
         prev = cur
         level += 1
@@ -399,7 +376,7 @@ class PayoffMeasure:
             return self.closed_form(np.asarray(x, dtype=float), np.asarray(s, dtype=float))
         return self.evaluate(x, s)
 
-    def evaluate(self, x, s, settings: QuadratureSettings = DEFAULT_SETTINGS):
+    def evaluate(self, x, s):
         """Evaluate the encoded payoff g(x, s) by quadrature plus tails.
 
         x, s broadcast; entries must be strictly positive.  Returns real
@@ -426,7 +403,7 @@ class PayoffMeasure:
                 u, w = line_nodes(ln, level)
                 return u, (w * np.asarray(ln.density(u), dtype=complex), None)
 
-            val, _, _ = refine_line(ln, np.log(v), coefficients, (tail, 0.0), settings)
+            val, _, _ = refine_line(ln, np.log(v), coefficients, (tail, 0.0))
             total += np.exp(complex(ln.fixed_exponent) * np.log(other)) * val
 
         if self.is_real_claim():

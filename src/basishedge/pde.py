@@ -55,6 +55,8 @@ _LOG_MAX = float(np.log(np.finfo(float).max))
 # the spot, and the time step takes this fraction of the CFL limit
 _RADIUS_STDDEVS = 6.0
 _CFL_FRACTION = 0.4
+# measure components whose payoff has a kink at their strike
+_VANILLA = ("call", "call-minus-underlying", "put")
 
 
 @dataclass(frozen=True)
@@ -165,8 +167,7 @@ class PDESolution:
     h0: float = field(init=False)
 
     def __post_init__(self):
-        # the spot is the centre node of an odd grid and lies between
-        # two nodes of an even one
+        # the spot need not be a node (see solve)
         self.h0 = float(self.value_at(0.0, *self.spot))
 
     def _interp(self, cube, t, x, s):
@@ -236,6 +237,16 @@ def solve(spec: DiffusionSpec, measure, grid: GridConfig = GridConfig()) -> PDES
     holds value and hedge snapshots on grid.nt times spanning [0, horizon].
     A price grid that overflows, or a snapshot that is not finite, raises
     DomainError.
+
+    The log grid of each axis is centred on the spot, except that the
+    axis of the claim's vanilla component (call or put) whose strike lies
+    nearest the spot is shifted by at most half a cell, so that a node
+    sits on the log strike; a claim without one keeps the centred grid.
+    A strike off the nodes costs the hedge most: on the shipped 201**2
+    diffusion config, `compare`'s interior hedge gap then reached 0.035
+    against its 0.02 limit.  With the anchor it measured 0.012-0.017 for
+    calls and puts struck from 90 to 110, so the margin under the limit
+    is about 20% (15% at worst).
     """
     if not measure.is_real_claim():
         raise AssumptionError("the finite-difference route requires a real-valued claim")
@@ -247,6 +258,17 @@ def solve(spec: DiffusionSpec, measure, grid: GridConfig = GridConfig()) -> PDES
     half_s = _RADIUS_STDDEVS * np.sqrt(c22c * T) + abs(b2c) * T
     xi = np.log(x0) + np.linspace(-half_x, half_x, grid.nx)
     eta = np.log(s0) + np.linspace(-half_s, half_s, grid.ns)
+    kinks = [(abs(np.log(c[1]) - np.log(spec.spot[c[2] - 1])), c[1], c[2])
+             for c in measure.components if c[0] in _VANILLA]
+    if kinks:
+        _, strike, axis = min(kinks)
+        axis_grid = xi if axis == 1 else eta
+        cell = axis_grid[1] - axis_grid[0]
+        # the strike's offset from the spot in cells, from a node: the spot
+        # is a node of an odd grid and half a cell off the nodes of an even one
+        r = (np.log(strike) - np.log(spec.spot[axis - 1])) / cell
+        r -= 0.5 * (axis_grid.size % 2 == 0)
+        axis_grid += (r - np.round(r)) * cell
     if not max(np.abs(xi).max(), np.abs(eta).max()) < _LOG_MAX:
         raise DomainError(
             f"the price grid overflows: log-price half-widths {half_x:.3g} and "

@@ -336,21 +336,23 @@ class HedgeFold:
         if i > 0:
             ds = s - self.s_prev
             self.gains += self.z_prev * ds
-            comp = self.s_prev * np.expm1(float(self.kappa_s[i] - self.kappa_s[i - 1]))
         if i == self.n_steps:
             y = self.payoff = np.asarray(dec.measure.payoff(x, s), dtype=float)
             z = None
         else:
             y, z = dec._path_slice(t, x, s, _GRID_POINTS)
         if i > 0:
-            d_o = y - self.y_prev - self.z_prev * ds
-            d_m = ds - comp
-            self.cnt += d_o.size
-            self.s_a += float(d_o.sum())
-            self.s_b += float(d_m.sum())
-            self.s_aa += float((d_o * d_o).sum())
-            self.s_bb += float((d_m * d_m).sum())
-            self.s_ab += float((d_o * d_m).sum())
+            # the compensator may overflow; finish guards the pooled sums
+            with np.errstate(over="ignore", invalid="ignore"):
+                comp = self.s_prev * np.expm1(float(self.kappa_s[i] - self.kappa_s[i - 1]))
+                d_o = y - self.y_prev - self.z_prev * ds
+                d_m = ds - comp
+                self.cnt += d_o.size
+                self.s_a += float(d_o.sum())
+                self.s_b += float(d_m.sum())
+                self.s_aa += float((d_o * d_o).sum())
+                self.s_bb += float((d_m * d_m).sum())
+                self.s_ab += float((d_o * d_m).sum())
         if i in self.check_steps:
             pick = self.check_rng.integers(0, self.n_paths, size=4)
             y_ref, z_ref = dec.value_and_hedge(t, x[pick], s[pick])
@@ -374,7 +376,13 @@ class HedgeFold:
         var_a = self.s_aa / cnt - (s_a / cnt) ** 2
         var_b = self.s_bb / cnt - (s_b / cnt) ** 2
         cov = self.s_ab / cnt - (s_a / cnt) * (s_b / cnt)
-        corr = cov / math.sqrt(var_a * var_b) if var_a > 0 and var_b > 0 else 0.0
+        if not all(map(math.isfinite, (var_a, var_b, cov))):
+            # an overflowing compensator leaves the correlation undefined
+            corr = math.nan
+        elif var_a > 0 and var_b > 0:
+            corr = cov / math.sqrt(var_a * var_b)
+        else:
+            corr = 0.0
         return HedgeRunResult(
             initial_capital=self.h0,
             n_paths=self.n_paths,

@@ -5,11 +5,14 @@ so a command runs in a fraction of a second, applies one or two
 mutations (a number scaled by a power of ten, NaN, +-inf, a value of the
 wrong type, a removed key) and runs one subcommand in-process.  The
 contract: the exit code is 0, 2, 3 or 4, nothing escapes as a
-traceback, and exit 2 or 3 leaves the output directory unwritten.
+traceback, a failure prints exactly one stderr line and a success none,
+and exit 2 or 3 leaves the output directory unwritten.
 
-Numbers are scaled up by at most one decade: the explicit PDE march
-costs about nx**2 * ns**2 operations, so a hundredfold grid would take
-minutes per example.
+Numbers are scaled up by at most one decade there: the explicit PDE
+march costs about nx**2 * ns**2 operations, so a hundredfold grid would
+take minutes per example.  A second test reaches the numerics instead:
+it scales each model number and the strike by 10**+-2 and 10**+-3 on
+the commands without a PDE march.
 """
 
 import contextlib
@@ -20,6 +23,7 @@ import os
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from basishedge.cli import main
@@ -67,6 +71,33 @@ def _mutate(cfg: dict, path: tuple, kind: str, option):
         parent[last] = copy.deepcopy(option)
 
 
+def _numbers(node, prefix):
+    """Key paths of every number inside node."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _numbers(value, prefix + (key,))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield prefix + (key,)
+
+
+def _check_contract(cfg: dict, command: str):
+    """Run one command in-process and assert the command-line contract."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "config.json")
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        out = os.path.join(tmp, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--config", config, "--out", out])
+        assert code in (0, 2, 3, 4), (code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        assert err.getvalue().count("\n") == (0 if code == 0 else 1), (code, err.getvalue())
+        if code in (2, 3):
+            assert not os.path.exists(out), (code, err.getvalue())
+
+
 OPTIONS = {
     "scale": (-3, -2, -1, 1),
     "special": (float("nan"), float("inf"), float("-inf")),
@@ -89,15 +120,16 @@ def test_cli_contract_holds_for_mutated_configs(name, command, n_edits, data):
             kind = data.draw(st.sampled_from(sorted(OPTIONS)))
             option = data.draw(st.sampled_from(OPTIONS[kind]))
             _mutate(cfg, data.draw(st.sampled_from(paths)), kind, option)
-    with tempfile.TemporaryDirectory() as tmp:
-        config = os.path.join(tmp, "config.json")
-        with open(config, "w", encoding="utf-8") as fh:
-            json.dump(cfg, fh)
-        out = os.path.join(tmp, "out")
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main([command, "--config", config, "--out", out])
-        assert code in (0, 2, 3, 4), (code, err.getvalue())
-        assert "Traceback" not in err.getvalue()
-        if code in (2, 3):
-            assert not os.path.exists(out), (code, err.getvalue())
+    _check_contract(cfg, command)
+
+
+@pytest.mark.parametrize("command", ["price", "simulate", "hedge-surface"])
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_cli_contract_holds_for_scaled_model_numbers(name, command):
+    # every number of the model block and the strike, each scaled alone
+    base = SHIPPED[name]
+    for path in [*_numbers(base["model"], ("model",)), ("payoff", "strike")]:
+        for power in (-3, -2, 2, 3):
+            cfg = copy.deepcopy(base)
+            _mutate(cfg, path, "scale", power)
+            _check_contract(cfg, command)

@@ -10,14 +10,13 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 from scipy.stats import norm
 
 import oracles
-from basishedge import engine
+from basishedge import engine, payoffs
 from basishedge.engine import HedgeDecomposition, decompose
 from basishedge.errors import AssumptionError, ConvergenceError, DomainError
 from basishedge.models import AdditiveModel, PiecewiseAdditiveModel, vols_to_covariance
 from basishedge.payoffs import (
     ContourLine,
     PayoffMeasure,
-    QuadratureSettings,
     call_claim,
     call_measure,
     power_claim,
@@ -388,7 +387,7 @@ def test_line_grid_plan_covers_the_fixed_coordinate(merton_model, monkeypatch):
     line = replace(call_measure(100.0, axis=1).lines[0], fixed_exponent=1.0)
     dec = decompose(merton_model, PayoffMeasure(lines=(line,)))
     x, s = 100.0 * np.exp(0.3 * np.random.default_rng(0).standard_normal((2, 2000)))
-    plan = dec._plan
+    plan = dec._tail_plan
 
     def picked(evaluate):
         umults = []
@@ -398,7 +397,7 @@ def test_line_grid_plan_covers_the_fixed_coordinate(merton_model, monkeypatch):
             umults.append(out[0])
             return out
 
-        monkeypatch.setattr(dec, "_plan", spy)
+        monkeypatch.setattr(dec, "_tail_plan", spy)
         evaluate()
         return umults
 
@@ -424,10 +423,11 @@ def test_line_grid_rejects_terminal_time(bs_model):
         dec._path_slice(bs_model.horizon, *_slice_prices(dec, glx), glx.size)
 
 
-def test_line_grid_refinement_is_capped_by_the_panel_budget(bs_model):
+def test_line_grid_refinement_is_capped_by_the_panel_budget(bs_model, monkeypatch):
     # the grid's node count comes from the refinement at its two ends, under
     # the same budget as a point's: log-moneyness out to 9 needs more
-    dec = decompose(bs_model, call_measure(100.0, axis=1), QuadratureSettings(panel_budget=128))
+    monkeypatch.setattr(payoffs, "_PANEL_BUDGET", 128)
+    dec = decompose(bs_model, call_measure(100.0, axis=1))
     assert _grid_error(dec, 0.0, np.linspace(np.log(60.0), np.log(160.0), 33)) <= 1e-8
     glx = np.linspace(np.log(1e-2), np.log(1e6), 33)
     with pytest.raises(ConvergenceError, match="did not stabilise within 16 panels"):
@@ -618,16 +618,16 @@ def test_claims_on_one_model_share_line_rates(monkeypatch):
     monkeypatch.setattr(AdditiveModel, "psi", spy)
     second = decompose(model, call_claim(104.0, axis=1))
     assert node_calls == []
-    a, b = first._nodes(0, 0, 1), second._nodes(0, 0, 1)
-    assert b.rates[model] is a.rates[model]
-    assert all(x is y for x, y in zip(a.rates[model], b.rates[model]))
+    (_, a_wd, a_rates), (_, b_wd, b_rates) = first._nodes(0, 0, 1), second._nodes(0, 0, 1)
+    assert b_rates[model] is a_rates[model]
+    assert all(x is y for x, y in zip(a_rates[model], b_rates[model]))
     # only the density carries the strike
-    assert not np.array_equal(a.dens, b.dens)
+    assert not np.array_equal(a_wd, b_wd)
     # a model and its shared rates are immutable, so the rates cannot go stale
     with pytest.raises(FrozenInstanceError):
         model.covariance = np.eye(2)
     with pytest.raises(ValueError, match="read-only"):
-        a.rates[model][0][0] = 0.0
+        a_rates[model][0][0] = 0.0
 
 
 @pytest.mark.parametrize("build", [_fresh_bs, _fresh_merton, _two_seasons],

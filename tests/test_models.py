@@ -275,6 +275,13 @@ def test_degenerate_traded_bracket_is_rejected():
             log_drift=[0.03, 0.02], vol_x=0.3, vol_s=0.0, corr=0.0,
             horizon=1.0, spot=[100.0, 100.0],
         )
+    # jumps in S this wide overflow psi(0, 2): the bracket rate is NaN
+    with pytest.raises(StructureConditionError, match="bracket rate .* = nan"):
+        AdditiveModel.merton(
+            log_drift=[0.03, 0.025], vol_x=0.25, vol_s=0.2, corr=0.6,
+            jump_intensity=0.7, jump_mean=[-0.05, -0.04], jump_vol_x=0.12,
+            jump_vol_s=100.0, jump_corr=0.5, horizon=1.0, spot=[100.0, 100.0],
+        )
 
 
 def test_jump_only_traded_variance_is_accepted():

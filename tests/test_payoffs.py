@@ -15,7 +15,6 @@ from basishedge.payoffs import (
     ContourLine,
     ExponentAtom,
     PayoffMeasure,
-    QuadratureSettings,
     call_claim,
     call_measure,
     combine,
@@ -81,14 +80,15 @@ def test_call_measure_is_abscissa_independent(abscissa):
     assert np.max(np.abs(got - want)) <= 1e-6 * 101.0
 
 
-def test_extreme_abscissa_converges_with_larger_budget():
+def test_extreme_abscissa_converges_with_larger_budget(monkeypatch):
     # near the kernel poles the u = 0 peak narrows; the default budget
     # refuses, a raised one resolves it to full accuracy
     s = np.array([25.0, 100.0, 390.0])
     m = call_measure(100.0, abscissa=0.05)
     with pytest.raises(ConvergenceError):
         m.evaluate(1.0, s)
-    got = m.evaluate(1.0, s, QuadratureSettings(panel_budget=4096))
+    monkeypatch.setattr(payoffs, "_PANEL_BUDGET", 4096)
+    got = m.evaluate(1.0, s)
     want = np.maximum(s - 100.0, 0.0) - s
     assert np.max(np.abs(got - want)) <= 1e-8 * 101.0
 
@@ -262,23 +262,15 @@ def test_construction_rejects_bad_inputs():
         call_measure(100.0).evaluate(1.0, np.array([50.0, -1.0]))
 
 
-def test_quadrature_budget_errors():
+def test_quadrature_budget_errors(monkeypatch):
     m = call_measure(100.0)
+    monkeypatch.setattr(payoffs, "_PANEL_BUDGET", 16)
     with pytest.raises(ConvergenceError, match="below the base panel count"):
-        m.evaluate(1.0, 90.0, QuadratureSettings(panel_budget=16))
+        m.evaluate(1.0, 90.0)
+    monkeypatch.setattr(payoffs, "_PANEL_BUDGET", 32)
+    monkeypatch.setattr(payoffs, "_REL_TOL", 1e-14)
     with pytest.raises(ConvergenceError, match="did not stabilise"):
-        m.evaluate(1.0, 90.0, QuadratureSettings(rel_tol=1e-14, panel_budget=32))
-
-
-@pytest.mark.parametrize(
-    "key, value",
-    [("rel_tol", 0.0), ("rel_tol", -1e-8), ("rel_tol", float("nan")), ("rel_tol", float("inf")),
-     ("panel_budget", 0)],
-)
-def test_quadrature_settings_reject_bad_values(key, value):
-    # a malformed setting fails where it is made, not as a quadrature failure later
-    with pytest.raises(DomainError, match=key):
-        QuadratureSettings(**{key: value})
+        m.evaluate(1.0, 90.0)
 
 
 @hyp_settings(max_examples=30, deadline=None)

@@ -13,7 +13,7 @@ from basishedge.pde import (
     monte_carlo_representation,
     solve,
 )
-from basishedge.payoffs import call_claim, power_claim
+from basishedge.payoffs import call_claim, combine, power_claim, put_claim
 
 
 @pytest.fixture(scope="module")
@@ -119,12 +119,35 @@ def test_pde_matches_fourier_route(bs_solution, bs_call_x, bs_model):
 
 @pytest.mark.parametrize("n", [100, 200])
 def test_even_grid_reads_h0_at_the_spot(bs_spec, bs_call_x, n):
-    # an even grid has no node at the spot; the centre node lies half a
-    # cell below it, and read there h0 missed by 8% (100) and 4% (200)
+    # an even axis has no node at the spot (here s; x has one on the strike);
+    # read at the centre node, half a cell off, h0 missed by 8% (100) and 4% (200)
     sol = solve(bs_spec, call_claim(100.0, axis=1), GridConfig(nx=n, ns=n, nt=2))
     assert sol.h0 == sol.value_at(0.0, 100.0, 100.0)
     # within the default compare.h0_limit
     assert abs(sol.h0 - bs_call_x.h0) <= 1e-2 * abs(bs_call_x.h0)
+
+
+def test_grid_puts_a_node_on_the_strike_nearest_the_spot(bs_spec):
+    grid = GridConfig(nx=21, ns=20, nt=2)
+    centred = solve(bs_spec, power_claim(1.0, 0.0), grid)
+    # a strike at the spot of an odd grid leaves the grid as it was, bit for bit
+    at_spot = solve(bs_spec, call_claim(100.0, axis=1), grid)
+    assert np.array_equal(at_spot.x, centred.x) and np.array_equal(at_spot.s, centred.s)
+    for claim, axis, strike in [
+        (call_claim(103.0, axis=1), 1, 103.0),
+        # the spot lies half a cell off the nodes of the even axis
+        (put_claim(100.0, axis=2), 2, 100.0),
+        # the strike nearer the spot is anchored, on its own axis
+        (combine([(1.0, call_claim(130.0, axis=1)), (1.0, put_claim(97.0, axis=2))]), 2, 97.0),
+    ]:
+        sol = solve(bs_spec, claim, grid)
+        moved, ref, kept, same = (
+            (sol.x, centred.x, sol.s, centred.s) if axis == 1 else (sol.s, centred.s, sol.x, centred.x)
+        )
+        assert np.min(np.abs(np.log(moved) - np.log(strike))) < 1e-12
+        cell = np.log(ref[1] / ref[0])
+        assert np.max(np.abs(np.log(moved / ref))) <= 0.5 * cell + 1e-12
+        assert np.array_equal(kept, same)
 
 
 def test_interpolation_reproduces_grid_nodes(bs_solution):
