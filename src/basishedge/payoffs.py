@@ -244,16 +244,19 @@ def refine_line(ln: ContourLine, logv, coefficients, tails, umult: float = 1):
     sum_k c_k exp((R + i u_k) logv) at the 1-d logv, None for one that is
     not wanted; tails holds what is added to each.  The power matrix is
     built in row blocks of at most _BLOCK entries, so memory does not grow
-    with the number of points.  Intervals double per level until
-    successive levels agree to _REL_TOL relative; the levels nest, so the
-    work up to the level past _PANEL_BUDGET equals that of a rule rebuilt
-    whole at every level up to it.  Returns (y, z, level), without the
-    fixed-coordinate factor.
+    with the number of points.  Intervals double per level; each integral
+    is taken at the first level that agrees with the one before to
+    _REL_TOL relative, so a value has the same bits with or without the
+    hedge beside it, and the loop runs until every wanted integral has
+    been taken.  The levels nest, so the work up to the level past
+    _PANEL_BUDGET equals that of a rule rebuilt whole at every level up
+    to it.  Returns (y, z, level), without the fixed-coordinate factor.
     """
     budget = _PANEL_BUDGET * umult
     if ln.panels * umult > budget:
         raise ConvergenceError("panel budget below the base panel count")
     acc = [np.zeros(logv.shape, dtype=complex) for _ in tails]
+    done = [None for _ in tails]
     prev = None
     diff = float("nan")
     level = 0
@@ -270,12 +273,16 @@ def refine_line(ln: ContourLine, logv, coefficients, tails, umult: float = 1):
             cur = [None if c is None else 2.0 * c.real for c in cur]
         if prev is not None:
             diff = 0.0
-            for c, p in zip(cur, prev):
-                if c is not None:
+            for k, (c, p) in enumerate(zip(cur, prev)):
+                if c is not None and done[k] is None:
                     sc = max(float(np.max(np.abs(c))), 1.0)
-                    diff = max(diff, float(np.max(np.abs(c - p))) / sc)
-            if diff <= _REL_TOL:
-                return cur[0], cur[1], level
+                    gap = float(np.max(np.abs(c - p))) / sc
+                    # a NaN gap stops the loop, for the caller's finiteness guard
+                    if not gap > _REL_TOL:
+                        done[k] = c
+                    diff = max(diff, gap)
+            if all(d is not None or c is None for d, c in zip(done, coefs)):
+                return done[0], done[1], level
         prev = cur
         level += 1
     raise ConvergenceError(

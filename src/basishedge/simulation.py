@@ -14,7 +14,12 @@ is asked for, and every pass over it draws the same paths again.
 Every check is a fold over the steps with per-path accumulators, and
 `run_folds` feeds any set of folds from one pass over a source, so a
 validation battery holds O(paths) memory, not O(paths x steps).  The
-public check functions fold a source alone.
+public check functions fold a source alone.  Where the process may run
+on two CPUs, `run_folds` splits the pass over two lanes: a worker thread
+runs the heaviest group of folds on a step while the calling thread runs
+the rest and draws the next step.  Every fold still sees every step in
+order, so the results have the same bits on one lane or two; there is
+no setting.
 
 The path replay asks the decomposition for its value and hedge on all
 paths at each rebalance time (`HedgeDecomposition._path_slice`, which
@@ -26,6 +31,7 @@ guards the shortcut.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -56,6 +62,10 @@ _BLOCK = 8192
 _GRID_POINTS = 4096
 _SELF_CHECKS = 8
 _CHECK_TOL = 5e-3
+# the lane rule's fold costs in ns per path and step (see run_folds)
+_COST_REAL, _COST_COMPLEX = 9, 50
+_COST_REPLAY, _COST_LINE, _COST_ATOM = 20, 125, 25
+_COST_VANILLA, _COST_TRADEOFF = 32, 9
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -124,7 +134,10 @@ class PathStream:
                         ds = ds + k * jmean[1] + rk * gj[:, 1]
                     lx[rows] += dx
                     ls[rows] += ds
-            yield i + 1, float(times[i + 1]), _frozen(x0 * np.exp(lx)), _frozen(s0 * np.exp(ls))
+            # an overflowing price is left to fail the checks downstream
+            with np.errstate(over="ignore"):
+                x, s = x0 * np.exp(lx), s0 * np.exp(ls)
+            yield i + 1, float(times[i + 1]), _frozen(x), _frozen(s)
 
 
 def simulate(model, n_paths: int, n_steps: int, seed: int = 0) -> PathStream:
@@ -132,11 +145,79 @@ def simulate(model, n_paths: int, n_steps: int, seed: int = 0) -> PathStream:
     return PathStream(model, n_paths, n_steps, seed)
 
 
-def run_folds(source, *folds):
-    """Feed every step of the source, in order, to each fold: one pass for all."""
-    for step in source:
-        for fold in folds:
+def _worker_folds(folds) -> list:
+    """The heaviest group of folds, by summed `cost`; folds that share a
+    decomposition (`dec`) form one group, and any other fold is its own."""
+    groups = {}
+    for fold in folds:
+        groups.setdefault(id(getattr(fold, "dec", fold)), []).append(fold)
+    return max(groups.values(), key=lambda g: sum(getattr(f, "cost", 0) for f in g))
+
+
+def _feed(folds, step):
+    """Step each (position, fold) in order: the first error as (position, exception), or None."""
+    for k, fold in folds:
+        try:
             fold.step(*step)
+        except Exception as exc:
+            return k, exc
+    return None
+
+
+def run_folds(source, *folds):
+    """Feed every step of the source, in order, to each fold: one pass for all.
+
+    With two CPUs in the process's affinity the pass runs on two lanes.
+    The heaviest group of folds (`_worker_folds`) runs on a worker
+    thread while this thread draws the stream and runs the rest: per
+    step i it draws step i, waits for the worker's step i - 1, hands
+    step i over and runs its own folds on it.  At most one step is in
+    flight, so memory stays O(paths), and every fold sees the steps in
+    order, so results are bit-identical to one lane.  The lanes overlap
+    because numpy releases the GIL inside its ufuncs.  An error leaves
+    as the one the serial loop hits first (the earliest step, then fold
+    order), after the worker has stopped; folds in different groups
+    must share no mutable state.
+
+    A fold's `cost` is its time per path and step in ns, fitted to the
+    best of three passes at 50k paths x 25 steps on the 2-vCPU machine
+    of the bench records (one BLAS thread): a martingale exponent 9 if
+    real and 50 if complex (4 real ones took 34, 4 complex ones 198);
+    a replay 20, plus 125 per contour line and 25 per atom (a Merton
+    call took 182, a put 144, a lone atom 48); a naive delta 32 per
+    vanilla component; the tradeoff integral 9.  The terminal moments,
+    which work at the last step only, and a fold without a `cost`
+    count 0.  The stream itself took 171.
+    """
+    if len(os.sched_getaffinity(0)) < 2 or not folds:
+        for step in source:
+            for fold in folds:
+                fold.step(*step)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    worker = {id(f) for f in _worker_folds(folds)}
+    mine = [(k, f) for k, f in enumerate(folds) if id(f) not in worker]
+    theirs = [(k, f) for k, f in enumerate(folds) if id(f) in worker]
+    steps, pending, failed = iter(source), None, None
+    with ThreadPoolExecutor(1) as pool:
+        while failed is None:
+            try:
+                step = next(steps, None)
+            except Exception as exc:
+                # a draw fails after every fold of the step before it
+                step, failed = None, (len(folds), exc)
+            if pending is not None:
+                failed = pending.result() or failed
+                pending = None
+            if failed is not None or step is None:
+                break
+            pending = pool.submit(_feed, theirs, step)
+            failed = _feed(mine, step)
+            if failed is not None:
+                failed = min(filter(None, (pending.result(), failed)), key=lambda f: f[0])
+    if failed is not None:
+        raise failed[1]
 
 
 def _fold_alone(source, fold, *args):
@@ -145,15 +226,18 @@ def _fold_alone(source, fold, *args):
 
 
 def _sample_var(vals) -> float:
-    """Sample variance (ddof 1); NaN, without a warning, for one sample."""
-    return float(vals.var(ddof=1)) if vals.size > 1 else math.nan
+    """Sample variance (ddof 1); NaN, without a warning, for one sample or
+    for samples that are not all finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(vals.var(ddof=1)) if vals.size > 1 else math.nan
 
 
 def _mean_stderr_t(vals, target: float = 0.0):
     """Sample mean, its standard error and the t-statistic of mean - target,
     which fails closed: NaN without a finite standard error (one sample has
     none), infinite for a zero standard error and a mean off target."""
-    mean = float(vals.mean())
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(vals.mean())
     serr = math.sqrt(_sample_var(vals)) / math.sqrt(vals.size)
     if not math.isfinite(serr):
         t = math.nan
@@ -187,47 +271,64 @@ def _require_same_model(model, source):
 
 
 class MartingaleFold:
-    """The fold behind `martingale_test`."""
+    """The fold behind `martingale_test`.
+
+    Each step forms an exponent's powers in the spare buffer of its
+    dtype, which then swaps with the exponent's previous powers, by `out=`
+    ufuncs that run the same operations in the same order as plain
+    array expressions would, so no bit moves.  An overflowing power or
+    propagation factor makes the statistic NaN, which fails the test.
+    """
 
     def __init__(self, model, source, exponents: Optional[Sequence] = None):
         _require_same_model(model, source)
         if exponents is None:
             exponents = [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.5 + 1.5j, 0.5)]
-        times = source.times
+        times, n = source.times, source.n_paths
         self.x0, self.s0 = float(model.spot[0]), float(model.spot[1])
         self.zs = [(complex(z1), complex(z2)) for z1, z2 in exponents]
         # a real exponent pair has a real power process: it runs in float
         # arithmetic, and its imaginary row comes out as exact zeros
         self.powers, self.kap, self.lam, self.ws = [], [], [], []
-        for z1, z2 in self.zs:
-            real = not (z1.imag or z2.imag)
-            kap, lam = model.kappa(times, z1, z2), model.lambda_coeff(times, z1, z2)
-            self.powers.append((z1.real, z2.real) if real else (z1, z2))
-            self.kap.append(kap.real if real else kap)
-            self.lam.append(lam.real if real else lam)
-            self.ws.append(np.zeros(source.n_paths, dtype=float if real else complex))
-        self.v_prev = [None] * len(self.zs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for z1, z2 in self.zs:
+                real = not (z1.imag or z2.imag)
+                kap, lam = model.kappa(times, z1, z2), model.lambda_coeff(times, z1, z2)
+                self.powers.append((z1.real, z2.real) if real else (z1, z2))
+                self.kap.append(kap.real if real else kap)
+                self.lam.append(lam.real if real else lam)
+                self.ws.append(np.zeros(n, dtype=float if real else complex))
+        # each exponent's previous powers, and per dtype a spare powers
+        # buffer that rotates with them and a scratch array
+        self.v_prev = [np.empty(n, w.dtype) for w in self.ws]
+        self.spare = {w.dtype: np.empty(n, w.dtype) for w in self.ws}
+        self.scratch = {w.dtype: np.empty(n, w.dtype) for w in self.ws}
+        self.cost = sum(_COST_REAL if w.dtype == float else _COST_COMPLEX for w in self.ws)
 
     def step(self, i, t, x, s):
         # the log-prices of a step serve every exponent; a zero exponent's
         # term is skipped, and a log-price that no exponent needs is not taken
-        lx = np.log(x / self.x0) if any(p1 for p1, _ in self.powers) else None
-        ls = np.log(s / self.s0) if any(p2 for _, p2 in self.powers) else None
-        for k, ((p1, p2), kap, lam) in enumerate(zip(self.powers, self.kap, self.lam)):
-            if p1 and p2:
-                e = p1 * lx + p2 * ls
-            elif p1:
-                e = p1 * lx
-            elif p2:
-                e = p2 * ls
-            else:
-                e = np.zeros(x.size)
-            v = np.exp(e) * lam[i]
-            if i > 0:
-                growth = np.exp(kap[i] - kap[i - 1])
-                self.ws[k] += v - self.v_prev[k] * (growth * lam[i] / lam[i - 1])
-            # one exponent's previous powers are dropped before the next one's are made
-            self.v_prev[k] = v
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            lx = np.log(x / self.x0) if any(p1 for p1, _ in self.powers) else None
+            ls = np.log(s / self.s0) if any(p2 for _, p2 in self.powers) else None
+            for k, ((p1, p2), kap, lam) in enumerate(zip(self.powers, self.kap, self.lam)):
+                v, prev = self.spare[self.ws[k].dtype], self.v_prev[k]
+                if p1 and p2:
+                    np.multiply(p1, lx, out=v)
+                    np.add(v, np.multiply(p2, ls, out=self.scratch[v.dtype]), out=v)
+                elif p1:
+                    np.multiply(p1, lx, out=v)
+                elif p2:
+                    np.multiply(p2, ls, out=v)
+                else:
+                    v.fill(0.0)
+                np.multiply(np.exp(v, out=v), lam[i], out=v)
+                if i > 0:
+                    growth = np.exp(kap[i] - kap[i - 1])
+                    # v - v_prev * c is formed in the previous powers' buffer
+                    np.multiply(prev, growth * lam[i] / lam[i - 1], out=prev)
+                    self.ws[k] += np.subtract(v, prev, out=prev)
+                self.v_prev[k], self.spare[v.dtype] = v, prev
 
     def finish(self) -> dict:
         rows = []
@@ -252,17 +353,20 @@ class MomentFold:
         self.n_steps = source.n_steps
         self.rows = []
         self.worst = 0.0
+        self.cost = 0
 
     def step(self, i, t, x, s):
         if i < self.n_steps:
             return
-        lx = np.log(x / self.x0)
-        ls = np.log(s / self.s0)
-        for z1, z2 in self.zs:
-            vals = np.exp(z1 * lx + z2 * ls) * np.exp(-self.model.kappa(t, z1, z2))
-            row, worst = _stat_row(z1, z2, (("re", vals.real, 1.0), ("im", vals.imag, 0.0)))
-            self.rows.append(row)
-            self.worst = float(np.maximum(self.worst, worst))
+        # an overflowing moment makes its statistic NaN, which fails the test
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            lx = np.log(x / self.x0)
+            ls = np.log(s / self.s0)
+            for z1, z2 in self.zs:
+                vals = np.exp(z1 * lx + z2 * ls) * np.exp(-self.model.kappa(t, z1, z2))
+                row, worst = _stat_row(z1, z2, (("re", vals.real, 1.0), ("im", vals.imag, 0.0)))
+                self.rows.append(row)
+                self.worst = float(np.maximum(self.worst, worst))
 
     def finish(self) -> dict:
         return {"rows": self.rows, "max_tstat": self.worst}
@@ -317,6 +421,8 @@ class HedgeFold:
             raise AssumptionError("path replay requires a real-valued claim")
         self.dec = dec
         self.n_paths, self.n_steps = source.n_paths, source.n_steps
+        measure = dec.measure
+        self.cost = _COST_REPLAY + _COST_LINE * len(measure.lines) + _COST_ATOM * len(measure.atoms)
         self.h0 = float(np.real(dec.h0))
         self.kappa_s = np.real(dec.model.kappa(source.times, 0.0, 1.0))
         self.check_steps = set()
@@ -421,6 +527,7 @@ class BaselineFold:
         self.n_steps = source.n_steps
         self.T = float(source.times[-1])
         self.comps = [c for c in dec.measure.components if c[0] in ("call", "put")]
+        self.cost = _COST_VANILLA * len(self.comps)
         if self.comps:
             # time-averaged log variance rate of S
             self.var_rate = model._integral(0.0, self.T, lambda w, seg: w * (
@@ -493,14 +600,17 @@ class TradeoffFold:
         _require_same_model(model, source)
         self.model = model
         self.acc = np.zeros(source.n_paths)
+        self.cost = _COST_TRADEOFF
 
     def step(self, i, t, x, s):
         if i > 0:
             dt = t - self.t_prev
             seg = self.model.segment_at(self.t_prev)
             mu, rb = seg.traded_growth_rate, seg.rho_bar
-            incr = s - self.s_prev - self.s_prev * mu * dt
-            self.acc += (mu / (self.s_prev * rb)) ** 2 * incr * incr
+            # an overflowing sum makes the estimate fail its limit
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                incr = s - self.s_prev - self.s_prev * mu * dt
+                self.acc += (mu / (self.s_prev * rb)) ** 2 * incr * incr
         self.t_prev, self.s_prev = t, s
 
     def finish(self) -> dict:

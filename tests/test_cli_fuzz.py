@@ -123,7 +123,7 @@ def test_cli_contract_holds_for_mutated_configs(name, command, n_edits, data):
     _check_contract(cfg, command)
 
 
-@pytest.mark.parametrize("command", ["price", "simulate", "hedge-surface"])
+@pytest.mark.parametrize("command", ["price", "simulate", "hedge-surface", "check"])
 @pytest.mark.parametrize("name", sorted(SHIPPED))
 def test_cli_contract_holds_for_scaled_model_numbers(name, command):
     # every number of the model block and the strike, each scaled alone

@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -31,6 +33,7 @@ from basishedge.simulation import (
 )
 
 from oracles import block_major_paths, stacked_paths
+from test_cli_fuzz import SHIPPED
 
 
 @pytest.fixture(scope="module")
@@ -474,3 +477,129 @@ def test_piecewise_replay_matches_homogeneous(bs_model, bs_call_x):
     assert abs(run.orthogonality_corr) < 0.1
     out = tradeoff_check(pw, ens)
     assert abs(out["estimate"] - out["exact"]) < 4.0 * out["stderr"]
+
+
+# -- two lanes ----------------------------------------------------------------------
+
+
+def _force_lanes(monkeypatch, n):
+    monkeypatch.setattr(simulation.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_reports_are_byte_identical_on_one_and_two_lanes(tmp_path, capsys, monkeypatch,
+                                                         name, command):
+    # the shipped configs at the command-line fuzz's sizes
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SHIPPED[name]))
+    codes, written = {}, {}
+    for lanes in (1, 2):
+        _force_lanes(monkeypatch, lanes)
+        out = tmp_path / f"lanes-{lanes}"
+        # 200 paths may fail a statistical check, which still writes its report
+        codes[lanes] = cli.main([command, "--config", str(config), "--out", str(out)])
+        written[lanes] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    capsys.readouterr()
+    assert codes[1] == codes[2] in (0, 4)
+    assert written[1] and written[1] == written[2]
+
+
+class _StubFold:
+    """Raises ValueError(tag) at step fail_at; cost decides its lane."""
+
+    def __init__(self, tag, cost, fail_at=None):
+        self.tag, self.cost, self.fail_at, self.seen = tag, cost, fail_at, []
+
+    def step(self, i, t, x, s):
+        if i == self.fail_at:
+            raise ValueError(self.tag)
+        self.seen.append((i, threading.current_thread() is threading.main_thread()))
+
+
+class _FailingSource:
+    """Four steps of one path, whose draw of step fail_at raises."""
+
+    def __init__(self, fail_at=None):
+        self.fail_at = fail_at
+
+    def __iter__(self):
+        for i in range(4):
+            if i == self.fail_at:
+                raise KeyError("draw")
+            yield i, float(i), np.ones(1), np.ones(1)
+
+
+def _first_error(lanes, monkeypatch, source, specs) -> str:
+    _force_lanes(monkeypatch, lanes)
+    folds = [_StubFold(*spec) for spec in specs]
+    with pytest.raises((ValueError, KeyError)) as err:
+        run_folds(source, *folds)
+    return repr(err.value)
+
+
+@pytest.mark.parametrize("source_fail,specs,want", [
+    # (tag, cost, failing step): the costly fold runs on the worker lane
+    (None, [("main", 0, 2), ("worker", 9, 2)], "ValueError('main')"),
+    (None, [("worker", 9, 2), ("main", 0, 2)], "ValueError('worker')"),
+    (None, [("main", 0, 2), ("worker", 9, 1)], "ValueError('worker')"),
+    (None, [("worker", 9, 3), ("main", 0, 2)], "ValueError('main')"),
+    (None, [("main", 0, None), ("worker", 9, 3)], "ValueError('worker')"),
+    (2, [("main", 0, None), ("worker", 9, 1)], "ValueError('worker')"),
+    (2, [("main", 0, 2), ("worker", 9, 2)], "KeyError('draw')"),
+])
+def test_lanes_raise_the_error_the_serial_order_hits_first(monkeypatch, source_fail, specs, want):
+    threads = threading.active_count()
+    serial = _first_error(1, monkeypatch, _FailingSource(source_fail), specs)
+    lanes = _first_error(2, monkeypatch, _FailingSource(source_fail), specs)
+    assert serial == lanes == want
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_lanes_leave_no_thread_and_feed_every_step_in_order(monkeypatch, lanes):
+    _force_lanes(monkeypatch, lanes)
+    threads = threading.active_count()
+    folds = [_StubFold("main", 0), _StubFold("worker", 9)]
+    run_folds(_FailingSource(), *folds)
+    assert threading.active_count() == threads
+    on_main = [True, lanes == 1]
+    assert [fold.seen for fold in folds] == [[(i, m) for i in range(4)] for m in on_main]
+
+
+def test_two_lanes_match_one_lane_under_fast_thread_switching(monkeypatch, merton_model,
+                                                              merton_call_x):
+    def battery(lanes):
+        _force_lanes(monkeypatch, lanes)
+        paths = PathStream(merton_model, 2000, 20, seed=8)
+        folds = (MartingaleFold(merton_model, paths), MomentFold(merton_model, paths),
+                 HedgeFold(merton_call_x, paths), BaselineFold(merton_call_x, paths),
+                 TradeoffFold(merton_model, paths))
+        run_folds(paths, *folds)
+        run = folds[2].finish()
+        arrays = [*folds[0].ws, folds[3].gains, folds[4].acc, run.residuals]
+        return [a.tobytes() for a in arrays], json.dumps(
+            [folds[0].finish(), folds[1].finish(), folds[3].finish(run), folds[4].finish()],
+            default=str)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert battery(2) == battery(1)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_lane_rule_picks_the_heaviest_fold_group(merton_model, merton_call_x):
+    paths = PathStream(merton_model, 10, 2, seed=1)
+    # the shipped check battery, in the command's order: the replay and its
+    # baseline share a decomposition and outweigh the martingale fold
+    battery = (MartingaleFold(merton_model, paths), MomentFold(merton_model, paths),
+               HedgeFold(merton_call_x, paths), BaselineFold(merton_call_x, paths),
+               TradeoffFold(merton_model, paths))
+    assert simulation._worker_folds(battery) == [battery[2], battery[3]]
+    # acceptance 06's fold set: five complex exponents outweigh the replay
+    freqs = [(0.5 + u * 1j, 0.0) for u in (1.0, 3.7, 8.2, 14.9, 20.0)]
+    suite = (HedgeFold(merton_call_x, paths), MartingaleFold(merton_model, paths, exponents=freqs),
+             MomentFold(merton_model, paths), TradeoffFold(merton_model, paths))
+    assert simulation._worker_folds(suite) == [suite[1]]
