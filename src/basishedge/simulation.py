@@ -65,7 +65,6 @@ _CHECK_TOL = 5e-3
 # the lane rule's fold costs in ns per path and step (see run_folds)
 _COST_REAL, _COST_COMPLEX = 9, 50
 _COST_REPLAY, _COST_LINE, _COST_ATOM = 20, 125, 25
-_COST_VANILLA, _COST_TRADEOFF = 32, 9
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -154,6 +153,13 @@ def _worker_folds(folds) -> list:
     return max(groups.values(), key=lambda g: sum(getattr(f, "cost", 0) for f in g))
 
 
+def _lanes() -> int:
+    """Two where the process may run on two CPUs, else one.  The CPUs it may
+    run on are its affinity where the platform reports one."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return min(2, len(affinity(0)) if affinity else (os.cpu_count() or 1))
+
+
 def _feed(folds, step):
     """Step each (position, fold) in order: the first error as (position, exception), or None."""
     for k, fold in folds:
@@ -167,29 +173,28 @@ def _feed(folds, step):
 def run_folds(source, *folds):
     """Feed every step of the source, in order, to each fold: one pass for all.
 
-    With two CPUs in the process's affinity the pass runs on two lanes.
-    The heaviest group of folds (`_worker_folds`) runs on a worker
-    thread while this thread draws the stream and runs the rest: per
-    step i it draws step i, waits for the worker's step i - 1, hands
-    step i over and runs its own folds on it.  At most one step is in
-    flight, so memory stays O(paths), and every fold sees the steps in
-    order, so results are bit-identical to one lane.  The lanes overlap
-    because numpy releases the GIL inside its ufuncs.  An error leaves
-    as the one the serial loop hits first (the earliest step, then fold
-    order), after the worker has stopped; folds in different groups
-    must share no mutable state.
+    With two CPUs (`_lanes`) the pass runs on two lanes.  The heaviest
+    group of folds (`_worker_folds`) runs on a worker thread while this
+    thread draws the stream and runs the rest: per step i it draws step
+    i, waits for the worker's step i - 1, hands step i over and runs its
+    own folds on it.  At most one step is in flight, so memory stays
+    O(paths), and every fold sees the steps in order, so results are
+    bit-identical to one lane.  The lanes overlap because numpy releases
+    the GIL inside its ufuncs.  An error leaves as the one the serial
+    loop hits first (the earliest step, then fold order), after the
+    worker has stopped; folds in different groups must share no mutable
+    state.  With one CPU the serial loop runs: on one CPU of a 2-vCPU
+    machine, two lanes made a 50k x 25 pass about 9% slower.
 
     A fold's `cost` is its time per path and step in ns, fitted to the
-    best of three passes at 50k paths x 25 steps on the 2-vCPU machine
-    of the bench records (one BLAS thread): a martingale exponent 9 if
-    real and 50 if complex (4 real ones took 34, 4 complex ones 198);
-    a replay 20, plus 125 per contour line and 25 per atom (a Merton
-    call took 182, a put 144, a lone atom 48); a naive delta 32 per
-    vanilla component; the tradeoff integral 9.  The terminal moments,
-    which work at the last step only, and a fold without a `cost`
-    count 0.  The stream itself took 171.
+    best of three passes at 50k paths x 25 steps on a 2-vCPU machine
+    (one BLAS thread): a martingale exponent 9 if real and 50 if
+    complex (4 real ones took 34, 4 complex ones 198); a replay 20,
+    plus 125 per contour line and 25 per atom (a Merton call took 182,
+    a put 144, a lone atom 48).  Only these two kinds of fold carry a
+    cost; any other counts 0.
     """
-    if len(os.sched_getaffinity(0)) < 2 or not folds:
+    if _lanes() < 2 or not folds:
         for step in source:
             for fold in folds:
                 fold.step(*step)
@@ -353,7 +358,6 @@ class MomentFold:
         self.n_steps = source.n_steps
         self.rows = []
         self.worst = 0.0
-        self.cost = 0
 
     def step(self, i, t, x, s):
         if i < self.n_steps:
@@ -527,7 +531,6 @@ class BaselineFold:
         self.n_steps = source.n_steps
         self.T = float(source.times[-1])
         self.comps = [c for c in dec.measure.components if c[0] in ("call", "put")]
-        self.cost = _COST_VANILLA * len(self.comps)
         if self.comps:
             # time-averaged log variance rate of S
             self.var_rate = model._integral(0.0, self.T, lambda w, seg: w * (
@@ -600,7 +603,6 @@ class TradeoffFold:
         _require_same_model(model, source)
         self.model = model
         self.acc = np.zeros(source.n_paths)
-        self.cost = _COST_TRADEOFF
 
     def step(self, i, t, x, s):
         if i > 0:

@@ -483,7 +483,20 @@ def test_piecewise_replay_matches_homogeneous(bs_model, bs_call_x):
 
 
 def _force_lanes(monkeypatch, n):
-    monkeypatch.setattr(simulation.os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(simulation, "_lanes", lambda: n)
+
+
+def test_lane_count_follows_the_cpus_the_process_may_use(monkeypatch):
+    monkeypatch.setattr(simulation.os, "cpu_count", lambda: 8)
+    for cpus, lanes in ((1, 1), (2, 2), (3, 2)):
+        monkeypatch.setattr(simulation.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        assert simulation._lanes() == lanes
+    # platforms without an affinity call count the machine's CPUs
+    monkeypatch.delattr(simulation.os, "sched_getaffinity")
+    for cpus, lanes in ((None, 1), (1, 1), (2, 2), (8, 2)):
+        monkeypatch.setattr(simulation.os, "cpu_count", lambda: cpus)
+        assert simulation._lanes() == lanes
 
 
 @pytest.mark.parametrize("command", ["check", "simulate"])
@@ -545,6 +558,7 @@ def _first_error(lanes, monkeypatch, source, specs) -> str:
     (None, [("main", 0, 2), ("worker", 9, 1)], "ValueError('worker')"),
     (None, [("worker", 9, 3), ("main", 0, 2)], "ValueError('main')"),
     (None, [("main", 0, None), ("worker", 9, 3)], "ValueError('worker')"),
+    (None, [("first", 0, 2), ("second", 0, 2), ("worker", 9, 3)], "ValueError('first')"),
     (2, [("main", 0, None), ("worker", 9, 1)], "ValueError('worker')"),
     (2, [("main", 0, 2), ("worker", 9, 2)], "KeyError('draw')"),
 ])
@@ -592,8 +606,9 @@ def test_two_lanes_match_one_lane_under_fast_thread_switching(monkeypatch, merto
 
 def test_lane_rule_picks_the_heaviest_fold_group(merton_model, merton_call_x):
     paths = PathStream(merton_model, 10, 2, seed=1)
-    # the shipped check battery, in the command's order: the replay and its
-    # baseline share a decomposition and outweigh the martingale fold
+    # the shipped check battery, in the command's order: the replay outweighs
+    # the martingale fold, and its baseline, which shares its decomposition,
+    # rides with it
     battery = (MartingaleFold(merton_model, paths), MomentFold(merton_model, paths),
                HedgeFold(merton_call_x, paths), BaselineFold(merton_call_x, paths),
                TradeoffFold(merton_model, paths))
