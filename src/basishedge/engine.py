@@ -14,7 +14,10 @@ The claim then splits as g = y(0,X0,S0) + integral z dS + orthogonal
 residual.  This module evaluates both surfaces by shared quadrature over
 the measure's contours, with the truncation tail either integrated in
 closed form (at maturity, where lambda is 1) or bounded through the
-decay of lambda at the cutoff.
+decay of lambda at the cutoff.  Every evaluation, h0 and the Monte Carlo
+replay's path slices included, runs one kernel per time and leaves
+through one guard: results must be finite, and a real claim's must be
+conjugate-symmetric to within _IM_ABORT.
 """
 
 from __future__ import annotations
@@ -55,6 +58,16 @@ def _chirp_z(x, theta, m):
     kernel[size - n + 1:] = chirp[1:n][::-1].conj()
     spec = np.fft.fft(x * chirp[:n], size) * np.fft.fft(kernel)
     return np.fft.ifft(spec)[..., :m] * chirp[:m]
+
+
+def _power(e1, e2, logx, logs):
+    """x**e1 s**e2 from the logs of the prices: a zero exponent drops out,
+    and real ones skip the complex exp."""
+    terms = [(complex(e), lg) for e, lg in ((e1, logx), (e2, logs)) if e != 0]
+    out = np.exp(sum(e.real * lg for e, lg in terms))
+    if any(e.imag for e, _ in terms):
+        out = out * np.exp(1j * sum(e.imag * lg for e, lg in terms))
+    return out
 
 
 class HedgeDecomposition:
@@ -163,61 +176,94 @@ class HedgeDecomposition:
             raise DomainError("prices must be strictly positive")
         self.model._check_time(t)
         tb, xb, sb = np.broadcast_arrays(t, x, s)
-        scalar = tb.ndim == 0
-        shape = tb.shape
-        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-            y, z = self._flat(*(np.atleast_1d(a).ravel() for a in (tb, xb, sb)), need_z)
-        out = []
-        for arr in (y, z):
-            if arr is None:
-                out.append(None)
-                continue
-            bad = arr.size - int(np.count_nonzero(np.isfinite(arr)))
-            if bad:
-                raise ConvergenceError(f"the contour quadrature is not finite at {bad} of {arr.size} points")
-            if self._real:
-                im = float(np.abs(arr.imag).max()) if arr.size else 0.0
-                sc = max(1.0, float(np.abs(arr.real).max()) if arr.size else 0.0)
-                if im > _IM_ABORT * sc:
-                    raise ConvergenceError(
-                        f"conjugate-symmetry residual {im / sc:.2e} exceeds {_IM_ABORT:g}",
-                        residual=im / sc,
-                    )
-                self._im_residual = max(self._im_residual, im / sc)
-                arr = arr.real
-            arr = arr.reshape(shape)
-            out.append(arr[()].item() if scalar else arr)
-        return tuple(out)
-
-    def _flat(self, t, x, s, need_z):
-        y = np.zeros(t.size, dtype=complex)
-        z = np.zeros(t.size, dtype=complex) if need_z else None
-        logx, logs = np.log(x), np.log(s)
-        # one grouping by time: atoms take gamma of the segment in force at
-        # each time, and lines are evaluated one time at a time
+        t, x, s = (np.atleast_1d(a).ravel() for a in (tb, xb, sb))
+        y, z = np.zeros((2, t.size), dtype=complex)
         times, at = np.unique(t, return_inverse=True)
-        if need_z:
-            segs = [self.model.segment_at(ti) for ti in times]
+        groups = np.split(np.argsort(at, kind="stable"), np.cumsum(np.bincount(at))[:-1])
+        with np.errstate(over="ignore", invalid="ignore"):  # checked in _guard
+            for ti, rows in zip(times, groups):
+                y[rows], z[rows] = self._at_time(float(ti), x[rows], s[rows], need_z)
+        return tuple(self._guard(a, tb.shape) for a in (y, z if need_z else None))
+
+    def _guard(self, arr, shape):
+        """The exit of every evaluation, for one array or None: it must be
+        finite, and a real claim's keeps only its real part, once the
+        imaginary residual (conjugate symmetry) has passed _IM_ABORT.
+        Reshaped to shape; a 0-d shape gives a Python scalar."""
+        if arr is None:
+            return None
+        # a NaN or an infinity shows in the largest magnitudes
+        re, im = (float(np.abs(part).max()) if arr.size else 0.0 for part in (arr.real, arr.imag))
+        if not (np.isfinite(re) and np.isfinite(im)):
+            bad = arr.size - int(np.count_nonzero(np.isfinite(arr)))
+            raise ConvergenceError(f"the contour quadrature is not finite at {bad} of {arr.size} points")
+        if self._real:
+            sc = max(1.0, re)
+            if im > _IM_ABORT * sc:
+                raise ConvergenceError(
+                    f"conjugate-symmetry residual {im / sc:.2e} exceeds {_IM_ABORT:g}",
+                    residual=im / sc,
+                )
+            self._im_residual = max(self._im_residual, im / sc)
+            arr = arr.real.copy()
+        arr = arr.reshape(shape)
+        return arr[()].item() if shape == () else arr
+
+    def _at_time(self, t, x, s, need_z, grid_points=0):
+        """Complex (y, z) at one time t on the 1-d points (x, s), z zero
+        unless need_z: the kernel of every evaluation.  Atoms are exact,
+        with lambda and gamma taken once for the time.  A line is evaluated
+        at its distinct varying coordinates (_line_group), or, given
+        grid_points, on a uniform grid of that many points over the range
+        of its varying log coordinate, by one chirp-z transform on the
+        uniform nodes of the line's whole trapezoid rule, and interpolated
+        (the replay's path slices)."""
+        model = self.model
+        logx, logs, inv_s = np.log(x), np.log(s), 1.0 / s
+        y, z = np.zeros((2, x.size), dtype=complex)
         for a in self.measure.atoms:
-            lam = self.model.lambda_coeff(t, a.z1, a.z2)
-            base = a.weight * np.exp(a.z1 * logx + a.z2 * logs) * lam
+            lam = complex(model.lambda_coeff(t, a.z1, a.z2))
+            base = a.weight * lam * _power(a.z1, a.z2, logx, logs)
             y += base
             if need_z:
-                z += base * np.array([complex(seg.gamma(a.z1, a.z2)) for seg in segs])[at] / s
-
-        if self.measure.lines:
-            groups = np.split(np.argsort(at, kind="stable"), np.cumsum(np.bincount(at))[:-1])
-            for ti, rows in zip(times, groups):
-                for idx, ln in enumerate(self.measure.lines):
-                    # a line depends on its varying coordinate only: evaluate
-                    # each distinct value once, then scale per point
-                    v, other = (x, s) if ln.axis == 1 else (s, x)
-                    fixed = np.exp(complex(ln.fixed_exponent) * np.log(other[rows]))
-                    uv, inv = np.unique(v[rows], return_inverse=True)
-                    cy, cz = self._line_group(idx, float(ti), uv, fixed, need_z)[:2]
-                    y[rows] += fixed * cy[inv]
-                    if need_z:
-                        z[rows] += fixed * cz[inv] / s[rows]
+                z += base * complex(model.segment_at(t).gamma(a.z1, a.z2)) * inv_s
+            del base  # a full-size temporary, not to be held through the lines
+        for idx, ln in enumerate(self.measure.lines):
+            f = ln.fixed_exponent
+            v, logv, fixed = (x, logx, _power(0, f, logx, logs)) if ln.axis == 1 else (
+                s, logs, _power(f, 0, logx, logs))
+            if not grid_points:
+                # a line depends on its varying coordinate only: evaluate each
+                # distinct value once, then scale per point
+                uv, inv = np.unique(v, return_inverse=True)
+                cy, cz = self._line_group(idx, t, uv, fixed, need_z)[:2]
+                cy, cz = cy[inv], cz if cz is None else cz[inv]
+            else:
+                lo, hi = float(logv.min()), float(logv.max())
+                # all paths at one price (the first step) give a one-point grid
+                glx = np.linspace(lo, hi, grid_points if hi - lo >= 1e-12 else 1)
+                # the aliasing error grows with |log-moneyness|, which peaks at
+                # an end of the grid, so the level refined there serves the grid
+                umult, level = self._line_group(idx, t, np.exp(glx[[0, -1]]), fixed, True)[2:]
+                intervals = 16 * int(ln.panels * umult) << level
+                u, coef, coef_gam = self._coefficients(idx, 0, umult, t, intervals)
+                # exp((R + i u_k) glx_j) = exp((R + i u_0) glx_j) exp(i k h glx_0) exp(i h dx jk)
+                u0, h = u[0], u[1] - u[0]
+                dx = glx[1] - glx[0] if glx.size > 1 else 0.0
+                shift = np.exp(1j * (u - u0) * glx[0])
+                vals = _chirp_z(np.stack([coef * shift, coef_gam * shift]), h * dx, glx.size)
+                vals *= np.exp((ln.abscissa + 1j * u0) * glx)
+                if ln.symmetric:
+                    vals = 2.0 * vals.real
+                # linear interpolation by index on the uniform grid (one point: constant)
+                pos = (logv - lo) * ((glx.size - 1) / max(hi - lo, 1e-300))
+                j = np.minimum(pos.astype(np.intp), max(glx.size - 2, 0))
+                frac = pos - j
+                j1 = np.minimum(j + 1, glx.size - 1)
+                cy, cz = (tab[j] + frac * (tab[j1] - tab[j]) for tab in vals)
+            y += fixed * cy
+            if need_z:
+                z += fixed * cz * inv_s
         return y, z
 
     def _nodes(self, idx: int, level: int, umult: float, base: int = 0) -> tuple:
@@ -280,9 +326,11 @@ class HedgeDecomposition:
             tail_y = line_tail(ln, v)
             if need_z:
                 last = self.model.segment_at(self.model.horizon)
-                aff = last.gamma_affine(ln.axis, ln.fixed_exponent)
-                if aff is not None:
-                    tail_z = line_tail(ln, v, *aff)
+                g0, g1, amp, rate = last.gamma_affine(ln.axis, ln.fixed_exponent)
+                tail_z = line_tail(ln, v, g0, g1)
+                if amp:
+                    # amp exp(rate z) v**z = amp (v exp(rate))**z: the kernel's tail there
+                    tail_z = tail_z + amp * line_tail(ln, v * np.exp(rate))
 
         def coefficients(level):
             u, coef, coef_gam = self._coefficients(idx, level, umult, ti)
@@ -297,62 +345,14 @@ class HedgeDecomposition:
         return y, z, umult, level
 
     def _path_slice(self, t, x, s, grid_points):
-        """Real value and hedge of a real claim at one time t < T on all
-        paths (x, s), for the Monte Carlo replay.  Atoms are exact; each
-        line is a Fourier sum in the index of a uniform grid of grid_points
-        in its varying log coordinate, done by one chirp-z transform on the
-        uniform nodes of the line's whole trapezoid rule and interpolated.
-        """
-        model = self.model
-        if (model.horizon - t) <= _TERMINAL_FRACTION * model.horizon:
+        """Value and hedge at one time t < T on all paths (x, s), for the
+        Monte Carlo replay: the kernel with each line on a grid of
+        grid_points, through the guard of every evaluation."""
+        if (self.model.horizon - t) <= _TERMINAL_FRACTION * self.model.horizon:
             raise DomainError("the grid shortcut does not cover the terminal time")
-        y, z = np.zeros(x.size), np.zeros(x.size)
-        logx, logs = np.log(x), np.log(s)
-        for a in self.measure.atoms:
-            lam = complex(np.asarray(model.lambda_coeff(t, a.z1, a.z2)).ravel()[0])
-            gam = complex(np.asarray(model.segment_at(t).gamma(a.z1, a.z2)).ravel()[0])
-            z1, z2 = complex(a.z1), complex(a.z2)
-            # real exponents, as in the unit atoms of calls, skip the complex exp
-            power = np.exp(z1.real * logx + z2.real * logs)
-            if z1.imag or z2.imag:
-                power = power * np.exp(1j * (z1.imag * logx + z2.imag * logs))
-            y += (a.weight * lam * power).real
-            z += (a.weight * lam * gam * power).real / s
-        for idx, ln in enumerate(self.measure.lines):
-            f = float(np.real(ln.fixed_exponent))
-            logv, other = (logx, s) if ln.axis == 1 else (logs, x)
-            lo, hi = float(logv.min()), float(logv.max())
-            # all paths at one price (the first step) give a one-point grid
-            glx = np.linspace(lo, hi, grid_points if hi - lo >= 1e-12 else 1)
-            # |other**f| peaks at an end of the other coordinate's range
-            fixed = np.array([other.min(), other.max()]) ** f
-            # the aliasing error grows with |log-moneyness|, which peaks at an
-            # end of the grid, so the level refined there serves the grid
-            umult, level = self._line_group(idx, t, np.exp(glx[[0, -1]]), fixed, True)[2:]
-            u, coef, coef_gam = self._coefficients(
-                idx, 0, umult, t, 16 * int(ln.panels * umult) << level
-            )
-            # exp((R + i u_k) glx_j) = exp((R + i u_0) glx_j) exp(i k h glx_0) exp(i h dx jk)
-            u0, h = u[0], u[1] - u[0]
-            dx = glx[1] - glx[0] if glx.size > 1 else 0.0
-            shift = np.exp(1j * (u - u0) * glx[0])
-            vals = _chirp_z(np.stack([coef * shift, coef_gam * shift]), h * dx, glx.size)
-            vals *= np.exp((ln.abscissa + 1j * u0) * glx)
-            if ln.symmetric:
-                vals = 2.0 * vals.real
-            # linear interpolation by index on the uniform grid (one point: constant)
-            pos = (logv - lo) * ((glx.size - 1) / max(hi - lo, 1e-300))
-            j = np.minimum(pos.astype(np.intp), max(glx.size - 2, 0))
-            frac = pos - j
-            j1 = np.minimum(j + 1, glx.size - 1)
-            yv, zv = (tab[j] + frac * (tab[j1] - tab[j]) for tab in np.real(vals))
-            if ln.axis == 1:
-                y += yv * s**f
-                z += zv * s ** (f - 1.0)
-            else:
-                y += yv * x**f
-                z += zv * x**f / s
-        return y, z
+        with np.errstate(over="ignore", invalid="ignore"):  # checked in _guard
+            out = self._at_time(t, x, s, True, grid_points)
+        return tuple(self._guard(a, x.shape) for a in out)
 
     def _tail_plan(self, idx, ti, v, fixed) -> tuple[float, str, float]:
         """The first truncation multiple 2**k (k >= _MIN_EXTENSION, whole panels)
@@ -385,11 +385,16 @@ class HedgeDecomposition:
                 return umult, "extended" if k_ext > 0 else "skipped-negligible", bound
         if ln.tail is None:
             return 1 << _MAX_EXTENSION, "bound-only", bound
+        a = ln.axis - 1
+        if any(seg.covariance[a, a] > 0 or seg.jump_intensity > 0 and seg.jump_cov[a, a] > 0
+               for _, _, seg in self.model.segments):
+            why = (f"at {1 << _MAX_EXTENSION} times the nominal truncation it is still above the "
+                   f"floor {floor:.2e}: too little claim-coordinate spread is left before maturity")
+        else:
+            why = "the model has no diffusion or jump spread in the claim coordinate"
         raise ConvergenceError(
-            f"truncation tail of line {idx} is not controlled at t={ti:g}: "
-            f"the propagation factor does not decay along this contour "
-            f"(bound {bound:.2e}); the model has no diffusion or jump "
-            "spread in the claim coordinate",
+            f"truncation tail of line {idx} is not controlled at T - t = {horizon - ti:g} "
+            f"(bound {bound:.2e}): {why}",
             residual=bound,
         )
 

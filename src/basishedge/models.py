@@ -269,15 +269,16 @@ class AdditiveModel(PiecewiseAdditiveModel):
         return self.rates(z1, z2)[1]
 
     def gamma_affine(self, axis: int, fixed_exponent: complex):
-        """Affine asymptote (g0, g1) of gamma along a contour, or None.
+        """Asymptote (g0, g1, amp, rate) of gamma along a contour.
 
         Along a line in coordinate `axis` with the other exponent held
-        at f, gamma(z) = g0 + g1*z_axis + r(z) with r(z) -> 0 as
-        |Im z_axis| grows.  The Gaussian part is exactly affine; the
-        jump part converges to a constant when it either loses mass at
-        large imaginary argument (jump spread in the varying coordinate)
-        or does not involve the varying coordinate at all.  Returns None
-        when the jump part oscillates without a limit.
+        at f, gamma(z) = g0 + g1*z_axis + amp*exp(rate*z_axis) + r(z)
+        with r(z) -> 0 as |Im z_axis| grows.  The Gaussian part is
+        exactly affine.  The jump part tends to a constant when the jumps
+        spread the varying coordinate, and r is its kernel term.  Without
+        that spread r is 0: the kernel term is amp*exp(rate*z_axis), with
+        rate the jump mean of the varying coordinate, and it is folded
+        into g0 (amp = 0) when that rate is 0.
         """
         c = self.covariance
         f = complex(fixed_exponent)
@@ -287,24 +288,25 @@ class AdditiveModel(PiecewiseAdditiveModel):
         else:
             g1 = c[1, 1]
             g0 = c[0, 1] * f
+        amp = rate = 0.0
         if self.jump_intensity > 0.0:
             m, d = self.jump_mean, self.jump_cov
             ks = m[1] + 0.5 * d[1, 1]  # jump cumulant at the unit S exponent
             a = axis - 1
             o = 1 - a
-            if d[a, a] > 0.0:
-                # running-coordinate spread kills the kernel term
-                g0 = g0 - self.jump_intensity * (np.exp(ks) - 1.0)
-            elif m[a] != 0.0:
-                return None
-            else:
-                # kernel constant along the line (d[a,a]=0 forces d[a,o]=0)
+            # the jump part of -psi(0,1); jump spread in the running
+            # coordinate kills the kernel term
+            g0 = g0 - self.jump_intensity * (np.exp(ks) - 1.0)
+            if d[a, a] == 0.0:
+                # without it the kernel term is exp(m_a z_a) times a constant
+                # along the line (d[a,a]=0 forces d[a,o]=0)
                 cf = m[o] * f + 0.5 * d[o, o] * f * f
                 shift = d[1, 0] * (f if a == 1 else 0.0) + d[1, 1] * (f if a == 0 else 0.0)
-                g0 = g0 + self.jump_intensity * (
-                    np.exp(cf) * (np.exp(ks + shift) - 1.0) - (np.exp(ks) - 1.0)
-                )
-        return (g0 / self._rho_bar, g1 / self._rho_bar)
+                amp = self.jump_intensity * np.exp(cf) * (np.exp(ks + shift) - 1.0)
+                rate = m[a]
+                if rate == 0.0:
+                    g0, amp = g0 + amp, 0.0
+        return (g0 / self._rho_bar, g1 / self._rho_bar, amp / self._rho_bar, rate)
 
     # -- misc -----------------------------------------------------------------
 

@@ -23,9 +23,11 @@ no setting.
 
 The path replay asks the decomposition for its value and hedge on all
 paths at each rebalance time (`HedgeDecomposition._path_slice`, which
-tabulates each contour line on a uniform grid and interpolates the
-paths on it); a sampled self-check against exact pointwise evaluation
-guards the shortcut.
+runs the engine's per-time kernel with each contour line tabulated on a
+uniform grid and the paths interpolated on it); a sampled self-check
+against exact pointwise evaluation guards the shortcut.  A slice leaves
+through the guard of every engine evaluation, so one that is not finite
+raises ConvergenceError instead of entering the statistics.
 """
 
 from __future__ import annotations

@@ -333,6 +333,21 @@ def test_cli_exit_3_on_quadrature_failure(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "check"])
+def test_cli_exit_3_on_a_non_finite_path_slice(tmp_path, capsys, monkeypatch, command):
+    # the replay's path slices return through the guard of every evaluation,
+    # so a NaN line grid stops the pass instead of entering the statistics
+    monkeypatch.setattr(engine, "_chirp_z", lambda x, theta, m: np.full((*x.shape[:-1], m), np.nan + 0j))
+    cfg = json.loads(SHIPPED_CHECK.read_text())
+    cfg["validation"].update(n_paths=200, n_steps=3)
+    out = tmp_path / "never"
+    assert main([command, "--config", _write(tmp_path, cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("quadrature failed: the contour quadrature is not finite at 200 of 200")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_check_fails_on_an_undefined_orthogonality_statistic(tmp_path, capsys):
     # jumps in S this wide overflow the replay's compensator: the pooled
     # correlation is undefined, and the check fails rather than reading 0.0

@@ -4,6 +4,7 @@ import gc
 import warnings
 import weakref
 from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from scipy.stats import norm
 
 import oracles
 from basishedge import engine, payoffs
+from basishedge.config import load_config
 from basishedge.engine import HedgeDecomposition, decompose
 from basishedge.errors import AssumptionError, ConvergenceError, DomainError
 from basishedge.models import AdditiveModel, PiecewiseAdditiveModel, vols_to_covariance
@@ -192,6 +194,67 @@ def test_uncontrolled_tail_without_claim_spread_is_rejected():
     )
     with pytest.raises(ConvergenceError, match="tail of line"):
         decompose(model, call_claim(100.0, axis=1))
+
+
+def _still_x():
+    """A diffusion that leaves X at its spot: no spread in the claim coordinate."""
+    return AdditiveModel(drift=[0.0, 0.0], covariance=[[0.0, 0.0], [0.0, 0.04]],
+                         horizon=1.0, spot=[100.0, 100.0])
+
+
+def test_uncontrolled_tail_names_its_cause():
+    # with diffusion in the claim coordinate the plan runs out of
+    # extensions only this close to maturity
+    cfg = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "hulley_mcwalter.json"))
+    dec = decompose(cfg.model, cfg.measure)
+    with pytest.raises(ConvergenceError, match=r"at T - t = 1e-07 \(bound .*\): at 64 times the "
+                       "nominal truncation it is still above the floor 1.01e-07: too little "
+                       "claim-coordinate spread is left before maturity"):
+        dec.value_and_hedge(1.0 - 1e-7, 100.0, 100.0)
+    # without spread in the claim coordinate no time is close enough
+    with pytest.raises(ConvergenceError, match=r"at T - t = 1 \(bound 2.49e-03\): the model has "
+                       "no diffusion or jump spread in the claim coordinate") as err:
+        decompose(_still_x(), call_claim(100.0, axis=1))
+    assert err.value.residual == pytest.approx(2.5e-3, rel=0.01)
+
+
+def test_bound_only_plan_reports_the_error_it_leaves():
+    # a line without the kernel marker where lambda does not decay: the plan
+    # keeps the widest truncation, and its bound is the error it leaves
+    line = replace(call_measure(100.0, axis=1).lines[0], tail=None)
+    dec = decompose(_still_x(), PayoffMeasure(lines=(line,)))
+    report = dec.quadrature_report()["lines"][0]
+    assert (report["tail_mode"], report["umult"]) == ("bound-only", 64)
+    # X does not move, so (X_T - K)^+ - X_T is -100 at the spot
+    err = abs(dec.h0 + 100.0)
+    assert err == pytest.approx(report["tail_bound"], rel=0.01)
+    assert err <= report["tail_bound"] * (1.0 + 1e-6)
+
+
+def _merton_without_claim_spread():
+    """The model of configs/merton_validation.json with jump_vol_x 0: each
+    jump moves X by the factor exp(-0.05) exactly."""
+    return AdditiveModel.merton(
+        log_drift=[0.03, 0.025], vol_x=0.25, vol_s=0.2, corr=0.6,
+        jump_intensity=0.7, jump_mean=[-0.05, -0.04], jump_vol_x=0.0,
+        jump_vol_s=0.1, jump_corr=0.5, horizon=1.0, spot=[100.0, 100.0],
+    )
+
+
+@pytest.mark.parametrize("claim", [call_claim(100.0, axis=1), put_claim(100.0, axis=1)],
+                         ids=["call", "put"])
+def test_terminal_hedge_keeps_the_tail_of_an_oscillating_gamma(claim):
+    # along the line gamma = g0 + g1 z + amp exp(rate z); the hedge at T
+    # needs the tail of every term to meet the hedge just before T
+    model = _merton_without_claim_spread()
+    dec = decompose(model, claim)
+    x = np.array([80.0, 90.0, 95.0, 99.0, 101.0, 105.0, 110.0, 120.0])
+    T = model.horizon
+    gap = np.abs(dec.hedge(T, x, 99.0) - dec.hedge(T - 1e-5, x, 99.0))
+    # a jump takes x in (100, 105.1) across the strike, with probability
+    # 0.7 * 1e-5 in the time left: that much time value remains there
+    assert gap.max() <= 1e-4
+    assert gap[[0, 1, 6, 7]].max() <= 2e-7
 
 
 def test_evaluation_domain_guards(bs_call_x):
@@ -692,6 +755,52 @@ def test_non_finite_fourier_result_is_rejected(bs_model, monkeypatch):
             evaluate(0.5, 100.0, 100.0)
     with pytest.raises(ConvergenceError, match="not finite"):
         dec.hedge_surface([0.25, 0.5], [90.0, 110.0], [100.0])
+    with pytest.raises(ConvergenceError, match="not finite at 2 of 2 points"):
+        dec._path_slice(0.5, np.array([90.0, 110.0]), np.array([100.0, 100.0]), 33)
+
+
+def test_every_entry_point_returns_through_the_guard(bs_model, monkeypatch):
+    # with no residual allowed, every evaluation fails the symmetry check
+    claim = call_claim(100.0, axis=1)
+    dec = decompose(bs_model, claim)
+    monkeypatch.setattr(engine, "_IM_ABORT", -1.0)
+    x, s = np.array([90.0, 110.0]), np.array([100.0, 100.0])
+    entry_points = [
+        lambda: decompose(bs_model, claim),
+        lambda: dec.value(0.5, x, s),
+        lambda: dec.hedge(0.5, x, s),
+        lambda: dec.value_and_hedge(0.5, x, s),
+        lambda: dec.hedge_surface([0.5], x, s),
+        lambda: dec._path_slice(0.5, x, s, 33),
+    ]
+    for evaluate in entry_points:
+        with pytest.raises(ConvergenceError, match="conjugate-symmetry residual"):
+            evaluate()
+
+
+def test_conjugate_atom_pair_is_twice_the_real_part_of_one(merton_model):
+    w, z1, z2 = 0.3 + 0.2j, 0.5 + 1.5j, 0.5
+    claim = power_claim(z1, z2, w) + power_claim(np.conj(z1), z2, np.conj(w))
+    assert claim.is_real_claim()
+    dec = decompose(merton_model, claim)
+    t = 0.4
+    x, s = np.array([80.0, 100.0, 125.0]), np.array([90.0, 100.0, 110.0])
+
+    def twice_one_atom(x, s):
+        y = w * x**z1 * s**z2 * complex(merton_model.lambda_coeff(t, z1, z2))
+        gam = complex(merton_model.segment_at(t).gamma(z1, z2))
+        return 2.0 * y.real, 2.0 * (y * gam / s).real
+
+    want_y, want_z = twice_one_atom(x, s)
+    np.testing.assert_allclose(dec.value(t, x, s), want_y, rtol=1e-13)
+    for got_y, got_z in (dec.value_and_hedge(t, x, s), dec._path_slice(t, x, s, 33)):
+        np.testing.assert_allclose(got_y, want_y, rtol=1e-13)
+        np.testing.assert_allclose(got_z, want_z, rtol=1e-13)
+    sy, sz = dec.hedge_surface([t], x, s)
+    want_y, want_z = twice_one_atom(*np.meshgrid(x, s, indexing="ij"))
+    np.testing.assert_allclose(sy[0], want_y, rtol=1e-13)
+    np.testing.assert_allclose(sz[0], want_z, rtol=1e-13)
+    assert dec.quadrature_report()["h0_im_residual"] <= 1e-14
 
 
 @pytest.mark.parametrize("model_name", ["bs_model", "merton_model", "seasons"])

@@ -100,7 +100,8 @@ def test_lambda_solves_backward_ode(any_model, t0):
 
 def test_affine_asymptote_exact_for_gaussian(bs_model):
     for axis, f in ((1, 0.7), (2, -0.4 + 0.0j)):
-        g0, g1 = bs_model.gamma_affine(axis, f)
+        g0, g1, amp, _ = bs_model.gamma_affine(axis, f)
+        assert amp == 0.0
         for u in (0.3, 5.0, 50.0):
             z = 0.5 + 1j * u
             pair = (z, f) if axis == 1 else (f, z)
@@ -111,23 +112,33 @@ def test_affine_asymptote_exact_for_gaussian(bs_model):
 def test_affine_asymptote_reached_under_jump_spread(merton_model):
     # jump variance in the running coordinate damps the kernel term like
     # exp(-d22 u^2 / 2), so by u = 100 the affine form is exact to rounding
-    g0, g1 = merton_model.gamma_affine(2, 0.8)
+    g0, g1, amp, _ = merton_model.gamma_affine(2, 0.8)
+    assert amp == 0.0
     z = -0.5 + 100.0j
     want = g0 + g1 * z
     got = complex(merton_model.gamma(0.8, z))
     assert abs(got - want) <= 1e-10 * (1.0 + abs(want))
 
 
-def test_affine_asymptote_none_when_kernel_oscillates():
+@pytest.mark.parametrize("axis, f", [(1, 0.5), (2, -0.3), (2, 0.0)])
+def test_asymptote_exact_when_the_kernel_oscillates(axis, f):
+    # jump means without jump variance: the kernel term does not decay
+    # along the line but is exactly amp * exp(rate * z_axis)
     m = AdditiveModel(
         drift=[0.01, 0.0],
         covariance=vols_to_covariance(0.2, 0.25, 0.3),
         horizon=1.0,
         spot=[100.0, 100.0],
         jump_intensity=0.5,
-        jump_mean=[0.1, 0.0],
+        jump_mean=[0.1, -0.07],
     )
-    assert m.gamma_affine(1, 0.5) is None
+    g0, g1, amp, rate = m.gamma_affine(axis, f)
+    assert rate == m.jump_mean[axis - 1] and amp != 0.0
+    for u in (0.3, 5.0, 50.0, 400.0):
+        z = 0.5 + 1j * u
+        pair = (z, f) if axis == 1 else (f, z)
+        want = g0 + g1 * z + amp * np.exp(rate * z)
+        assert abs(complex(m.gamma(*pair)) - want) < 1e-12 * (1.0 + abs(want))
 
 
 def test_affine_asymptote_exact_when_jumps_avoid_the_line():
@@ -142,7 +153,8 @@ def test_affine_asymptote_exact_when_jumps_avoid_the_line():
         jump_mean=[0.0, -0.1],
         jump_cov=[[0.0, 0.0], [0.0, 0.04]],
     )
-    g0, g1 = m.gamma_affine(1, 1.3)
+    g0, g1, amp, _ = m.gamma_affine(1, 1.3)
+    assert amp == 0.0
     for u in (0.5, 7.0):
         z = 0.5 + 1j * u
         want = g0 + g1 * z

@@ -1,0 +1,97 @@
+#!/usr/bin/env python3
+"""Compare the command-line reports of two source trees.
+
+    python3 tools/report_diff.py PARENT_TREE CHANGE_TREE
+
+Runs each of the six subcommands on both shipped configs (`configs/` of
+each tree) with each tree's `src` on the path, every run into its own
+output directory, and prints the exit codes side by side.  For every
+report, CSV and log that both runs wrote, it prints how many numbers
+moved and the largest |change| / max(1, |parent value|); the output
+directory is blanked out of every file first, so output paths never
+count as a change.  A file whose text differs in anything but numbers
+is flagged.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+COMMANDS = ("price", "hedge-surface", "simulate", "pde", "compare", "check")
+CONFIGS = ("hulley_mcwalter", "merton_validation")
+# a number, an identifier (so hex digests and key names stay whole), or one character
+NUMBER = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|NaN|-?Infinity|nan|-?inf"
+TOKEN = re.compile(rf"{NUMBER}|[A-Za-z_][A-Za-z0-9_]*|\s+|.", re.S)
+RUN = "import sys; from basishedge.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def run(tree: Path, command: str, config: str, out: Path):
+    """Exit code, stderr and {file name: text} of one command in one tree."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    cfg = tree / "configs" / f"{config}.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN, command, "--config", str(cfg), "--out", str(out)],
+        cwd=tree, env=env, capture_output=True, text=True,
+    )
+    files = {}
+    if out.is_dir():
+        for path in sorted(out.iterdir()):
+            files[path.name] = path.read_text(encoding="utf-8").replace(str(out), "<out>")
+    return proc.returncode, proc.stderr.replace(str(out), "<out>").strip(), files
+
+
+def compare(old: str, new: str):
+    """(moved numbers, all numbers, largest relative move, text differs)."""
+    a, b = TOKEN.findall(old), TOKEN.findall(new)
+    if len(a) != len(b):
+        return 0, 0, 0.0, True
+    moved = total = 0
+    worst = 0.0
+    text_differs = False
+    for ta, tb in zip(a, b):
+        if re.fullmatch(NUMBER, ta) and re.fullmatch(NUMBER, tb):
+            total += 1
+            va, vb = (float(v.replace("Infinity", "inf")) for v in (ta, tb))
+            if ta != tb and not (va == vb or (va != va and vb != vb)):
+                moved += 1
+                worst = max(worst, abs(vb - va) / max(1.0, abs(va)))
+        elif ta != tb:
+            text_differs = True
+    return moved, total, worst, text_differs
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    trees = [Path(p).resolve() for p in argv]
+    with tempfile.TemporaryDirectory() as tmp:
+        for config in CONFIGS:
+            for command in COMMANDS:
+                results = [
+                    run(tree, command, config, Path(tmp) / f"{k}-{config}-{command}")
+                    for k, tree in enumerate(trees)
+                ]
+                (code_a, err_a, files_a), (code_b, err_b, files_b) = results
+                print(f"{config} {command}: exit {code_a} -> {code_b}")
+                if err_a != err_b:
+                    print(f"  stderr: {err_a!r} -> {err_b!r}")
+                for name in sorted(set(files_a) | set(files_b)):
+                    if name not in files_a or name not in files_b:
+                        print(f"  {name}: written by one tree only")
+                        continue
+                    moved, total, worst, text = compare(files_a[name], files_b[name])
+                    flag = "  TEXT DIFFERS" if text else ""
+                    print(f"  {name}: {moved} of {total} numbers moved, "
+                          f"max |d|/max(1,|v|) {worst:.2e}{flag}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
