@@ -61,11 +61,11 @@ def _integer(v, where: str, minimum: int) -> int:
     return int(v)
 
 
-def _pair(v, where: str, item=_number) -> list:
-    """Two entries, each read by `item`: a pair of finite numbers by default."""
+def _pair(v, where: str) -> list:
+    """A pair of finite numbers."""
     if not (isinstance(v, (list, tuple)) and len(v) == 2):
         raise ConfigError(f"{where} must be a pair, got {v!r}")
-    return [item(a, f"{where}[{i}]") for i, a in enumerate(v)]
+    return [_number(a, f"{where}[{i}]") for i, a in enumerate(v)]
 
 
 def _exponent(v, where: str) -> complex:
@@ -93,17 +93,14 @@ def _block(raw: dict, key: str, allowed: set) -> dict:
 
 def _build_single_model(block: dict, where: str):
     kind = _need(block, "kind", where)
-    common = {"drift", "kind", "horizon", "spot", "vol_x", "vol_s", "corr", "covariance"}
+    common = {"drift", "kind", "horizon", "spot", "vol_x", "vol_s", "corr"}
     spot = _pair(block.get("spot", [1.0, 1.0]), f"{where}.spot")
     drift = _pair(_need(block, "drift", where), f"{where}.drift")
-    if "covariance" in block:
-        cov = _pair(block["covariance"], f"{where}.covariance", _pair)
-    else:
-        cov = vols_to_covariance(
-            _number(_need(block, "vol_x", where), f"{where}.vol_x"),
-            _number(_need(block, "vol_s", where), f"{where}.vol_s"),
-            _number(_need(block, "corr", where), f"{where}.corr"),
-        )
+    cov = vols_to_covariance(
+        _number(_need(block, "vol_x", where), f"{where}.vol_x"),
+        _number(_need(block, "vol_s", where), f"{where}.vol_s"),
+        _number(_need(block, "corr", where), f"{where}.corr"),
+    )
     horizon = _number(_need(block, "horizon", where), f"{where}.horizon")
     if kind == "black-scholes":
         _check_unknown(block, common, where)
@@ -113,20 +110,16 @@ def _build_single_model(block: dict, where: str):
     if kind == "merton":
         _check_unknown(
             block,
-            common | {"jump_intensity", "jump_mean", "jump_vol_x", "jump_vol_s",
-                      "jump_corr", "jump_cov"},
+            common | {"jump_intensity", "jump_mean", "jump_vol_x", "jump_vol_s", "jump_corr"},
             where,
         )
         lam = _number(_need(block, "jump_intensity", where), f"{where}.jump_intensity")
         jm = _pair(_need(block, "jump_mean", where), f"{where}.jump_mean")
-        if "jump_cov" in block:
-            jcov = _pair(block["jump_cov"], f"{where}.jump_cov", _pair)
-        else:
-            jcov = vols_to_covariance(
-                _number(_need(block, "jump_vol_x", where), f"{where}.jump_vol_x"),
-                _number(_need(block, "jump_vol_s", where), f"{where}.jump_vol_s"),
-                _number(block.get("jump_corr", 0.0), f"{where}.jump_corr"),
-            )
+        jcov = vols_to_covariance(
+            _number(_need(block, "jump_vol_x", where), f"{where}.jump_vol_x"),
+            _number(_need(block, "jump_vol_s", where), f"{where}.jump_vol_s"),
+            _number(block.get("jump_corr", 0.0), f"{where}.jump_corr"),
+        )
         return AdditiveModel(
             drift=drift, covariance=cov, horizon=horizon, spot=spot,
             jump_intensity=lam, jump_mean=jm, jump_cov=jcov,

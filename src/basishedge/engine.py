@@ -245,7 +245,7 @@ class HedgeDecomposition:
                 # the aliasing error grows with |log-moneyness|, which peaks at
                 # an end of the grid, so the level refined there serves the grid
                 umult, level = self._line_group(idx, t, np.exp(glx[[0, -1]]), fixed, True)[2:]
-                intervals = 16 * int(ln.panels * umult) << level
+                intervals = 16 * int(payoffs._PANELS * umult) << level
                 u, coef, coef_gam = self._coefficients(idx, 0, umult, t, intervals)
                 # exp((R + i u_k) glx_j) = exp((R + i u_0) glx_j) exp(i k h glx_0) exp(i h dx jk)
                 u0, h = u[0], u[1] - u[0]
@@ -291,7 +291,7 @@ class HedgeDecomposition:
         """(gamma, eta_rate, psi) of every model segment at the line's nodes u,
         which the line and tag fix, read from or put into _RATES."""
         f = complex(ln.fixed_exponent)
-        shape = (ln.axis, f, ln.abscissa, ln.truncation, ln.panels, ln.symmetric, *tag)
+        shape = (ln.axis, f, ln.abscissa, ln.symmetric, *tag)
         rates = {}
         for _, _, seg in self.model.segments:
             per = _RATES.setdefault(seg, {})
@@ -355,13 +355,16 @@ class HedgeDecomposition:
         return tuple(self._guard(a, x.shape) for a in out)
 
     def _tail_plan(self, idx, ti, v, fixed) -> tuple[float, str, float]:
-        """The first truncation multiple 2**k (k >= _MIN_EXTENSION, whole panels)
-        whose tail bound, which covers the hedge's growth too, passes the floor."""
+        """The first truncation multiple 2**k (k >= _MIN_EXTENSION) whose tail
+        bound, which covers the hedge's growth too, passes the floor.  Without
+        the kernel marker ("bound-only" when none passes) the bound samples
+        |density| u**2 at the cutoff, so it is an estimate, not a bound: for
+        the rational kernel that product still grows beyond the cutoff."""
         ln = self.measure.lines[idx]
         horizon = self.model.horizon
         if (horizon - ti) <= _TERMINAL_FRACTION * horizon:
             return 1, "terminal", 0.0
-        ks = [k for k in range(_MIN_EXTENSION, _MAX_EXTENSION + 1) if (ln.panels * 2**k) % 1 == 0]
+        ks = range(_MIN_EXTENSION, _MAX_EXTENSION + 1)
         # max of v**R sits at the small end of the grid for negative abscissas
         vpow = float(np.max(np.asarray(v) ** ln.abscissa))
         fmax = float(np.max(np.abs(fixed))) if np.size(fixed) else 1.0
@@ -373,12 +376,12 @@ class HedgeDecomposition:
         else:
             # generic line: the sampled density magnitude at each cutoff; the
             # floor takes the nominal one
-            cuts = ln.truncation * 2.0 ** np.array(ks)
+            cuts = payoffs._TRUNCATION * 2.0 ** np.array(ks)
             amps = np.abs(np.asarray(ln.density(cuts), dtype=complex)) * cuts ** 2 * vpow * fmax
-            floor = 0.1 * payoffs._REL_TOL * max(1.0, amps[ks.index(0)] / max(ln.truncation, 1.0))
+            floor = 0.1 * payoffs._REL_TOL * max(1.0, amps[ks.index(0)] / payoffs._TRUNCATION)
         for k_ext, amp in zip(ks, amps):
             umult = 2 ** k_ext
-            cut = np.array([ln.truncation * umult])
+            cut = np.array([payoffs._TRUNCATION * umult])
             lam, gam = self._propagate(self._rates(ln, cut, umult), ti)
             bound = float(2.0 * amp * abs(lam[0]) * max(1.0, abs(gam[0])) / cut[0])
             if bound <= floor:

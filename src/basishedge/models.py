@@ -317,15 +317,21 @@ class AdditiveModel(PiecewiseAdditiveModel):
         return _psd_factor(self.jump_cov)
 
     def digest(self) -> str:
+        def rounded(a):
+            # np.round scales by 1e14 first; a value that would overflow stays as it is
+            with np.errstate(over="ignore"):
+                r = np.round(a, 14)
+            return np.where(np.isfinite(r), r, a).tolist()
+
         blob = json.dumps(
             {
-                "drift": np.round(self.drift, 14).tolist(),
-                "cov": np.round(self.covariance, 14).tolist(),
+                "drift": rounded(self.drift),
+                "cov": rounded(self.covariance),
                 "horizon": round(self.horizon, 14),
-                "spot": np.round(self.spot, 14).tolist(),
+                "spot": rounded(self.spot),
                 "ji": round(self.jump_intensity, 14),
-                "jm": np.round(self.jump_mean, 14).tolist(),
-                "jc": np.round(self.jump_cov, 14).tolist(),
+                "jm": rounded(self.jump_mean),
+                "jc": rounded(self.jump_cov),
             },
             sort_keys=True,
         ).encode()

@@ -49,9 +49,12 @@ _END = np.array([-3383 / 17280, 6961 / 15120, -66109 / 120960, 33 / 70,
                  -31523 / 120960, 1247 / 15120, -275 / 24192])
 # entries of one block of a contour line's complex power matrix (32 MB)
 _BLOCK = 1 << 21
-# refinement stops once successive levels agree to _REL_TOL relative; a
-# panel is 16 trapezoid intervals at level 0, and the nested levels stop
-# at twice _PANEL_BUDGET panels
+# a line's nominal cutoff in u and its level-0 panels of 16 trapezoid
+# intervals each; the engine scales both by its truncation multiple
+_TRUNCATION = 200.0
+_PANELS = 32
+# refinement stops once successive levels agree to _REL_TOL relative, and
+# the nested levels stop at twice _PANEL_BUDGET panels
 _REL_TOL = 1e-8
 _PANEL_BUDGET = 512
 
@@ -153,7 +156,7 @@ def line_tail(ln: "ContourLine", v, p0: complex = 1.0, p1: complex = 0.0):
     k = ln.tail.strike
     c0 = ln.tail.scale * np.exp((1.0 - ln.abscissa) * np.log(k)) / (2.0 * np.pi)
     tail = rational_tail_integral(
-        p0, p1, ln.abscissa, np.log(v / k), ln.truncation, symmetric_real=ln.symmetric
+        p0, p1, ln.abscissa, np.log(v / k), _TRUNCATION, symmetric_real=ln.symmetric
     )
     return c0 * np.exp(ln.abscissa * np.log(v)) * tail
 
@@ -174,7 +177,6 @@ class ContourLine:
     density: complex density d(u) including all normalisation; the line
         contributes integral du d(u) * (varying coord)**(abscissa+i*u)
         times (fixed coord)**fixed_exponent.
-    panels: level-0 panels of 16 trapezoid intervals each (see line_nodes).
     symmetric: d(-u) == conj(d(u)); evaluated on [0, U] and doubled.
         None means probe numerically at construction time.
     tail: optional analytic-tail marker for the call/put kernel.
@@ -184,8 +186,6 @@ class ContourLine:
     fixed_exponent: complex
     abscissa: float
     density: Callable[[np.ndarray], np.ndarray]
-    truncation: float = 200.0
-    panels: int = 32
     symmetric: bool | None = None
     tail: RationalKernelTail | None = None
 
@@ -197,10 +197,6 @@ class ContourLine:
         f = complex(self.fixed_exponent)
         if not (np.isfinite(f.real) and np.isfinite(f.imag)):
             raise DomainError("fixed exponent must be finite")
-        if self.truncation <= 0 or not np.isfinite(self.truncation):
-            raise DomainError("truncation must be a positive float")
-        if self.panels < 1:
-            raise DomainError("panel count must be >= 1")
         if self.symmetric is None:
             sym = _probe_symmetry(self.density) and abs(f.imag) == 0.0
             object.__setattr__(self, "symmetric", sym)
@@ -208,17 +204,17 @@ class ContourLine:
 
 def line_nodes(ln: ContourLine, level: int, umult: float = 1, base: int = 0):
     """Running nodes and weights that a refinement level adds to a line
-    whose truncation is scaled by umult.
+    whose cutoff _TRUNCATION is scaled by umult.
 
-    The rule is the trapezoid rule on (base or 16 * ln.panels * umult)
+    The rule is the trapezoid rule on (base or 16 * _PANELS * umult)
     * 2**level equal intervals, with Gregory weights at each cut end (u = 0
     of a symmetric line is no cut: Re of its integrand is even there).
     Level 0 is the whole rule; a later level holds its midpoints and moves
     the end weights from the coarser spacing to its own, so that its sum
     plus half the previous level's is the whole finer rule.
     """
-    n = (base or 16 * int(ln.panels * umult)) << level
-    hi = ln.truncation * umult
+    n = (base or 16 * int(_PANELS * umult)) << level
+    hi = _TRUNCATION * umult
     lo = 0.0 if ln.symmetric else -hi
     if level == 0:
         w, end = np.r_[0.5, np.ones(n - 1), 0.5], _END
@@ -253,14 +249,12 @@ def refine_line(ln: ContourLine, logv, coefficients, tails, umult: float = 1):
     to it.  Returns (y, z, level), without the fixed-coordinate factor.
     """
     budget = _PANEL_BUDGET * umult
-    if ln.panels * umult > budget:
-        raise ConvergenceError("panel budget below the base panel count")
     acc = [np.zeros(logv.shape, dtype=complex) for _ in tails]
     done = [None for _ in tails]
     prev = None
     diff = float("nan")
     level = 0
-    while int(ln.panels * umult) << level <= 2 * budget:
+    while int(_PANELS * umult) << level <= 2 * budget:
         u, coefs = coefficients(level)
         rows = max(1, _BLOCK // u.size)
         for i in range(0, logv.size, rows):
@@ -436,15 +430,15 @@ class PayoffMeasure:
         }
         probe = np.linspace(0.0, 1.0, 33)
         for ln in self.lines:
-            u = probe * ln.truncation
+            u = probe * _TRUNCATION
             d = np.asarray(ln.density(u), dtype=complex)
             parts["lines"].append(
                 {
                     "axis": ln.axis,
                     "fixed": [complex(ln.fixed_exponent).real, complex(ln.fixed_exponent).imag],
                     "abscissa": ln.abscissa,
-                    "truncation": ln.truncation,
-                    "panels": ln.panels,
+                    "truncation": _TRUNCATION,
+                    "panels": _PANELS,
                     "symmetric": bool(ln.symmetric),
                     "samples": np.round(d.view(float), 12).tolist(),
                 }

@@ -484,10 +484,12 @@ class HedgeFold:
 
     def finish(self) -> HedgeRunResult:
         residuals = self.payoff - self.h0 - self.gains
-        cnt, s_a, s_b = self.cnt, self.s_a, self.s_b
-        var_a = self.s_aa / cnt - (s_a / cnt) ** 2
-        var_b = self.s_bb / cnt - (s_b / cnt) ** 2
-        cov = self.s_ab / cnt - (s_a / cnt) * (s_b / cnt)
+        cnt = self.cnt
+        # float ** raises on overflow where * gives an infinity
+        m_a, m_b = self.s_a / cnt, self.s_b / cnt
+        var_a = self.s_aa / cnt - m_a * m_a
+        var_b = self.s_bb / cnt - m_b * m_b
+        cov = self.s_ab / cnt - m_a * m_b
         if not all(map(math.isfinite, (var_a, var_b, cov))):
             # an overflowing compensator leaves the correlation undefined
             corr = math.nan
@@ -566,11 +568,13 @@ class BaselineFold:
         h0 = float(np.real(self.dec.h0))
 
         def var_with_se(r):
-            # standard error of the sample variance from the fourth moment
-            c = r - r.mean()
-            m2 = float(np.mean(c * c))
-            m4 = float(np.mean(c**4))
-            return _sample_var(r), math.sqrt(max(m4 - m2 * m2, 0.0) / r.size)
+            # standard error of the sample variance from the fourth moment; an
+            # overflow leaves an infinity or NaN for the checks to fail
+            with np.errstate(over="ignore", invalid="ignore"):
+                c = r - r.mean()
+                m2 = float(np.mean(c * c))
+                m4 = float(np.mean(c**4))
+                return _sample_var(r), math.sqrt(max(m4 - m2 * m2, 0.0) / r.size)
 
         v_fs, se_fs = var_with_se(run.residuals)
         v_none, se_none = var_with_se(self.payoff - h0)

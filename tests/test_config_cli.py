@@ -116,6 +116,11 @@ def _broken_configs():
     case("quadrature-panel-budget", lambda c: c.update(quadrature={"panel_budget": 512}))
     case("pde-grid-radius-stddevs", lambda c: c.update(pde_grid={"radius_stddevs": 6.0}))
     case("pde-grid-cfl-fraction", lambda c: c.update(pde_grid={"cfl_fraction": 0.4}))
+    case("model-covariance",
+         lambda c: c["model"].update(covariance=[[0.09, 0.0], [0.0, 0.04]]))
+    case("model-jump-cov", lambda c: c["model"].update(
+        kind="merton", jump_intensity=0.5, jump_mean=[0.0, 0.0], jump_vol_x=0.1,
+        jump_vol_s=0.1, jump_cov=[[0.01, 0.0], [0.0, 0.01]]))
     case("output-not-object", lambda c: c.update(output=[1]))
     case("compare-negative-limit", lambda c: c.update(compare={"h0_limit": -1.0}))
     return cases
@@ -215,6 +220,16 @@ def test_cli_price_both_routes(tmp_path, capsys):
     assert payload["h0"] == pytest.approx(PIN_H0, abs=1e-6)
     assert payload["h0_pde"] == pytest.approx(PIN_H0, abs=0.1)
     assert payload["route_gap"] == pytest.approx(abs(payload["h0"] - payload["h0_pde"]))
+
+
+def test_cli_price_pde_route_reads_h0_from_the_pde(tmp_path, capsys):
+    # the PDE route alone: h0 is the finite-difference value, as `pde` reports it
+    path = _write(tmp_path, _with(BASE, route="pde", pde_grid={"nx": 41, "ns": 41, "nt": 5}))
+    assert main(["price", "--config", path]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == {"route", "h0", "h0_pde", "pde", "model_digest", "measure_digest"}
+    assert main(["pde", "--config", path]) == 0
+    assert payload["h0"] == payload["h0_pde"] == json.loads(capsys.readouterr().out)["h0"]
 
 
 def test_cli_reports_are_byte_identical(tmp_path, capsys):

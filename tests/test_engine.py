@@ -608,22 +608,8 @@ def test_a_quote_builds_a_fraction_of_the_nominal_power_matrix(monkeypatch, bs_m
     dec = decompose(bs_model, call_claim(100.0, axis=1))
     dec.value_and_hedge(0.0, *bs_model.spot)
     assert 0 < sum(entries) <= 15_360 // 4
-
-
-def test_lines_without_whole_shrunk_panels_keep_the_nominal_truncation(bs_model):
-    # 3 panels cannot be halved, so the plan starts at the nominal cutoff
-    line = replace(call_measure(100.0, axis=1).lines[0], panels=3)
-    dec = decompose(bs_model, PayoffMeasure(lines=(line,)))
-    got = [dec.h0]
-    for t in (0.0, 0.5, 0.97):
-        got += dec.value_and_hedge(t, 97.0, 104.0)
-    assert dec.quadrature_report()["lines"][0]["umult"] == 1
-    want = [-89.04070376120501, -87.71872174239002, -0.41296580207464845, -90.64548705063403,
-            -0.44721626254480107, -96.16371198058134, -0.6342732054734863]
-    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-    # the same line on 32 panels shrinks to an eighth at t = 0
-    dec32 = decompose(bs_model, PayoffMeasure(lines=(replace(line, panels=32),)))
-    assert dec32.quadrature_report()["lines"][0]["umult"] == 0.125
+    # the 32-panel kernel line shrinks to an eighth of its cutoff at t = 0
+    assert dec.quadrature_report()["lines"][0]["umult"] == 0.125
 
 
 def test_untagged_line_samples_its_density_at_the_shrunk_cutoff(bs_model):
@@ -704,8 +690,7 @@ def test_warm_rates_are_bit_identical_to_a_fresh_model(build):
     v = np.exp(np.linspace(np.log(60.0), np.log(160.0), 65))
     # lines that differ from the first claim's in one field of the shape each
     line = call_measure(100.0, axis=1).lines[0]
-    variants = [replace(line, fixed_exponent=1.0), replace(line, truncation=120.0),
-                replace(line, panels=24), replace(line, symmetric=False)]
+    variants = [replace(line, fixed_exponent=1.0), replace(line, symmetric=False)]
     claims = [call_claim(100.0, axis=1), put_claim(95.0, axis=2), call_claim(112.0, axis=2),
               *(PayoffMeasure(lines=(ln,)) for ln in variants)]
 

@@ -10,7 +10,8 @@ report, CSV and log that both runs wrote, it prints how many numbers
 moved and the largest |change| / max(1, |parent value|); the output
 directory is blanked out of every file first, so output paths never
 count as a change.  A file whose text differs in anything but numbers
-is flagged.  Standard library only.
+is flagged.  It first prints each tree's `src/basishedge/*.py` line
+count, as `wc -l` gives it.  Standard library only.
 """
 
 from __future__ import annotations
@@ -45,6 +46,11 @@ def run(tree: Path, command: str, config: str, out: Path):
     return proc.returncode, proc.stderr.replace(str(out), "<out>").strip(), files
 
 
+def src_lines(tree: Path) -> int:
+    """Newlines in the package's modules: the total of `wc -l src/basishedge/*.py`."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "basishedge").glob("*.py"))
+
+
 def compare(old: str, new: str):
     """(moved numbers, all numbers, largest relative move, text differs)."""
     a, b = TOKEN.findall(old), TOKEN.findall(new)
@@ -71,6 +77,7 @@ def main(argv=None) -> int:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
     trees = [Path(p).resolve() for p in argv]
+    print("src lines: {} -> {}".format(*map(src_lines, trees)))
     with tempfile.TemporaryDirectory() as tmp:
         for config in CONFIGS:
             for command in COMMANDS:
