@@ -37,9 +37,10 @@ _IM_ABORT = 1e-5
 # a line plan tries truncation multiples 2**k, _MIN_EXTENSION <= k <= _MAX_EXTENSION
 _MIN_EXTENSION = -3
 _MAX_EXTENSION = 6
-# segment -> {line shape: (gamma, eta_rate, psi) at the shape's nodes}; the
-# claim enters a line only through its density, so every decomposition on
-# a model shares these, and an entry dies with its segment
+# segment -> {key: (gamma, eta_rate, psi)} at the exponent pairs the key
+# names: a line shape's nodes or plan cutoffs, an atom, or a support's
+# corners.  The claim enters a line only through its density, so every
+# decomposition on a model shares these, and an entry dies with its segment
 _RATES = weakref.WeakKeyDictionary()
 
 
@@ -89,6 +90,9 @@ class HedgeDecomposition:
         self._im_residual = 0.0
         # the checks test finiteness, so an overflow there fails them
         with np.errstate(over="ignore", invalid="ignore"):
+            # an atom's rates as one-element arrays, bit for bit its scalar ones
+            self._atom_rates = [self._rates(("atom", a.z1, a.z2), lambda a=a: ([a.z1], [a.z2]))
+                                for a in measure.atoms]
             self.assumptions = self._check_assumptions()
         # h0 is value(0, spot), called below the public methods so that a
         # tracer wrapping them counts only the caller's own evaluations
@@ -145,17 +149,17 @@ class HedgeDecomposition:
         if not np.isfinite(tv):
             failures.append("integrable-claim-transform")
 
-        (lo1, hi1), (lo2, hi2) = self.measure.real_support()
-        corners = [(lo1, lo2), (lo1, hi2), (hi1, lo2), (hi1, hi2), (0.0, 1.0), (0.0, 2.0)]
-        vals = [seg.psi(c1, c2) for seg in segments for c1, c2 in corners]
-        ok = all(np.isfinite(np.real(v)) and np.isfinite(np.imag(v)) for v in vals)
+        (lo1, hi1), (lo2, hi2) = support = self.measure.real_support()
+        corners = np.array([(lo1, lo2), (lo1, hi2), (hi1, lo2), (hi1, hi2), (0.0, 1.0), (0.0, 2.0)])
+        at_corners = self._rates(("corners", support), lambda: corners.T)
+        ok = all(np.isfinite(psis).all() for _, _, psis in at_corners.values())
         checks["cumulant-domain-contains-support"] = float(ok)
         if not ok:
             failures.append("cumulant-domain-contains-support")
 
-        for a in self.measure.atoms:
+        for rates in self._atom_rates:
             for seg in segments:
-                sup = max(sup, abs(complex(seg.psi(a.z1, a.z2))) / rb)
+                sup = max(sup, abs(complex(rates[seg][2][0])) / rb)
         checks["bounded-cumulant-derivative"] = sup
         if not np.isfinite(sup):
             failures.append("bounded-cumulant-derivative")
@@ -168,20 +172,27 @@ class HedgeDecomposition:
 
     # -- internals ------------------------------------------------------------
 
-    def _broadcast(self, t, x, s, need_z):
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        s = np.asarray(s, dtype=float)
+    def _check(self, t, x, s):
+        """The domain checks of a call, made once: positive prices, t in [0, T]."""
         if (x <= 0).any() or (s <= 0).any():
             raise DomainError("prices must be strictly positive")
         self.model._check_time(t)
+
+    def _broadcast(self, t, x, s, need_z):
+        t, x, s = (np.asarray(a, dtype=float) for a in (t, x, s))
+        self._check(t, x, s)
         tb, xb, sb = np.broadcast_arrays(t, x, s)
-        t, x, s = (np.atleast_1d(a).ravel() for a in (tb, xb, sb))
-        y, z = np.zeros((2, t.size), dtype=complex)
-        times, at = np.unique(t, return_inverse=True)
-        groups = np.split(np.argsort(at, kind="stable"), np.cumsum(np.bincount(at))[:-1])
+        flat, x, s = (np.atleast_1d(a).ravel() for a in (tb, xb, sb))
+        y, z = np.zeros((2, x.size), dtype=complex)
+        if t.size == 1 and x.size:
+            # one time: every point in one group, in order
+            groups = [(t.item(), slice(None))]
+        else:
+            times, at = np.unique(flat, return_inverse=True)
+            groups = zip(times, np.split(np.argsort(at, kind="stable"),
+                                         np.cumsum(np.bincount(at))[:-1]))
         with np.errstate(over="ignore", invalid="ignore"):  # checked in _guard
-            for ti, rows in zip(times, groups):
+            for ti, rows in groups:
                 y[rows], z[rows] = self._at_time(float(ti), x[rows], s[rows], need_z)
         return tuple(self._guard(a, tb.shape) for a in (y, z if need_z else None))
 
@@ -213,20 +224,19 @@ class HedgeDecomposition:
         """Complex (y, z) at one time t on the 1-d points (x, s), z zero
         unless need_z: the kernel of every evaluation.  Atoms are exact,
         with lambda and gamma taken once for the time.  A line is evaluated
-        at its distinct varying coordinates (_line_group), or, given
-        grid_points, on a uniform grid of that many points over the range
-        of its varying log coordinate, by one chirp-z transform on the
-        uniform nodes of the line's whole trapezoid rule, and interpolated
-        (the replay's path slices)."""
-        model = self.model
+        at its distinct varying coordinates (_line_group; one point needs
+        no grouping), or, given grid_points, on a uniform grid of that many
+        points over the range of its varying log coordinate, by one chirp-z
+        transform on the uniform nodes of the line's whole trapezoid rule,
+        and interpolated (the replay's path slices)."""
         logx, logs, inv_s = np.log(x), np.log(s), 1.0 / s
         y, z = np.zeros((2, x.size), dtype=complex)
-        for a in self.measure.atoms:
-            lam = complex(model.lambda_coeff(t, a.z1, a.z2))
-            base = a.weight * lam * _power(a.z1, a.z2, logx, logs)
+        for a, rates in zip(self.measure.atoms, self._atom_rates):
+            lam, gam = self._propagate(rates, t)
+            base = a.weight * complex(lam[0]) * _power(a.z1, a.z2, logx, logs)
             y += base
             if need_z:
-                z += base * complex(model.segment_at(t).gamma(a.z1, a.z2)) * inv_s
+                z += base * complex(gam[0]) * inv_s
             del base  # a full-size temporary, not to be held through the lines
         for idx, ln in enumerate(self.measure.lines):
             f = ln.fixed_exponent
@@ -235,7 +245,7 @@ class HedgeDecomposition:
             if not grid_points:
                 # a line depends on its varying coordinate only: evaluate each
                 # distinct value once, then scale per point
-                uv, inv = np.unique(v, return_inverse=True)
+                uv, inv = (v, slice(None)) if v.size == 1 else np.unique(v, return_inverse=True)
                 cy, cz = self._line_group(idx, t, uv, fixed, need_z)[:2]
                 cy, cz = cy[inv], cz if cz is None else cz[inv]
             else:
@@ -276,7 +286,7 @@ class HedgeDecomposition:
             ln = self.measure.lines[idx]
             u, w = line_nodes(ln, level, umult, base)
             wd = w * np.asarray(ln.density(u), dtype=complex)
-            hit = self._cache[key] = (u, wd, self._rates(ln, u, level, umult, base))
+            hit = self._cache[key] = (u, wd, self._line_rates(ln, u, level, umult, base))
         return hit
 
     def _coefficients(self, idx: int, level: int, umult: float, t: float, base: int = 0):
@@ -287,27 +297,34 @@ class HedgeDecomposition:
         coef = wd * lam
         return u, coef, coef * gam
 
-    def _rates(self, ln, u, *tag) -> dict:
-        """(gamma, eta_rate, psi) of every model segment at the line's nodes u,
-        which the line and tag fix, read from or put into _RATES."""
-        f = complex(ln.fixed_exponent)
-        shape = (ln.axis, f, ln.abscissa, ln.symmetric, *tag)
+    def _rates(self, key, pairs) -> dict:
+        """(gamma, eta_rate, psi) of every model segment at the exponent pairs
+        (z1, z2) that pairs() makes and key names, read from or put into
+        _RATES; pairs runs only on a miss."""
         rates = {}
         for _, _, seg in self.model.segments:
             per = _RATES.setdefault(seg, {})
-            if shape not in per:
-                zrun = ln.abscissa + 1j * u
-                per[shape] = seg.rates(*((zrun, f) if ln.axis == 1 else (f, zrun)))
-                for arr in per[shape]:
+            if key not in per:
+                per[key] = seg.rates(*pairs())
+                for arr in per[key]:
                     arr.flags.writeable = False
-            rates[seg] = per[shape]
+            rates[seg] = per[key]
         return rates
 
+    def _line_rates(self, ln, u, *tag) -> dict:
+        """_rates at a line's running nodes u, which the line's shape and tag fix."""
+        f = complex(ln.fixed_exponent)
+
+        def pairs():
+            zrun = ln.abscissa + 1j * u
+            return (zrun, f) if ln.axis == 1 else (f, zrun)
+        return self._rates((ln.axis, f, ln.abscissa, ln.symmetric, *tag), pairs)
+
     def _propagate(self, rates: dict, ti: float):
-        """(lambda, gamma) at a line's nodes at time ti."""
+        """(lambda, gamma) at the exponent pairs of rates at a checked time ti."""
         m = self.model
         log_lam = m._integral(ti, m.horizon, lambda w, seg: w * rates[seg][1])
-        return np.exp(log_lam), rates[m.segment_at(ti)][0]
+        return np.exp(log_lam), rates[m._segment_at(ti)][0]
 
     def _line_group(self, idx, ti, v, fixed, need_z):
         """Raw line values (y, z) at the varying coordinates v at time ti,
@@ -325,7 +342,7 @@ class HedgeDecomposition:
         if tail_mode == "terminal" and ln.tail is not None:
             tail_y = line_tail(ln, v)
             if need_z:
-                last = self.model.segment_at(self.model.horizon)
+                last = self.model._segment_at(self.model.horizon)
                 g0, g1, amp, rate = last.gamma_affine(ln.axis, ln.fixed_exponent)
                 tail_z = line_tail(ln, v, g0, g1)
                 if amp:
@@ -347,7 +364,8 @@ class HedgeDecomposition:
     def _path_slice(self, t, x, s, grid_points):
         """Value and hedge at one time t < T on all paths (x, s), for the
         Monte Carlo replay: the kernel with each line on a grid of
-        grid_points, through the guard of every evaluation."""
+        grid_points, through the checks and the guard of every evaluation."""
+        self._check(t, x, s)
         if (self.model.horizon - t) <= _TERMINAL_FRACTION * self.model.horizon:
             raise DomainError("the grid shortcut does not cover the terminal time")
         with np.errstate(over="ignore", invalid="ignore"):  # checked in _guard
@@ -365,6 +383,7 @@ class HedgeDecomposition:
         if (horizon - ti) <= _TERMINAL_FRACTION * horizon:
             return 1, "terminal", 0.0
         ks = range(_MIN_EXTENSION, _MAX_EXTENSION + 1)
+        cuts = payoffs._TRUNCATION * 2.0 ** np.array(ks)
         # max of v**R sits at the small end of the grid for negative abscissas
         vpow = float(np.max(np.asarray(v) ** ln.abscissa))
         fmax = float(np.max(np.abs(fixed))) if np.size(fixed) else 1.0
@@ -376,16 +395,15 @@ class HedgeDecomposition:
         else:
             # generic line: the sampled density magnitude at each cutoff; the
             # floor takes the nominal one
-            cuts = payoffs._TRUNCATION * 2.0 ** np.array(ks)
             amps = np.abs(np.asarray(ln.density(cuts), dtype=complex)) * cuts ** 2 * vpow * fmax
             floor = 0.1 * payoffs._REL_TOL * max(1.0, amps[ks.index(0)] / payoffs._TRUNCATION)
-        for k_ext, amp in zip(ks, amps):
-            umult = 2 ** k_ext
-            cut = np.array([payoffs._TRUNCATION * umult])
-            lam, gam = self._propagate(self._rates(ln, cut, umult), ti)
-            bound = float(2.0 * amp * abs(lam[0]) * max(1.0, abs(gam[0])) / cut[0])
+        # lambda and gamma at every cutoff at once; the bounds stay scalar, whose
+        # vector form would move tail_bound in its last bit
+        lams, gams = self._propagate(self._line_rates(ln, cuts, "plan"), ti)
+        for k_ext, amp, cut, lam, gam in zip(ks, amps, cuts, lams, gams):
+            bound = float(2.0 * amp * abs(lam) * max(1.0, abs(gam)) / cut)
             if bound <= floor:
-                return umult, "extended" if k_ext > 0 else "skipped-negligible", bound
+                return 2 ** k_ext, "extended" if k_ext > 0 else "skipped-negligible", bound
         if ln.tail is None:
             return 1 << _MAX_EXTENSION, "bound-only", bound
         a = ln.axis - 1

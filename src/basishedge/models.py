@@ -80,6 +80,10 @@ class PiecewiseAdditiveModel:
     def segment_at(self, t) -> "AdditiveModel":
         """Constant segment in force at time t; a boundary belongs to the later one."""
         self._check_time(t)
+        return self._segment_at(t)
+
+    def _segment_at(self, t) -> "AdditiveModel":
+        """segment_at for a time already checked."""
         ends = [b for _, b, _ in self.segments]
         return self.segments[min(bisect.bisect_right(ends, float(t)), len(ends) - 1)][2]
 

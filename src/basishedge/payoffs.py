@@ -21,6 +21,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
@@ -211,11 +212,18 @@ def line_nodes(ln: ContourLine, level: int, umult: float = 1, base: int = 0):
     of a symmetric line is no cut: Re of its integrand is even there).
     Level 0 is the whole rule; a later level holds its midpoints and moves
     the end weights from the coarser spacing to its own, so that its sum
-    plus half the previous level's is the whole finer rule.
+    plus half the previous level's is the whole finer rule.  The rule
+    depends on the line only through its symmetry, so every line shares
+    one read-only table of them.
     """
-    n = (base or 16 * int(_PANELS * umult)) << level
-    hi = _TRUNCATION * umult
-    lo = 0.0 if ln.symmetric else -hi
+    return _rule(ln.symmetric, level, umult, base, _TRUNCATION, _PANELS)
+
+
+@functools.lru_cache(maxsize=64)
+def _rule(symmetric, level, umult, base, truncation, panels):
+    n = (base or 16 * int(panels * umult)) << level
+    hi = truncation * umult
+    lo = 0.0 if symmetric else -hi
     if level == 0:
         w, end = np.r_[0.5, np.ones(n - 1), 0.5], _END
     else:
@@ -226,10 +234,12 @@ def line_nodes(ln: ContourLine, level: int, umult: float = 1, base: int = 0):
         end[:_END.size] = _END
         end[::2] -= _END
     w[n + 1 - end.size:] += end[::-1]
-    if not ln.symmetric:
+    if not symmetric:
         w[:end.size] += end
     j = np.flatnonzero(w)
-    return lo + (hi - lo) * (j / n), (hi - lo) / n * w[j]
+    u, w = lo + (hi - lo) * (j / n), (hi - lo) / n * w[j]
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
 
 
 def refine_line(ln: ContourLine, logv, coefficients, tails, umult: float = 1):

@@ -536,11 +536,13 @@ class BaselineFold:
         self.T = float(source.times[-1])
         self.comps = [c for c in dec.measure.components if c[0] in ("call", "put")]
         if self.comps:
-            # time-averaged log variance rate of S
-            self.var_rate = model._integral(0.0, self.T, lambda w, seg: w * (
-                seg.covariance[1, 1]
-                + seg.jump_intensity * (float(seg.jump_mean[1]) ** 2 + float(seg.jump_cov[1, 1]))
-            )) / self.T
+            # time-averaged log variance rate of S; a huge jump mean makes it
+            # infinite, and the naive deltas then NaN, for the checks to fail
+            with np.errstate(over="ignore"):
+                self.var_rate = model._integral(0.0, self.T, lambda w, seg: w * (
+                    seg.covariance[1, 1] + seg.jump_intensity
+                    * (seg.jump_mean[1] * seg.jump_mean[1] + seg.jump_cov[1, 1])
+                )) / self.T
             self.gains = np.zeros(source.n_paths)
 
     def step(self, i, t, x, s):
@@ -559,7 +561,8 @@ class BaselineFold:
             sig = math.sqrt(self.var_rate * max(tau, 1e-300))
             delta = np.zeros(s.size)
             for kind, strike, _axis, weight in self.comps:
-                d1 = (np.log(s / strike) + 0.5 * sig * sig) / sig
+                with np.errstate(divide="ignore", invalid="ignore"):  # see var_rate
+                    d1 = (np.log(s / strike) + 0.5 * sig * sig) / sig
                 nd1 = ndtr(d1)
                 delta += float(np.real(weight)) * (nd1 if kind == "call" else nd1 - 1.0)
             self.delta, self.s_prev = delta, s

@@ -83,7 +83,8 @@ def _numbers(node, prefix):
 
 def _check_contract(cfg: dict, command: str):
     """Run one command in-process and assert the command-line contract;
-    returns the exit code and the JSON reports written, by file name."""
+    returns the exit code, the JSON reports written, by file name, and
+    stderr."""
     with tempfile.TemporaryDirectory() as tmp:
         config = os.path.join(tmp, "config.json")
         with open(config, "w", encoding="utf-8") as fh:
@@ -98,7 +99,8 @@ def _check_contract(cfg: dict, command: str):
         if code in (2, 3):
             assert not os.path.exists(out), (code, err.getvalue())
         names = os.listdir(out) if os.path.isdir(out) else []
-        return code, {n: json.loads(Path(out, n).read_text()) for n in names if n.endswith(".json")}
+        reports = {n: json.loads(Path(out, n).read_text()) for n in names if n.endswith(".json")}
+        return code, reports, err.getvalue()
 
 
 OPTIONS = {
@@ -146,7 +148,21 @@ def test_cli_contract_holds_for_a_spot_near_the_float_limit(name, entry):
     cfg = copy.deepcopy(SHIPPED[name])
     _mutate(cfg, ("model", "spot", entry), "scale", 298)
     for command in COMMANDS:
-        code, reports = _check_contract(cfg, command)
+        code, reports, _ = _check_contract(cfg, command)
         if command == "simulate" and entry == 1:
             # the overflowing sums leave the correlation undefined
             assert code == 0 and reports["sim_report.json"]["orthogonality_corr"] == "nan"
+
+
+@pytest.mark.parametrize("command", ["simulate", "check"])
+@pytest.mark.parametrize("name, path, value", [
+    ("hulley_mcwalter", ("model", "drift"), [-1e6, -1e6]),
+    # the squared jump mean of the naive delta overflows as well
+    ("merton_validation", ("model", "jump_mean"), [-0.05, -1e200]),
+], ids=["drift", "jump-mean"])
+def test_cli_contract_holds_when_the_replay_prices_underflow(name, path, value, command):
+    # the simulated prices reach 0, which the replay's evaluation refuses
+    cfg = copy.deepcopy(SHIPPED[name])
+    _mutate(cfg, path, "set", value)
+    code, _, err = _check_contract(cfg, command)
+    assert (code, err) == (3, "evaluation failed: prices must be strictly positive\n")

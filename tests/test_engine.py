@@ -266,6 +266,22 @@ def test_evaluation_domain_guards(bs_call_x):
         bs_call_x.value(0.5, -3.0, 100.0)
 
 
+@pytest.mark.parametrize("t", [-0.1, 1.6])
+def test_every_entry_point_checks_the_time(bs_call_x, t):
+    x, s = np.array([90.0, 110.0]), np.array([100.0, 100.0])
+    entry_points = [bs_call_x.value, bs_call_x.hedge, bs_call_x.value_and_hedge,
+                    bs_call_x.hedge_surface, lambda t, x, s: bs_call_x._path_slice(t, x, s, 33)]
+    for evaluate in entry_points:
+        with pytest.raises(DomainError, match="time must lie"):
+            evaluate(t, x, s)
+
+
+def test_path_slice_checks_the_prices(bs_call_x):
+    # an underflowed path price is refused, not taken through log(0)
+    with pytest.raises(DomainError, match="strictly positive"):
+        bs_call_x._path_slice(0.5, np.array([90.0, 0.0]), np.array([100.0, 100.0]), 33)
+
+
 def test_quadrature_report(merton_call_x):
     rep = merton_call_x.quadrature_report()
     assert rep["h0_im_residual"] <= 1e-8
@@ -680,8 +696,70 @@ def test_claims_on_one_model_share_line_rates(monkeypatch):
         a_rates[model][0][0] = 0.0
 
 
-@pytest.mark.parametrize("build", [_fresh_bs, _fresh_merton, _two_seasons],
-                         ids=["black-scholes", "merton", "two-seasons"])
+def test_a_second_claim_with_the_same_support_makes_no_psi_call(monkeypatch):
+    # line nodes, plan cutoffs, the restoring atom and the support's corners
+    # all come from the model's shared rates
+    model = _fresh_merton()
+    decompose(model, call_claim(100.0, axis=1)).value_and_hedge(0.37, 93.0, 108.0)
+    psi = AdditiveModel.psi
+    calls = []
+
+    def spy(self, z1, z2):
+        calls.append((z1, z2))
+        return psi(self, z1, z2)
+
+    monkeypatch.setattr(AdditiveModel, "psi", spy)
+    second = decompose(model, call_claim(101.0, axis=1))
+    second.value_and_hedge(0.37, 93.0, 108.0)
+    assert calls == []
+    # every line of a symmetry shares one read-only node table
+    nodes = decompose(_fresh_bs(), put_claim(90.0, axis=2))._nodes(0, 0, 1)[0]
+    assert nodes is second._nodes(0, 0, 1)[0]
+    with pytest.raises(ValueError, match="read-only"):
+        nodes[0] = 1.0
+
+
+_BOOK_MODELS = pytest.mark.parametrize("build", [_fresh_bs, _fresh_merton, _two_seasons],
+                                       ids=["black-scholes", "merton", "two-seasons"])
+
+
+@_BOOK_MODELS
+@pytest.mark.parametrize("make, axis", [(call_claim, 1), (call_claim, 2), (put_claim, 1),
+                                        (put_claim, 2)], ids=["call-x", "call-s", "put-x", "put-s"])
+@pytest.mark.parametrize("need_z", [False, True], ids=["value", "value-and-hedge"])
+def test_a_one_point_call_matches_the_grouped_path(build, make, axis, need_z):
+    # a single time or point skips the grouping of points by time and by
+    # varying coordinate, and must give the grouped path's bits and report
+    model = build()
+    claim = make(97.0, axis=axis)
+    times = [0.0, 0.37, model.horizon]
+    x, s = 93.0, 108.0
+
+    def evaluate(dec, *args):
+        out = dec.value_and_hedge(*args) if need_z else (dec.value(*args),)
+        return [np.asarray(a, dtype=float) for a in out]
+
+    # each time holds only copies of the point, so each group's plan and
+    # levels are the point's own
+    grouped, single = decompose(model, claim), decompose(model, claim)
+    assert grouped.quadrature_report() == single.quadrature_report()
+    got = evaluate(grouped, np.tile(times, 2), np.full(6, x), np.full(6, s))
+    for i, t in enumerate(times):
+        alone = evaluate(single, t, x, s)
+        for a, g in zip(alone, got):
+            assert a.tobytes() == g[i].tobytes() == g[i + 3].tobytes(), t
+    # the grouped pass runs its times in ascending order, as the single calls did
+    assert grouped.quadrature_report() == single.quadrature_report()
+
+    # one time over several points
+    xs, ss = np.array([x, 121.0]), np.array([s, 88.0])
+    grouped, single = decompose(model, claim), decompose(model, claim)
+    for got, want in zip(evaluate(single, 0.37, xs, ss), evaluate(grouped, np.full(2, 0.37), xs, ss)):
+        assert got.tobytes() == want.tobytes()
+    assert grouped.quadrature_report() == single.quadrature_report()
+
+
+@_BOOK_MODELS
 def test_warm_rates_are_bit_identical_to_a_fresh_model(build):
     warm = build()
     # near maturity the Merton lines run over a doubled truncation
@@ -726,7 +804,8 @@ def test_non_finite_fourier_result_is_rejected(bs_model, monkeypatch):
     propagate = HedgeDecomposition._propagate
 
     def nan_inside(self, rates, ti):
-        # NaN at every quadrature node; the tail plan reads only the last node
+        # NaN at every quadrature node but the last, so the tail plan passes only at
+        # its largest cutoff, and an atom, with one node, stays finite
         lam, gam = propagate(self, rates, ti)
         lam = lam.copy()
         lam[:-1] = np.nan

@@ -1,0 +1,49 @@
+"""The comparison behind tools/report_diff.py, on reports written here."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "report_diff", Path(__file__).resolve().parents[1] / "tools" / "report_diff.py")
+report_diff = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(report_diff)
+
+
+def test_compare_counts_the_moved_numbers_and_the_largest_move():
+    old = '{"h0": 10.5, "tail_bound": 1.8648941371521368e-11, "n": 3}'
+    new = '{"h0": 10.5, "tail_bound": 1.864894137152137e-11, "n": 4}'
+    moved, total, worst, text = report_diff.compare(old, new)
+    assert (moved, total, text) == (2, 3, False)
+    assert worst == pytest.approx(1.0 / 3.0)
+
+
+def test_compare_takes_equal_values_and_nans_as_unmoved():
+    assert report_diff.compare("a 1.0 NaN nan 2e3", "a 1.00 NaN nan 2000") == (0, 4, 0.0, False)
+
+
+@pytest.mark.parametrize("new", ["b 1", "a 1 2", "a, 1"])
+def test_compare_flags_text_that_differs(new):
+    assert report_diff.compare("a 1", new)[3]
+
+
+FILES = {"summary.json": '{"h0": 1.5}'}
+
+
+def test_diff_of_matching_runs_is_clean():
+    lines, differs = report_diff.diff((0, "", FILES), (0, "", dict(FILES)))
+    assert not differs
+    assert lines == ["exit 0 -> 0", "  summary.json: 0 of 1 numbers moved, max |d|/max(1,|v|) 0.00e+00"]
+
+
+@pytest.mark.parametrize("run", [
+    (3, "", FILES),
+    (0, "quadrature failed: not finite", FILES),
+    (0, "", {"summary.json": '{"h0": 1.25}'}),
+    (0, "", {"summary.json": '{"h1": 1.5}'}),
+    (0, "", {**FILES, "extra.csv": "1,2\n"}),
+    (0, "", {}),
+], ids=["exit-code", "stderr", "number", "text", "extra-file", "missing-file"])
+def test_diff_marks_every_kind_of_difference(run):
+    assert report_diff.diff((0, "", FILES), run)[1]

@@ -11,7 +11,9 @@ moved and the largest |change| / max(1, |parent value|); the output
 directory is blanked out of every file first, so output paths never
 count as a change.  A file whose text differs in anything but numbers
 is flagged.  It first prints each tree's `src/basishedge/*.py` line
-count, as `wc -l` gives it.  Standard library only.
+count, as `wc -l` gives it.  It exits 1 when the trees differ in an exit
+code, in stderr, in a number or in text, or when a file is written by
+one tree only, and 0 when every report matches.  Standard library only.
 """
 
 from __future__ import annotations
@@ -71,6 +73,26 @@ def compare(old: str, new: str):
     return moved, total, worst, text_differs
 
 
+def diff(a, b):
+    """(lines, differs) for the runs a and b of one command, each as run() gives it."""
+    (code_a, err_a, files_a), (code_b, err_b, files_b) = a, b
+    lines = [f"exit {code_a} -> {code_b}"]
+    differs = code_a != code_b or err_a != err_b
+    if err_a != err_b:
+        lines.append(f"  stderr: {err_a!r} -> {err_b!r}")
+    for name in sorted(set(files_a) | set(files_b)):
+        if name not in files_a or name not in files_b:
+            lines.append(f"  {name}: written by one tree only")
+            differs = True
+            continue
+        moved, total, worst, text = compare(files_a[name], files_b[name])
+        differs = differs or moved > 0 or text
+        flag = "  TEXT DIFFERS" if text else ""
+        lines.append(f"  {name}: {moved} of {total} numbers moved, "
+                     f"max |d|/max(1,|v|) {worst:.2e}{flag}")
+    return lines, differs
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 2:
@@ -78,26 +100,17 @@ def main(argv=None) -> int:
         return 2
     trees = [Path(p).resolve() for p in argv]
     print("src lines: {} -> {}".format(*map(src_lines, trees)))
+    differs = False
     with tempfile.TemporaryDirectory() as tmp:
         for config in CONFIGS:
             for command in COMMANDS:
-                results = [
+                lines, changed = diff(*(
                     run(tree, command, config, Path(tmp) / f"{k}-{config}-{command}")
                     for k, tree in enumerate(trees)
-                ]
-                (code_a, err_a, files_a), (code_b, err_b, files_b) = results
-                print(f"{config} {command}: exit {code_a} -> {code_b}")
-                if err_a != err_b:
-                    print(f"  stderr: {err_a!r} -> {err_b!r}")
-                for name in sorted(set(files_a) | set(files_b)):
-                    if name not in files_a or name not in files_b:
-                        print(f"  {name}: written by one tree only")
-                        continue
-                    moved, total, worst, text = compare(files_a[name], files_b[name])
-                    flag = "  TEXT DIFFERS" if text else ""
-                    print(f"  {name}: {moved} of {total} numbers moved, "
-                          f"max |d|/max(1,|v|) {worst:.2e}{flag}")
-    return 0
+                ))
+                differs = differs or changed
+                print(f"{config} {command}: " + "\n".join(lines))
+    return 1 if differs else 0
 
 
 if __name__ == "__main__":
