@@ -13,10 +13,11 @@ gamma(z) units of the power divided by the traded price,
 The claim then splits as g = y(0,X0,S0) + integral z dS + orthogonal
 residual.  This module evaluates both surfaces by shared quadrature over
 the measure's contours, with the truncation tail either integrated in
-closed form (at maturity, where lambda is 1) or bounded through the
-decay of lambda at the cutoff.  Every evaluation, h0 and the Monte Carlo
-replay's path slices included, runs one kernel per time and leaves
-through one guard: results must be finite, and a real claim's must be
+closed form (at maturity t >= T, the only times where lambda is exactly
+1) or bounded through the decay of lambda at the cutoff.  Every
+evaluation, h0 and the Monte Carlo replay's path slices included, enters
+through one domain check, runs one kernel per time and leaves through
+one guard: results must be finite, and a real claim's must be
 conjugate-symmetric to within _IM_ABORT.
 """
 
@@ -32,7 +33,6 @@ from .payoffs import PayoffMeasure, line_nodes, line_tail, refine_line
 
 __all__ = ["HedgeDecomposition", "decompose"]
 
-_TERMINAL_FRACTION = 1e-9
 _IM_ABORT = 1e-5
 # a line plan tries truncation multiples 2**k, _MIN_EXTENSION <= k <= _MAX_EXTENSION
 _MIN_EXTENSION = -3
@@ -174,26 +174,26 @@ class HedgeDecomposition:
 
     def _check(self, t, x, s):
         """The domain checks of a call, made once: positive prices, t in [0, T]."""
-        if (x <= 0).any() or (s <= 0).any():
+        # negated, so that a NaN fails them
+        if not ((x > 0).all() and (s > 0).all()):
             raise DomainError("prices must be strictly positive")
         self.model._check_time(t)
 
-    def _broadcast(self, t, x, s, need_z):
+    def _broadcast(self, t, x, s, need_z, grid_points=0):
         t, x, s = (np.asarray(a, dtype=float) for a in (t, x, s))
         self._check(t, x, s)
         tb, xb, sb = np.broadcast_arrays(t, x, s)
-        flat, x, s = (np.atleast_1d(a).ravel() for a in (tb, xb, sb))
-        y, z = np.zeros((2, x.size), dtype=complex)
-        if t.size == 1 and x.size:
-            # one time: every point in one group, in order
-            groups = [(t.item(), slice(None))]
-        else:
-            times, at = np.unique(flat, return_inverse=True)
-            groups = zip(times, np.split(np.argsort(at, kind="stable"),
-                                         np.cumsum(np.bincount(at))[:-1]))
+        x, s = (np.atleast_1d(a).ravel() for a in (xb, sb))
         with np.errstate(over="ignore", invalid="ignore"):  # checked in _guard
-            for ti, rows in groups:
-                y[rows], z[rows] = self._at_time(float(ti), x[rows], s[rows], need_z)
+            if t.size == 1 and x.size:
+                # one time: the kernel's arrays as they are
+                y, z = self._at_time(t.item(), x, s, need_z, grid_points)
+            else:
+                y, z = np.zeros((2, x.size), dtype=complex)
+                times, at = np.unique(tb.ravel(), return_inverse=True)
+                rows = np.split(np.argsort(at, kind="stable"), np.cumsum(np.bincount(at))[:-1])
+                for ti, r in zip(times, rows):
+                    y[r], z[r] = self._at_time(float(ti), x[r], s[r], need_z, grid_points)
         return tuple(self._guard(a, tb.shape) for a in (y, z if need_z else None))
 
     def _guard(self, arr, shape):
@@ -227,8 +227,8 @@ class HedgeDecomposition:
         at its distinct varying coordinates (_line_group; one point needs
         no grouping), or, given grid_points, on a uniform grid of that many
         points over the range of its varying log coordinate, by one chirp-z
-        transform on the uniform nodes of the line's whole trapezoid rule,
-        and interpolated (the replay's path slices)."""
+        transform on the whole rule at the level its ends took, and
+        interpolated (the replay's path slices, which refuse t >= T)."""
         logx, logs, inv_s = np.log(x), np.log(s), 1.0 / s
         y, z = np.zeros((2, x.size), dtype=complex)
         for a, rates in zip(self.measure.atoms, self._atom_rates):
@@ -249,14 +249,15 @@ class HedgeDecomposition:
                 cy, cz = self._line_group(idx, t, uv, fixed, need_z)[:2]
                 cy, cz = cy[inv], cz if cz is None else cz[inv]
             else:
+                if t >= self.model.horizon:
+                    raise DomainError("the grid shortcut does not cover the terminal time")
                 lo, hi = float(logv.min()), float(logv.max())
                 # all paths at one price (the first step) give a one-point grid
                 glx = np.linspace(lo, hi, grid_points if hi - lo >= 1e-12 else 1)
                 # the aliasing error grows with |log-moneyness|, which peaks at
                 # an end of the grid, so the level refined there serves the grid
                 umult, level = self._line_group(idx, t, np.exp(glx[[0, -1]]), fixed, True)[2:]
-                intervals = 16 * int(payoffs._PANELS * umult) << level
-                u, coef, coef_gam = self._coefficients(idx, 0, umult, t, intervals)
+                u, coef, coef_gam = self._coefficients(idx, level, umult, t, True)
                 # exp((R + i u_k) glx_j) = exp((R + i u_0) glx_j) exp(i k h glx_0) exp(i h dx jk)
                 u0, h = u[0], u[1] - u[0]
                 dx = glx[1] - glx[0] if glx.size > 1 else 0.0
@@ -276,23 +277,24 @@ class HedgeDecomposition:
                 z += fixed * cz * inv_s
         return y, z
 
-    def _nodes(self, idx: int, level: int, umult: float, base: int = 0) -> tuple:
-        """(u, w * density, rates): the nodes a refinement level adds (see
-        payoffs.line_nodes), their weights times the claim's density, cached,
-        and the model's shared rates there."""
-        key = (idx, level, umult, base)
+    def _nodes(self, idx: int, level: int, umult: float, whole: bool = False) -> tuple:
+        """(u, w * density, rates): the nodes a refinement level adds, or its
+        whole rule (see payoffs.line_nodes), their weights times the claim's
+        density, cached, and the model's shared rates there."""
+        key = (idx, level, umult, whole)
         hit = self._cache.get(key)
         if hit is None:
             ln = self.measure.lines[idx]
-            u, w = line_nodes(ln, level, umult, base)
+            u, w = line_nodes(ln, level, umult, whole)
             wd = w * np.asarray(ln.density(u), dtype=complex)
-            hit = self._cache[key] = (u, wd, self._line_rates(ln, u, level, umult, base))
+            tag = (level, umult, whole, payoffs._TRUNCATION, payoffs._PANELS)
+            hit = self._cache[key] = (u, wd, self._line_rates(ln, u, *tag))
         return hit
 
-    def _coefficients(self, idx: int, level: int, umult: float, t: float, base: int = 0):
+    def _coefficients(self, idx: int, level: int, umult: float, t: float, whole: bool = False):
         """(u, coef, coef * gamma) at the nodes of _nodes at time t, where
         coef is weight * density * lambda: a line's one coefficient path."""
-        u, wd, rates = self._nodes(idx, level, umult, base)
+        u, wd, rates = self._nodes(idx, level, umult, whole)
         lam, gam = self._propagate(rates, t)
         coef = wd * lam
         return u, coef, coef * gam
@@ -312,7 +314,7 @@ class HedgeDecomposition:
         return rates
 
     def _line_rates(self, ln, u, *tag) -> dict:
-        """_rates at a line's running nodes u, which the line's shape and tag fix."""
+        """_rates at a line's running nodes u, which its shape and the tag's constants fix."""
         f = complex(ln.fixed_exponent)
 
         def pairs():
@@ -361,17 +363,6 @@ class HedgeDecomposition:
         stats["tail_mode"] = tail_mode
         return y, z, umult, level
 
-    def _path_slice(self, t, x, s, grid_points):
-        """Value and hedge at one time t < T on all paths (x, s), for the
-        Monte Carlo replay: the kernel with each line on a grid of
-        grid_points, through the checks and the guard of every evaluation."""
-        self._check(t, x, s)
-        if (self.model.horizon - t) <= _TERMINAL_FRACTION * self.model.horizon:
-            raise DomainError("the grid shortcut does not cover the terminal time")
-        with np.errstate(over="ignore", invalid="ignore"):  # checked in _guard
-            out = self._at_time(t, x, s, True, grid_points)
-        return tuple(self._guard(a, x.shape) for a in out)
-
     def _tail_plan(self, idx, ti, v, fixed) -> tuple[float, str, float]:
         """The first truncation multiple 2**k (k >= _MIN_EXTENSION) whose tail
         bound, which covers the hedge's growth too, passes the floor.  Without
@@ -380,7 +371,7 @@ class HedgeDecomposition:
         the rational kernel that product still grows beyond the cutoff."""
         ln = self.measure.lines[idx]
         horizon = self.model.horizon
-        if (horizon - ti) <= _TERMINAL_FRACTION * horizon:
+        if ti >= horizon:
             return 1, "terminal", 0.0
         ks = range(_MIN_EXTENSION, _MAX_EXTENSION + 1)
         cuts = payoffs._TRUNCATION * 2.0 ** np.array(ks)
@@ -399,7 +390,8 @@ class HedgeDecomposition:
             floor = 0.1 * payoffs._REL_TOL * max(1.0, amps[ks.index(0)] / payoffs._TRUNCATION)
         # lambda and gamma at every cutoff at once; the bounds stay scalar, whose
         # vector form would move tail_bound in its last bit
-        lams, gams = self._propagate(self._line_rates(ln, cuts, "plan"), ti)
+        tag = ("plan", payoffs._TRUNCATION, _MIN_EXTENSION, _MAX_EXTENSION)
+        lams, gams = self._propagate(self._line_rates(ln, cuts, *tag), ti)
         for k_ext, amp, cut, lam, gam in zip(ks, amps, cuts, lams, gams):
             bound = float(2.0 * amp * abs(lam) * max(1.0, abs(gam)) / cut)
             if bound <= floor:

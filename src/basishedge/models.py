@@ -120,7 +120,8 @@ class PiecewiseAdditiveModel:
 
     def _check_time(self, t):
         t = np.asarray(t, dtype=float)
-        if (t < -1e-12).any() or (t > self.horizon * (1.0 + 1e-12)).any():
+        # negated, so that a NaN fails it
+        if not ((t >= -1e-12).all() and (t <= self.horizon * (1.0 + 1e-12)).all()):
             raise DomainError(f"time must lie in [0, {self.horizon}]")
 
 

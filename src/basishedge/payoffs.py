@@ -203,11 +203,11 @@ class ContourLine:
             object.__setattr__(self, "symmetric", sym)
 
 
-def line_nodes(ln: ContourLine, level: int, umult: float = 1, base: int = 0):
+def line_nodes(ln: ContourLine, level: int, umult: float = 1, whole: bool = False):
     """Running nodes and weights that a refinement level adds to a line
-    whose cutoff _TRUNCATION is scaled by umult.
+    whose cutoff _TRUNCATION is scaled by umult (with whole, all of its rule).
 
-    The rule is the trapezoid rule on (base or 16 * _PANELS * umult)
+    The level's rule is the trapezoid rule on 16 * _PANELS * umult
     * 2**level equal intervals, with Gregory weights at each cut end (u = 0
     of a symmetric line is no cut: Re of its integrand is even there).
     Level 0 is the whole rule; a later level holds its midpoints and moves
@@ -216,15 +216,15 @@ def line_nodes(ln: ContourLine, level: int, umult: float = 1, base: int = 0):
     depends on the line only through its symmetry, so every line shares
     one read-only table of them.
     """
-    return _rule(ln.symmetric, level, umult, base, _TRUNCATION, _PANELS)
+    return _rule(ln.symmetric, level, umult, whole, _TRUNCATION, _PANELS)
 
 
 @functools.lru_cache(maxsize=64)
-def _rule(symmetric, level, umult, base, truncation, panels):
-    n = (base or 16 * int(panels * umult)) << level
+def _rule(symmetric, level, umult, whole, truncation, panels):
+    n = 16 * int(panels * umult) << level
     hi = truncation * umult
     lo = 0.0 if symmetric else -hi
-    if level == 0:
+    if level == 0 or whole:
         w, end = np.r_[0.5, np.ones(n - 1), 0.5], _END
     else:
         w = np.zeros(n + 1)
@@ -396,7 +396,8 @@ class PayoffMeasure:
         """
         x = np.asarray(x, dtype=float)
         s = np.asarray(s, dtype=float)
-        if np.any(x <= 0) or np.any(s <= 0):
+        # negated, so that a NaN fails it
+        if not (np.all(x > 0) and np.all(s > 0)):
             raise DomainError("prices must be strictly positive")
         x, s = np.broadcast_arrays(x, s)
         scalar = x.ndim == 0

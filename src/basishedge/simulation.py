@@ -21,13 +21,12 @@ the rest and draws the next step.  Every fold still sees every step in
 order, so the results have the same bits on one lane or two; there is
 no setting.
 
-The path replay asks the decomposition for its value and hedge on all
-paths at each rebalance time (`HedgeDecomposition._path_slice`, which
-runs the engine's per-time kernel with each contour line tabulated on a
-uniform grid and the paths interpolated on it); a sampled self-check
-against exact pointwise evaluation guards the shortcut.  A slice leaves
-through the guard of every engine evaluation, so one that is not finite
-raises ConvergenceError instead of entering the statistics.
+The path replay asks the engine's one entry, `HedgeDecomposition._broadcast`
+with a grid size, for value and hedge on all paths at each rebalance time:
+the per-time kernel tabulates each contour line on a uniform grid and
+interpolates the paths on it, and a sampled self-check against exact
+pointwise evaluation guards that shortcut.  A slice leaves through the
+guard of every evaluation, so one that is not finite raises ConvergenceError.
 """
 
 from __future__ import annotations
@@ -452,7 +451,7 @@ class HedgeFold:
             y = self.payoff = np.asarray(dec.measure.payoff(x, s), dtype=float)
             z = None
         else:
-            y, z = dec._path_slice(t, x, s, _GRID_POINTS)
+            y, z = dec._broadcast(t, x, s, True, _GRID_POINTS)
         if i > 0:
             # the compensator may overflow; finish guards the pooled sums
             with np.errstate(over="ignore", invalid="ignore"):

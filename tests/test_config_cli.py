@@ -932,7 +932,9 @@ def test_cli_exit_3_on_non_finite_fourier_result(tmp_path, capsys, monkeypatch, 
     propagate = engine.HedgeDecomposition._propagate
 
     def nan_inside(self, rates, ti):
-        # NaN at every quadrature node; the tail plan reads only the last node
+        # NaN at every node but the last: the tail plan reads its ten cutoffs in one
+        # call and passes only at 64 times the nominal truncation, so rules of
+        # 32,769 nodes are integrated before the guard fires
         lam, gam = propagate(self, rates, ti)
         lam = lam.copy()
         lam[:-1] = np.nan

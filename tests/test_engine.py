@@ -218,6 +218,28 @@ def test_uncontrolled_tail_names_its_cause():
     assert err.value.residual == pytest.approx(2.5e-3, rel=0.01)
 
 
+@pytest.mark.parametrize("tau", [1e-3, 1e-5, 1e-8, 1e-9, 1e-10, 1e-12])
+def test_near_maturity_a_value_is_right_or_raises(tau):
+    # the call on X of the shipped Black-Scholes config at the strike: X is
+    # lognormal under the hedging measure, with its adjusted growth rate
+    cfg = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "hulley_mcwalter.json"))
+    model, strike = cfg.model, 100.0
+    dec = decompose(model, cfg.measure)
+    T = model.horizon
+    growth = np.log(oracles.adjusted_forward(model, 1) / model.spot[0]) / T
+    try:
+        got = dec.value_and_hedge(T - tau * T, strike, 100.0)[0]
+    except ConvergenceError:
+        pass
+    else:
+        want = oracles.lognormal_call(strike * np.exp(growth * tau * T), strike,
+                                      model.covariance[0, 0] * tau * T)
+        assert abs(got - want) <= 1e-8 * (1.0 + strike), f"{got} against {want}"
+    # at maturity the value is the payoff
+    assert abs(dec.value(T, strike, 100.0) - cfg.measure.payoff(strike, 100.0)) <= 1e-8 * (
+        1.0 + strike)
+
+
 def test_bound_only_plan_reports_the_error_it_leaves():
     # a line without the kernel marker where lambda does not decay: the plan
     # keeps the widest truncation, and its bound is the error it leaves
@@ -266,20 +288,28 @@ def test_evaluation_domain_guards(bs_call_x):
         bs_call_x.value(0.5, -3.0, 100.0)
 
 
-@pytest.mark.parametrize("t", [-0.1, 1.6])
+@pytest.mark.parametrize("t", [-0.1, 1.6, np.nan])
 def test_every_entry_point_checks_the_time(bs_call_x, t):
     x, s = np.array([90.0, 110.0]), np.array([100.0, 100.0])
     entry_points = [bs_call_x.value, bs_call_x.hedge, bs_call_x.value_and_hedge,
-                    bs_call_x.hedge_surface, lambda t, x, s: bs_call_x._path_slice(t, x, s, 33)]
+                    bs_call_x.hedge_surface,
+                    lambda t, x, s: bs_call_x._broadcast(t, x, s, True, 33)]
     for evaluate in entry_points:
         with pytest.raises(DomainError, match="time must lie"):
             evaluate(t, x, s)
 
 
 def test_path_slice_checks_the_prices(bs_call_x):
-    # an underflowed path price is refused, not taken through log(0)
+    # an underflowed path price is refused, not taken through log(0), and a
+    # NaN price is refused too, by pointwise evaluation and the grid alike
     with pytest.raises(DomainError, match="strictly positive"):
-        bs_call_x._path_slice(0.5, np.array([90.0, 0.0]), np.array([100.0, 100.0]), 33)
+        bs_call_x._broadcast(0.5, np.array([90.0, 0.0]), np.array([100.0, 100.0]), True, 33)
+    x, s = np.array([90.0, 110.0]), np.array([100.0, 100.0])
+    for bad in ((np.array([90.0, np.nan]), s), (x, np.array([np.nan, 100.0]))):
+        for evaluate in (bs_call_x.value_and_hedge,
+                         lambda t, x, s: bs_call_x._broadcast(t, x, s, True, 33)):
+            with pytest.raises(DomainError, match="strictly positive"):
+                evaluate(0.5, *bad)
 
 
 def test_quadrature_report(merton_call_x):
@@ -407,7 +437,7 @@ def _grid_error(dec, t, glx):
     """Path-slice values at the prices exp(glx), which span its line grid,
     against exact evaluation, scaled as in hedge_run's self-check."""
     x, s = _slice_prices(dec, glx)
-    gy, gz = dec._path_slice(t, x, s, glx.size)
+    gy, gz = dec._broadcast(t, x, s, True, glx.size)
     pick = np.arange(0, glx.size, 16)
     y, z = dec.value_and_hedge(t, x[pick], s[pick])
     sc_y = max(1.0, float(np.max(np.abs(y))))
@@ -456,7 +486,7 @@ def test_line_grid_reports_its_tail_mode(merton_model):
     dec = decompose(merton_model, call_claim(100.0, axis=1))
     assert dec.quadrature_report()["lines"][0]["tail_mode"] == "skipped-negligible"
     glx = np.linspace(np.log(50.0), np.log(200.0), 512)
-    dec._path_slice(0.99 * merton_model.horizon, *_slice_prices(dec, glx), glx.size)
+    dec._broadcast(0.99 * merton_model.horizon, *_slice_prices(dec, glx), True, glx.size)
     line = dec.quadrature_report()["lines"][0]
     assert (line["umult"], line["tail_mode"]) == (2, "extended")
 
@@ -483,14 +513,14 @@ def test_line_grid_plan_covers_the_fixed_coordinate(merton_model, monkeypatch):
 
     exact = picked(lambda: dec.value_and_hedge(0.0, x[:20], s[:20]))
     assert exact == [0.25]
-    assert picked(lambda: dec._path_slice(0.0, x, s, 257)) == exact
+    assert picked(lambda: dec._broadcast(0.0, x, s, True, 257)) == exact
 
 
 def test_line_grid_single_point(merton_model):
     # at the first replay step every path sits at spot
     dec = decompose(merton_model, call_measure(100.0, axis=1))
     glx = np.full(3, np.log(100.0))
-    gy, gz = dec._path_slice(0.0, *_slice_prices(dec, glx), 4096)
+    gy, gz = dec._broadcast(0.0, *_slice_prices(dec, glx), True, 4096)
     assert gy.shape == gz.shape == (3,)
     assert gy[0] == gy[1] == gy[2] and gz[0] == gz[1] == gz[2]
     assert _grid_error(dec, 0.0, glx) <= 1e-8
@@ -500,7 +530,7 @@ def test_line_grid_rejects_terminal_time(bs_model):
     dec = decompose(bs_model, call_measure(100.0, axis=1))
     glx = np.linspace(np.log(60.0), np.log(160.0), 33)
     with pytest.raises(DomainError, match="terminal time"):
-        dec._path_slice(bs_model.horizon, *_slice_prices(dec, glx), glx.size)
+        dec._broadcast(bs_model.horizon, *_slice_prices(dec, glx), True, glx.size)
 
 
 def test_line_grid_refinement_is_capped_by_the_panel_budget(bs_model, monkeypatch):
@@ -511,7 +541,7 @@ def test_line_grid_refinement_is_capped_by_the_panel_budget(bs_model, monkeypatc
     assert _grid_error(dec, 0.0, np.linspace(np.log(60.0), np.log(160.0), 33)) <= 1e-8
     glx = np.linspace(np.log(1e-2), np.log(1e6), 33)
     with pytest.raises(ConvergenceError, match="did not stabilise within 16 panels"):
-        dec._path_slice(0.0, *_slice_prices(dec, glx), glx.size)
+        dec._broadcast(0.0, *_slice_prices(dec, glx), True, glx.size)
 
 
 # -- truncation plans follow the decay of lambda -----------------------------------
@@ -774,7 +804,7 @@ def test_warm_rates_are_bit_identical_to_a_fresh_model(build):
 
     def outputs(dec):
         return [np.array(dec.h0), *dec.value_and_hedge(0.4, xs, 100.0),
-                *dec.hedge_surface(times, xs, ss), *dec._path_slice(0.5, v, v, v.size)]
+                *dec.hedge_surface(times, xs, ss), *dec._broadcast(0.5, v, v, True, v.size)]
 
     for claim in claims:
         outputs(decompose(warm, claim))
@@ -799,6 +829,33 @@ def test_rates_die_with_the_model():
     assert len(engine._RATES) <= before
 
 
+def _bs_for_the_store():
+    """A Black-Scholes model of its own, so the shared rates start cold."""
+    return AdditiveModel.black_scholes(log_drift=[0.035, 0.02875], vol_x=0.3, vol_s=0.25,
+                                       corr=0.8, horizon=1.0, spot=[100.0, 100.0])
+
+
+def test_the_rate_store_keys_the_nodes_constants(monkeypatch):
+    # a patched cutoff moves every node, so a warm model must not serve the old rates
+    warm, claim = _bs_for_the_store(), call_claim(100.0, axis=1)
+    decompose(warm, claim)
+    monkeypatch.setattr(payoffs, "_TRUNCATION", 100.0)
+    hot, cold = decompose(warm, claim).h0, decompose(_bs_for_the_store(), claim).h0
+    assert hot == cold == pytest.approx(13.2245726, rel=1e-7)
+
+
+def test_the_rate_store_keys_the_plan_constants(monkeypatch):
+    # more extensions mean more plan cutoffs than a warm model stored
+    warm, claim = _bs_for_the_store(), call_claim(100.0, axis=1)
+    decompose(warm, claim).value_and_hedge(0.5, 100.0, 100.0)
+    monkeypatch.setattr(engine, "_MAX_EXTENSION", 9)
+    t = 1.0 - 1e-7
+    hot = decompose(warm, claim).value_and_hedge(t, 100.0, 100.0)
+    cold = decompose(_bs_for_the_store(), claim).value_and_hedge(t, 100.0, 100.0)
+    assert hot == cold
+    assert hot[0] == pytest.approx(0.0037848, rel=1e-4)
+
+
 def test_non_finite_fourier_result_is_rejected(bs_model, monkeypatch):
     dec = decompose(bs_model, call_claim(100.0, axis=1))
     propagate = HedgeDecomposition._propagate
@@ -820,7 +877,7 @@ def test_non_finite_fourier_result_is_rejected(bs_model, monkeypatch):
     with pytest.raises(ConvergenceError, match="not finite"):
         dec.hedge_surface([0.25, 0.5], [90.0, 110.0], [100.0])
     with pytest.raises(ConvergenceError, match="not finite at 2 of 2 points"):
-        dec._path_slice(0.5, np.array([90.0, 110.0]), np.array([100.0, 100.0]), 33)
+        dec._broadcast(0.5, np.array([90.0, 110.0]), np.array([100.0, 100.0]), True, 33)
 
 
 def test_every_entry_point_returns_through_the_guard(bs_model, monkeypatch):
@@ -835,7 +892,7 @@ def test_every_entry_point_returns_through_the_guard(bs_model, monkeypatch):
         lambda: dec.hedge(0.5, x, s),
         lambda: dec.value_and_hedge(0.5, x, s),
         lambda: dec.hedge_surface([0.5], x, s),
-        lambda: dec._path_slice(0.5, x, s, 33),
+        lambda: dec._broadcast(0.5, x, s, True, 33),
     ]
     for evaluate in entry_points:
         with pytest.raises(ConvergenceError, match="conjugate-symmetry residual"):
@@ -857,7 +914,7 @@ def test_conjugate_atom_pair_is_twice_the_real_part_of_one(merton_model):
 
     want_y, want_z = twice_one_atom(x, s)
     np.testing.assert_allclose(dec.value(t, x, s), want_y, rtol=1e-13)
-    for got_y, got_z in (dec.value_and_hedge(t, x, s), dec._path_slice(t, x, s, 33)):
+    for got_y, got_z in (dec.value_and_hedge(t, x, s), dec._broadcast(t, x, s, True, 33)):
         np.testing.assert_allclose(got_y, want_y, rtol=1e-13)
         np.testing.assert_allclose(got_z, want_z, rtol=1e-13)
     sy, sz = dec.hedge_surface([t], x, s)

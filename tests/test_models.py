@@ -316,6 +316,14 @@ def test_time_domain_is_enforced(bs_model):
         bs_model.lambda_coeff(bs_model.horizon + 0.5, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.array([0.5, np.nan])])
+def test_a_nan_time_is_outside_the_domain(two_piece, t):
+    for evaluate in (two_piece.segment_at, lambda t: two_piece.kappa(t, 1.0, 0.0),
+                     lambda t: two_piece.lambda_coeff(t, 0.5, 0.0), two_piece.tradeoff):
+        with pytest.raises(DomainError, match="time must lie"):
+            evaluate(t)
+
+
 def test_model_digest_tracks_parameters(bs_model):
     twin = AdditiveModel.black_scholes(
         log_drift=[0.035, 0.02875], vol_x=0.3, vol_s=0.25, corr=0.8,

@@ -51,7 +51,7 @@ def test_nested_levels_reproduce_the_finer_rule(symmetric):
     for level in range(4):
         u, w = line_nodes(line, level, 0.125)
         acc = 0.5 * acc + w @ f(u)
-    u, w = line_nodes(line, 0, 0.125, base=8 * 16 * int(payoffs._PANELS * 0.125))
+    u, w = line_nodes(line, 3, 0.125, whole=True)
     assert abs(acc - w @ f(u)) <= 1e-14 * abs(acc)
 
 
@@ -262,6 +262,9 @@ def test_construction_rejects_bad_inputs():
         ExponentAtom(float("nan"), 1.0, 0.0)
     with pytest.raises(DomainError, match="strictly positive"):
         call_measure(100.0).evaluate(1.0, np.array([50.0, -1.0]))
+    for x, s in ((np.nan, 100.0), (100.0, np.array([50.0, np.nan]))):
+        with pytest.raises(DomainError, match="strictly positive"):
+            call_claim(100.0, axis=1).evaluate(x, s)
 
 
 def test_quadrature_budget_errors(monkeypatch):
