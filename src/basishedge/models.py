@@ -80,6 +80,8 @@ class PiecewiseAdditiveModel:
     def segment_at(self, t) -> "AdditiveModel":
         """Constant segment in force at time t; a boundary belongs to the later one."""
         self._check_time(t)
+        if np.ndim(t):
+            raise DomainError("segment_at takes one time, not an array of times")
         return self._segment_at(t)
 
     def _segment_at(self, t) -> "AdditiveModel":

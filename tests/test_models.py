@@ -216,6 +216,14 @@ def test_homogeneous_model_is_one_segment(bs_model):
         bs_model.segment_at(1.5)
 
 
+@pytest.mark.parametrize("t", [np.array([0.2, 0.7]), np.array([0.5]), [0.2]])
+def test_segment_at_takes_one_time(two_piece, t):
+    with pytest.raises(DomainError, match="takes one time"):
+        two_piece.segment_at(t)
+    # a zero-dimensional array is one time
+    assert two_piece.segment_at(np.array(0.9)) is two_piece.segment_at(0.9)
+
+
 def test_piecewise_boundary_belongs_to_next_segment(two_piece, merton_model):
     z = (1.0, 0.5)
     assert complex(two_piece.segment_at(0.4).psi(*z)) == complex(merton_model.psi(*z))

@@ -158,7 +158,14 @@ def test_interpolation_reproduces_grid_nodes(bs_solution):
         assert abs(sol.hedge_at(t, xv, sv) - sol.z[it, ix, is_]) < 1e-11
 
 
-def test_constant_callables_reduce_to_static_regime(bs_model, bs_spec):
+@pytest.mark.parametrize(
+    "measure",
+    [call_claim(100.0, axis=1), put_claim(100.0, axis=2), power_claim(0.5, 0.5)],
+    ids=["call-x", "put-s", "power"],
+)
+def test_constant_callables_reduce_to_static_regime(bs_model, bs_spec, measure):
+    # callables march the full grid with per-point weights, so this holds
+    # the constant spec's strip (a claim on one asset) to the full march
     c = bs_model.covariance
     b = bs_model.drift
     dyn = DiffusionSpec(
@@ -172,12 +179,23 @@ def test_constant_callables_reduce_to_static_regime(bs_model, bs_spec):
             "c22": lambda t, x, s: c[1, 1],
         },
     )
-    grid = GridConfig(nx=61, ns=61, nt=5)
-    measure = call_claim(100.0, axis=1)
+    grid = GridConfig(nx=41, ns=53, nt=5)
     a = solve(bs_spec, measure, grid)
     d = solve(dyn, measure, grid)
-    assert np.allclose(a.y, d.y, rtol=0, atol=1e-10)
-    assert np.allclose(a.z, d.z, rtol=0, atol=1e-10)
+    assert d.marched_shape == (41, 53)
+    assert np.array_equal(a.y, d.y)
+    assert np.array_equal(a.z, d.z)
+    assert (a.h0, a.steps, a.cfl_number) == (d.h0, d.steps, d.cfl_number)
+
+
+def test_a_claim_on_one_asset_marches_a_strip(bs_spec, tanh_spec):
+    full = GridConfig(nx=201, ns=201, nt=2)
+    assert solve(bs_spec, call_claim(100.0, axis=1), full).marched_shape == (201, 5)
+    assert solve(bs_spec, put_claim(100.0, axis=2), full).marched_shape == (5, 201)
+    grid = GridConfig(nx=41, ns=53, nt=2)
+    assert solve(bs_spec, power_claim(0.5, 0.5), grid).marched_shape == (41, 53)
+    # coefficient fields keep the full grid, whatever the claim
+    assert solve(tanh_spec, call_claim(100.0, axis=1), grid).marched_shape == (41, 53)
 
 
 @pytest.fixture(scope="module")
