@@ -68,14 +68,20 @@ def _dump(payload: dict) -> str:
     return json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
 
 
-def _write_text(path: str, text: str):
+def _write_text(path: str, chunks):
+    """Write the strings `chunks` to `path` atomically: nothing on a failure."""
     full = os.path.abspath(path)
     parent = os.path.dirname(full)
     if parent:
         os.makedirs(parent, exist_ok=True)
     tmp = full + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        try:
+            fh.writelines(chunks)
+        except BaseException:
+            fh.close()
+            os.remove(tmp)
+            raise
     os.replace(tmp, full)
 
 
@@ -83,25 +89,47 @@ def _emit(payload: dict, outdir: str | None, name: str):
     text = _dump(payload)
     if outdir:
         path = os.path.join(outdir, name)
-        _write_text(path, text)
+        _write_text(path, [text])
         print(f"wrote {path}")
     else:
         sys.stdout.write(text)
 
 
-def _surface_csv(times, xs, ss, y, z) -> str:
+def _row_reprs(grid):
+    """The float reprs of each row of a 2-D grid, formed once for a row that
+    repeats the previous row or is constant; both are judged by the bits,
+    which keep -0.0 and 0.0 apart, so equal bits always mean equal text."""
+    prev = reprs = None
+    for row, bits in zip(grid, grid.view(np.int64)):
+        if prev is None or not np.array_equal(bits, prev):
+            if (bits == bits[0]).all():
+                reprs = [repr(float(row[0]))] * row.size
+            else:
+                reprs = list(map(repr, row.tolist()))
+        prev = bits
+        yield reprs
+
+
+def _surface_csv(times, xs, ss, y, z):
+    """The CSV text of a (t, x, s) surface, yielded one time slice at a time.
+
+    For a claim on one asset most rows of y, and for a claim on S most rows
+    of z, repeat or are constant, so most cells reuse a repr (`_row_reprs`).
+    """
     xr = [repr(float(v)) for v in xs]
     sr = [repr(float(v)) for v in ss]
-    rows = ["t,x,s,y,z"]
-    for t, yt, zt in zip(times, np.asarray(y, dtype=float), np.asarray(z, dtype=float)):
+    yield "t,x,s,y,z\n"
+    for t, yt, zt in zip(times, y, z):
         tr = repr(float(t))
-        # one row at a time: a whole slice as Python floats raises the peak RSS
-        for xv, yrow, zrow in zip(xr, yt, zt):
-            rows.extend(
-                f"{tr},{xv},{sv},{yv!r},{zv!r}"
-                for sv, yv, zv in zip(sr, yrow.tolist(), zrow.tolist())
-            )
-    return "\n".join(rows) + "\n"
+        rows = []
+        for xv, yrs, zrs in zip(
+            xr,
+            _row_reprs(np.ascontiguousarray(yt, dtype=float)),
+            _row_reprs(np.ascontiguousarray(zt, dtype=float)),
+        ):
+            head = f"{tr},{xv},"
+            rows.append(head + ("\n" + head).join(map(",".join, zip(sr, yrs, zrs))) + "\n")
+        yield "".join(rows)
 
 
 def _decompose(cfg):
@@ -320,7 +348,7 @@ def _cmd_check(cfg, args) -> dict:
             for name in tests
             if name in results
         ]
-        _write_text(log_path, "\n".join(lines) + "\n")
+        _write_text(log_path, ["\n".join(lines) + "\n"])
         print(f"wrote {log_path}")
     if failed:
         raise CheckFailure("validation checks failed: " + ", ".join(failed), out)

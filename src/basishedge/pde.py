@@ -31,10 +31,12 @@ With scalar weights the step keeps a grid that is constant along an axis
 constant along it, bit for bit: the shifts along that axis read equal
 values, the edge extrapolation 2f - f returns f exactly and the corner
 rule repeats the edge rule.  A claim whose payoff on the grid is constant
-along an axis (a claim on the other asset alone) is therefore marched on
-a strip five nodes across that axis, by the same code, and each snapshot
-is spread back over the full grid; this gives the full march's numbers
-at a fraction of its cost.
+along an axis (a claim on the other asset alone) is therefore marched as
+a line: that axis keeps one node, of flat stride 0, so its shifts read
+the node itself, and only the other axis is extrapolated.  The same code,
+with the same terms in the same order, marches the full grid; each
+snapshot is broadcast back over it, with the full march's numbers at a
+fraction of its cost.
 """
 
 from __future__ import annotations
@@ -172,7 +174,7 @@ class PDESolution:
     z: np.ndarray
     cfl_number: float
     steps: int
-    # shape of the grid the march updated: (nx, ns), or a strip (nx, 5) or (5, ns)
+    # shape of the grid the march updated: (nx, ns), or a line (nx, 1) or (1, ns)
     marched_shape: tuple[int, int]
     spot: tuple[float, float]
     h0: float = field(init=False)
@@ -241,12 +243,6 @@ def _weights(bh1, bh2, c11, c12, c22, dxi, deta, dt):
     }
 
 
-def _spread(n, m):
-    """Indices spreading m marched nodes over n: the middle one fills the gap."""
-    h = m // 2
-    return np.r_[0:h, [h] * (n - m + 1), h + 1:m]
-
-
 def solve(spec: DiffusionSpec, measure, grid: GridConfig = GridConfig()) -> PDESolution:
     """March the pricing equation backward from the payoff.
 
@@ -265,11 +261,11 @@ def solve(spec: DiffusionSpec, measure, grid: GridConfig = GridConfig()) -> PDES
     calls and puts struck from 90 to 110, so the margin under the limit
     is about 20% (15% at worst).
 
-    A constant spec whose payoff is constant along an axis marches a strip
-    five nodes across it, (nx, 5) or (5, ns), whose edge nodes each
-    snapshot spreads onto the grid's edges and whose middle node onto the
-    interior: the full march's numbers, bit for bit, at a fraction of
-    its cost (see the module docstring).  `marched_shape` records it.
+    A constant spec whose payoff is constant along an axis marches a line,
+    (nx, 1) or (1, ns), with one node of stride 0 across that axis, and
+    each snapshot broadcasts it over the grid: the full march's numbers,
+    bit for bit, at a fraction of its cost (see the module docstring).
+    `marched_shape` records it.
     """
     if not measure.is_real_claim():
         raise AssumptionError("the finite-difference route requires a real-valued claim")
@@ -303,6 +299,9 @@ def solve(spec: DiffusionSpec, measure, grid: GridConfig = GridConfig()) -> PDES
     xx, ss = np.meshgrid(xg, sg, indexing="ij")
 
     spec.check_fields(0.0, xx, ss)
+    if not spec.constant:
+        # the step is sized from the fields at T, which must be checked first
+        spec.check_fields(T, xx, ss)
     times = np.linspace(0.0, T, grid.nt)
     y_snap = np.empty((grid.nt, grid.nx, grid.ns))
     z_snap = np.empty_like(y_snap)
@@ -322,19 +321,20 @@ def solve(spec: DiffusionSpec, measure, grid: GridConfig = GridConfig()) -> PDES
 
     snapshot(-1, measure.payoff(xx, ss), T)
 
-    # the marched grid: a strip five nodes across an axis along which a
-    # constant spec's payoff is constant to the bit (see the module docstring)
+    # the marched grid: an axis along which a constant spec's payoff is
+    # constant to the bit is marched as one node of flat stride 0, so that
+    # the shifts along it read the node itself (see the module docstring)
     bits = y_snap[-1].view(np.int64)
     nx, ns = grid.nx, grid.ns
     if spec.constant and (bits == bits[:, :1]).all():
-        ns = 5
+        ns = 1
     elif spec.constant and (bits == bits[:1]).all():
-        nx = 5
-    spread = np.ix_(_spread(grid.nx, nx), _spread(grid.ns, ns))
+        nx = 1
+    stride_x, stride_s = ns * (nx > 1), int(ns > 1)
     # constant coefficients stay scalars; fields are taken on the flat C-ordered grid
     points = (x0, s0) if spec.constant else (xx.ravel(), ss.ravel())
     # the interior in flat order, with the edge columns of rows 1..nx-2
-    run = slice(ns + 1, nx * ns - ns - 1)
+    run = slice(stride_x + stride_s, nx * ns - stride_x - stride_s)
 
     def adjusted(t):
         b1, b2, c11, c12, c22 = spec.fields(t, *points)
@@ -356,20 +356,26 @@ def solve(spec: DiffusionSpec, measure, grid: GridConfig = GridConfig()) -> PDES
     steps = per_snap * (grid.nt - 1)
     dt = T / steps
 
-    # y_new = sum_k w_k shift_k(y) on the flat run, two buffers in turn
+    # y_new = sum_k w_k shift_k(y) on the flat run, two buffers in turn,
+    # each with its run and its nine shifted views built once
     shifts = {
-        (di, dj): slice(run.start + di * ns + dj, run.stop + di * ns + dj)
+        (di, dj): slice(run.start + di * stride_x + dj * stride_s,
+                        run.stop + di * stride_x + dj * stride_s)
         for di in (-1, 0, 1)
         for dj in (-1, 0, 1)
     }
 
+    def buffer(flat):
+        """A buffer's nine shifted views, its run and its grid."""
+        return {k: flat[v] for k, v in shifts.items()}, flat[run], flat.reshape(nx, ns)
+
     def stencil(coeffs):
         # a scalar zero weight, the idle cross diagonal, drops out
         weights = _weights(*coeffs, dxi, deta, dt)
-        return [(shifts[k], w) for k, w in weights.items() if np.ndim(w) or w]
+        return [(k, w) for k, w in weights.items() if np.ndim(w) or w]
 
-    cur = y_snap[-1, :nx, :ns].flatten()
-    nxt = np.zeros_like(cur)
+    cur = buffer(y_snap[-1, :nx, :ns].flatten())
+    nxt = buffer(np.zeros(nx * ns))
     term = np.empty(run.stop - run.start)
     terms = stencil(coeffs)
     cfl_seen = 0.0
@@ -382,26 +388,30 @@ def solve(spec: DiffusionSpec, measure, grid: GridConfig = GridConfig()) -> PDES
             terms = stencil(coeffs)
         cfl_seen = max(cfl_seen, dt * denom_max)
 
-        acc = nxt[run]
-        (src, w), *rest = terms
-        np.multiply(w, cur[src], out=acc)
-        for src, w in rest:
-            np.multiply(w, cur[src], out=term)
+        views, (_, acc, g) = cur[0], nxt
+        (k, w), *rest = terms
+        np.multiply(w, views[k], out=acc)
+        for k, w in rest:
+            np.multiply(w, views[k], out=term)
             acc += term
-        g = nxt.reshape(nx, ns)
-        g[0, :] = 2.0 * g[1, :] - g[2, :]
-        g[-1, :] = 2.0 * g[-2, :] - g[-3, :]
-        g[:, 0] = 2.0 * g[:, 1] - g[:, 2]
-        g[:, -1] = 2.0 * g[:, -2] - g[:, -3]
-        # corners after edges
-        g[0, 0] = 2.0 * g[1, 1] - g[2, 2]
-        g[0, -1] = 2.0 * g[1, -2] - g[2, -3]
-        g[-1, 0] = 2.0 * g[-2, 1] - g[-3, 2]
-        g[-1, -1] = 2.0 * g[-2, -2] - g[-3, -3]
+        # linear extrapolation to the edges of the marched axes
+        if nx > 1:
+            g[0, :] = 2.0 * g[1, :] - g[2, :]
+            g[-1, :] = 2.0 * g[-2, :] - g[-3, :]
+        if ns > 1:
+            g[:, 0] = 2.0 * g[:, 1] - g[:, 2]
+            g[:, -1] = 2.0 * g[:, -2] - g[:, -3]
+        if nx > 1 and ns > 1:
+            # corners after edges
+            g[0, 0] = 2.0 * g[1, 1] - g[2, 2]
+            g[0, -1] = 2.0 * g[1, -2] - g[2, -3]
+            g[-1, 0] = 2.0 * g[-2, 1] - g[-3, 2]
+            g[-1, -1] = 2.0 * g[-2, -2] - g[-3, -3]
         cur, nxt = nxt, cur
 
         if (n - 1) % per_snap == 0:
-            snapshot((n - 1) // per_snap, g[spread], (n - 1) * dt)
+            y_grid = np.broadcast_to(g, (grid.nx, grid.ns))
+            snapshot((n - 1) // per_snap, y_grid, (n - 1) * dt)
 
     return PDESolution(
         times=times,

@@ -9,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ except ModuleNotFoundError:  # Python 3.10: pytest depends on tomli there
 
 import basishedge
 from basishedge import engine, pde, simulation
-from basishedge.cli import _surface_csv, main
+from basishedge.cli import _surface_csv, _write_text, main
 from basishedge.config import _ROOT_KEYS, ExperimentConfig, load_config
 from basishedge.errors import ConfigError, DomainError, MismatchError
 
@@ -456,16 +457,64 @@ def _per_cell_csv(times, xs, ss, y, z) -> str:
 
 def test_surface_csv_matches_per_cell_formatter():
     rng = np.random.default_rng(5)
-    times = [0.0, 0.25, 1.0]
-    xs = np.array([5e-324, 60.0, 1e-310, 137.5])
+    times = [0.0, 0.25, 0.5, 1.0]
+    xs = np.array([5e-324, 60.0, 1e-310, 137.5, 140.0, 150.0, 160.0, 170.0, 180.0])
     ss = np.array([-0.0, 100.0, 2.2250738585072014e-308])
-    y = rng.standard_normal((3, 4, 3)) * 1e3
-    z = -rng.standard_normal((3, 4, 3))
-    y[0, 0, 0], y[1, 2, 1], y[2, 3, 2] = 4e-320, -7.0, 12.0
-    z[0, 1, 2], z[2, 0, 0] = -3e-315, 1.0
+    y = rng.standard_normal((4, 9, 3)) * 1e3
+    z = -rng.standard_normal((4, 9, 3))
+    y[0, 0, 0], y[1, 2, 1], y[3, 3, 2] = 4e-320, -7.0, 12.0
+    z[0, 1, 2], z[3, 0, 0] = -3e-315, 1.0
+    # rows that the writer formats once or reuses, in y and z alike
+    ulp = np.nextafter(1.0, 2.0)
+    rows = [
+        [2.5] * 3,  # constant
+        [2.5] * 3,  # repeated from the previous row
+        [0.0, -0.0, 0.0],  # 0.0 and -0.0 mixed
+        [0.0] * 3,
+        [-0.0] * 3,  # equal to the previous row in value, not in bits
+        [np.nan, np.inf, -np.inf],
+        [np.nan, np.inf, -np.inf],
+        [1.0, 1.0, 1.0],
+        [ulp, ulp, ulp],  # one ULP from the previous row
+    ]
+    y[2], z[2] = rows, rows[::-1]
+    z[1, 4:6] = [[np.inf] * 3, [-np.inf] * 3]
+    y[1, 5:7] = [[1.0, ulp, 1.0], [1.0, 1.0, 1.0]]
     want = _per_cell_csv(times, xs, ss, y, z)
-    assert _surface_csv(times, xs, ss, y, z) == want
-    assert want.count("\n") == 1 + 3 * 4 * 3
+    chunks = list(_surface_csv(times, xs, ss, y, z))
+    # streamed: the header, then one piece per time slice
+    assert len(chunks) == 1 + len(times)
+    assert "".join(chunks) == want
+    assert want.count("\n") == 1 + 4 * 9 * 3
+
+
+def test_surface_csv_writer_peak_is_one_slice(tmp_path):
+    # the writer streams one time slice at a time: its traced peak measured
+    # 3.2 slices' text on these 60 x 60 slices (the whole file is 20), and
+    # is held to 6
+    rng = np.random.default_rng(1)
+    nt, n = 20, 60
+    times = np.linspace(0.0, 1.0, nt)
+    grid = np.linspace(50.0, 150.0, n)
+    y, z = rng.standard_normal((2, nt, n, n))
+    path = tmp_path / "surface.csv"
+    tracemalloc.start()
+    try:
+        _write_text(str(path), _surface_csv(times, grid, grid, y, z))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.0 * path.stat().st_size / nt
+
+
+def test_write_text_leaves_nothing_when_a_chunk_fails(tmp_path):
+    def chunks():
+        yield "t,x,s,y,z\n"
+        raise DomainError("the surface is not finite")
+
+    with pytest.raises(DomainError):
+        _write_text(str(tmp_path / "out" / "surface.csv"), chunks())
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_cli_hedge_surface_writes_csv(tmp_path, capsys):

@@ -163,39 +163,72 @@ def test_interpolation_reproduces_grid_nodes(bs_solution):
     [call_claim(100.0, axis=1), put_claim(100.0, axis=2), power_claim(0.5, 0.5)],
     ids=["call-x", "put-s", "power"],
 )
-def test_constant_callables_reduce_to_static_regime(bs_model, bs_spec, measure):
+def test_constant_callables_reduce_to_static_regime(bs_model, measure):
     # callables march the full grid with per-point weights, so this holds
-    # the constant spec's strip (a claim on one asset) to the full march
-    c = bs_model.covariance
+    # the constant spec's line (a claim on one asset) to the full march;
+    # rho < 0 makes the other cross diagonal live, and rho = 0 drops both
     b = bs_model.drift
-    dyn = DiffusionSpec(
-        horizon=1.0,
-        spot=[100.0, 100.0],
-        coefficients={
-            "b1": lambda t, x, s: b[0],
-            "b2": lambda t, x, s: b[1],
-            "c11": lambda t, x, s: c[0, 0],
-            "c12": lambda t, x, s: c[0, 1],
-            "c22": lambda t, x, s: c[1, 1],
-        },
-    )
-    grid = GridConfig(nx=41, ns=53, nt=5)
-    a = solve(bs_spec, measure, grid)
-    d = solve(dyn, measure, grid)
-    assert d.marched_shape == (41, 53)
-    assert np.array_equal(a.y, d.y)
-    assert np.array_equal(a.z, d.z)
-    assert (a.h0, a.steps, a.cfl_number) == (d.h0, d.steps, d.cfl_number)
+    c11, c22 = bs_model.covariance[0, 0], bs_model.covariance[1, 1]
+    parities = set()
+    for rho in (0.8, -0.5, 0.0):
+        c12 = rho * np.sqrt(c11 * c22)
+        static = DiffusionSpec(
+            horizon=1.0,
+            spot=[100.0, 100.0],
+            coefficients=dict(b1=b[0], b2=b[1], c11=c11, c12=c12, c22=c22),
+        )
+        dyn = DiffusionSpec(
+            horizon=1.0,
+            spot=[100.0, 100.0],
+            coefficients={
+                "b1": lambda t, x, s: b[0],
+                "b2": lambda t, x, s: b[1],
+                "c11": lambda t, x, s: c11,
+                "c12": lambda t, x, s, c12=c12: c12,
+                "c22": lambda t, x, s: c22,
+            },
+        )
+        for grid in (
+            GridConfig(nx=41, ns=53, nt=5),
+            GridConfig(nx=17, ns=13, nt=2),
+            GridConfig(nx=11, ns=13, nt=2),
+        ):
+            a = solve(static, measure, grid)
+            d = solve(dyn, measure, grid)
+            assert d.marched_shape == (grid.nx, grid.ns)
+            assert np.array_equal(a.y, d.y)
+            assert np.array_equal(a.z, d.z)
+            assert (a.h0, a.steps, a.cfl_number) == (d.h0, d.steps, d.cfl_number)
+            parities.add((rho, a.steps % 2))
+    # the two buffers alternate: each spec marches an odd and an even step count
+    assert parities == {(rho, p) for rho in (0.8, -0.5, 0.0) for p in (0, 1)}
 
 
-def test_a_claim_on_one_asset_marches_a_strip(bs_spec, tanh_spec):
+def test_a_claim_on_one_asset_marches_a_line(bs_spec, tanh_spec):
     full = GridConfig(nx=201, ns=201, nt=2)
-    assert solve(bs_spec, call_claim(100.0, axis=1), full).marched_shape == (201, 5)
-    assert solve(bs_spec, put_claim(100.0, axis=2), full).marched_shape == (5, 201)
+    assert solve(bs_spec, call_claim(100.0, axis=1), full).marched_shape == (201, 1)
+    assert solve(bs_spec, put_claim(100.0, axis=2), full).marched_shape == (1, 201)
     grid = GridConfig(nx=41, ns=53, nt=2)
     assert solve(bs_spec, power_claim(0.5, 0.5), grid).marched_shape == (41, 53)
     # coefficient fields keep the full grid, whatever the claim
     assert solve(tanh_spec, call_claim(100.0, axis=1), grid).marched_shape == (41, 53)
+
+
+def test_fields_are_checked_at_maturity_before_the_step_is_sized():
+    # finite at 0, NaN at T: the step is sized from the fields at T
+    spec = DiffusionSpec(
+        horizon=1.0,
+        spot=[100.0, 100.0],
+        coefficients=dict(
+            b1=0.0,
+            b2=0.0,
+            c11=lambda t, x, s: 0.04 + 0 * x if t < 1 else np.nan + 0 * x,
+            c12=0.0,
+            c22=0.04,
+        ),
+    )
+    with pytest.raises(RegimeError, match="c11 is not finite"):
+        solve(spec, call_claim(100.0, axis=1), GridConfig(nx=11, ns=11, nt=2))
 
 
 @pytest.fixture(scope="module")
@@ -250,9 +283,13 @@ def test_mc_representation_rejects_empty_sizes(size, bs_spec, tanh_spec):
             monte_carlo_representation(spec, call_claim(100.0, axis=1), 0.0, 100.0, 100.0, **size)
 
 
-@pytest.mark.parametrize("case", ["bs-corr-pos", "bs-corr-neg", "tanh"])
+@pytest.mark.parametrize("case", ["bs-corr-pos", "bs-corr-neg", "tanh", "bs-line-odd"])
 def test_march_matches_term_by_term_reference(case, bs_spec, tanh_spec):
-    if case == "bs-corr-pos":
+    # the payoff couples both prices, so the cross stencil matters; unequal
+    # axes, so a transposed flat index cannot pass
+    measure = power_claim(0.5, 0.5)
+    grid = GridConfig(nx=41, ns=53, nt=3)
+    if case in ("bs-corr-pos", "bs-line-odd"):
         spec = bs_spec
     elif case == "bs-corr-neg":
         cross = -0.6 * 0.3 * 0.25
@@ -262,11 +299,15 @@ def test_march_matches_term_by_term_reference(case, bs_spec, tanh_spec):
         )
     else:
         spec = tanh_spec
-    # the payoff couples both prices, so the cross stencil matters; unequal
-    # axes, so a transposed flat index cannot pass
-    measure = power_claim(0.5, 0.5)
-    sol = solve(spec, measure, GridConfig(nx=41, ns=53, nt=3))
-    want = oracles.explicit_march(spec, measure.payoff, sol.x, sol.s, sol.steps, sol.steps // 2)
+    if case == "bs-line-odd":
+        # a claim on X alone marches a line, here for an odd number of steps,
+        # which must start from the payoff's buffer
+        measure, grid = call_claim(100.0, axis=1), GridConfig(nx=17, ns=13, nt=2)
+    sol = solve(spec, measure, grid)
+    if case == "bs-line-odd":
+        assert sol.marched_shape == (17, 1) and sol.steps % 2 == 1
+    per_snap = sol.steps // (grid.nt - 1)
+    want = oracles.explicit_march(spec, measure.payoff, sol.x, sol.s, sol.steps, per_snap)
     assert want.shape == sol.y.shape
     assert np.max(np.abs(sol.y - want)) <= 1e-12 * np.max(np.abs(want))
 
