@@ -14,8 +14,9 @@ directory named by --out (or the config's output.directory) as
 summary.json / sim_report.json, next to hedge_surface.csv,
 pde_surface.csv and checks.log where applicable; without a directory
 the JSON report is printed to stdout.  Outputs are deterministic for a
-fixed config and seed: JSON is key-sorted with no timestamps, files are
-written atomically, and nothing is written for an invalid config.  Exit
+fixed config and seed: JSON is key-sorted with no timestamps, and a
+command's files are written as one set, so nothing is left for an invalid
+config or an output path that cannot be written.  Exit
 codes: 0 success, 2 configuration errors, 3 violated model/regime
 assumptions or a claim that is not real, contour quadrature that does
 not converge, a Fourier result, PDE grid or solution that is not
@@ -68,31 +69,24 @@ def _dump(payload: dict) -> str:
     return json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
 
 
-def _write_text(path: str, chunks):
-    """Write the strings `chunks` to `path` atomically: nothing on a failure."""
-    full = os.path.abspath(path)
-    parent = os.path.dirname(full)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    tmp = full + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        try:
-            fh.writelines(chunks)
-        except BaseException:
-            fh.close()
-            os.remove(tmp)
-            raise
-    os.replace(tmp, full)
-
-
-def _emit(payload: dict, outdir: str | None, name: str):
-    text = _dump(payload)
-    if outdir:
-        path = os.path.join(outdir, name)
-        _write_text(path, [text])
-        print(f"wrote {path}")
-    else:
-        sys.stdout.write(text)
+def _write_files(files: dict):
+    """Write {path: strings} as one set: each file goes to its .tmp first,
+    then all are renamed; on any failure no file of the set is left."""
+    made = []
+    try:
+        for path, chunks in files.items():
+            tmp = os.path.abspath(path) + ".tmp"
+            os.makedirs(os.path.dirname(tmp), exist_ok=True)
+            with open(tmp, "w", encoding="utf-8") as fh:
+                made.append(tmp)
+                fh.writelines(chunks)
+        for i, tmp in enumerate(made):
+            os.replace(tmp, tmp[:-len(".tmp")])
+            made[i] = tmp[:-len(".tmp")]
+    except BaseException:
+        for path in made:
+            os.remove(path)
+        raise
 
 
 def _row_reprs(grid):
@@ -152,7 +146,7 @@ def _replay_setup(cfg):
     return sizes, dec, src
 
 
-def _cmd_price(cfg, args) -> dict:
+def _cmd_price(cfg, args, files) -> dict:
     out = {"route": cfg.route}
     if cfg.route in ("fourier", "both"):
         dec = _decompose(cfg)
@@ -170,15 +164,13 @@ def _cmd_price(cfg, args) -> dict:
     return out
 
 
-def _cmd_hedge_surface(cfg, args) -> dict:
+def _cmd_hedge_surface(cfg, args, files) -> dict:
     dec = _decompose(cfg)
     grid = cfg.surface_grid
     times, xs, ss = grid["times"], grid["x"], grid["s"]
     y, z = dec.hedge_surface(times, xs, ss)
     csv_path = os.path.join(args.outdir or ".", "hedge_surface.csv")
-    _write_text(csv_path, _surface_csv(times, xs, ss, y, z))
-    if args.outdir:
-        print(f"wrote {csv_path}")
+    files[csv_path] = _surface_csv(times, xs, ss, y, z)
     return {
         "h0": float(dec.h0),
         "csv": csv_path,
@@ -187,7 +179,7 @@ def _cmd_hedge_surface(cfg, args) -> dict:
     }
 
 
-def _cmd_simulate(cfg, args) -> dict:
+def _cmd_simulate(cfg, args, files) -> dict:
     sizes, dec, src = _replay_setup(cfg)
     run = simulation.hedge_run(dec, src)
     return {
@@ -204,7 +196,7 @@ def _cmd_simulate(cfg, args) -> dict:
     }
 
 
-def _cmd_pde(cfg, args) -> dict:
+def _cmd_pde(cfg, args, files) -> dict:
     _, sol = _pde_solution(cfg)
     out = {
         "h0": sol.h0,
@@ -214,13 +206,12 @@ def _cmd_pde(cfg, args) -> dict:
     }
     if args.outdir:
         csv_path = os.path.join(args.outdir, "pde_surface.csv")
-        _write_text(csv_path, _surface_csv(sol.times, sol.x, sol.s, sol.y, sol.z))
-        print(f"wrote {csv_path}")
+        files[csv_path] = _surface_csv(sol.times, sol.x, sol.s, sol.y, sol.z)
         out["csv"] = csv_path
     return out
 
 
-def _cmd_compare(cfg, args) -> dict:
+def _cmd_compare(cfg, args, files) -> dict:
     """Route comparison on the interior: the spatial box spans two log
     standard deviations around the spot and times stop at 0.9 T, before
     the terminal layer where the kink defeats finite differences.  A
@@ -285,7 +276,7 @@ def _cmd_compare(cfg, args) -> dict:
     return out
 
 
-def _cmd_check(cfg, args) -> dict:
+def _cmd_check(cfg, args, files) -> dict:
     """The validation battery: every selected test is a fold of one pass over the paths."""
     sizes, dec, src = _replay_setup(cfg)
     model, val = cfg.model, cfg.validation
@@ -348,14 +339,15 @@ def _cmd_check(cfg, args) -> dict:
             for name in tests
             if name in results
         ]
-        _write_text(log_path, ["\n".join(lines) + "\n"])
-        print(f"wrote {log_path}")
+        files[log_path] = ["\n".join(lines) + "\n"]
     if failed:
         raise CheckFailure("validation checks failed: " + ", ".join(failed), out)
     return out
 
 
-# each command and the file name of its JSON report in the output directory
+# each command and the file name of its JSON report in the output directory;
+# a command puts any other file it reports into files, {path: strings}, and
+# main writes them with the report as one set
 _COMMANDS = {
     "price": (_cmd_price, "summary.json"),
     "hedge-surface": (_cmd_hedge_surface, "summary.json"),
@@ -400,14 +392,21 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         args.outdir = args.out or cfg.output_directory
         command, report_name = _COMMANDS[args.command]
-        failure = None
+        files, failure = {}, None
         try:
-            payload = command(cfg, args)
+            payload = command(cfg, args, files)
         except CheckFailure as exc:
             payload, failure = exc.report, exc
         payload["model_digest"] = cfg.model.digest()
         payload["measure_digest"] = cfg.measure.digest()
-        _emit(payload, args.outdir, report_name)
+        text = _dump(payload)
+        if args.outdir:
+            files[os.path.join(args.outdir, report_name)] = [text]
+        _write_files(files)
+        if args.outdir:
+            print("".join(f"wrote {path}\n" for path in files), end="")
+        else:
+            sys.stdout.write(text)
         if failure is not None:
             raise failure
     except _HANDLED as exc:

@@ -341,7 +341,7 @@ class HedgeDecomposition:
         umult, tail_mode, bound = self._tail_plan(idx, ti, v, fixed)
 
         tail_y = tail_z = 0.0
-        if tail_mode == "terminal" and ln.tail is not None:
+        if tail_mode == "terminal":
             tail_y = line_tail(ln, v)
             if need_z:
                 last = self.model._segment_at(self.model.horizon)
@@ -365,10 +365,7 @@ class HedgeDecomposition:
 
     def _tail_plan(self, idx, ti, v, fixed) -> tuple[float, str, float]:
         """The first truncation multiple 2**k (k >= _MIN_EXTENSION) whose tail
-        bound, which covers the hedge's growth too, passes the floor.  Without
-        the kernel marker ("bound-only" when none passes) the bound samples
-        |density| u**2 at the cutoff, so it is an estimate, not a bound: for
-        the rational kernel that product still grows beyond the cutoff."""
+        bound, which covers the hedge's growth too, passes the floor."""
         ln = self.measure.lines[idx]
         horizon = self.model.horizon
         if ti >= horizon:
@@ -378,26 +375,17 @@ class HedgeDecomposition:
         # max of v**R sits at the small end of the grid for negative abscissas
         vpow = float(np.max(np.asarray(v) ** ln.abscissa))
         fmax = float(np.max(np.abs(fixed))) if np.size(fixed) else 1.0
-        if ln.tail is not None:
-            k = ln.tail.strike
-            c0 = abs(ln.tail.scale) * k ** (1.0 - ln.abscissa) / (2.0 * np.pi)
-            amps = [c0 * vpow * fmax] * len(ks)
-            floor = 0.1 * payoffs._REL_TOL * (1.0 + k)
-        else:
-            # generic line: the sampled density magnitude at each cutoff; the
-            # floor takes the nominal one
-            amps = np.abs(np.asarray(ln.density(cuts), dtype=complex)) * cuts ** 2 * vpow * fmax
-            floor = 0.1 * payoffs._REL_TOL * max(1.0, amps[ks.index(0)] / payoffs._TRUNCATION)
+        k = ln.strike
+        amp = abs(ln.scale) * k ** (1.0 - ln.abscissa) / (2.0 * np.pi) * vpow * fmax
+        floor = 0.1 * payoffs._REL_TOL * (1.0 + k)
         # lambda and gamma at every cutoff at once; the bounds stay scalar, whose
         # vector form would move tail_bound in its last bit
         tag = ("plan", payoffs._TRUNCATION, _MIN_EXTENSION, _MAX_EXTENSION)
         lams, gams = self._propagate(self._line_rates(ln, cuts, *tag), ti)
-        for k_ext, amp, cut, lam, gam in zip(ks, amps, cuts, lams, gams):
+        for k_ext, cut, lam, gam in zip(ks, cuts, lams, gams):
             bound = float(2.0 * amp * abs(lam) * max(1.0, abs(gam)) / cut)
             if bound <= floor:
                 return 2 ** k_ext, "extended" if k_ext > 0 else "skipped-negligible", bound
-        if ln.tail is None:
-            return 1 << _MAX_EXTENSION, "bound-only", bound
         a = ln.axis - 1
         if any(seg.covariance[a, a] > 0 or seg.jump_intensity > 0 and seg.jump_cov[a, a] > 0
                for _, _, seg in self.model.segments):

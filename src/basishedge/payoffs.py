@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,7 +33,6 @@ from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "ExponentAtom",
-    "RationalKernelTail",
     "ContourLine",
     "PayoffMeasure",
     "power_claim",
@@ -73,20 +72,6 @@ class ExponentAtom:
             v = complex(getattr(self, name))
             if not (np.isfinite(v.real) and np.isfinite(v.imag)):
                 raise DomainError(f"atom {name} must be finite, got {v!r}")
-
-
-@dataclass(frozen=True)
-class RationalKernelTail:
-    """Marks a density as scale * K**(1-z)/(2*pi*z*(z-1)) beyond truncation.
-
-    Lines carrying this marker get their truncation tail integrated in
-    closed form through the exponential integral instead of being cut
-    off, which is what makes strike-region accuracy of ~1e-6 reachable
-    at moderate truncations.
-    """
-
-    strike: float
-    scale: complex = 1.0
 
 
 def _oscillatory_pole_tail(a: float, w, truncation: float):
@@ -149,46 +134,43 @@ def rational_tail_integral(
 
 
 def line_tail(ln: "ContourLine", v, p0: complex = 1.0, p1: complex = 0.0):
-    """Closed-form truncation tail of a rational-kernel line at points v.
+    """Closed-form truncation tail of a line at points v.
 
     The integrand beyond the line's truncation carries the affine weight
     p0 + p1*z: (1, 0) for claim values, the asymptote of gamma for hedges.
+    A symmetric line's tail is taken over u > U, as its quadrature is, and
+    another's over both ends: u < -U mirrors u > U of the unscaled kernel
+    with the weight conjugated.
     """
-    k = ln.tail.strike
-    c0 = ln.tail.scale * np.exp((1.0 - ln.abscissa) * np.log(k)) / (2.0 * np.pi)
+    if not ln.symmetric:
+        half = replace(ln, fixed_exponent=0.0, scale=1.0)
+        return ln.scale * (line_tail(half, v, p0, p1)
+                           + np.conj(line_tail(half, v, np.conj(p0), np.conj(p1))))
+    k = ln.strike
+    c0 = ln.scale * np.exp((1.0 - ln.abscissa) * np.log(k)) / (2.0 * np.pi)
     tail = rational_tail_integral(
         p0, p1, ln.abscissa, np.log(v / k), _TRUNCATION, symmetric_real=ln.symmetric
     )
     return c0 * np.exp(ln.abscissa * np.log(v)) * tail
 
 
-def _probe_symmetry(density: Callable[[np.ndarray], np.ndarray]) -> bool:
-    u = np.array([0.37, 3.9, 17.3, 111.0])
-    d_pos = np.asarray(density(u), dtype=complex)
-    d_neg = np.asarray(density(-u), dtype=complex)
-    scale = np.abs(d_pos) + 1e-300
-    return bool(np.all(np.abs(d_neg - np.conj(d_pos)) <= 1e-10 * scale))
-
-
 @dataclass(frozen=True)
 class ContourLine:
-    """A vertical contour in one exponent with the other exponent fixed.
+    """A vertical contour of the rational claim kernel in one exponent,
+    the other exponent fixed.
 
     axis: 1 if the running exponent multiplies x, 2 if it multiplies s.
-    density: complex density d(u) including all normalisation; the line
-        contributes integral du d(u) * (varying coord)**(abscissa+i*u)
-        times (fixed coord)**fixed_exponent.
-    symmetric: d(-u) == conj(d(u)); evaluated on [0, U] and doubled.
-        None means probe numerically at construction time.
-    tail: optional analytic-tail marker for the call/put kernel.
+    The line contributes integral du density(u) * (varying coord)**(abscissa
+    + i*u) times (fixed coord)**fixed_exponent, where the density is
+    scale * strike**(1-z) / (2*pi*z*(z-1)) at z = abscissa + i*u.  Past the
+    cutoff its tail is integrated in closed form at maturity (line_tail).
     """
 
     axis: int
     fixed_exponent: complex
     abscissa: float
-    density: Callable[[np.ndarray], np.ndarray]
-    symmetric: bool | None = None
-    tail: RationalKernelTail | None = None
+    strike: float
+    scale: complex = 1.0
 
     def __post_init__(self):
         if self.axis not in (1, 2):
@@ -198,9 +180,22 @@ class ContourLine:
         f = complex(self.fixed_exponent)
         if not (np.isfinite(f.real) and np.isfinite(f.imag)):
             raise DomainError("fixed exponent must be finite")
-        if self.symmetric is None:
-            sym = _probe_symmetry(self.density) and abs(f.imag) == 0.0
-            object.__setattr__(self, "symmetric", sym)
+        if not (np.isfinite(self.strike) and self.strike > 0):
+            raise DomainError("strike must be a positive finite number")
+
+    @property
+    def symmetric(self) -> bool:
+        """d(-u) == conj(d(u)), and the propagation factor conjugate-symmetric
+        too: a real scale and a real fixed exponent.  Such a line is
+        integrated over u in [0, U] and doubled."""
+        return complex(self.scale).imag == 0.0 and complex(self.fixed_exponent).imag == 0.0
+
+    def density(self, u: np.ndarray) -> np.ndarray:
+        """The complex density d(u), normalisation included."""
+        z = self.abscissa + 1j * np.asarray(u, dtype=float)
+        d = np.exp((1.0 - z) * np.log(self.strike)) / (2.0 * np.pi * z * (z - 1.0))
+        # an unweighted line keeps the kernel's bits
+        return d if self.scale == 1 else complex(self.scale) * d
 
 
 def line_nodes(ln: ContourLine, level: int, umult: float = 1, whole: bool = False):
@@ -325,19 +320,13 @@ class PayoffMeasure:
     def __mul__(self, c) -> "PayoffMeasure":
         c = complex(c)
         atoms = tuple(replace(a, weight=a.weight * c) for a in self.atoms)
-        lines = []
-        for ln in self.lines:
-            d = ln.density
-            scaled = (lambda dd, cc: (lambda u: cc * np.asarray(dd(u))))(d, c)
-            tail = None if ln.tail is None else replace(ln.tail, scale=ln.tail.scale * c)
-            lines.append(replace(ln, density=scaled, tail=tail, symmetric=None
-                                 if c.imag else ln.symmetric))
+        lines = tuple(replace(ln, scale=ln.scale * c) for ln in self.lines)
         cf = None
         if self.closed_form is not None:
             f = self.closed_form
             cf = lambda x, s: c * f(x, s) if c.imag else c.real * f(x, s)  # noqa: E731
         comps = tuple(t[:3] + (t[3] * c if c.imag else t[3] * c.real,) for t in self.components)
-        return PayoffMeasure(atoms=atoms, lines=tuple(lines), closed_form=cf, components=comps)
+        return PayoffMeasure(atoms=atoms, lines=lines, closed_form=cf, components=comps)
 
     __rmul__ = __mul__
 
@@ -409,7 +398,7 @@ class PayoffMeasure:
         for ln in self.lines:
             # the kernel at maturity, where the propagation factor is 1
             v, other = (xf, sf) if ln.axis == 1 else (sf, xf)
-            tail = 0.0 if ln.tail is None else line_tail(ln, v)
+            tail = line_tail(ln, v)
 
             def coefficients(level, ln=ln):
                 u, w = line_nodes(ln, level)
@@ -472,29 +461,10 @@ def power_claim(z1: complex, z2: complex, weight: complex = 1.0) -> PayoffMeasur
     )
 
 
-def _vanilla_density(strike: float, abscissa: float) -> Callable[[np.ndarray], np.ndarray]:
-    logk = np.log(strike)
-
-    def density(u: np.ndarray) -> np.ndarray:
-        z = abscissa + 1j * np.asarray(u, dtype=float)
-        return np.exp((1.0 - z) * logk) / (2.0 * np.pi * z * (z - 1.0))
-
-    return density
-
-
 def _vanilla_measure(strike: float, contour: float, axis: int, payoff, kind: str) -> PayoffMeasure:
     """One line of the rational vanilla kernel at Re z = contour, with the
     closed form payoff(v) of the claim coordinate v."""
-    if not (np.isfinite(strike) and strike > 0):
-        raise DomainError("strike must be a positive finite number")
-    line = ContourLine(
-        axis=axis,
-        fixed_exponent=0.0,
-        abscissa=contour,
-        density=_vanilla_density(float(strike), contour),
-        symmetric=True,
-        tail=RationalKernelTail(strike=float(strike)),
-    )
+    line = ContourLine(axis=axis, fixed_exponent=0.0, abscissa=contour, strike=float(strike))
     return PayoffMeasure(
         lines=(line,),
         closed_form=lambda x, s: payoff(x if axis == 1 else s),

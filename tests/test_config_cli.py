@@ -22,7 +22,7 @@ except ModuleNotFoundError:  # Python 3.10: pytest depends on tomli there
 
 import basishedge
 from basishedge import engine, pde, simulation
-from basishedge.cli import _surface_csv, _write_text, main
+from basishedge.cli import _surface_csv, _write_files, main
 from basishedge.config import _ROOT_KEYS, ExperimentConfig, load_config
 from basishedge.errors import ConfigError, DomainError, MismatchError
 
@@ -500,7 +500,7 @@ def test_surface_csv_writer_peak_is_one_slice(tmp_path):
     path = tmp_path / "surface.csv"
     tracemalloc.start()
     try:
-        _write_text(str(path), _surface_csv(times, grid, grid, y, z))
+        _write_files({str(path): _surface_csv(times, grid, grid, y, z)})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -513,8 +513,34 @@ def test_write_text_leaves_nothing_when_a_chunk_fails(tmp_path):
         raise DomainError("the surface is not finite")
 
     with pytest.raises(DomainError):
-        _write_text(str(tmp_path / "out" / "surface.csv"), chunks())
+        _write_files({str(tmp_path / "out" / "surface.csv"): chunks()})
     assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("command, report", [
+    ("price", "summary.json"),
+    ("hedge-surface", "summary.json"),
+    ("pde", "summary.json"),
+    ("check", "sim_report.json"),
+])
+def test_cli_writes_nothing_when_a_report_path_cannot_be_written(tmp_path, capsys, command, report):
+    # the report's name is taken by a directory: the command's CSV or log and
+    # the report's .tmp, written before the rename fails, are removed with it
+    cfg = _with(
+        BASE,
+        surface={"times": [0.0, 0.5], "x": {"n": 3}, "s": {"n": 2}},
+        pde_grid={"nx": 21, "ns": 21, "nt": 2},
+        validation={"n_paths": 200, "n_steps": 5, "tests": ["moments"]},
+    )
+    path = _write(tmp_path, cfg)
+    out = tmp_path / "art"
+    (out / report).mkdir(parents=True)
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert [p.name for p in out.iterdir()] == [report]
+    assert list((out / report).iterdir()) == []
 
 
 def test_cli_hedge_surface_writes_csv(tmp_path, capsys):

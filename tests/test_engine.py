@@ -18,7 +18,6 @@ from basishedge.engine import HedgeDecomposition, decompose
 from basishedge.errors import AssumptionError, ConvergenceError, DomainError
 from basishedge.models import AdditiveModel, PiecewiseAdditiveModel, vols_to_covariance
 from basishedge.payoffs import (
-    ContourLine,
     PayoffMeasure,
     call_claim,
     call_measure,
@@ -166,16 +165,7 @@ def test_assumption_report_names_all_checks(bs_call_x):
 
 
 def test_non_integrable_transform_is_rejected(bs_model):
-    bad = PayoffMeasure(
-        lines=(
-            ContourLine(
-                axis=2,
-                fixed_exponent=0.0,
-                abscissa=0.5,
-                density=lambda u: np.full(np.shape(u), np.nan),
-            ),
-        )
-    )
+    bad = call_measure(100.0, axis=2) * float("inf")
     with pytest.raises(AssumptionError, match="integrable-claim-transform"):
         decompose(bs_model, bad)
 
@@ -240,19 +230,6 @@ def test_near_maturity_a_value_is_right_or_raises(tau):
         1.0 + strike)
 
 
-def test_bound_only_plan_reports_the_error_it_leaves():
-    # a line without the kernel marker where lambda does not decay: the plan
-    # keeps the widest truncation, and its bound is the error it leaves
-    line = replace(call_measure(100.0, axis=1).lines[0], tail=None)
-    dec = decompose(_still_x(), PayoffMeasure(lines=(line,)))
-    report = dec.quadrature_report()["lines"][0]
-    assert (report["tail_mode"], report["umult"]) == ("bound-only", 64)
-    # X does not move, so (X_T - K)^+ - X_T is -100 at the spot
-    err = abs(dec.h0 + 100.0)
-    assert err == pytest.approx(report["tail_bound"], rel=0.01)
-    assert err <= report["tail_bound"] * (1.0 + 1e-6)
-
-
 def _merton_without_claim_spread():
     """The model of configs/merton_validation.json with jump_vol_x 0: each
     jump moves X by the factor exp(-0.05) exactly."""
@@ -277,6 +254,24 @@ def test_terminal_hedge_keeps_the_tail_of_an_oscillating_gamma(claim):
     # 0.7 * 1e-5 in the time left: that much time value remains there
     assert gap.max() <= 1e-4
     assert gap[[0, 1, 6, 7]].max() <= 2e-7
+
+
+@pytest.mark.parametrize("axis", [1, 2])
+@pytest.mark.parametrize("model_name", ["bs_model", "still-jumps"])
+def test_complex_weight_scales_value_and_hedge(request, model_name, axis):
+    # a complex weight leaves a line without conjugate symmetry: it is
+    # integrated over the whole of u and, at maturity, takes its tail at both
+    # ends, the hedge's at the strike included
+    model = (_merton_without_claim_spread() if model_name == "still-jumps"
+             else request.getfixturevalue(model_name))
+    w = 1 + 2j
+    claim = call_measure(100.0, axis=axis)
+    plain, weighted = decompose(model, claim), decompose(model, claim * w)
+    v = np.array([60.0, 95.0, 100.0, 104.0, 150.0])
+    for t in (0.5, model.horizon):
+        for want, got in zip(plain.value_and_hedge(t, v, v[::-1]),
+                             weighted.value_and_hedge(t, v, v[::-1])):
+            assert np.max(np.abs(got - w * want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 def test_evaluation_domain_guards(bs_call_x):
@@ -453,14 +448,8 @@ def _grid_error(dec, t, glx):
         ("merton_model", call_measure(100.0, axis=1), (0.0, 0.5, 0.9)),
         ("bs_model", put_measure(100.0, abscissa=1.5, axis=2), (0.0, 0.5, 0.9)),
         ("seasons", call_measure(100.0, axis=1), (0.0, 0.3, 0.7, 0.95)),
-        # without the kernel marker the node step assumes a narrower strip
-        (
-            "bs_model",
-            PayoffMeasure(lines=(replace(call_measure(100.0, axis=1).lines[0], tail=None),)),
-            (0.0, 0.5, 0.9),
-        ),
     ],
-    ids=["merton-call-x", "bs-put-s", "two-seasons-call-x", "untagged-line"],
+    ids=["merton-call-x", "bs-put-s", "two-seasons-call-x"],
 )
 def test_line_grid_matches_exact_evaluation(request, model_name, measure, fractions):
     model = _two_seasons() if model_name == "seasons" else request.getfixturevalue(model_name)
@@ -658,30 +647,6 @@ def test_a_quote_builds_a_fraction_of_the_nominal_power_matrix(monkeypatch, bs_m
     assert dec.quadrature_report()["lines"][0]["umult"] == 0.125
 
 
-def test_untagged_line_samples_its_density_at_the_shrunk_cutoff(bs_model):
-    # this density has all but vanished at the nominal cutoff 200, not at 25:
-    # near maturity, where lambda decays slowly, a bound sampled at 200 would
-    # pass at 25 and drop the mass between
-    kernel = call_measure(100.0, axis=1).lines[0]
-
-    def density(u):
-        return kernel.density(u) * np.exp(-((np.asarray(u, dtype=float) / 40.0) ** 2))
-
-    line = ContourLine(axis=1, fixed_exponent=0.0, abscissa=kernel.abscissa,
-                       density=density, symmetric=True)
-    dec = decompose(bs_model, PayoffMeasure(lines=(line,)))
-    x, t = np.array([80.0, 100.0, 125.0]), 0.97
-    assert dec._tail_plan(0, 0.0, x, np.ones(1))[0] == 0.125
-    assert dec._tail_plan(0, t, x, np.ones(1))[:2] == (1, "skipped-negligible")
-    # reference: 40 Gauss-Legendre panels of 200 nodes on [0, 400]
-    gl_x, gl_w = np.polynomial.legendre.leggauss(200)
-    u = (np.arange(40)[:, None] * 10.0 + 5.0 + 5.0 * gl_x).ravel()
-    z = kernel.abscissa + 1j * u
-    coef = np.tile(5.0 * gl_w, 40) * density(u) * bs_model.lambda_coeff(t, z, 0.0)
-    want = 2.0 * np.real(np.exp(np.multiply.outer(np.log(x), z)) @ coef)
-    assert np.all(np.abs(dec.value(t, x, 100.0) - want) <= 1e-9 * np.abs(want))
-
-
 # -- line rates shared by every claim on one model -----------------------------
 
 
@@ -798,7 +763,7 @@ def test_warm_rates_are_bit_identical_to_a_fresh_model(build):
     v = np.exp(np.linspace(np.log(60.0), np.log(160.0), 65))
     # lines that differ from the first claim's in one field of the shape each
     line = call_measure(100.0, axis=1).lines[0]
-    variants = [replace(line, fixed_exponent=1.0), replace(line, symmetric=False)]
+    variants = [replace(line, fixed_exponent=1.0), replace(line, scale=1j)]
     claims = [call_claim(100.0, axis=1), put_claim(95.0, axis=2), call_claim(112.0, axis=2),
               *(PayoffMeasure(lines=(ln,)) for ln in variants)]
 

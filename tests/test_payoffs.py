@@ -30,7 +30,7 @@ def test_line_nodes_integrate_polynomials_exactly(monkeypatch):
     # the trapezoid rule with Gregory ends at both cuts is exact through degree 7
     monkeypatch.setattr(payoffs, "_TRUNCATION", 3.0)
     monkeypatch.setattr(payoffs, "_PANELS", 1)
-    line = replace(call_measure(100.0).lines[0], symmetric=False)
+    line = replace(call_measure(100.0).lines[0], scale=1j)
     u, w = line_nodes(line, 0)
     assert u[0] == -3.0 and u[-1] == 3.0
     for p in range(8):
@@ -41,8 +41,10 @@ def test_line_nodes_integrate_polynomials_exactly(monkeypatch):
 @pytest.mark.parametrize("symmetric", [True, False])
 def test_nested_levels_reproduce_the_finer_rule(symmetric):
     # each level adds its nodes to half the sum before; three levels on top of
-    # level 0 make the level-0 rule with 8 times the intervals
-    line = replace(call_measure(100.0).lines[0], symmetric=symmetric)
+    # level 0 make the level-0 rule with 8 times the intervals, on the half
+    # line of a symmetric line (a real scale) and on the whole of the other
+    line = replace(call_measure(100.0).lines[0], scale=1.0 if symmetric else 1j)
+    assert line.symmetric == symmetric
 
     def f(u):
         return np.exp(-u * u / 2000.0) * np.cos(u / 3.0) + 0.1j * u
@@ -220,8 +222,32 @@ def test_digest_tracks_value_semantics():
     assert PayoffMeasure(atoms=(a, b)).digest() == PayoffMeasure(atoms=(b, a)).digest()
 
 
+# every report carries its claim's measure_digest: these pin its value for
+# each kind of line the command line and the API build
+_PINNED_DIGESTS = [
+    (lambda: call_claim(100.0, axis=1), "e82c611b6ed00560"),
+    (lambda: put_claim(95.0, axis=2), "f082af0684fd9dfa"),
+    (lambda: call_measure(110.0, axis=2), "c342dd77eb40f9fb"),
+    (lambda: 2.0 * call_claim(100.0, axis=1), "5bc916a21e349e1a"),
+    # the sum of a config's payoff block: each term times its weight
+    (lambda: (2.0 * call_claim(100.0, axis=1) + (-0.3) * put_claim(90.0, axis=2)
+              + (-1.0) * power_claim(0.0, 1.0)), "e2ec6235624c9287"),
+]
+
+
+@pytest.mark.parametrize("build, digest", _PINNED_DIGESTS,
+                         ids=["call-x", "put-s", "call-measure-s", "weighted-call", "sum"])
+def test_digest_is_pinned(build, digest):
+    assert build().digest() == digest
+
+
 def test_real_claim_detection():
     assert call_claim(100.0).is_real_claim()
+    # a complex weight breaks a line's conjugate symmetry, a real one keeps it
+    twisted = call_measure(100.0, axis=1) * (1 + 2j)
+    assert not twisted.lines[0].symmetric and not twisted.is_real_claim()
+    negated = call_measure(100.0, axis=1) * -2.0
+    assert negated.lines[0].symmetric and negated.is_real_claim()
     assert not power_claim(0.5 + 1.5j, 0.0).is_real_claim()
     z = 0.5 + 1.5j
     pair = power_claim(z, 0.0, weight=0.5 - 0.25j) + power_claim(
@@ -257,7 +283,7 @@ def test_construction_rejects_bad_inputs():
     with pytest.raises(DomainError, match="abscissa"):
         put_measure(100.0, abscissa=0.0)
     with pytest.raises(DomainError, match="axis"):
-        ContourLine(axis=3, fixed_exponent=0.0, abscissa=0.5, density=lambda u: u)
+        ContourLine(axis=3, fixed_exponent=0.0, abscissa=0.5, strike=100.0)
     with pytest.raises(DomainError, match="finite"):
         ExponentAtom(float("nan"), 1.0, 0.0)
     with pytest.raises(DomainError, match="strictly positive"):
@@ -296,3 +322,13 @@ def test_scaling_commutes_with_evaluation(scale):
     m = call_measure(100.0)
     got = (scale * m).evaluate(1.0, 117.0)
     assert abs(got - scale * m.evaluate(1.0, 117.0)) <= 1e-8 * (1.0 + abs(scale))
+
+
+def test_complex_weight_scales_the_whole_line():
+    # the weighted line is integrated over the whole of u, not doubled
+    m = call_measure(100.0, axis=1)
+    x = np.array([40.0, 95.0, 100.0, 117.0, 310.0])
+    want = (1 + 2j) * m.evaluate(x, 1.0)
+    got = (m * (1 + 2j)).evaluate(x, 1.0)
+    assert np.iscomplexobj(got)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

@@ -47,3 +47,28 @@ def test_diff_of_matching_runs_is_clean():
 ], ids=["exit-code", "stderr", "number", "text", "extra-file", "missing-file"])
 def test_diff_marks_every_kind_of_difference(run):
     assert report_diff.diff((0, "", FILES), run)[1]
+
+
+def test_extra_configs_run_in_both_trees_after_the_shipped_ones(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def fake_run(tree, command, cfg, out):
+        calls.append((tree, command, cfg))
+        return 0, "", dict(FILES)
+
+    monkeypatch.setattr(report_diff, "run", fake_run)
+    trees = [tmp_path / "parent", tmp_path / "change"]
+    extra = [tmp_path / "weighted_sum.json", tmp_path / "other.json"]
+    argv = [str(t) for t in trees] + [a for c in extra for a in ("--config", str(c))]
+    assert report_diff.main(argv) == 0
+    runs = [(name, command) for name in (*report_diff.CONFIGS, "weighted_sum", "other")
+            for command in report_diff.COMMANDS]
+    assert calls == [
+        (tree, command, tree / "configs" / f"{name}.json" if name in report_diff.CONFIGS
+         else tmp_path / f"{name}.json")
+        for name, command in runs for tree in trees
+    ]
+    # each pair of runs is named by its config's stem
+    names = [ln.split(":")[0] for ln in capsys.readouterr().out.splitlines()[1:]
+             if not ln.startswith(" ")]
+    assert names == [f"{name} {command}" for name, command in runs]

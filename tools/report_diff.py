@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Compare the command-line reports of two source trees.
 
-    python3 tools/report_diff.py PARENT_TREE CHANGE_TREE
+    python3 tools/report_diff.py PARENT_TREE CHANGE_TREE [--config PATH ...]
 
 Runs each of the six subcommands on both shipped configs (`configs/` of
-each tree) with each tree's `src` on the path, every run into its own
-output directory, and prints the exit codes side by side.  For every
-report, CSV and log that both runs wrote, it prints how many numbers
-moved and the largest |change| / max(1, |parent value|); the output
+each tree), then on each config given by --config (the same file for both
+trees, named by its stem), with each tree's `src` on the path, every run
+into its own output directory, and prints the exit codes side by side.
+For every report, CSV and log that both runs wrote, it prints how many
+numbers moved and the largest |change| / max(1, |parent value|); the output
 directory is blanked out of every file first, so output paths never
 count as a change.  A file whose text differs in anything but numbers
 is flagged.  It first prints each tree's `src/basishedge/*.py` line
@@ -18,6 +19,7 @@ one tree only, and 0 when every report matches.  Standard library only.
 
 from __future__ import annotations
 
+import argparse
 import os
 import re
 import subprocess
@@ -33,10 +35,10 @@ TOKEN = re.compile(rf"{NUMBER}|[A-Za-z_][A-Za-z0-9_]*|\s+|.", re.S)
 RUN = "import sys; from basishedge.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def run(tree: Path, command: str, config: str, out: Path):
-    """Exit code, stderr and {file name: text} of one command in one tree."""
+def run(tree: Path, command: str, cfg: Path, out: Path):
+    """Exit code, stderr and {file name: text} of one command on the config
+    file cfg in one tree."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    cfg = tree / "configs" / f"{config}.json"
     proc = subprocess.run(
         [sys.executable, "-c", RUN, command, "--config", str(cfg), "--out", str(out)],
         cwd=tree, env=env, capture_output=True, text=True,
@@ -94,22 +96,26 @@ def diff(a, b):
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 2:
-        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
-        return 2
-    trees = [Path(p).resolve() for p in argv]
+    p = argparse.ArgumentParser(description="Compare the command-line reports of two source trees.")
+    p.add_argument("trees", nargs=2, type=Path, metavar="TREE", help="parent tree, then change tree")
+    p.add_argument("--config", action="append", default=[], type=Path,
+                   help="a further config file, run in both trees (repeatable)")
+    args = p.parse_args(argv)
+    trees = [t.resolve() for t in args.trees]
+    # (run name, the config file in each tree)
+    configs = [(c, [t / "configs" / f"{c}.json" for t in trees]) for c in CONFIGS]
+    configs += [(c.stem, [c.resolve()] * 2) for c in args.config]
     print("src lines: {} -> {}".format(*map(src_lines, trees)))
     differs = False
     with tempfile.TemporaryDirectory() as tmp:
-        for config in CONFIGS:
+        for i, (name, files) in enumerate(configs):
             for command in COMMANDS:
                 lines, changed = diff(*(
-                    run(tree, command, config, Path(tmp) / f"{k}-{config}-{command}")
-                    for k, tree in enumerate(trees)
+                    run(tree, command, cfg, Path(tmp) / f"{k}-{i}-{name}-{command}")
+                    for k, (tree, cfg) in enumerate(zip(trees, files))
                 ))
                 differs = differs or changed
-                print(f"{config} {command}: " + "\n".join(lines))
+                print(f"{name} {command}: " + "\n".join(lines))
     return 1 if differs else 0
 
 
