@@ -33,10 +33,14 @@ values, the edge extrapolation 2f - f returns f exactly and the corner
 rule repeats the edge rule.  A claim whose payoff on the grid is constant
 along an axis (a claim on the other asset alone) is therefore marched as
 a line: that axis keeps one node, of flat stride 0, so its shifts read
-the node itself, and only the other axis is extrapolated.  The same code,
-with the same terms in the same order, marches the full grid; each
-snapshot is broadcast back over it, with the full march's numbers at a
-fraction of its cost.
+the node itself.  The stencil has one term per distinct shifted view,
+whose weight sums those of the shifts that read it, so a line marches
+three terms with the 1-D scheme's weights (the cross term cancels) and
+extrapolates its two end nodes.  On the full grid the nine views are
+distinct and nothing is summed.  Each snapshot of a line is broadcast
+back over the grid; the sums round apart from the full march's nine
+products, so a line equals the full march to 2e-13 of its largest value,
+at a fraction of its cost.
 """
 
 from __future__ import annotations
@@ -184,19 +188,29 @@ class PDESolution:
         self.h0 = float(self.value_at(0.0, *self.spot))
 
     def _interp(self, cube, t, x, s):
-        t = np.asarray(t, dtype=float)
-        xi = np.log(np.asarray(x, dtype=float))
-        eta = np.log(np.asarray(s, dtype=float))
+        """Trilinear in (t, ln x, ln s); DomainError outside the solved box."""
+        t, x, s = (np.asarray(a, dtype=float) for a in (t, x, s))
         tg = self.times
+        # negated, so that a NaN fails them
+        if not ((t >= tg[0]) & (t <= tg[-1])).all():
+            raise DomainError("t outside [0, horizon]")
+        if not ((x > 0) & (s > 0)).all():
+            raise DomainError("prices must be strictly positive")
+        xi, eta = np.log(x), np.log(s)
         xg, sg = np.log(self.x), np.log(self.s)
+        # in the log coordinates of the nodes, so that every node is inside
+        if not ((xi >= xg[0]) & (xi <= xg[-1]) & (eta >= sg[0]) & (eta <= sg[-1])).all():
+            raise DomainError(
+                f"prices outside the solved grid: x in [{self.x[0]:.6g}, {self.x[-1]:.6g}], "
+                f"s in [{self.s[0]:.6g}, {self.s[-1]:.6g}]"
+            )
         t_b, xi_b, eta_b = np.broadcast_arrays(t, xi, eta)
         shape = t_b.shape
         tf, xf, sf = t_b.ravel(), xi_b.ravel(), eta_b.ravel()
 
         def locate(grid, q):
             i = np.clip(np.searchsorted(grid, q) - 1, 0, len(grid) - 2)
-            w = (q - grid[i]) / (grid[i + 1] - grid[i])
-            return i, np.clip(w, 0.0, 1.0)
+            return i, (q - grid[i]) / (grid[i + 1] - grid[i])
 
         it, wt = locate(tg, tf)
         ix, wx = locate(xg, xf)
@@ -263,9 +277,10 @@ def solve(spec: DiffusionSpec, measure, grid: GridConfig = GridConfig()) -> PDES
 
     A constant spec whose payoff is constant along an axis marches a line,
     (nx, 1) or (1, ns), with one node of stride 0 across that axis, and
-    each snapshot broadcasts it over the grid: the full march's numbers,
-    bit for bit, at a fraction of its cost (see the module docstring).
-    `marched_shape` records it.
+    each snapshot broadcasts it over the grid.  The line marches one term
+    per distinct shift, which is the 1-D scheme, and equals the full march
+    to 2e-13 of its largest value at a fraction of its cost (see the
+    module docstring).  `marched_shape` records it.
     """
     if not measure.is_real_claim():
         raise AssumptionError("the finite-difference route requires a real-valued claim")
@@ -357,56 +372,61 @@ def solve(spec: DiffusionSpec, measure, grid: GridConfig = GridConfig()) -> PDES
     dt = T / steps
 
     # y_new = sum_k w_k shift_k(y) on the flat run, two buffers in turn,
-    # each with its run and its nine shifted views built once
-    shifts = {
-        (di, dj): slice(run.start + di * stride_x + dj * stride_s,
-                        run.stop + di * stride_x + dj * stride_s)
-        for di in (-1, 0, 1)
-        for dj in (-1, 0, 1)
-    }
+    # each with its run and its shifted views built once; a view is keyed
+    # by its flat offset, so that a line's stride-0 shifts share one view
+    offsets = {(di, dj): di * stride_x + dj * stride_s for di in (-1, 0, 1) for dj in (-1, 0, 1)}
 
     def buffer(flat):
-        """A buffer's nine shifted views, its run and its grid."""
-        return {k: flat[v] for k, v in shifts.items()}, flat[run], flat.reshape(nx, ns)
+        """A buffer's shifted views, its run and its grid."""
+        views = {k: flat[run.start + k:run.stop + k] for k in offsets.values()}
+        return views, flat[run], flat.reshape(nx, ns)
 
     def stencil(coeffs):
-        # a scalar zero weight, the idle cross diagonal, drops out
-        weights = _weights(*coeffs, dxi, deta, dt)
-        return [(k, w) for k, w in weights.items() if np.ndim(w) or w]
+        # the weights of one view are summed in _weights' order, at the place
+        # of its first; a scalar zero weight, the idle cross diagonal, drops out
+        by_view = {}
+        for key, w in _weights(*coeffs, dxi, deta, dt).items():
+            k = offsets[key]
+            by_view[k] = by_view[k] + w if k in by_view else w
+        terms = [(k, w) for k, w in by_view.items() if np.ndim(w) or w]
+        return terms[0], terms[1:]
+
+    # linear extrapolation to the edges of the marched axes, as (target, a, b)
+    # indices of the grid for g[target] = 2 g[a] - g[b]: rows, columns, then
+    # corners; a line's edges are its two end nodes
+    along_x, along_s = (slice(None) if size > 1 else 0 for size in (nx, ns))
+    ends = ((0, 1), (-1, -1))  # an end node and the step inward
+    edges = []
+    if nx > 1:
+        edges += [((e, along_s), (e + d, along_s), (e + 2 * d, along_s)) for e, d in ends]
+    if ns > 1:
+        edges += [((along_x, e), (along_x, e + d), (along_x, e + 2 * d)) for e, d in ends]
+    if nx > 1 and ns > 1:
+        edges += [((e, f), (e + d, f + c), (e + 2 * d, f + 2 * c))
+                  for e, d in ends for f, c in ends]
 
     cur = buffer(y_snap[-1, :nx, :ns].flatten())
     nxt = buffer(np.zeros(nx * ns))
     term = np.empty(run.stop - run.start)
-    terms = stencil(coeffs)
-    cfl_seen = 0.0
+    first, rest = stencil(coeffs)
+    cfl_seen = dt * denom_max if spec.constant else 0.0
     for n in range(steps, 0, -1):
-        t_next = n * dt  # level where y currently lives
         if not spec.constant:
+            t_next = n * dt  # level where y currently lives
             coeffs, denom_max = adjusted(t_next)
             if n % max(1, steps // 8) == 0:
                 spec.check_fields(t_next, xx, ss)
-            terms = stencil(coeffs)
-        cfl_seen = max(cfl_seen, dt * denom_max)
+            first, rest = stencil(coeffs)
+            cfl_seen = max(cfl_seen, dt * denom_max)
 
         views, (_, acc, g) = cur[0], nxt
-        (k, w), *rest = terms
+        k, w = first
         np.multiply(w, views[k], out=acc)
         for k, w in rest:
             np.multiply(w, views[k], out=term)
             acc += term
-        # linear extrapolation to the edges of the marched axes
-        if nx > 1:
-            g[0, :] = 2.0 * g[1, :] - g[2, :]
-            g[-1, :] = 2.0 * g[-2, :] - g[-3, :]
-        if ns > 1:
-            g[:, 0] = 2.0 * g[:, 1] - g[:, 2]
-            g[:, -1] = 2.0 * g[:, -2] - g[:, -3]
-        if nx > 1 and ns > 1:
-            # corners after edges
-            g[0, 0] = 2.0 * g[1, 1] - g[2, 2]
-            g[0, -1] = 2.0 * g[1, -2] - g[2, -3]
-            g[-1, 0] = 2.0 * g[-2, 1] - g[-3, 2]
-            g[-1, -1] = 2.0 * g[-2, -2] - g[-3, -3]
+        for target, a, b in edges:
+            g[target] = 2.0 * g[a] - g[b]
         cur, nxt = nxt, cur
 
         if (n - 1) % per_snap == 0:
@@ -444,6 +464,8 @@ def monte_carlo_representation(
     """
     if not 0.0 <= t <= spec.horizon:
         raise DomainError("t outside [0, horizon]")
+    if not all(np.isfinite(v) and v > 0 for v in (x, s)):
+        raise DomainError("prices must be strictly positive")
     if n_paths < 1 or n_steps < 1:
         raise DomainError("need at least one path and one step")
     rng = np.random.default_rng(np.random.SeedSequence(seed))

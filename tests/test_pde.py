@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 import oracles
 from basishedge.errors import AssumptionError, DomainError, RegimeError
@@ -158,15 +159,62 @@ def test_interpolation_reproduces_grid_nodes(bs_solution):
         assert abs(sol.hedge_at(t, xv, sv) - sol.z[it, ix, is_]) < 1e-11
 
 
+def _callables(coefficients):
+    """The same coefficients as constant callables, which march the full grid."""
+    return {k: (lambda t, x, s, v=v: v) for k, v in coefficients.items()}
+
+
+def _assert_line_matches_full_march(line, full):
+    # a line sums the weights of the shifts that read one view, so it
+    # rounds apart from the full march, by far less than 2e-13
+    assert line.marched_shape != full.marched_shape
+    assert (line.steps, line.cfl_number) == (full.steps, full.cfl_number)
+    assert np.max(np.abs(line.y - full.y)) <= 2e-13 * np.max(np.abs(full.y))
+    assert np.max(np.abs(line.z - full.z)) <= 2e-13 * np.max(np.abs(full.z))
+
+
 @pytest.mark.parametrize(
-    "measure",
-    [call_claim(100.0, axis=1), put_claim(100.0, axis=2), power_claim(0.5, 0.5)],
-    ids=["call-x", "put-s", "power"],
+    "t, x, s",
+    [
+        (0.0, 1000.0, 100.0),  # past the grid's top in x (626.5)
+        (0.0, 100.0, 5.0),  # below its bottom in s (15.96)
+        (1.5, 100.0, 100.0),
+        (-1e-9, 100.0, 100.0),
+        (np.nan, 100.0, 100.0),
+        (0.0, np.nan, 100.0),
+        (0.0, 100.0, np.inf),
+        (0.0, 0.0, 100.0),
+        (0.0, -5.0, 100.0),
+        (0.0, [100.0, 1000.0], 100.0),
+    ],
 )
-def test_constant_callables_reduce_to_static_regime(bs_model, measure):
-    # callables march the full grid with per-point weights, so this holds
-    # the constant spec's line (a claim on one asset) to the full march;
-    # rho < 0 makes the other cross diagonal live, and rho = 0 drops both
+def test_interpolation_outside_the_solved_box_raises(bs_solution, t, x, s):
+    for read in (bs_solution.value_at, bs_solution.hedge_at):
+        with pytest.raises(DomainError):
+            read(t, x, s)
+
+
+def test_interpolation_reaches_the_corners_of_the_box(bs_solution):
+    sol = bs_solution
+    for it, ix, is_ in [(0, 0, 0), (-1, -1, -1), (0, -1, 0), (-1, 0, -1)]:
+        t, xv, sv = sol.times[it], sol.x[ix], sol.s[is_]
+        assert sol.value_at(t, xv, sv) == sol.y[it, ix, is_]
+        assert sol.hedge_at(t, xv, sv) == sol.z[it, ix, is_]
+
+
+@pytest.mark.parametrize(
+    "measure, exact",
+    [
+        pytest.param(call_claim(100.0, axis=1), False, id="call-x"),
+        pytest.param(put_claim(100.0, axis=2), False, id="put-s"),
+        pytest.param(power_claim(0.5, 0.5), True, id="power"),
+    ],
+)
+def test_constant_callables_reduce_to_static_regime(bs_model, measure, exact):
+    # callables march the full grid with per-point weights: the constant
+    # spec's full march (a claim on both assets) equals it bit for bit and
+    # its line (a claim on one asset) to 2e-13; rho < 0 makes the other
+    # cross diagonal live, and rho = 0 drops both
     b = bs_model.drift
     c11, c22 = bs_model.covariance[0, 0], bs_model.covariance[1, 1]
     parities = set()
@@ -196,12 +244,37 @@ def test_constant_callables_reduce_to_static_regime(bs_model, measure):
             a = solve(static, measure, grid)
             d = solve(dyn, measure, grid)
             assert d.marched_shape == (grid.nx, grid.ns)
-            assert np.array_equal(a.y, d.y)
-            assert np.array_equal(a.z, d.z)
-            assert (a.h0, a.steps, a.cfl_number) == (d.h0, d.steps, d.cfl_number)
+            if exact:
+                assert np.array_equal(a.y, d.y)
+                assert np.array_equal(a.z, d.z)
+                assert (a.h0, a.steps, a.cfl_number) == (d.h0, d.steps, d.cfl_number)
+            else:
+                _assert_line_matches_full_march(a, d)
             parities.add((rho, a.steps % 2))
     # the two buffers alternate: each spec marches an odd and an even step count
     assert parities == {(rho, p) for rho in (0.8, -0.5, 0.0) for p in (0, 1)}
+
+
+@hyp_settings(max_examples=25, deadline=None)
+@given(
+    vols=st.tuples(st.floats(0.05, 0.6), st.floats(0.05, 0.6)),
+    corr=st.one_of(st.just(0.0), st.floats(-0.95, 0.95)),
+    drifts=st.tuples(st.floats(-0.2, 0.2), st.floats(-0.2, 0.2)),
+    horizon=st.floats(0.25, 2.0),
+    shape=st.tuples(st.integers(5, 31), st.integers(5, 31), st.integers(2, 4)),
+)
+def test_a_line_matches_the_full_march_over_drawn_specs(vols, corr, drifts, horizon, shape):
+    (vol_x, vol_s), (b1, b2) = vols, drifts
+    coefficients = dict(b1=b1, b2=b2, c11=vol_x**2, c12=corr * vol_x * vol_s, c22=vol_s**2)
+    static, dyn = (
+        DiffusionSpec(horizon=horizon, spot=[100.0, 100.0], coefficients=c)
+        for c in (coefficients, _callables(coefficients))
+    )
+    grid = GridConfig(*shape)
+    for measure in (call_claim(100.0, axis=1), put_claim(100.0, axis=2)):
+        _assert_line_matches_full_march(solve(static, measure, grid), solve(dyn, measure, grid))
+    a, d = (solve(spec, power_claim(0.5, 0.5), grid) for spec in (static, dyn))
+    assert np.array_equal(a.y, d.y) and np.array_equal(a.z, d.z)
 
 
 def test_a_claim_on_one_asset_marches_a_line(bs_spec, tanh_spec):
@@ -337,6 +410,13 @@ def test_mc_representation_is_unbiased_for_lognormal(bs_spec, bs_model):
     want = oracles.lognormal_call(100.0 * np.exp(growth), 100.0, c[0, 0])
     assert serr > 0.0
     assert abs(est - want) <= 4.0 * serr
+
+
+@pytest.mark.parametrize("x, s", [(0.0, 100.0), (-1.0, 100.0), (100.0, np.nan), (np.inf, 100.0)])
+def test_mc_representation_rejects_prices_that_are_not_positive(bs_spec, tanh_spec, x, s):
+    for spec in (bs_spec, tanh_spec):
+        with pytest.raises(DomainError, match="prices must be strictly positive"):
+            monte_carlo_representation(spec, call_claim(100.0, axis=1), 0.0, x, s)
 
 
 def test_mc_representation_terminal_is_exact(bs_spec):

@@ -49,6 +49,47 @@ def test_diff_marks_every_kind_of_difference(run):
     assert report_diff.diff((0, "", FILES), run)[1]
 
 
+@pytest.mark.parametrize("old, new", [("1.5", "NaN"), ("NaN", "1.5"), ("inf", "2.0"), ("inf", "-inf")])
+def test_compare_takes_a_move_to_or_from_a_non_finite_value_as_unbounded(old, new):
+    assert report_diff.compare(old, new) == (1, 1, float("inf"), False)
+
+
+def test_max_rel_forgives_small_moves_only():
+    near = (0, "", {"summary.json": '{"h0": 1.5000000000001}'})
+    far = (0, "", {"summary.json": '{"h0": 1.51}'})
+    lost = (0, "", {"summary.json": '{"h0": NaN}'})
+    assert not report_diff.diff((0, "", FILES), near, max_rel=5e-12)[1]
+    for run in (far, lost):
+        assert report_diff.diff((0, "", FILES), run, max_rel=5e-12)[1]
+    # the default counts every move
+    assert report_diff.diff((0, "", FILES), near)[1]
+    # the printed line still counts the forgiven move
+    assert "1 of 1 numbers moved" in report_diff.diff((0, "", FILES), near, max_rel=5e-12)[0][1]
+
+
+@pytest.mark.parametrize("run", [
+    (3, "", FILES),
+    (0, "quadrature failed: not finite", FILES),
+    (0, "", {"summary.json": '{"h1": 1.5}'}),
+    (0, "", {**FILES, "extra.csv": "1,2\n"}),
+    (0, "", {}),
+], ids=["exit-code", "stderr", "text", "extra-file", "missing-file"])
+def test_max_rel_still_counts_everything_but_numbers_exactly(run):
+    assert report_diff.diff((0, "", FILES), run, max_rel=1.0)[1]
+
+
+def test_main_passes_max_rel_to_every_diff(tmp_path, monkeypatch, capsys):
+    moved = {"summary.json": '{"h0": 1.5000000000001}'}
+    monkeypatch.setattr(report_diff, "run",
+                        lambda tree, command, cfg, out: (0, "", FILES if "parent" in str(tree) else moved))
+    trees = [str(tmp_path / "parent"), str(tmp_path / "change")]
+    assert report_diff.main(trees) == 1
+    assert report_diff.main(trees + ["--max-rel", "5e-12"]) == 0
+    assert report_diff.main(trees + ["--max-rel", "1e-15"]) == 1
+    with pytest.raises(SystemExit):
+        report_diff.main(trees + ["--max-rel", "-1"])
+
+
 def test_extra_configs_run_in_both_trees_after_the_shipped_ones(tmp_path, monkeypatch, capsys):
     calls = []
 

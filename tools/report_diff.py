@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare the command-line reports of two source trees.
 
-    python3 tools/report_diff.py PARENT_TREE CHANGE_TREE [--config PATH ...]
+    python3 tools/report_diff.py PARENT_TREE CHANGE_TREE [--config PATH ...] [--max-rel X]
 
 Runs each of the six subcommands on both shipped configs (`configs/` of
 each tree), then on each config given by --config (the same file for both
@@ -14,7 +14,10 @@ count as a change.  A file whose text differs in anything but numbers
 is flagged.  It first prints each tree's `src/basishedge/*.py` line
 count, as `wc -l` gives it.  It exits 1 when the trees differ in an exit
 code, in stderr, in a number or in text, or when a file is written by
-one tree only, and 0 when every report matches.  Standard library only.
+one tree only, and 0 when every report matches.  With --max-rel X a
+moved number counts as a difference only when its |change| / max(1,
+|parent value|) exceeds X (default 0: every move counts); a move to or
+from a NaN or an infinity always exceeds it.  Standard library only.
 """
 
 from __future__ import annotations
@@ -69,14 +72,17 @@ def compare(old: str, new: str):
             va, vb = (float(v.replace("Infinity", "inf")) for v in (ta, tb))
             if ta != tb and not (va == vb or (va != va and vb != vb)):
                 moved += 1
-                worst = max(worst, abs(vb - va) / max(1.0, abs(va)))
+                rel = abs(vb - va) / max(1.0, abs(va))
+                # a move to or from a NaN or an infinity is unbounded
+                worst = max(worst, rel if rel == rel else float("inf"))
         elif ta != tb:
             text_differs = True
     return moved, total, worst, text_differs
 
 
-def diff(a, b):
-    """(lines, differs) for the runs a and b of one command, each as run() gives it."""
+def diff(a, b, max_rel=0.0):
+    """(lines, differs) for the runs a and b of one command, each as run() gives it;
+    a moved number differs only when its relative move exceeds max_rel."""
     (code_a, err_a, files_a), (code_b, err_b, files_b) = a, b
     lines = [f"exit {code_a} -> {code_b}"]
     differs = code_a != code_b or err_a != err_b
@@ -88,7 +94,7 @@ def diff(a, b):
             differs = True
             continue
         moved, total, worst, text = compare(files_a[name], files_b[name])
-        differs = differs or moved > 0 or text
+        differs = differs or worst > max_rel or text
         flag = "  TEXT DIFFERS" if text else ""
         lines.append(f"  {name}: {moved} of {total} numbers moved, "
                      f"max |d|/max(1,|v|) {worst:.2e}{flag}")
@@ -100,7 +106,11 @@ def main(argv=None) -> int:
     p.add_argument("trees", nargs=2, type=Path, metavar="TREE", help="parent tree, then change tree")
     p.add_argument("--config", action="append", default=[], type=Path,
                    help="a further config file, run in both trees (repeatable)")
+    p.add_argument("--max-rel", type=float, default=0.0, metavar="X",
+                   help="count a moved number only when |d|/max(1,|v|) exceeds X (default 0)")
     args = p.parse_args(argv)
+    if not args.max_rel >= 0:
+        p.error("--max-rel must be a number of at least 0")
     trees = [t.resolve() for t in args.trees]
     # (run name, the config file in each tree)
     configs = [(c, [t / "configs" / f"{c}.json" for t in trees]) for c in CONFIGS]
@@ -113,7 +123,7 @@ def main(argv=None) -> int:
                 lines, changed = diff(*(
                     run(tree, command, cfg, Path(tmp) / f"{k}-{i}-{name}-{command}")
                     for k, (tree, cfg) in enumerate(zip(trees, files))
-                ))
+                ), max_rel=args.max_rel)
                 differs = differs or changed
                 print(f"{name} {command}: " + "\n".join(lines))
     return 1 if differs else 0
