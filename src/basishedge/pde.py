@@ -188,12 +188,15 @@ class PDESolution:
         self.h0 = float(self.value_at(0.0, *self.spot))
 
     def _interp(self, cube, t, x, s):
-        """Trilinear in (t, ln x, ln s); DomainError outside the solved box."""
+        """Bilinear in (ln x, ln s) on the snapshot at t; DomainError outside
+        the solved box and at a t between snapshots, where the surfaces are
+        not linear in time."""
         t, x, s = (np.asarray(a, dtype=float) for a in (t, x, s))
         tg = self.times
-        # negated, so that a NaN fails them
-        if not ((t >= tg[0]) & (t <= tg[-1])).all():
-            raise DomainError("t outside [0, horizon]")
+        it = np.clip(np.searchsorted(tg, t), 0, len(tg) - 1)
+        # negated, so that a NaN fails it
+        if not (tg[it] == t).all():
+            raise DomainError(f"t is not a snapshot time: {', '.join(f'{v:.6g}' for v in tg)}")
         if not ((x > 0) & (s > 0)).all():
             raise DomainError("prices must be strictly positive")
         xi, eta = np.log(x), np.log(s)
@@ -204,22 +207,20 @@ class PDESolution:
                 f"prices outside the solved grid: x in [{self.x[0]:.6g}, {self.x[-1]:.6g}], "
                 f"s in [{self.s[0]:.6g}, {self.s[-1]:.6g}]"
             )
-        t_b, xi_b, eta_b = np.broadcast_arrays(t, xi, eta)
-        shape = t_b.shape
-        tf, xf, sf = t_b.ravel(), xi_b.ravel(), eta_b.ravel()
+        it, xi_b, eta_b = np.broadcast_arrays(it, xi, eta)
+        shape = it.shape
+        it, xf, sf = it.ravel(), xi_b.ravel(), eta_b.ravel()
 
         def locate(grid, q):
             i = np.clip(np.searchsorted(grid, q) - 1, 0, len(grid) - 2)
             return i, (q - grid[i]) / (grid[i + 1] - grid[i])
 
-        it, wt = locate(tg, tf)
         ix, wx = locate(xg, xf)
         is_, ws = locate(sg, sf)
-        out = np.zeros(tf.shape)
-        for dt_, wt_ in ((0, 1 - wt), (1, wt)):
-            for dx_, wx_ in ((0, 1 - wx), (1, wx)):
-                for ds_, ws_ in ((0, 1 - ws), (1, ws)):
-                    out += wt_ * wx_ * ws_ * cube[it + dt_, ix + dx_, is_ + ds_]
+        out = np.zeros(it.shape)
+        for dx_, wx_ in ((0, 1 - wx), (1, wx)):
+            for ds_, ws_ in ((0, 1 - ws), (1, ws)):
+                out += wx_ * ws_ * cube[it, ix + dx_, is_ + ds_]
         out = out.reshape(shape)
         return out[()] if shape == () else out
 

@@ -17,9 +17,10 @@ validation battery holds O(paths) memory, not O(paths x steps).  The
 public check functions fold a source alone.  Where the process may run
 on two CPUs, `run_folds` splits the pass over two lanes: a worker thread
 runs the heaviest group of folds on a step while the calling thread runs
-the rest and draws the next step.  Every fold still sees every step in
-order, so the results have the same bits on one lane or two; there is
-no setting.
+the rest, and then both lanes draw the next step's blocks of paths,
+each block by its own generator.  Every fold still sees every step in
+order and every block is drawn in step order, so the results have the
+same bits on one lane or two; there is no setting.
 
 The path replay asks the engine's one entry, `HedgeDecomposition._broadcast`
 with a grid size, for value and hedge on all paths at each rebalance time:
@@ -34,6 +35,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain, count, repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -83,7 +86,10 @@ class PathStream:
     steps in order: paths are reproducible for a fixed (seed, n_paths,
     n_steps), and every iteration yields the same paths.  Iterating
     yields (i, t_i, x_i, s_i) for i = 0..n_steps, with fresh read-only
-    arrays over all paths; only the current step is held.
+    arrays over all paths; only the current step is held.  `run_folds`
+    reads the steps as block draws instead (`_steps`), which either of
+    its lanes may run, since a block's draws depend only on its own
+    generator and rows, and no draw reads the caller's `np.errstate`.
     """
 
     def __init__(self, model, n_paths: int, n_steps: int, seed: int = 0):
@@ -96,7 +102,11 @@ class PathStream:
         self.times = _frozen(np.linspace(0.0, model.horizon, n_steps + 1))
         self.model_digest = model.digest()
 
-    def __iter__(self):
+    def _steps(self):
+        """(jobs, finish) per step.  Each job draws one block's increments of
+        the step into its rows of the running log-prices, by that block's
+        generator; `finish`, once every job has run, returns the step.  Step 0
+        has no jobs."""
         model, times, n = self.model, self.times, self.n_paths
         x0, s0 = float(model.spot[0]), float(model.spot[1])
         # per-segment factors reused across steps
@@ -112,7 +122,29 @@ class PathStream:
         ]
         lx = np.zeros(n)
         ls = np.zeros(n)
-        yield 0, float(times[0]), _frozen(np.full(n, x0)), _frozen(np.full(n, s0))
+
+        def draw(rows, rng, parts):
+            nb = rows.stop - rows.start
+            for dur, drift, ldiff, lam, jmean, ljump in parts:
+                g = rng.standard_normal((nb, 2)) @ ldiff.T
+                dx = drift[0] * dur + math.sqrt(dur) * g[:, 0]
+                ds = drift[1] * dur + math.sqrt(dur) * g[:, 1]
+                if lam > 0:
+                    k = rng.poisson(lam * dur, nb).astype(float)
+                    gj = rng.standard_normal((nb, 2)) @ ljump.T
+                    rk = np.sqrt(k)
+                    dx = dx + k * jmean[0] + rk * gj[:, 0]
+                    ds = ds + k * jmean[1] + rk * gj[:, 1]
+                lx[rows] += dx
+                ls[rows] += ds
+
+        def finish(i):
+            # an overflowing price is left to fail the checks downstream
+            with np.errstate(over="ignore"):
+                x, s = x0 * np.exp(lx), s0 * np.exp(ls)
+            return i, float(times[i]), _frozen(x), _frozen(s)
+
+        yield (), partial(finish, 0)
         for i in range(self.n_steps):
             # the parts of the step inside each constant segment
             parts = []
@@ -120,24 +152,13 @@ class PathStream:
                 dur = min(times[i + 1], b) - max(times[i], a)
                 if dur > 1e-15:
                     parts.append((dur, *factors[seg]))
-            for rows, rng in blocks:
-                nb = rows.stop - rows.start
-                for dur, drift, ldiff, lam, jmean, ljump in parts:
-                    g = rng.standard_normal((nb, 2)) @ ldiff.T
-                    dx = drift[0] * dur + math.sqrt(dur) * g[:, 0]
-                    ds = drift[1] * dur + math.sqrt(dur) * g[:, 1]
-                    if lam > 0:
-                        k = rng.poisson(lam * dur, nb).astype(float)
-                        gj = rng.standard_normal((nb, 2)) @ ljump.T
-                        rk = np.sqrt(k)
-                        dx = dx + k * jmean[0] + rk * gj[:, 0]
-                        ds = ds + k * jmean[1] + rk * gj[:, 1]
-                    lx[rows] += dx
-                    ls[rows] += ds
-            # an overflowing price is left to fail the checks downstream
-            with np.errstate(over="ignore"):
-                x, s = x0 * np.exp(lx), s0 * np.exp(ls)
-            yield i + 1, float(times[i + 1]), _frozen(x), _frozen(s)
+            yield [partial(draw, rows, rng, parts) for rows, rng in blocks], partial(finish, i + 1)
+
+    def __iter__(self):
+        for jobs, finish in self._steps():
+            for job in jobs:
+                job()
+            yield finish()
 
 
 def simulate(model, n_paths: int, n_steps: int, seed: int = 0) -> PathStream:
@@ -161,11 +182,12 @@ def _lanes() -> int:
     return min(2, len(affinity(0)) if affinity else (os.cpu_count() or 1))
 
 
-def _feed(folds, step):
-    """Step each (position, fold) in order: the first error as (position, exception), or None."""
-    for k, fold in folds:
+def _lane(folds, step, jobs):
+    """Step each (position, fold) in order, then run each (position, job) that
+    the shared jobs still hold: the first error as (position, exception), or None."""
+    for k, call in chain(((k, partial(f.step, *step)) for k, f in folds), jobs):
         try:
-            fold.step(*step)
+            call()
         except Exception as exc:
             return k, exc
     return None
@@ -175,17 +197,21 @@ def run_folds(source, *folds):
     """Feed every step of the source, in order, to each fold: one pass for all.
 
     With two CPUs (`_lanes`) the pass runs on two lanes.  The heaviest
-    group of folds (`_worker_folds`) runs on a worker thread while this
-    thread draws the stream and runs the rest: per step i it draws step
-    i, waits for the worker's step i - 1, hands step i over and runs its
-    own folds on it.  At most one step is in flight, so memory stays
-    O(paths), and every fold sees the steps in order, so results are
-    bit-identical to one lane.  The lanes overlap because numpy releases
-    the GIL inside its ufuncs.  An error leaves as the one the serial
-    loop hits first (the earliest step, then fold order), after the
-    worker has stopped; folds in different groups must share no mutable
-    state.  With one CPU the serial loop runs: on one CPU of a 2-vCPU
-    machine, two lanes made a 50k x 25 pass about 9% slower.
+    group of folds (`_worker_folds`) runs on a worker thread and the rest
+    on this thread.  Per step i each lane feeds step i to its folds and
+    then takes the block draws of step i + 1 from one shared queue until
+    none are left; after both lanes are done, this thread forms step
+    i + 1 from the blocks.  A source that is not a `PathStream` has no
+    block draws, and this thread draws its steps.  At most one step is in
+    flight, so memory stays O(paths); every fold sees the steps in order
+    and every block draws its steps in order, whichever lane runs it, so
+    results are bit-identical to one lane.  The lanes overlap because
+    numpy releases the GIL inside its ufuncs and random draws.  An error
+    leaves as the one the serial loop hits first (the earliest step, then
+    fold order, then block order), after the worker has stopped; folds in
+    different groups must share no mutable state.  With one CPU the
+    serial loop runs: on one CPU of a 2-vCPU machine, two lanes made a
+    50k x 25 pass about 9% slower.
 
     A fold's `cost` is its time per path and step in ns, fitted to the
     best of three passes at 50k paths x 25 steps on a 2-vCPU machine
@@ -205,23 +231,31 @@ def run_folds(source, *folds):
     worker = {id(f) for f in _worker_folds(folds)}
     mine = [(k, f) for k, f in enumerate(folds) if id(f) not in worker]
     theirs = [(k, f) for k, f in enumerate(folds) if id(f) in worker]
-    steps, pending, failed = iter(source), None, None
+    # a source without block draws: steps without jobs, each drawn by finish
+    steps = getattr(source, "_steps", None)
+    steps = steps() if steps else repeat(((), partial(next, iter(source))))
+    step, failed = None, None
     with ThreadPoolExecutor(1) as pool:
-        while failed is None:
-            try:
-                step = next(steps, None)
-            except Exception as exc:
-                # a draw fails after every fold of the step before it
-                step, failed = None, (len(folds), exc)
-            if pending is not None:
-                failed = pending.result() or failed
-                pending = None
-            if failed is not None or step is None:
+        # the trailing ((), None) feeds the last step and draws nothing
+        for jobs, finish in chain(steps, [((), None)]):
+            if step is not None:
+                # both lanes take jobs from one iterator built of C iterators,
+                # whose next() is atomic under the GIL (a generator's is not),
+                # so each block is drawn once; a draw fails after every fold
+                # of the step before it, and in block order
+                jobs = zip(count(len(folds)), jobs)
+                pending = pool.submit(_lane, theirs, step, jobs)
+                failed = min(filter(None, (_lane(mine, step, jobs), pending.result())),
+                             key=lambda f: f[0], default=None)
+            if failed is not None or finish is None:
                 break
-            pending = pool.submit(_feed, theirs, step)
-            failed = _feed(mine, step)
-            if failed is not None:
-                failed = min(filter(None, (pending.result(), failed)), key=lambda f: f[0])
+            try:
+                step = finish()
+            except StopIteration:
+                break
+            except Exception as exc:
+                failed = len(folds), exc
+                break
     if failed is not None:
         raise failed[1]
 
@@ -574,8 +608,9 @@ class BaselineFold:
             # overflow leaves an infinity or NaN for the checks to fail
             with np.errstate(over="ignore", invalid="ignore"):
                 c = r - r.mean()
-                m2 = float(np.mean(c * c))
-                m4 = float(np.mean(c**4))
+                c2 = c * c
+                # c2 * c2, not c**4, which numpy forms by a pow call per element
+                m2, m4 = float(np.mean(c2)), float(np.mean(c2 * c2))
                 return _sample_var(r), math.sqrt(max(m4 - m2 * m2, 0.0) / r.size)
 
         v_fs, se_fs = var_with_se(run.residuals)

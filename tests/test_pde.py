@@ -202,6 +202,30 @@ def test_interpolation_reaches_the_corners_of_the_box(bs_solution):
         assert sol.hedge_at(t, xv, sv) == sol.z[it, ix, is_]
 
 
+def test_reads_only_at_snapshot_times(bs_spec, bs_call_x):
+    # two snapshots, t = 0 and T: halfway the surfaces are not the straight
+    # line between them (a linear read gave 6.61 where the engine gives 9.07)
+    sol = solve(bs_spec, call_claim(100.0, axis=1), GridConfig(nx=201, ns=201, nt=2))
+    assert float(bs_call_x.value(0.5, 100.0, 100.0)) == pytest.approx(9.0695, abs=1e-4)
+    for read in (sol.value_at, sol.hedge_at):
+        for t in (0.5, 1e-12, 1.0 - 1e-12, [0.0, 0.5]):
+            with pytest.raises(DomainError, match="snapshot"):
+                read(t, 100.0, 100.0)
+    # at a snapshot the read is bilinear in (ln x, ln s) between the nodes
+    x, s = np.array([83.1, 100.0, 117.4]), np.array([91.6, 100.0, 100.0])
+    ix = np.searchsorted(sol.x, x) - 1
+    is_ = np.searchsorted(sol.s, s) - 1
+    wx = np.log(x / sol.x[ix]) / np.log(sol.x[ix + 1] / sol.x[ix])
+    ws = np.log(s / sol.s[is_]) / np.log(sol.s[is_ + 1] / sol.s[is_])
+    for it, t in enumerate(sol.times):
+        for read, cube in ((sol.value_at, sol.y), (sol.hedge_at, sol.z)):
+            c = cube[it]
+            want = ((1 - wx) * (1 - ws) * c[ix, is_] + (1 - wx) * ws * c[ix, is_ + 1]
+                    + wx * (1 - ws) * c[ix + 1, is_] + wx * ws * c[ix + 1, is_ + 1])
+            np.testing.assert_allclose(read(t, x, s), want, rtol=1e-12, atol=1e-14)
+    assert sol.value_at(sol.times[0], *sol.spot) == sol.h0
+
+
 @pytest.mark.parametrize(
     "measure, exact",
     [

@@ -507,6 +507,8 @@ def test_reports_are_byte_identical_on_one_and_two_lanes(tmp_path, capsys, monke
     config = tmp_path / "config.json"
     config.write_text(json.dumps(SHIPPED[name]))
     codes, written = {}, {}
+    # blocks of 64 paths, so that either lane may draw any of the 4 blocks of 200 paths
+    monkeypatch.setattr(simulation, "_BLOCK", 64)
     for lanes in (1, 2):
         _force_lanes(monkeypatch, lanes)
         out = tmp_path / f"lanes-{lanes}"
@@ -543,6 +545,25 @@ class _FailingSource:
             yield i, float(i), np.ones(1), np.ones(1)
 
 
+def _fail_draw():
+    raise KeyError("draw")
+
+
+class _FailingStream(PathStream):
+    """Three blocks of paths over three steps, whose second block's draw of
+    step fail_at raises."""
+
+    def __init__(self, model, fail_at):
+        super().__init__(model, 2 * simulation._BLOCK + 1, 3)
+        self.fail_at = fail_at
+
+    def _steps(self):
+        for i, (jobs, finish) in enumerate(super()._steps()):
+            if i == self.fail_at:
+                jobs[1] = _fail_draw
+            yield jobs, finish
+
+
 def _first_error(lanes, monkeypatch, source, specs) -> str:
     _force_lanes(monkeypatch, lanes)
     folds = [_StubFold(*spec) for spec in specs]
@@ -561,11 +582,21 @@ def _first_error(lanes, monkeypatch, source, specs) -> str:
     (None, [("first", 0, 2), ("second", 0, 2), ("worker", 9, 3)], "ValueError('first')"),
     (2, [("main", 0, None), ("worker", 9, 1)], "ValueError('worker')"),
     (2, [("main", 0, 2), ("worker", 9, 2)], "KeyError('draw')"),
+    # a block of a PathStream fails its draw of step 2, which both lanes share
+    ("stream", [("main", 0, None), ("worker", 9, 1)], "ValueError('worker')"),
+    ("stream", [("main", 0, 2), ("worker", 9, 2)], "KeyError('draw')"),
+    ("stream", [("worker", 9, None), ("main", 0, 1)], "ValueError('main')"),
 ])
-def test_lanes_raise_the_error_the_serial_order_hits_first(monkeypatch, source_fail, specs, want):
+def test_lanes_raise_the_error_the_serial_order_hits_first(monkeypatch, merton_model,
+                                                           source_fail, specs, want):
+    def source():
+        if source_fail == "stream":
+            return _FailingStream(merton_model, 2)
+        return _FailingSource(source_fail)
+
     threads = threading.active_count()
-    serial = _first_error(1, monkeypatch, _FailingSource(source_fail), specs)
-    lanes = _first_error(2, monkeypatch, _FailingSource(source_fail), specs)
+    serial = _first_error(1, monkeypatch, source(), specs)
+    lanes = _first_error(2, monkeypatch, source(), specs)
     assert serial == lanes == want
     assert threading.active_count() == threads
 
@@ -583,8 +614,9 @@ def test_lanes_leave_no_thread_and_feed_every_step_in_order(monkeypatch, lanes):
 
 def test_two_lanes_match_one_lane_under_fast_thread_switching(monkeypatch, merton_model,
                                                               merton_call_x):
-    def battery(lanes):
+    def battery(lanes, block):
         _force_lanes(monkeypatch, lanes)
+        monkeypatch.setattr(simulation, "_BLOCK", block)
         paths = PathStream(merton_model, 2000, 20, seed=8)
         folds = (MartingaleFold(merton_model, paths), MomentFold(merton_model, paths),
                  HedgeFold(merton_call_x, paths), BaselineFold(merton_call_x, paths),
@@ -599,7 +631,9 @@ def test_two_lanes_match_one_lane_under_fast_thread_switching(monkeypatch, merto
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        assert battery(2) == battery(1)
+        # one block, and four, which either lane may draw
+        for block in (simulation._BLOCK, 600):
+            assert battery(2, block) == battery(1, block)
     finally:
         sys.setswitchinterval(interval)
 
