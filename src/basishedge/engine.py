@@ -341,15 +341,18 @@ class HedgeDecomposition:
         umult, tail_mode, bound = self._tail_plan(idx, ti, v, fixed)
 
         tail_y = tail_z = 0.0
-        if tail_mode == "terminal":
+        if tail_mode == "terminal" and not need_z:
             tail_y = line_tail(ln, v)
-            if need_z:
-                last = self.model._segment_at(self.model.horizon)
-                g0, g1, amp, rate = last.gamma_affine(ln.axis, ln.fixed_exponent)
-                tail_z = line_tail(ln, v, g0, g1)
-                if amp:
-                    # amp exp(rate z) v**z = amp (v exp(rate))**z: the kernel's tail there
-                    tail_z = tail_z + amp * line_tail(ln, v * np.exp(rate))
+        elif tail_mode == "terminal":
+            last = self.model._segment_at(self.model.horizon)
+            g0, g1, amp, rate = last.gamma_affine(ln.axis, ln.fixed_exponent)
+            # amp exp(rate z) v**z = amp (v exp(rate))**z: the kernel's tail
+            # there, in the same pass as the value's and the hedge's tails
+            vs = np.concatenate((v, v * np.exp(rate))) if amp else v
+            tails = line_tail(ln, vs, np.array([1.0, g0]), np.array([0.0, g1]))
+            tail_y, tail_z = tails[:, :v.size]
+            if amp:
+                tail_z = tail_z + amp * tails[0, v.size:]
 
         def coefficients(level):
             u, coef, coef_gam = self._coefficients(idx, level, umult, ti)

@@ -57,6 +57,11 @@ _PANELS = 32
 # the nested levels stop at twice _PANEL_BUDGET panels
 _REL_TOL = 1e-8
 _PANEL_BUDGET = 512
+# e**z E1(z) of the closed-form tail: the power series below |z| =
+# _E1_SWITCH, and beyond it a fixed _E1_NODES-point Gauss-Laguerre rule,
+# built at first use (see _scaled_exp1)
+_E1_SWITCH = 3.0
+_E1_NODES = 64
 
 
 @dataclass(frozen=True)
@@ -74,19 +79,51 @@ class ExponentAtom:
                 raise DomainError(f"atom {name} must be finite, got {v!r}")
 
 
-def _oscillatory_pole_tail(a: float, w, truncation: float):
-    """integral_{U}^{inf} exp(i*u*w) / (a + i*u) du for real a, w != 0."""
-    # scipy.special takes a third of a second to import; only values and
-    # hedges at maturity reach this tail, so the import waits for the first
-    from scipy.special import exp1
+@functools.cache
+def _e1_rules():
+    """The series' k = 1..32, and the nodes and weights of the
+    _E1_NODES-point Gauss-Laguerre rule (Golub-Welsch on the Jacobi
+    matrix of the Laguerre recurrence)."""
+    k = np.arange(1.0, _E1_NODES)
+    t, v = np.linalg.eigh(np.diag(np.r_[1.0, 2.0 * k + 1.0]) + np.diag(k, 1) + np.diag(k, -1))
+    rules = k[:32], t, v[0] ** 2
+    for a in rules:
+        a.flags.writeable = False
+    return rules
 
-    zeta = -1j * w * (truncation - 1j * a)
-    return -1j * np.exp(-a * w) * exp1(zeta)
+
+def _scaled_exp1(zeta):
+    """e**zeta * E1(zeta), elementwise: each element has the bits it has alone.
+
+    The domain is zeta != 0 with |arg zeta| <= pi/2 + atan(1/3), that is
+    3 Re zeta >= -|Im zeta|; anywhere else it raises DomainError.  Below
+    |zeta| = _E1_SWITCH the power series of Abramowitz & Stegun 5.1.11
+    serves, and beyond it a fixed Gauss-Laguerre rule for
+    integral_0^inf e**-t / (zeta + t) dt: both hold 1e-13 relative on
+    the domain.  Sums run in order along their last axis (cumsum), which
+    no other element of the array can change.
+    """
+    zeta = np.asarray(zeta, dtype=complex)
+    r = np.abs(zeta)
+    # negated, so that a NaN fails it
+    if not np.all((r > 0) & (3.0 * zeta.real >= -np.abs(zeta.imag))):
+        raise DomainError("the contour tail's exponential integral is outside its domain")
+    k, t, w = _e1_rules()
+    near = r < _E1_SWITCH
+    out = np.empty_like(zeta)
+    if near.any():
+        # E1(z) = Ein(z) - euler_gamma - log z, Ein(z) = -sum_k (-z)**k / (k k!)
+        z = zeta[near]
+        ein = -np.cumsum(np.cumprod(-z[:, None] / k, axis=-1) / k, axis=-1)[:, -1]
+        out[near] = np.exp(z) * (ein - np.euler_gamma - np.log(z))
+    if not near.all():
+        out[~near] = np.cumsum(w / (zeta[~near][:, None] + t), axis=-1)[:, -1]
+    return out
 
 
 def rational_tail_integral(
-    p0: complex,
-    p1: complex,
+    p0,
+    p1,
     abscissa: float,
     log_moneyness,
     truncation: float,
@@ -99,53 +136,56 @@ def rational_tail_integral(
     U the truncation.  The partial fractions P(z)/(z(z-1)) = -P(0)/z +
     P(1)/(z-1) reduce it to exponential integrals.  Exact for the kernel;
     used both for claim values (P=1) and for hedge integrands with affine
-    weights.
+    weights.  p0 and p1 may be arrays of several weights, which share the
+    exponential integrals; their tails then stack on the weights' axes.
 
     At w = 0 with p1 != 0 only the real part converges (the imaginary
     divergence cancels on a conjugate-symmetric contour, where the value
     is the midpoint across the kink); pass symmetric_real=True to get it,
     otherwise this case raises ConvergenceError.
     """
-    alpha = -(p0 + 0j)            # coefficient on 1/z
-    beta = p0 + p1 + 0j           # coefficient on 1/(z-1), P(1)
+    alpha = -(np.asarray(p0) + 0j)    # coefficient on 1/z
+    beta = p0 + p1 + 0j               # coefficient on 1/(z-1), P(1)
+    affine = np.asarray(p1) != 0
     r = float(abscissa)
     w = np.asarray(log_moneyness, dtype=float)
     at_kink = w == 0.0
-    ws = np.where(at_kink, 1.0, w)
-    out = alpha * _oscillatory_pole_tail(r, ws, truncation) + beta * _oscillatory_pole_tail(
-        r - 1.0, ws, truncation
-    )
+    # integral_U^inf exp(i*u*w) / (a + i*u) du at both poles a = r, r - 1,
+    # -i exp(i*w*U) e**zeta E1(zeta) at zeta = -w (a + i*U), in one pass
+    ws, a = np.where(at_kink, 1.0, w), np.array([r, r - 1.0]).reshape((2,) + (1,) * w.ndim)
+    poles = -1j * np.exp(1j * ws * truncation) * _scaled_exp1(-ws * (a + 1j * truncation))
+    out = np.multiply.outer(alpha, poles[0]) + np.multiply.outer(beta, poles[1])
     if np.any(at_kink):
-        if abs(p1) > 0:
-            if not symmetric_real:
-                raise ConvergenceError(
-                    "contour tail diverges at zero log-moneyness with an "
-                    "affine kernel weight (terminal hedge at the kink)"
-                )
-            # Re integral_U^inf du/(a+iu) = pi/2*sign(a) - atan(U/a)
-            kink = 0.0 + 0.0j
-            for coefficient, a in ((alpha, r), (beta, r - 1.0)):
-                kink += coefficient * (0.5 * np.pi * np.sign(a) - np.arctan(truncation / a))
-        else:
-            # alpha + beta = 0 here, so the pair integrates in closed form.
-            kink = alpha * 1j * np.log((r + 1j * truncation) / (r - 1.0 + 1j * truncation))
-        out = np.where(at_kink, kink, out)
+        if np.any(affine) and not symmetric_real:
+            raise ConvergenceError(
+                "contour tail diverges at zero log-moneyness with an "
+                "affine kernel weight (terminal hedge at the kink)"
+            )
+        # Re integral_U^inf du/(a+iu) = atan(a/U); with p1 = 0, alpha + beta
+        # = 0 and the pair integrates in closed form
+        real = alpha * np.arctan(r / truncation) + beta * np.arctan((r - 1.0) / truncation)
+        pair = alpha * 1j * np.log((r + 1j * truncation) / (r - 1.0 + 1j * truncation))
+        kink = np.where(affine, real, pair)
+        out = np.where(at_kink, kink.reshape(kink.shape + (1,) * w.ndim), out)
     return out[()]
 
 
-def line_tail(ln: "ContourLine", v, p0: complex = 1.0, p1: complex = 0.0):
+def line_tail(ln: "ContourLine", v, p0=1.0, p1=0.0):
     """Closed-form truncation tail of a line at points v.
 
     The integrand beyond the line's truncation carries the affine weight
     p0 + p1*z: (1, 0) for claim values, the asymptote of gamma for hedges.
-    A symmetric line's tail is taken over u > U, as its quadrature is, and
-    another's over both ends: u < -U mirrors u > U of the unscaled kernel
-    with the weight conjugated.
+    Weights given as arrays share one pass of the exponential integrals,
+    and their tails stack on the weights' axes.  A symmetric line's
+    tail is taken over u > U, as its quadrature is, and another's over
+    both ends: u < -U mirrors u > U of the unscaled kernel with the
+    weight conjugated.
     """
     if not ln.symmetric:
         half = replace(ln, fixed_exponent=0.0, scale=1.0)
-        return ln.scale * (line_tail(half, v, p0, p1)
-                           + np.conj(line_tail(half, v, np.conj(p0), np.conj(p1))))
+        p0, p1 = (np.stack([p, np.conj(p)]) for p in np.broadcast_arrays(p0, p1))
+        both = line_tail(half, v, p0, p1)
+        return ln.scale * (both[0] + np.conj(both[1]))
     k = ln.strike
     c0 = ln.scale * np.exp((1.0 - ln.abscissa) * np.log(k)) / (2.0 * np.pi)
     tail = rational_tail_integral(
@@ -398,6 +438,8 @@ class PayoffMeasure:
         for ln in self.lines:
             # the kernel at maturity, where the propagation factor is 1
             v, other = (xf, sf) if ln.axis == 1 else (sf, xf)
+            # each distinct varying coordinate once, as the engine takes it
+            v, inv = np.unique(v, return_inverse=True)
             tail = line_tail(ln, v)
 
             def coefficients(level, ln=ln):
@@ -405,7 +447,7 @@ class PayoffMeasure:
                 return u, (w * np.asarray(ln.density(u), dtype=complex), None)
 
             val, _, _ = refine_line(ln, np.log(v), coefficients, (tail, 0.0))
-            total += np.exp(complex(ln.fixed_exponent) * np.log(other)) * val
+            total += np.exp(complex(ln.fixed_exponent) * np.log(other)) * val[inv]
 
         if self.is_real_claim():
             total = total.real

@@ -4,7 +4,8 @@ Everything here is derived from first principles with stock scipy/numpy
 tools, sharing no code paths with the package internals it checks:
 lognormal pricing via the normal CDF, ODE integration by explicit RK4,
 cumulants by fresh Monte Carlo with a different RNG family, contour
-tails by brute-force adaptive quadrature, a small-time check of the
+tails by brute-force adaptive quadrature, the Black-Scholes hedge at
+maturity as the payoff's delta, a small-time check of the
 jump generator, the generator of the log pair applied to a value
 surface by finite differences and Gauss-Hermite quadrature, and the
 block-by-block path simulation that the step stream must reproduce
@@ -63,6 +64,24 @@ def adjusted_forward(model, asset: int) -> float:
     growth = psi_a - (cov_rate / var_rate) * psi_s
     spot = float(model.spot[0] if asset == 1 else model.spot[1])
     return spot * np.exp(growth * model.horizon)
+
+
+def black_scholes_terminal_hedge(model, kind: str, strike: float, axis: int, x, s):
+    """Hedge of a call or put on a Black-Scholes pair at maturity.
+
+    At T the hedge is the payoff's delta against S: for a claim on S it
+    is the step dg/ds, and for a claim on X it is (c12/c22) (x/s) dg/dx,
+    the delta of the regression of log X on log S.  At the strike the step
+    is its midpoint, 1/2, as a symmetric contour integral gives it.
+    """
+    x, s = np.asarray(x, dtype=float), np.asarray(s, dtype=float)
+    v = x if axis == 1 else s
+    step = np.where(v > strike, 1.0, 0.0) if kind == "call" else np.where(v < strike, -1.0, 0.0)
+    step = np.where(v == strike, 0.5 if kind == "call" else -0.5, step)
+    if axis == 2:
+        return step
+    c = np.asarray(model.covariance, dtype=float)
+    return step * (c[0, 1] / c[1, 1]) * x / s
 
 
 def rk4_backward(rate, t0: float, t1: float, n: int) -> complex:

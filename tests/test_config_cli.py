@@ -961,13 +961,17 @@ def test_cli_check_leaves_scipy_stats_unloaded(tmp_path):
 
 
 def test_cli_loads_scipy_special_only_where_it_is_used(tmp_path):
-    # scipy.special costs about a third of a second to import, most of the
-    # package's start-up; only the closed-form tail at maturity (exp1) and
-    # the naive delta of the baselines (ndtr) need it, and they import it
+    # scipy.special costs about a third of a second and 20 MB to import,
+    # most of the package's start-up; only the naive delta of the baselines
+    # (ndtr) needs it, and imports it.  Values and hedges at maturity take
+    # their closed-form tail from a numpy exponential integral, so a
+    # hedge-surface grid through T and compare with nt = 2, whose table
+    # reads the engine at T, load no part of scipy
     configs = Path(__file__).resolve().parents[1] / "configs"
     shipped = [str(configs / name) for name in ("hulley_mcwalter.json", "merton_validation.json")]
     small_pde = json.loads((configs / "hulley_mcwalter.json").read_text())
     small_pde["pde_grid"] = {"nx": 41, "ns": 41, "nt": 5}
+    two_steps = dict(small_pde, pde_grid={"nx": 81, "ns": 81, "nt": 2})
     at_maturity = _with(BASE, surface={
         "times": [0.5, 1.0], "x": {"lo": 80.0, "hi": 120.0, "n": 3},
         "s": {"lo": 90.0, "hi": 110.0, "n": 2},
@@ -976,20 +980,21 @@ def test_cli_loads_scipy_special_only_where_it_is_used(tmp_path):
     out = str(tmp_path / "out")
     runs = [["price", "--config", path] for path in shipped] + [
         ["pde", "--config", _write(tmp_path, small_pde, "pde.json")],
-    ]
-    loads = [
         ["hedge-surface", "--config", _write(tmp_path, at_maturity, "surface.json")],
-        ["check", "--config", _write(tmp_path, baselines, "check.json")],
+        ["compare", "--config", _write(tmp_path, two_steps, "compare.json")],
     ]
+    loads = ["check", "--config", _write(tmp_path, baselines, "check.json")]
     code = (
         "import sys, basishedge, basishedge.cli\n"
         "from basishedge.cli import main\n"
-        "assert 'scipy.special' not in sys.modules, 'import'\n"
+        "def scipy():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not scipy(), scipy()\n"
+        "assert 'numpy.polynomial' not in sys.modules\n"
         f"for argv in {runs!r}:\n"
         f"    assert main(argv + ['--out', {out!r}]) == 0, argv\n"
-        "    assert 'scipy.special' not in sys.modules, argv\n"
-        f"for argv in {loads!r}:\n"
-        f"    assert main(argv + ['--out', {out!r}]) == 0, argv\n"
+        "    assert not scipy(), (argv, scipy())\n"
+        f"assert main({loads!r} + ['--out', {out!r}]) == 0\n"
         "assert 'scipy.special' in sys.modules\n"
     )
     src = str(Path(basishedge.__file__).resolve().parents[1])

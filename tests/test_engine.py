@@ -317,6 +317,24 @@ def test_quadrature_report(merton_call_x):
     assert 0 < fresh["lines"][0]["umult"] < 1
 
 
+@pytest.mark.parametrize("kind", ["call", "put"])
+@pytest.mark.parametrize("axis", [1, 2])
+def test_black_scholes_terminal_hedge_is_the_payoff_delta(bs_model, kind, axis):
+    # at T the hedge of a claim on X is (c12/c22) (x/s) 1{x > K} for a call,
+    # minus 1{x < K} for a put, and that of a call on S is 1{s > K}; at the
+    # strike, the midpoint 1/2.  The points near the strike take the
+    # exponential integral's power series, the others its Laguerre rule
+    make = call_claim if kind == "call" else put_claim
+    dec = decompose(bs_model, make(100.0, axis=axis))
+    x = np.array([55.0, 80.0, 99.9, 100.0, 100.0, 100.1, 131.0, 240.0, 100.0])
+    s = np.array([140.0, 95.0, 100.0, 100.0, 70.0, 100.05, 99.98, 60.0, 100.2])
+    got = dec.hedge(bs_model.horizon, x, s)
+    want = oracles.black_scholes_terminal_hedge(bs_model, kind, 100.0, axis, x, s)
+    v = x if axis == 1 else s
+    assert {-1, 0, 1} <= set(np.sign(v - 100.0))
+    assert np.max(np.abs(got - want)) <= 1e-10
+
+
 @pytest.mark.parametrize("build", [call_measure, put_measure])
 @pytest.mark.parametrize("axis", [1, 2])
 def test_measure_evaluate_is_the_kernel_at_maturity(merton_model, build, axis):

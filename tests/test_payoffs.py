@@ -214,6 +214,44 @@ def test_affine_tail_at_kink_needs_symmetry_flag():
     assert abs(got.real - want.real) <= 1e-10 * (1.0 + abs(want.real))
 
 
+def test_scaled_exp1_matches_mpmath_alone_and_in_a_batch():
+    # the closed-form tail takes e**zeta E1(zeta) at zeta = -w (a + i U) for
+    # a pole a of the kernel and the log-moneyness w; each element must have
+    # the same bits alone as in any batch
+    import mpmath as mp
+
+    mags = np.logspace(-12, np.log10(30.0), 15)
+    zeta = [complex(-w * a, -w * u) for u in (25.0, 200.0) for a in (-3.0, -1.5, -0.5, 0.5, 3.0)
+            for w in np.r_[mags, -mags]]
+    # both sides of the switch from the power series to the Laguerre rule
+    edge = payoffs._E1_SWITCH
+    zeta += [edge * f * np.exp(1j * ang) for f in (1 - 1e-9, 1 + 1e-9)
+             for ang in np.linspace(-0.6 * np.pi, 0.6 * np.pi, 9)]
+    zeta = np.array(zeta)
+    assert (np.abs(zeta) < edge).any() and (np.abs(zeta) > edge).any()
+    got = payoffs._scaled_exp1(zeta)
+    for z, g in zip(zeta, got):
+        with mp.workdps(30):
+            want = complex(mp.exp(mp.mpc(z)) * mp.e1(mp.mpc(z)))
+        assert abs(g - want) <= 1e-13 * abs(want), z
+        assert payoffs._scaled_exp1(np.array([z]))[0].tobytes() == g.tobytes(), z
+    assert payoffs._scaled_exp1(zeta[::-1]).tobytes() == got[::-1].tobytes()
+    assert payoffs._scaled_exp1(zeta.reshape(2, -1)).tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("zeta", [0.0, -5.0 + 1.0j, -0.5 + 1.0j, complex("nan"), -1e300 + 1j])
+def test_scaled_exp1_refuses_points_outside_its_domain(zeta):
+    with pytest.raises(DomainError, match="outside its domain"):
+        payoffs._scaled_exp1(np.array([1j, zeta]))
+
+
+def test_put_tail_fails_closed_outside_the_kernel_domain():
+    # a put's contour far to the left puts zeta = -w (a + i U) past the
+    # domain of the exponential integral below the strike
+    with pytest.raises(DomainError, match="outside its domain"):
+        put_measure(100.0, abscissa=100.0).evaluate(1.0, 60.0)
+
+
 def test_digest_tracks_value_semantics():
     assert call_claim(100.0).digest() == call_claim(100.0).digest()
     assert call_claim(100.0).digest() != call_claim(101.0).digest()
