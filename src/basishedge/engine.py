@@ -11,14 +11,15 @@ gamma(z) units of the power divided by the traded price,
     z(t, x, s) = integral dPi(z) x**z1 s**(z2-1) lambda(t, z) gamma(z).
 
 The claim then splits as g = y(0,X0,S0) + integral z dS + orthogonal
-residual.  This module evaluates both surfaces by shared quadrature over
-the measure's contours, with the truncation tail either integrated in
-closed form (at maturity t >= T, the only times where lambda is exactly
-1) or bounded through the decay of lambda at the cutoff.  Every
-evaluation, h0 and the Monte Carlo replay's path slices included, enters
-through one domain check, runs one kernel per time and leaves through
-one guard: results must be finite, and a real claim's must be
-conjugate-symmetric to within _IM_ABORT.
+residual.  At maturity t >= T, the only times where lambda is exactly 1,
+a contour is the residues of its kernel (ContourLine.integral), for the
+value and for gamma's asymptote in the hedge; quadrature takes only the
+rest of gamma.  Before it, this module evaluates both surfaces by shared
+quadrature over the measure's contours, cut where the decay of lambda
+bounds the truncation tail.  Every evaluation, h0 and the Monte Carlo
+replay's path slices included, enters through one domain check, runs one
+kernel per time and leaves through one guard: results must be finite,
+and a real claim's must be conjugate-symmetric to within _IM_ABORT.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import payoffs
 from .errors import AssumptionError, ConvergenceError, DomainError
-from .payoffs import PayoffMeasure, line_nodes, line_tail, refine_line
+from .payoffs import PayoffMeasure, line_nodes, refine_line
 
 __all__ = ["HedgeDecomposition", "decompose"]
 
@@ -339,26 +340,27 @@ class HedgeDecomposition:
         """
         ln = self.measure.lines[idx]
         umult, tail_mode, bound = self._tail_plan(idx, ti, v, fixed)
+        if tail_mode != "terminal":
+            def coefficients(level):
+                u, coef, coef_gam = self._coefficients(idx, level, umult, ti)
+                return u, (coef, coef_gam if need_z else None)
 
-        tail_y = tail_z = 0.0
-        if tail_mode == "terminal" and not need_z:
-            tail_y = line_tail(ln, v)
-        elif tail_mode == "terminal":
-            last = self.model._segment_at(self.model.horizon)
-            g0, g1, amp, rate = last.gamma_affine(ln.axis, ln.fixed_exponent)
-            # amp exp(rate z) v**z = amp (v exp(rate))**z: the kernel's tail
-            # there, in the same pass as the value's and the hedge's tails
-            vs = np.concatenate((v, v * np.exp(rate))) if amp else v
-            tails = line_tail(ln, vs, np.array([1.0, g0]), np.array([0.0, g1]))
-            tail_y, tail_z = tails[:, :v.size]
-            if amp:
-                tail_z = tail_z + amp * tails[0, v.size:]
+            y, z, level = refine_line(ln, np.log(v), coefficients, umult)
+        else:
+            # lambda is 1: the value is the line's closed form, and so is the
+            # hedge but for gamma's part off its asymptote, left to quadrature
+            y, z, level = ln.integral(v), None, 0
+            if need_z:
+                affine = self.model._segment_at(ti).gamma_affine(ln.axis, ln.fixed_exponent)
+                g0, g1, amp, rate = affine
 
-        def coefficients(level):
-            u, coef, coef_gam = self._coefficients(idx, level, umult, ti)
-            return u, (coef, coef_gam if need_z else None)
+                def residual(level):
+                    u, coef, coef_gam = self._coefficients(idx, level, umult, ti)
+                    zrun = ln.abscissa + 1j * u
+                    return u, (None, coef_gam - coef * (g0 + g1 * zrun + amp * np.exp(rate * zrun)))
 
-        y, z, level = refine_line(ln, np.log(v), coefficients, (tail_y, tail_z), umult)
+                _, z, level = refine_line(ln, np.log(v), residual, umult)
+                z = z + ln.integral(v, affine)
         stats = self._line_stats[idx]
         stats["levels"] = max(stats["levels"], level)
         stats["umult"] = max(stats["umult"], umult)

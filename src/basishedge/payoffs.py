@@ -5,8 +5,11 @@ measure over exponent pairs (z1, z2): point atoms contribute
 ``w * x**z1 * s**z2`` and contour lines contribute an integral of a
 complex density along a vertical line in one exponent, the other held
 fixed.  Vanilla calls and puts admit exact representations of this form
-with the rational kernel ``K**(1-z) / (2*pi*z*(z-1))``; evaluating a
-claim then reduces to one-dimensional quadrature plus an analytic tail.
+with the rational kernel ``K**(1-z) / (2*pi*z*(z-1))``, whose residues
+give a line's whole integral in closed form (ContourLine.integral): that
+is how a claim is evaluated.  Under a propagation factor other than 1
+the engine integrates a line by one-dimensional quadrature up to a
+cutoff (line_nodes, refine_line).
 
 Conventions
 -----------
@@ -57,11 +60,6 @@ _PANELS = 32
 # the nested levels stop at twice _PANEL_BUDGET panels
 _REL_TOL = 1e-8
 _PANEL_BUDGET = 512
-# e**z E1(z) of the closed-form tail: the power series below |z| =
-# _E1_SWITCH, and beyond it a fixed _E1_NODES-point Gauss-Laguerre rule,
-# built at first use (see _scaled_exp1)
-_E1_SWITCH = 3.0
-_E1_NODES = 64
 
 
 @dataclass(frozen=True)
@@ -79,121 +77,6 @@ class ExponentAtom:
                 raise DomainError(f"atom {name} must be finite, got {v!r}")
 
 
-@functools.cache
-def _e1_rules():
-    """The series' k = 1..32, and the nodes and weights of the
-    _E1_NODES-point Gauss-Laguerre rule (Golub-Welsch on the Jacobi
-    matrix of the Laguerre recurrence)."""
-    k = np.arange(1.0, _E1_NODES)
-    t, v = np.linalg.eigh(np.diag(np.r_[1.0, 2.0 * k + 1.0]) + np.diag(k, 1) + np.diag(k, -1))
-    rules = k[:32], t, v[0] ** 2
-    for a in rules:
-        a.flags.writeable = False
-    return rules
-
-
-def _scaled_exp1(zeta):
-    """e**zeta * E1(zeta), elementwise: each element has the bits it has alone.
-
-    The domain is zeta != 0 with |arg zeta| <= pi/2 + atan(1/3), that is
-    3 Re zeta >= -|Im zeta|; anywhere else it raises DomainError.  Below
-    |zeta| = _E1_SWITCH the power series of Abramowitz & Stegun 5.1.11
-    serves, and beyond it a fixed Gauss-Laguerre rule for
-    integral_0^inf e**-t / (zeta + t) dt: both hold 1e-13 relative on
-    the domain.  Sums run in order along their last axis (cumsum), which
-    no other element of the array can change.
-    """
-    zeta = np.asarray(zeta, dtype=complex)
-    r = np.abs(zeta)
-    # negated, so that a NaN fails it
-    if not np.all((r > 0) & (3.0 * zeta.real >= -np.abs(zeta.imag))):
-        raise DomainError("the contour tail's exponential integral is outside its domain")
-    k, t, w = _e1_rules()
-    near = r < _E1_SWITCH
-    out = np.empty_like(zeta)
-    if near.any():
-        # E1(z) = Ein(z) - euler_gamma - log z, Ein(z) = -sum_k (-z)**k / (k k!)
-        z = zeta[near]
-        ein = -np.cumsum(np.cumprod(-z[:, None] / k, axis=-1) / k, axis=-1)[:, -1]
-        out[near] = np.exp(z) * (ein - np.euler_gamma - np.log(z))
-    if not near.all():
-        out[~near] = np.cumsum(w / (zeta[~near][:, None] + t), axis=-1)[:, -1]
-    return out
-
-
-def rational_tail_integral(
-    p0,
-    p1,
-    abscissa: float,
-    log_moneyness,
-    truncation: float,
-    symmetric_real: bool = False,
-):
-    """One-sided tail of the rational claim kernel with an affine weight.
-
-    Computes ``integral_U^inf exp(i*u*w) * P(R+i*u) / ((R+i*u)(R+i*u-1)) du``
-    where P(z) = p0 + p1*z, w is the log-moneyness (scalar or array) and
-    U the truncation.  The partial fractions P(z)/(z(z-1)) = -P(0)/z +
-    P(1)/(z-1) reduce it to exponential integrals.  Exact for the kernel;
-    used both for claim values (P=1) and for hedge integrands with affine
-    weights.  p0 and p1 may be arrays of several weights, which share the
-    exponential integrals; their tails then stack on the weights' axes.
-
-    At w = 0 with p1 != 0 only the real part converges (the imaginary
-    divergence cancels on a conjugate-symmetric contour, where the value
-    is the midpoint across the kink); pass symmetric_real=True to get it,
-    otherwise this case raises ConvergenceError.
-    """
-    alpha = -(np.asarray(p0) + 0j)    # coefficient on 1/z
-    beta = p0 + p1 + 0j               # coefficient on 1/(z-1), P(1)
-    affine = np.asarray(p1) != 0
-    r = float(abscissa)
-    w = np.asarray(log_moneyness, dtype=float)
-    at_kink = w == 0.0
-    # integral_U^inf exp(i*u*w) / (a + i*u) du at both poles a = r, r - 1,
-    # -i exp(i*w*U) e**zeta E1(zeta) at zeta = -w (a + i*U), in one pass
-    ws, a = np.where(at_kink, 1.0, w), np.array([r, r - 1.0]).reshape((2,) + (1,) * w.ndim)
-    poles = -1j * np.exp(1j * ws * truncation) * _scaled_exp1(-ws * (a + 1j * truncation))
-    out = np.multiply.outer(alpha, poles[0]) + np.multiply.outer(beta, poles[1])
-    if np.any(at_kink):
-        if np.any(affine) and not symmetric_real:
-            raise ConvergenceError(
-                "contour tail diverges at zero log-moneyness with an "
-                "affine kernel weight (terminal hedge at the kink)"
-            )
-        # Re integral_U^inf du/(a+iu) = atan(a/U); with p1 = 0, alpha + beta
-        # = 0 and the pair integrates in closed form
-        real = alpha * np.arctan(r / truncation) + beta * np.arctan((r - 1.0) / truncation)
-        pair = alpha * 1j * np.log((r + 1j * truncation) / (r - 1.0 + 1j * truncation))
-        kink = np.where(affine, real, pair)
-        out = np.where(at_kink, kink.reshape(kink.shape + (1,) * w.ndim), out)
-    return out[()]
-
-
-def line_tail(ln: "ContourLine", v, p0=1.0, p1=0.0):
-    """Closed-form truncation tail of a line at points v.
-
-    The integrand beyond the line's truncation carries the affine weight
-    p0 + p1*z: (1, 0) for claim values, the asymptote of gamma for hedges.
-    Weights given as arrays share one pass of the exponential integrals,
-    and their tails stack on the weights' axes.  A symmetric line's
-    tail is taken over u > U, as its quadrature is, and another's over
-    both ends: u < -U mirrors u > U of the unscaled kernel with the
-    weight conjugated.
-    """
-    if not ln.symmetric:
-        half = replace(ln, fixed_exponent=0.0, scale=1.0)
-        p0, p1 = (np.stack([p, np.conj(p)]) for p in np.broadcast_arrays(p0, p1))
-        both = line_tail(half, v, p0, p1)
-        return ln.scale * (both[0] + np.conj(both[1]))
-    k = ln.strike
-    c0 = ln.scale * np.exp((1.0 - ln.abscissa) * np.log(k)) / (2.0 * np.pi)
-    tail = rational_tail_integral(
-        p0, p1, ln.abscissa, np.log(v / k), _TRUNCATION, symmetric_real=ln.symmetric
-    )
-    return c0 * np.exp(ln.abscissa * np.log(v)) * tail
-
-
 @dataclass(frozen=True)
 class ContourLine:
     """A vertical contour of the rational claim kernel in one exponent,
@@ -202,8 +85,9 @@ class ContourLine:
     axis: 1 if the running exponent multiplies x, 2 if it multiplies s.
     The line contributes integral du density(u) * (varying coord)**(abscissa
     + i*u) times (fixed coord)**fixed_exponent, where the density is
-    scale * strike**(1-z) / (2*pi*z*(z-1)) at z = abscissa + i*u.  Past the
-    cutoff its tail is integrated in closed form at maturity (line_tail).
+    scale * strike**(1-z) / (2*pi*z*(z-1)) at z = abscissa + i*u.  The
+    abscissa may be anything but the kernel's poles 0 and 1; at maturity
+    the whole line is taken from their residues (integral).
     """
 
     axis: int
@@ -217,6 +101,8 @@ class ContourLine:
             raise DomainError(f"line axis must be 1 or 2, got {self.axis}")
         if not np.isfinite(self.abscissa):
             raise DomainError("line abscissa must be finite")
+        if self.abscissa in (0.0, 1.0):
+            raise DomainError("line abscissa must not be a pole of the kernel (0 or 1)")
         f = complex(self.fixed_exponent)
         if not (np.isfinite(f.real) and np.isfinite(f.imag)):
             raise DomainError("fixed exponent must be finite")
@@ -236,6 +122,33 @@ class ContourLine:
         d = np.exp((1.0 - z) * np.log(self.strike)) / (2.0 * np.pi * z * (z - 1.0))
         # an unweighted line keeps the kernel's bits
         return d if self.scale == 1 else complex(self.scale) * d
+
+    def integral(self, v, affine=(1.0, 0.0, 0.0, 0.0)):
+        """The whole line's integral at the points v where the propagation
+        factor is 1, with the weight g0 + g1*z + amp*exp(rate*z) of
+        affine = (g0, g1, amp, rate), gamma's asymptote (gamma_affine); the
+        default weight 1 gives the claim.  The fixed coordinate's factor
+        is left out.
+
+        With w = log(v/K), K e**(zw) / (z(z-1)) has residue -K at z = 0
+        and v at z = 1, so the line gives P(v) = (K - v)^+ left of both
+        poles, (v - K)^+ - v between them and (v - K)^+ right of both.
+        As z v**z = v dv**z/dv and exp(rate z) v**z = (v exp(rate))**z,
+        the weight gives g0 P(v) + g1 v P'(v) + amp P(v exp(rate)), where
+        P' is 1{v > K}, less 1 left of the pole at 1, with the midpoint at
+        the strike.  All of it times scale.
+        """
+        g0, g1, amp, rate = affine
+        k, r = self.strike, self.abscissa
+        v = np.asarray(v, dtype=float)
+
+        def p(v):
+            return np.maximum(k - v, 0.0) if r < 0.0 else np.maximum(v - k, 0.0) - (r < 1.0) * v
+
+        out = g0 * p(v) + g1 * v * (np.heaviside(v - k, 0.5) - (r < 1.0))
+        if amp:
+            out = out + amp * p(v * np.exp(rate))
+        return self.scale * out
 
 
 def line_nodes(ln: ContourLine, level: int, umult: float = 1, whole: bool = False):
@@ -277,25 +190,25 @@ def _rule(symmetric, level, umult, whole, truncation, panels):
     return u, w
 
 
-def refine_line(ln: ContourLine, logv, coefficients, tails, umult: float = 1):
+def refine_line(ln: ContourLine, logv, coefficients, umult: float = 1):
     """The refinement loop of every contour-line integral.
 
     coefficients(level) returns the nodes u that the level adds (see
     line_nodes) and their weights (cy, cz) in the two integrals
     sum_k c_k exp((R + i u_k) logv) at the 1-d logv, None for one that is
-    not wanted; tails holds what is added to each.  The power matrix is
-    built in row blocks of at most _BLOCK entries, so memory does not grow
-    with the number of points.  Intervals double per level; each integral
-    is taken at the first level that agrees with the one before to
-    _REL_TOL relative, so a value has the same bits with or without the
-    hedge beside it, and the loop runs until every wanted integral has
-    been taken.  The levels nest, so the work up to the level past
-    _PANEL_BUDGET equals that of a rule rebuilt whole at every level up
-    to it.  Returns (y, z, level), without the fixed-coordinate factor.
+    not wanted.  The power matrix is built in row blocks of at most _BLOCK
+    entries, so memory does not grow with the number of points.  Intervals
+    double per level; each integral is taken at the first level that
+    agrees with the one before to _REL_TOL relative, so a value has the
+    same bits with or without the hedge beside it, and the loop runs until
+    every wanted integral has been taken.  The levels nest, so the work up
+    to the level past _PANEL_BUDGET equals that of a rule rebuilt whole at
+    every level up to it.  Returns (y, z, level), without the
+    fixed-coordinate factor.
     """
     budget = _PANEL_BUDGET * umult
-    acc = [np.zeros(logv.shape, dtype=complex) for _ in tails]
-    done = [None for _ in tails]
+    acc = [np.zeros(logv.shape, dtype=complex) for _ in range(2)]
+    done = [None, None]
     prev = None
     diff = float("nan")
     level = 0
@@ -307,7 +220,7 @@ def refine_line(ln: ContourLine, logv, coefficients, tails, umult: float = 1):
             for out, c in zip(acc, coefs):
                 if c is not None:
                     out[i:i + rows] = 0.5 * out[i:i + rows] + powers @ c
-        cur = [None if c is None else a + tail for a, c, tail in zip(acc, coefs, tails)]
+        cur = [None if c is None else a.copy() for a, c in zip(acc, coefs)]
         if ln.symmetric:
             cur = [None if c is None else 2.0 * c.real for c in cur]
         if prev is not None:
@@ -417,11 +330,12 @@ class PayoffMeasure:
         return self.evaluate(x, s)
 
     def evaluate(self, x, s):
-        """Evaluate the encoded payoff g(x, s) by quadrature plus tails.
+        """Evaluate the encoded payoff g(x, s): its atoms, and each line's
+        integral at maturity, where the propagation factor is 1, from the
+        residues of its kernel (ContourLine.integral).
 
         x, s broadcast; entries must be strictly positive.  Returns real
-        values for real claims, complex otherwise.  Raises
-        ConvergenceError when panel refinement stalls above tolerance.
+        values for real claims, complex otherwise.
         """
         x = np.asarray(x, dtype=float)
         s = np.asarray(s, dtype=float)
@@ -436,18 +350,8 @@ class PayoffMeasure:
         for a in self.atoms:
             total += a.weight * np.exp(a.z1 * np.log(xf) + a.z2 * np.log(sf))
         for ln in self.lines:
-            # the kernel at maturity, where the propagation factor is 1
             v, other = (xf, sf) if ln.axis == 1 else (sf, xf)
-            # each distinct varying coordinate once, as the engine takes it
-            v, inv = np.unique(v, return_inverse=True)
-            tail = line_tail(ln, v)
-
-            def coefficients(level, ln=ln):
-                u, w = line_nodes(ln, level)
-                return u, (w * np.asarray(ln.density(u), dtype=complex), None)
-
-            val, _, _ = refine_line(ln, np.log(v), coefficients, (tail, 0.0))
-            total += np.exp(complex(ln.fixed_exponent) * np.log(other)) * val[inv]
+            total += np.exp(complex(ln.fixed_exponent) * np.log(other)) * ln.integral(v)
 
         if self.is_real_claim():
             total = total.real

@@ -3,8 +3,8 @@
 Everything here is derived from first principles with stock scipy/numpy
 tools, sharing no code paths with the package internals it checks:
 lognormal pricing via the normal CDF, ODE integration by explicit RK4,
-cumulants by fresh Monte Carlo with a different RNG family, contour
-tails by brute-force adaptive quadrature, the Black-Scholes hedge at
+cumulants by fresh Monte Carlo with a different RNG family, a whole
+contour line by oscillatory quadrature, the Black-Scholes hedge at
 maturity as the payoff's delta, a small-time check of the
 jump generator, the generator of the log pair applied to a value
 surface by finite differences and Gauss-Hermite quadrature, and the
@@ -82,6 +82,26 @@ def black_scholes_terminal_hedge(model, kind: str, strike: float, axis: int, x, 
         return step
     c = np.asarray(model.covariance, dtype=float)
     return step * (c[0, 1] / c[1, 1]) * x / s
+
+
+def quadosc_line(abscissa: float, strike: float, scale: complex, v: float,
+                 weight: Callable) -> complex:
+    """mpmath quadosc of the rational kernel's whole line at the point v.
+
+    integral du scale K**(1-z) v**z weight(z) / (2 pi z (z-1)) over all real
+    u at z = abscissa + i*u, folded onto u > 0; the integrand oscillates
+    like exp(i u w) with w = log(v/K), so it needs |w| well away from 0.
+    """
+    import mpmath as mp
+
+    w = mp.log(mp.mpf(v) / strike)
+
+    def f(u):
+        z = mp.mpc(abscissa, u)
+        return scale * strike * mp.exp(z * w) * weight(z) / (2 * mp.pi * z * (z - 1))
+
+    with mp.workdps(15):
+        return complex(mp.quadosc(lambda u: f(u) + f(-u), [0, mp.inf], omega=abs(w)))
 
 
 def rk4_backward(rate, t0: float, t1: float, n: int) -> complex:
@@ -228,33 +248,6 @@ def mc_exponential_moment(model, z1: complex, z2: complex, n: int, seed: int):
     mean = complex(vals.mean())
     serr = float(np.abs(vals - mean).std(ddof=1) / np.sqrt(n))
     return mean, serr
-
-
-def brute_force_tail(p0: complex, p1: complex, r: float, w: float, u_hi: float,
-                     real_only: bool = False) -> complex:
-    """mpmath quadrature of the one-sided kernel tail.
-
-    integral_{u_hi}^{inf} exp(i*u*w) * P(r+i*u) / ((r+i*u)(r+i*u-1)) du
-    with P(z) = p0 + p1*z.  For w != 0 the path is rotated into the
-    half-plane where the exponential decays (u = u_hi +/- i*v); both
-    kernel poles sit at Re u = 0, so the rotated ray at Re u = u_hi > 0
-    never crosses them and Jordan's lemma closes the contour.
-    """
-    import mpmath as mp
-
-    mp.mp.dps = 30
-
-    def f(u):
-        z = mp.mpc(r, 0) + 1j * u
-        return mp.e ** (1j * u * w) * (p0 + p1 * z) / (z * (z - 1))
-
-    if w != 0.0:
-        sgn = 1 if w > 0 else -1
-        val = sgn * 1j * mp.quad(lambda v: f(u_hi + sgn * 1j * v), [0, mp.inf])
-        return complex(val)
-    re = mp.quad(lambda u: mp.re(f(u)), [u_hi, mp.inf])
-    im = 0.0 if real_only else mp.quad(lambda u: mp.im(f(u)), [u_hi, mp.inf])
-    return complex(float(re), float(im))
 
 
 def explicit_march(spec, payoff, x, s, steps: int, per_snap: int) -> np.ndarray:

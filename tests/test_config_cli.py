@@ -763,7 +763,8 @@ def test_cli_overflowing_fourier_result_prints_one_line(tmp_path):
 
 
 def test_cli_hedge_surface_with_the_call_contour_near_a_pole(tmp_path, capsys):
-    # at abscissa 0.1 the t = T slice needs the cut end's Gregory weights
+    # at abscissa 0.1 the kernel's u = 0 peak is narrow before maturity;
+    # the t = T slice is the residues of the kernel
     cfg = json.loads(SHIPPED_PDE.read_text())
     cfg["payoff"]["abscissa"] = 0.1
     out = tmp_path / "art"
@@ -964,9 +965,9 @@ def test_cli_loads_scipy_special_only_where_it_is_used(tmp_path):
     # scipy.special costs about a third of a second and 20 MB to import,
     # most of the package's start-up; only the naive delta of the baselines
     # (ndtr) needs it, and imports it.  Values and hedges at maturity take
-    # their closed-form tail from a numpy exponential integral, so a
-    # hedge-surface grid through T and compare with nt = 2, whose table
-    # reads the engine at T, load no part of scipy
+    # each line from the kernel's residues, so a hedge-surface grid through
+    # T and compare with nt = 2, whose table reads the engine at T, load no
+    # part of scipy
     configs = Path(__file__).resolve().parents[1] / "configs"
     shipped = [str(configs / name) for name in ("hulley_mcwalter.json", "merton_validation.json")]
     small_pde = json.loads((configs / "hulley_mcwalter.json").read_text())

@@ -1,4 +1,4 @@
-"""Claim-measure construction, quadrature, and the vanilla kernel tails."""
+"""Claim-measure construction, quadrature, and the kernel's residues at maturity."""
 
 import tracemalloc
 
@@ -10,6 +10,7 @@ from hypothesis import example, given, settings as hyp_settings, strategies as s
 
 import oracles
 from basishedge import payoffs
+from basishedge.engine import decompose
 from basishedge.errors import ConvergenceError, DomainError
 from basishedge.payoffs import (
     ContourLine,
@@ -22,7 +23,6 @@ from basishedge.payoffs import (
     power_claim,
     put_claim,
     put_measure,
-    rational_tail_integral,
 )
 
 
@@ -60,8 +60,8 @@ def test_nested_levels_reproduce_the_finer_rule(symmetric):
 @pytest.mark.parametrize("abscissa", [0.1, 0.9])
 @pytest.mark.parametrize("strike", [5.0, 100.0, 500.0])
 def test_call_measure_near_a_pole_matches_payoff(strike, abscissa):
-    # the kernel's poles at 0 and 1 narrow the u = 0 peak; the cut end's
-    # Gregory weights keep the terminal kernel inside the default budget
+    # the kernel's poles at 0 and 1 narrow the u = 0 peak, which the
+    # residues at maturity do not see
     s = strike * np.exp(np.linspace(-1.2, 1.2, 13))
     got = call_measure(strike, abscissa=abscissa).evaluate(1.0, s)
     want = np.maximum(s - strike, 0.0) - s
@@ -84,16 +84,18 @@ def test_call_measure_is_abscissa_independent(abscissa):
     assert np.max(np.abs(got - want)) <= 1e-6 * 101.0
 
 
-def test_extreme_abscissa_converges_with_larger_budget(monkeypatch):
-    # near the kernel poles the u = 0 peak narrows; the default budget
-    # refuses, a raised one resolves it to full accuracy
+def test_extreme_abscissa_converges_with_larger_budget(monkeypatch, bs_model):
+    # near the kernel poles the u = 0 peak narrows; before maturity the
+    # default budget refuses, h0 first, and a raised one resolves it to
+    # full accuracy: S is a driftless lognormal under the hedging measure
     s = np.array([25.0, 100.0, 390.0])
     m = call_measure(100.0, abscissa=0.05)
-    with pytest.raises(ConvergenceError):
-        m.evaluate(1.0, s)
+    with pytest.raises(ConvergenceError, match="did not stabilise"):
+        decompose(bs_model, m)
     monkeypatch.setattr(payoffs, "_PANEL_BUDGET", 4096)
-    got = m.evaluate(1.0, s)
-    want = np.maximum(s - 100.0, 0.0) - s
+    got = decompose(bs_model, m).value(0.5, 1.0, s)
+    var = 0.5 * bs_model.covariance[1, 1]
+    want = np.array([oracles.lognormal_call(v, 100.0, var) for v in s]) - s
     assert np.max(np.abs(got - want)) <= 1e-8 * 101.0
 
 
@@ -157,17 +159,19 @@ def test_combine_keeps_the_closed_form():
     assert (empty.atoms, empty.lines, empty.closed_form) == ((), (), None)
 
 
-def test_power_matrix_is_built_in_bounded_blocks(monkeypatch):
-    # 300 points on a line refined to 8192 nodes: one whole power matrix
-    # holds 2.5 million complex entries (39 MB)
-    m = call_measure(100.0, axis=1)
+def test_power_matrix_is_built_in_bounded_blocks(monkeypatch, bs_model):
+    # 300 points on a line of 8192 nodes or more 1e-4 before maturity: one
+    # whole power matrix holds 2.5 million complex entries (39 MB)
+    dec = decompose(bs_model, call_measure(100.0, axis=1))
+    t = bs_model.horizon - 1e-4
     x = np.linspace(50.0, 200.0, 300)
-    s = np.ones_like(x)
-    whole = m.evaluate(x, s)
+    s = np.full_like(x, 100.0)
+    whole = dec.value(t, x, s)
+    assert dec.quadrature_report()["lines"][0]["umult"] >= 16
     monkeypatch.setattr(payoffs, "_BLOCK", 1 << 12)
     tracemalloc.start()
     try:
-        blocked = m.evaluate(x, s)
+        blocked = dec.value(t, x, s)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -189,67 +193,47 @@ def test_scalar_and_array_evaluation_agree():
     assert np.allclose(arr, scalar, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize(
-    "p0,p1,r,w,u_hi",
-    [
-        (1.0, 0.0, 0.5, 0.3, 40.0),
-        (1.0, 0.0, 0.5, -0.7, 35.0),
-        (0.5, 1.0, 0.5, 0.45, 50.0),
-        (1.0, 0.0, 1.5, 0.2, 30.0),
-        (2.0, 0.0, 0.5, 0.0, 25.0),
-    ],
-)
-def test_rational_tail_matches_brute_force_quadrature(p0, p1, r, w, u_hi):
-    got = rational_tail_integral(p0, p1, r, w, u_hi)
-    want = oracles.brute_force_tail(p0, p1, r, w, u_hi)
-    assert abs(got - want) <= 1e-10 * (1.0 + abs(want))
+def test_line_right_of_both_poles_is_the_call():
+    # both residues lie left of the line: (v - K)^+ with nothing taken off
+    line = ContourLine(axis=2, fixed_exponent=0.0, abscissa=1.5, strike=100.0)
+    s = np.array([20.0, 99.0, 100.0, 101.0, 250.0])
+    got = PayoffMeasure(lines=(line,)).evaluate(1.0, s)
+    assert np.array_equal(got, np.maximum(s - 100.0, 0.0))
 
 
-def test_affine_tail_at_kink_needs_symmetry_flag():
-    with pytest.raises(ConvergenceError, match="zero log-moneyness"):
-        rational_tail_integral(0.3, 1.0, 0.5, 0.0, 30.0)
-    got = rational_tail_integral(0.3, 1.0, 0.5, 0.0, 30.0, symmetric_real=True)
-    want = oracles.brute_force_tail(0.3, 1.0, 0.5, 0.0, 30.0, real_only=True)
-    assert abs(got.imag) == 0.0
-    assert abs(got.real - want.real) <= 1e-10 * (1.0 + abs(want.real))
+# (abscissa, scale, weight as affine = (g0, g1, amp, rate), v): the three
+# strips, a complex scale, the hedge's weight z and a full asymptote of gamma,
+# each where the answer is not 0 and |log(v/K)| >= 0.5 (v exp(rate) too):
+# quadosc holds 1e-10 there, but not near the strike
+_QUADOSC_CASES = [
+    (-1.5, 1.0, (1.0, 0.0, 0.0, 0.0), 40.0),
+    (0.5, 0.3 - 2j, (1.0, 0.0, 0.0, 0.0), 60.0),
+    (1.5, 1.0, (1.0, 0.0, 0.0, 0.0), 300.0),
+    (0.5, 1.0, (0.0, 1.0, 0.0, 0.0), 40.0),
+    (-1.5, 0.3 - 2j, (0.0, 1.0, 0.0, 0.0), 30.0),
+    (1.5, 1.0, (0.4, -0.7, 0.25, -0.1), 300.0),
+]
 
 
-def test_scaled_exp1_matches_mpmath_alone_and_in_a_batch():
-    # the closed-form tail takes e**zeta E1(zeta) at zeta = -w (a + i U) for
-    # a pole a of the kernel and the log-moneyness w; each element must have
-    # the same bits alone as in any batch
+@pytest.mark.parametrize("abscissa, scale, affine, v", _QUADOSC_CASES)
+def test_line_integral_matches_oscillatory_quadrature(abscissa, scale, affine, v):
     import mpmath as mp
 
-    mags = np.logspace(-12, np.log10(30.0), 15)
-    zeta = [complex(-w * a, -w * u) for u in (25.0, 200.0) for a in (-3.0, -1.5, -0.5, 0.5, 3.0)
-            for w in np.r_[mags, -mags]]
-    # both sides of the switch from the power series to the Laguerre rule
-    edge = payoffs._E1_SWITCH
-    zeta += [edge * f * np.exp(1j * ang) for f in (1 - 1e-9, 1 + 1e-9)
-             for ang in np.linspace(-0.6 * np.pi, 0.6 * np.pi, 9)]
-    zeta = np.array(zeta)
-    assert (np.abs(zeta) < edge).any() and (np.abs(zeta) > edge).any()
-    got = payoffs._scaled_exp1(zeta)
-    for z, g in zip(zeta, got):
-        with mp.workdps(30):
-            want = complex(mp.exp(mp.mpc(z)) * mp.e1(mp.mpc(z)))
-        assert abs(g - want) <= 1e-13 * abs(want), z
-        assert payoffs._scaled_exp1(np.array([z]))[0].tobytes() == g.tobytes(), z
-    assert payoffs._scaled_exp1(zeta[::-1]).tobytes() == got[::-1].tobytes()
-    assert payoffs._scaled_exp1(zeta.reshape(2, -1)).tobytes() == got.tobytes()
+    g0, g1, amp, rate = affine
+    line = ContourLine(axis=1, fixed_exponent=0.0, abscissa=abscissa, strike=100.0, scale=scale)
+    got = complex(line.integral(v, affine))
+    assert got != 0
+
+    def weight(z):
+        return g0 + g1 * z + amp * mp.exp(rate * z)
+
+    want = oracles.quadosc_line(abscissa, 100.0, scale, v, weight)
+    assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
-@pytest.mark.parametrize("zeta", [0.0, -5.0 + 1.0j, -0.5 + 1.0j, complex("nan"), -1e300 + 1j])
-def test_scaled_exp1_refuses_points_outside_its_domain(zeta):
-    with pytest.raises(DomainError, match="outside its domain"):
-        payoffs._scaled_exp1(np.array([1j, zeta]))
-
-
-def test_put_tail_fails_closed_outside_the_kernel_domain():
-    # a put's contour far to the left puts zeta = -w (a + i U) past the
-    # domain of the exponential integral below the strike
-    with pytest.raises(DomainError, match="outside its domain"):
-        put_measure(100.0, abscissa=100.0).evaluate(1.0, 60.0)
+def test_put_far_left_of_the_poles_is_exact():
+    # the residues give the payoff wherever the contour sits
+    assert put_measure(100.0, abscissa=100.0).evaluate(1.0, 60.0) == 40.0
 
 
 def test_digest_tracks_value_semantics():
@@ -322,6 +306,10 @@ def test_construction_rejects_bad_inputs():
         put_measure(100.0, abscissa=0.0)
     with pytest.raises(DomainError, match="axis"):
         ContourLine(axis=3, fixed_exponent=0.0, abscissa=0.5, strike=100.0)
+    # the residue form has no value on a pole of the kernel
+    for pole in (0.0, 1.0):
+        with pytest.raises(DomainError, match="pole"):
+            ContourLine(axis=2, fixed_exponent=0.0, abscissa=pole, strike=100.0)
     with pytest.raises(DomainError, match="finite"):
         ExponentAtom(float("nan"), 1.0, 0.0)
     with pytest.raises(DomainError, match="strictly positive"):
@@ -331,12 +319,12 @@ def test_construction_rejects_bad_inputs():
             call_claim(100.0, axis=1).evaluate(x, s)
 
 
-def test_quadrature_budget_errors(monkeypatch):
-    m = call_measure(100.0)
+def test_quadrature_budget_errors(monkeypatch, bs_model):
+    dec = decompose(bs_model, call_measure(100.0))
     monkeypatch.setattr(payoffs, "_PANEL_BUDGET", 32)
     monkeypatch.setattr(payoffs, "_REL_TOL", 1e-14)
     with pytest.raises(ConvergenceError, match="did not stabilise"):
-        m.evaluate(1.0, 90.0)
+        dec.value(0.5, 100.0, 90.0)
 
 
 @hyp_settings(max_examples=30, deadline=None)
