@@ -14,12 +14,18 @@ The claim then splits as g = y(0,X0,S0) + integral z dS + orthogonal
 residual.  At maturity t >= T, the only times where lambda is exactly 1,
 a contour is the residues of its kernel (ContourLine.integral), for the
 value and for gamma's asymptote in the hedge; quadrature takes only the
-rest of gamma.  Before it, this module evaluates both surfaces by shared
+rest of gamma, which is not 0 only where the jumps spread the claim
+coordinate.  Before it, this module evaluates both surfaces by shared
 quadrature over the measure's contours, cut where the decay of lambda
-bounds the truncation tail.  Every evaluation, h0 and the Monte Carlo
-replay's path slices included, enters through one domain check, runs one
-kernel per time and leaves through one guard: results must be finite,
-and a real claim's must be conjugate-symmetric to within _IM_ABORT.
+bounds the truncation tail.  A line's weights times its density depend
+on the line alone, so every decomposition of an equal line shares them
+(_WEIGHTS), as every claim on a model shares its rates (_RATES).  Every
+evaluation, h0 and the Monte Carlo replay's path slices included, enters
+through one domain check, runs one kernel per time and leaves through
+one guard: results must be finite, and a real claim's must be
+conjugate-symmetric to within _IM_ABORT.  The pair at inception, h0 and
+the hedge at (0, X0, S0), comes from one pass, which a scalar call at
+that point returns.
 """
 
 from __future__ import annotations
@@ -43,6 +49,9 @@ _MAX_EXTENSION = 6
 # corners.  The claim enters a line only through its density, so every
 # decomposition on a model shares these, and an entry dies with its segment
 _RATES = weakref.WeakKeyDictionary()
+# line -> {key: w * density} at the nodes of the rule the key names, read-only:
+# they depend on the line alone, and an entry dies with its line
+_WEIGHTS = weakref.WeakKeyDictionary()
 
 
 def _chirp_z(x, theta, m):
@@ -76,13 +85,14 @@ class HedgeDecomposition:
     """Value and hedge surfaces of a claim under quadratic hedging.
 
     Construction runs the standing-assumption checks and computes the
-    initial capital h0.  value/hedge accept broadcastable (t, x, s).
+    initial capital h0 with the hedge at the spot.  value/hedge accept
+    broadcastable (t, x, s).
     """
 
     def __init__(self, model, measure: PayoffMeasure):
         self.model = model
         self.measure = measure
-        self._cache: dict[tuple, tuple] = {}
+        self._spot = None
         self._line_stats = [
             {"levels": 0, "umult": 0, "tail_bound": 0.0, "tail_mode": "none"}
             for _ in measure.lines
@@ -95,9 +105,12 @@ class HedgeDecomposition:
             self._atom_rates = [self._rates(("atom", a.z1, a.z2), lambda a=a: ([a.z1], [a.z2]))
                                 for a in measure.atoms]
             self.assumptions = self._check_assumptions()
-        # h0 is value(0, spot), called below the public methods so that a
-        # tracer wrapping them counts only the caller's own evaluations
-        self.h0 = self._broadcast(0.0, *model.spot, False)[0]
+        # h0 is value(0, spot), taken with the hedge there, which a scalar
+        # call at that point then returns (_broadcast); called below the
+        # public methods so that a tracer wrapping them counts only the
+        # caller's own evaluations
+        self._spot = self._broadcast(0.0, *model.spot, True)
+        self.h0 = self._spot[0]
 
     # -- public surface -------------------------------------------------------
 
@@ -182,6 +195,11 @@ class HedgeDecomposition:
 
     def _broadcast(self, t, x, s, need_z, grid_points=0):
         t, x, s = (np.asarray(a, dtype=float) for a in (t, x, s))
+        spot = self.model.spot
+        if (self._spot is not None and not grid_points and t.ndim == x.ndim == s.ndim == 0
+                and t == 0.0 and x == spot[0] and s == spot[1]):
+            # the spot pass's pair, which this point's kernel would repeat bit for bit
+            return self._spot if need_z else (self._spot[0], None)
         self._check(t, x, s)
         tb, xb, sb = np.broadcast_arrays(t, x, s)
         x, s = (np.atleast_1d(a).ravel() for a in (xb, sb))
@@ -281,16 +299,18 @@ class HedgeDecomposition:
     def _nodes(self, idx: int, level: int, umult: float, whole: bool = False) -> tuple:
         """(u, w * density, rates): the nodes a refinement level adds, or its
         whole rule (see payoffs.line_nodes), their weights times the claim's
-        density, cached, and the model's shared rates there."""
-        key = (idx, level, umult, whole)
-        hit = self._cache.get(key)
-        if hit is None:
-            ln = self.measure.lines[idx]
-            u, w = line_nodes(ln, level, umult, whole)
-            wd = w * np.asarray(ln.density(u), dtype=complex)
-            tag = (level, umult, whole, payoffs._TRUNCATION, payoffs._PANELS)
-            hit = self._cache[key] = (u, wd, self._line_rates(ln, u, *tag))
-        return hit
+        density, and the model's rates there.  The nodes come from the rule's
+        shared table, the weighted density from the line's in _WEIGHTS, which
+        every decomposition of an equal line reads, and the rates from _RATES."""
+        ln = self.measure.lines[idx]
+        u, w = line_nodes(ln, level, umult, whole)
+        tag = (level, umult, whole, payoffs._TRUNCATION, payoffs._PANELS)
+        per = _WEIGHTS.setdefault(ln, {})
+        wd = per.get(tag)
+        if wd is None:
+            wd = per[tag] = w * np.asarray(ln.density(u), dtype=complex)
+            wd.flags.writeable = False
+        return u, wd, self._line_rates(ln, u, *tag)
 
     def _coefficients(self, idx: int, level: int, umult: float, t: float, whole: bool = False):
         """(u, coef, coef * gamma) at the nodes of _nodes at time t, where
@@ -348,19 +368,24 @@ class HedgeDecomposition:
             y, z, level = refine_line(ln, np.log(v), coefficients, umult)
         else:
             # lambda is 1: the value is the line's closed form, and so is the
-            # hedge but for gamma's part off its asymptote, left to quadrature
+            # hedge but for gamma's part off its asymptote, left to quadrature;
+            # that part is exactly 0 unless the jumps spread the claim coordinate
             y, z, level = ln.integral(v), None, 0
             if need_z:
-                affine = self.model._segment_at(ti).gamma_affine(ln.axis, ln.fixed_exponent)
-                g0, g1, amp, rate = affine
+                seg, a = self.model._segment_at(ti), ln.axis - 1
+                affine = seg.gamma_affine(ln.axis, ln.fixed_exponent)
+                z = ln.integral(v, affine)
+                if seg.jump_intensity > 0 and seg.jump_cov[a, a] > 0:
+                    g0, g1, amp, rate = affine
 
-                def residual(level):
-                    u, coef, coef_gam = self._coefficients(idx, level, umult, ti)
-                    zrun = ln.abscissa + 1j * u
-                    return u, (None, coef_gam - coef * (g0 + g1 * zrun + amp * np.exp(rate * zrun)))
+                    def residual(level):
+                        u, coef, coef_gam = self._coefficients(idx, level, umult, ti)
+                        zrun = ln.abscissa + 1j * u
+                        asymptote = g0 + g1 * zrun + amp * np.exp(rate * zrun)
+                        return u, (None, coef_gam - coef * asymptote)
 
-                _, z, level = refine_line(ln, np.log(v), residual, umult)
-                z = z + ln.integral(v, affine)
+                    _, rest, level = refine_line(ln, np.log(v), residual, umult)
+                    z = rest + z
         stats = self._line_stats[idx]
         stats["levels"] = max(stats["levels"], level)
         stats["umult"] = max(stats["umult"], umult)

@@ -201,8 +201,13 @@ def refine_line(ln: ContourLine, logv, coefficients, umult: float = 1):
     double per level; each integral is taken at the first level that
     agrees with the one before to _REL_TOL relative, so a value has the
     same bits with or without the hedge beside it, and the loop runs until
-    every wanted integral has been taken.  The levels nest, so the work up
-    to the level past _PANEL_BUDGET equals that of a rule rebuilt whole at
+    every wanted integral has been taken.  No gap counts as less than the
+    rounding of the first wanted sum, eps times the magnitudes of its terms
+    (level 0's whole rule gives their sum), so a value that cancels beyond
+    _REL_TOL is never taken; and the hedge is held to the value's scale
+    and rounding: near a pole of the kernel the two integrands meet and
+    carry the same quadrature error.  The levels nest, so the work up to
+    the level past _PANEL_BUDGET equals that of a rule rebuilt whole at
     every level up to it.  Returns (y, z, level), without the
     fixed-coordinate factor.
     """
@@ -214,6 +219,14 @@ def refine_line(ln: ContourLine, logv, coefficients, umult: float = 1):
     level = 0
     while int(_PANELS * umult) << level <= 2 * budget:
         u, coefs = coefficients(level)
+        if level == 0:
+            # |exp((R + i u) logv)| is v**R at every node, so the terms of the
+            # value's sum (the first wanted) add up to sum |c| * v**R, twice
+            # that on a symmetric line
+            vmax = logv.max() if ln.abscissa > 0 else logv.min()
+            lead = next(c for c in coefs if c is not None)
+            rounding = (1.0 + ln.symmetric) * np.finfo(float).eps * float(
+                np.abs(lead).sum() * np.exp(ln.abscissa * vmax))
         rows = max(1, _BLOCK // u.size)
         for i in range(0, logv.size, rows):
             powers = np.exp(np.multiply.outer(logv[i:i + rows], ln.abscissa + 1j * u))
@@ -224,11 +237,13 @@ def refine_line(ln: ContourLine, logv, coefficients, umult: float = 1):
         if ln.symmetric:
             cur = [None if c is None else 2.0 * c.real for c in cur]
         if prev is not None:
-            diff = 0.0
+            diff, sc = 0.0, 1.0
             for k, (c, p) in enumerate(zip(cur, prev)):
-                if c is not None and done[k] is None:
-                    sc = max(float(np.max(np.abs(c))), 1.0)
-                    gap = float(np.max(np.abs(c - p))) / sc
+                if c is None:
+                    continue
+                sc = max(sc, float(np.max(np.abs(c))))
+                if done[k] is None:
+                    gap = max(float(np.max(np.abs(c - p))), rounding) / sc
                     # a NaN gap stops the loop, for the caller's finiteness guard
                     if not gap > _REL_TOL:
                         done[k] = c

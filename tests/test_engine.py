@@ -270,6 +270,28 @@ def test_terminal_hedge_keeps_the_tail_of_an_oscillating_gamma(merton_model, cla
     assert gap[[0, 1, 6, 7]].max() <= 2e-7
 
 
+@pytest.mark.parametrize("model_name, spread", [("bs_model", False), ("still-jumps", False),
+                                               ("merton_model", True)])
+def test_the_hedge_at_maturity_integrates_only_a_residual_that_is_not_zero(
+        request, monkeypatch, model_name, spread):
+    # gamma equals its asymptote unless the jumps spread the claim coordinate:
+    # only then is there a residual to integrate at T
+    model = (_merton_without_claim_spread() if model_name == "still-jumps"
+             else request.getfixturevalue(model_name))
+    dec = decompose(model, call_claim(97.0, axis=1))
+    calls = []
+    refine = engine.refine_line
+
+    def counted(*args):
+        calls.append(args)
+        return refine(*args)
+
+    monkeypatch.setattr(engine, "refine_line", counted)
+    y, z = dec.value_and_hedge(model.horizon, np.array([90.0, 97.0, 104.0]), 99.0)
+    assert bool(calls) == spread
+    assert np.isfinite(z).all()
+
+
 @pytest.mark.parametrize("axis", [1, 2])
 @pytest.mark.parametrize("model_name", ["bs_model", "still-jumps"])
 def test_complex_weight_scales_value_and_hedge(request, model_name, axis):
@@ -556,11 +578,11 @@ def test_line_grid_rejects_terminal_time(bs_model):
 
 def test_line_grid_refinement_is_capped_by_the_panel_budget(bs_model, monkeypatch):
     # the grid's node count comes from the refinement at its two ends, under
-    # the same budget as a point's: log-moneyness out to 9 needs more
+    # the same budget as a point's: log-moneyness out to 13.8 needs more
     monkeypatch.setattr(payoffs, "_PANEL_BUDGET", 128)
     dec = decompose(bs_model, call_measure(100.0, axis=1))
     assert _grid_error(dec, 0.0, np.linspace(np.log(60.0), np.log(160.0), 33)) <= 1e-8
-    glx = np.linspace(np.log(1e-2), np.log(1e6), 33)
+    glx = np.linspace(np.log(1e-2), np.log(1e8), 33)
     with pytest.raises(ConvergenceError, match="did not stabilise within 16 panels"):
         dec._broadcast(0.0, *_slice_prices(dec, glx), True, glx.size)
 
@@ -826,6 +848,74 @@ def test_rates_die_with_the_model():
     assert len(engine._RATES) <= before
 
 
+@_BOOK_MODELS
+@pytest.mark.parametrize("make", [call_claim, put_claim], ids=["call", "put"])
+@pytest.mark.parametrize("axis", [1, 2], ids=["x", "s"])
+def test_the_spot_pass_gives_the_kernels_bits(build, make, axis):
+    # h0 and the hedge at the spot come from one pass, with the bits that the
+    # kernel gives at the spot on its own: a value-only pass for h0, and the
+    # joint pass for the pair (array arguments always run the kernel)
+    model = build()
+    dec = decompose(model, make(97.0, axis=axis))
+    x0, s0 = (float(a) for a in model.spot)
+    value = dec.value([0.0], [x0], [s0])
+    y, z = dec.value_and_hedge([0.0], [x0], [s0])
+    assert np.float64(dec.h0).tobytes() == value.tobytes() == y.tobytes()
+    pair = dec.value_and_hedge(0.0, x0, s0)
+    assert np.array(pair).tobytes() == np.concatenate([y, z]).tobytes()
+    assert dec.value(0.0, x0, s0) == dec.h0 and dec.hedge(0.0, x0, s0) == pair[1]
+
+
+def test_a_second_quote_reads_the_shared_tables(monkeypatch):
+    # a quote is decompose, then value_and_hedge at the spot: an equal claim
+    # (a distinct object) finds its weighted nodes in the line's shared
+    # table, and the quote's pair is the spot pass's
+    model = _fresh_merton()
+    first = call_claim(100.0, axis=1)
+    decompose(model, first).value_and_hedge(0.0, *model.spot)
+    calls = {"density": 0, "refine_line": 0}
+    density, refine = payoffs.ContourLine.density, engine.refine_line
+
+    def counted_density(self, u):
+        calls["density"] += 1
+        return density(self, u)
+
+    def counted_refine(*args):
+        calls["refine_line"] += 1
+        return refine(*args)
+
+    monkeypatch.setattr(payoffs.ContourLine, "density", counted_density)
+    # the engine's own binding of payoffs.refine_line
+    monkeypatch.setattr(engine, "refine_line", counted_refine)
+    claim = call_claim(100.0, axis=1)
+    assert claim.lines[0] == first.lines[0] and claim.lines[0] is not first.lines[0]
+    dec = decompose(model, claim)
+    assert calls["density"] == 0
+    spot_pass = calls["refine_line"]
+    assert spot_pass > 0
+    assert dec.value_and_hedge(0.0, *model.spot) == (dec.h0, dec.hedge(0.0, *model.spot))
+    assert calls == {"density": 0, "refine_line": spot_pass}
+    # both decompositions read one read-only array
+    tag = (0, 1, False, payoffs._TRUNCATION, payoffs._PANELS)
+    wd = dec._nodes(0, 0, 1)[1]
+    assert wd is engine._WEIGHTS[first.lines[0]][tag]
+    with pytest.raises(ValueError, match="read-only"):
+        wd[0] = 0.0
+
+
+def test_shared_weights_die_with_their_line():
+    # a strike no other test uses, so that this line is the table's key
+    claim = put_claim(91.37, axis=2)
+    decompose(_fresh_bs(), claim)
+    line = weakref.ref(claim.lines[0])
+    equal = put_claim(91.37, axis=2).lines[0]
+    assert equal in engine._WEIGHTS
+    del claim
+    gc.collect()
+    assert line() is None
+    assert equal not in engine._WEIGHTS
+
+
 def _bs_for_the_store():
     """A Black-Scholes model of its own, so the shared rates start cold."""
     return AdditiveModel.black_scholes(log_drift=[0.035, 0.02875], vol_x=0.3, vol_s=0.25,
@@ -1033,3 +1123,72 @@ def test_parity_and_terminal_payoff_hold_for_drawn_models(model, axis, moneyness
     assert abs(at_t[0] - max(v - strike, 0.0)) <= 1e-14 * (1.0 + strike)
     assert at_t[1] == max(strike - v, 0.0)
     assert abs(at_t[2] - v) <= 1e-14 * v
+
+
+def _value_only_h0(model, claim):
+    """h0 from a spot pass that asks for the value alone."""
+    broadcast = HedgeDecomposition._broadcast
+
+    def value_only(self, t, x, s, need_z, grid_points=0):
+        return broadcast(self, t, x, s, False, grid_points)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(HedgeDecomposition, "_broadcast", value_only)
+        return decompose(model, claim).h0
+
+
+@hyp_settings(max_examples=100, deadline=None, derandomize=True)
+# a call near the pole at 1: its hedge at the spot, held to its own small
+# scale, needed a level past the panel budget while the value did not
+@example(
+    model=AdditiveModel.black_scholes(
+        log_drift=[-0.019783971421556773, 0.07948507670852867], vol_x=0.6863151564657385,
+        vol_s=0.19392099262534396, corr=0.6433230765519649, horizon=1.8218842095829828,
+        spot=[78.39651391677712, 221.1679036245583]),
+    kind="call", axis=2, moneyness=135.3317833080098 / 221.1679036245583,
+    call_abscissa=0.9221328178355911, put_abscissa=1.5,
+)
+@given(
+    model=_drawn_models(),
+    kind=st.sampled_from(["call", "put"]),
+    axis=st.sampled_from([1, 2]),
+    moneyness=st.floats(0.5, 2.0),
+    call_abscissa=st.floats(0.05, 0.95),
+    put_abscissa=st.floats(0.1, 3.0),
+)
+def test_the_spot_pass_fails_only_where_the_value_does(model, kind, axis, moneyness,
+                                                       call_abscissa, put_abscissa):
+    # decompose takes the hedge at the spot with h0: wherever a value-only h0
+    # succeeds, it must succeed too, with the same h0
+    strike = moneyness * float(model.spot[axis - 1])
+    claim = (call_claim(strike, call_abscissa, axis) if kind == "call"
+             else put_claim(strike, put_abscissa, axis))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            h0 = _value_only_h0(model, claim)
+        except (AssumptionError, ConvergenceError, DomainError):
+            return
+        dec = decompose(model, claim)
+    assert np.float64(dec.h0).tobytes() == np.float64(h0).tobytes()
+    assert np.isfinite(dec.hedge(0.0, *model.spot))
+
+
+def test_a_value_at_its_rounding_floor_is_refused():
+    # a put with its contour far left: the terms of the line's sum add up to
+    # 5e7 times its value, so its rounding, 1.2e-8 of it, is above _REL_TOL,
+    # which the gaps between nested levels, sharing that rounding, do not
+    # show (taken there, h0 was off by 8.6e-9); value and hedge both refuse
+    model = AdditiveModel.merton(
+        log_drift=[0.031101822242099786, -0.13493165026539047], vol_x=0.7240797155870501,
+        vol_s=0.9136302162462973, corr=-0.07595574756231593, horizon=4.34899477662431,
+        spot=[304.79848058341446, 147.43942057084664], jump_intensity=2.2317288760548526,
+        jump_mean=[0.2877151240634132, 0.06603184551420399], jump_vol_x=0.37160425536868685,
+        jump_vol_s=0.13719469157932213, jump_corr=0.05465983142221398)
+    claim = put_claim(225.39413001791735, abscissa=2.8334042374246926, axis=2)
+    for build in (_value_only_h0, decompose):
+        with pytest.raises(ConvergenceError, match="did not stabilise"):
+            build(model, claim)
+    # the same claim on the default contour cancels little
+    assert decompose(model, put_claim(225.39413001791735, axis=2)).h0 == pytest.approx(
+        166.5713773, rel=1e-8)
