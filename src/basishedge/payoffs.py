@@ -241,6 +241,7 @@ def refine_line(ln: ContourLine, logv, coefficients, umult: float = 1):
             for k, (c, p) in enumerate(zip(cur, prev)):
                 if c is None:
                     continue
+                # the value's scale carries over to the hedge after it
                 sc = max(sc, float(np.max(np.abs(c))))
                 if done[k] is None:
                     gap = max(float(np.max(np.abs(c - p))), rounding) / sc
