@@ -11,21 +11,20 @@ gamma(z) units of the power divided by the traded price,
     z(t, x, s) = integral dPi(z) x**z1 s**(z2-1) lambda(t, z) gamma(z).
 
 The claim then splits as g = y(0,X0,S0) + integral z dS + orthogonal
-residual.  At maturity t >= T, the only times where lambda is exactly 1,
-a contour is the residues of its kernel (ContourLine.integral), for the
-value and for gamma's asymptote in the hedge; quadrature takes only the
-rest of gamma, which is not 0 only where the jumps spread the claim
-coordinate.  Before it, this module evaluates both surfaces by shared
-quadrature over the measure's contours, cut where the decay of lambda
-bounds the truncation tail.  A line's weights times its density depend
-on the line alone, so every decomposition of an equal line shares them
-(_WEIGHTS), as every claim on a model shares its rates (_RATES).  Every
-evaluation, h0 and the Monte Carlo replay's path slices included, enters
-through one domain check, runs one kernel per time and leaves through
-one guard: results must be finite, and a real claim's must be
-conjugate-symmetric to within _IM_ABORT.  The pair at inception, h0 and
-the hedge at (0, X0, S0), comes from one pass, which a scalar call at
-that point returns.
+residual.  At maturity t >= T, where lambda is exactly 1, a contour is
+the residues of its kernel (ContourLine.integral), for the value and for
+gamma's asymptote in the hedge; quadrature takes only the rest of gamma,
+which is not 0 only where the jumps spread the claim coordinate.  Before
+it, a contour is integrated by the trapezoid rule, cut where the decay of
+lambda bounds the tail and at the level its aliasing bound asks for
+(payoffs.refine_line), in one pass.  A line's weights times its density
+depend on the line alone, so every decomposition of an equal line shares
+them (_WEIGHTS), as every claim on a model shares its rates (_RATES).
+Every evaluation, h0 and the replay's path slices included, enters
+through one domain check, runs one kernel per time and leaves through one
+guard: results must be finite, and a real claim's conjugate-symmetric to
+within _IM_ABORT.  h0 and the hedge at (0, X0, S0) come from one pass,
+which a scalar call at that point returns.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import numpy as np
 
 from . import payoffs
 from .errors import AssumptionError, ConvergenceError, DomainError
-from .payoffs import PayoffMeasure, line_nodes, refine_line
+from .payoffs import PayoffMeasure, line_level, line_nodes, refine_line, rounding_check
 
 __all__ = ["HedgeDecomposition", "decompose"]
 
@@ -45,12 +44,13 @@ _IM_ABORT = 1e-5
 _MIN_EXTENSION = -3
 _MAX_EXTENSION = 6
 # segment -> {key: (gamma, eta_rate, psi)} at the exponent pairs the key
-# names: a line shape's nodes or plan cutoffs, an atom, or a support's
+# names: a line shape's nodes, strip or plan cutoffs, an atom, or a support's
 # corners.  The claim enters a line only through its density, so every
 # decomposition on a model shares these, and an entry dies with its segment
 _RATES = weakref.WeakKeyDictionary()
-# line -> {key: w * density} at the nodes of the rule the key names, read-only:
-# they depend on the line alone, and an entry dies with its line
+# line -> {key: w * density} at the nodes of the rule the key names, or the
+# strip's table (_strip_mass), read-only: they depend on the line alone, and
+# an entry dies with its line
 _WEIGHTS = weakref.WeakKeyDictionary()
 
 
@@ -94,7 +94,7 @@ class HedgeDecomposition:
         self.measure = measure
         self._spot = None
         self._line_stats = [
-            {"levels": 0, "umult": 0, "tail_bound": 0.0, "tail_mode": "none"}
+            {"levels": 0, "umult": 0, "tail_bound": 0.0, "alias_bound": 0.0, "tail_mode": "none"}
             for _ in measure.lines
         ]
         self._real = measure.is_real_claim()
@@ -246,8 +246,9 @@ class HedgeDecomposition:
         at its distinct varying coordinates (_line_group; one point needs
         no grouping), or, given grid_points, on a uniform grid of that many
         points over the range of its varying log coordinate, by one chirp-z
-        transform on the whole rule at the level its ends took, and
-        interpolated (the replay's path slices, which refuse t >= T)."""
+        transform on the rule at the level the aliasing bound asks for over
+        that range, and interpolated (the replay's path slices, which refuse
+        t >= T)."""
         logx, logs, inv_s = np.log(x), np.log(s), 1.0 / s
         y, z = np.zeros((2, x.size), dtype=complex)
         for a, rates in zip(self.measure.atoms, self._atom_rates):
@@ -265,7 +266,7 @@ class HedgeDecomposition:
                 # a line depends on its varying coordinate only: evaluate each
                 # distinct value once, then scale per point
                 uv, inv = (v, slice(None)) if v.size == 1 else np.unique(v, return_inverse=True)
-                cy, cz = self._line_group(idx, t, uv, fixed, need_z)[:2]
+                cy, cz = self._line_group(idx, t, uv, fixed, need_z)
                 cy, cz = cy[inv], cz if cz is None else cz[inv]
             else:
                 if t >= self.model.horizon:
@@ -273,10 +274,14 @@ class HedgeDecomposition:
                 lo, hi = float(logv.min()), float(logv.max())
                 # all paths at one price (the first step) give a one-point grid
                 glx = np.linspace(lo, hi, grid_points if hi - lo >= 1e-12 else 1)
-                # the aliasing error grows with |log-moneyness|, which peaks at
-                # an end of the grid, so the level refined there serves the grid
-                umult, level = self._line_group(idx, t, np.exp(glx[[0, -1]]), fixed, True)[2:]
-                u, coef, coef_gam = self._coefficients(idx, level, umult, t, True)
+                # the plan and the level over the grid's range of log v, whose
+                # ends bound v**R and the aliasing bound's growth in |w|
+                umult, tail_mode, bound, fmax = self._tail_plan(idx, t, np.exp(glx[[0, -1]]), fixed)
+                ends = glx[0], glx[-1]
+                level, alias = line_level(ln, ends, self._strip_mass(idx, t, umult), umult, fmax)
+                u, coef, coef_gam = self._coefficients(idx, level, umult, t)
+                rounding_check(ln, ends, u, coef, fmax)
+                self._record(idx, level, umult, bound, alias, tail_mode)
                 # exp((R + i u_k) glx_j) = exp((R + i u_0) glx_j) exp(i k h glx_0) exp(i h dx jk)
                 u0, h = u[0], u[1] - u[0]
                 dx = glx[1] - glx[0] if glx.size > 1 else 0.0
@@ -296,15 +301,15 @@ class HedgeDecomposition:
                 z += fixed * cz * inv_s
         return y, z
 
-    def _nodes(self, idx: int, level: int, umult: float, whole: bool = False) -> tuple:
-        """(u, w * density, rates): the nodes a refinement level adds, or its
-        whole rule (see payoffs.line_nodes), their weights times the claim's
-        density, and the model's rates there.  The nodes come from the rule's
-        shared table, the weighted density from the line's in _WEIGHTS, which
-        every decomposition of an equal line reads, and the rates from _RATES."""
+    def _nodes(self, idx: int, level: int, umult: float) -> tuple:
+        """(u, w * density, rates): the nodes of a level's rule (see
+        payoffs.line_nodes), their weights times the claim's density, and
+        the model's rates there.  The nodes come from the rule's shared
+        table, the weighted density from the line's in _WEIGHTS, which every
+        decomposition of an equal line reads, and the rates from _RATES."""
         ln = self.measure.lines[idx]
-        u, w = line_nodes(ln, level, umult, whole)
-        tag = (level, umult, whole, payoffs._TRUNCATION, payoffs._PANELS)
+        u, w = line_nodes(ln, level, umult)
+        tag = (level, umult, payoffs._TRUNCATION, payoffs._PANELS)
         per = _WEIGHTS.setdefault(ln, {})
         wd = per.get(tag)
         if wd is None:
@@ -312,13 +317,33 @@ class HedgeDecomposition:
             wd.flags.writeable = False
         return u, wd, self._line_rates(ln, u, *tag)
 
-    def _coefficients(self, idx: int, level: int, umult: float, t: float, whole: bool = False):
+    def _coefficients(self, idx: int, level: int, umult: float, t: float):
         """(u, coef, coef * gamma) at the nodes of _nodes at time t, where
         coef is weight * density * lambda: a line's one coefficient path."""
-        u, wd, rates = self._nodes(idx, level, umult, whole)
+        u, wd, rates = self._nodes(idx, level, umult)
         lam, gam = self._propagate(rates, t)
         coef = wd * lam
         return u, coef, coef * gam
+
+    def _strip_mass(self, idx: int, ti: float, umult: float, asymptote=None) -> tuple:
+        """(m-, m+) for payoffs.line_level: the integrals of the integrand's
+        magnitude at v = 1 along the strip's edges (payoffs.strip_nodes), with
+        the weight |lambda| max(1, |gamma|), or |lambda| |gamma - asymptote(z)|.
+        The table is the line's in _WEIGHTS, the rates are in _RATES."""
+        ln, m = self.measure.lines[idx], self.model
+        tag = ("strip", umult, payoffs._STRIP, payoffs._TRUNCATION, payoffs._PANELS)
+        per = _WEIGHTS.setdefault(ln, {})
+        if tag not in per:
+            per[tag] = payoffs.strip_nodes(ln, umult)
+        off, wd = per[tag]
+        rates = self._line_rates(ln, off, *tag)
+        # |lambda| is the exp of its log's real part, in real arithmetic
+        lam = np.exp(m._integral(ti, m.horizon, lambda w, seg: w * rates[seg][1].real))
+        gam = rates[m._segment_at(ti)][0]
+        lam *= (np.maximum(1.0, np.abs(gam)) if asymptote is None
+                else np.abs(gam - asymptote(ln.abscissa + 1j * off)))
+        n = off.size // 2
+        return float(wd[:n] @ lam[:n]), float(wd[n:] @ lam[n:])
 
     def _rates(self, key, pairs) -> dict:
         """(gamma, eta_rate, psi) of every model segment at the exponent pairs
@@ -350,22 +375,21 @@ class HedgeDecomposition:
         return np.exp(log_lam), rates[m._segment_at(ti)][0]
 
     def _line_group(self, idx, ti, v, fixed, need_z):
-        """Raw line values (y, z) at the varying coordinates v at time ti,
-        with the truncation multiple and the level they took; z is None
-        unless need_z.  The plan and the level go into the line's stats.
-
-        Values exclude the fixed-coordinate factor and the 1/s hedging
-        division; `fixed` holds the factors of the points sharing them,
-        which the truncation plan has to cover.
-        """
-        ln = self.measure.lines[idx]
-        umult, tail_mode, bound = self._tail_plan(idx, ti, v, fixed)
+        """Raw line values (y, z) at the varying coordinates v at time ti, z
+        None unless need_z, without the fixed-coordinate factor and the 1/s
+        of the hedge; `fixed` holds the factors of the points sharing them,
+        which the plan and the bounds cover.  The plan, the level and the
+        bounds go into the line's stats."""
+        ln, logv = self.measure.lines[idx], np.log(v)
+        umult, tail_mode, bound, fmax = self._tail_plan(idx, ti, v, fixed)
+        alias = 0.0
         if tail_mode != "terminal":
             def coefficients(level):
                 u, coef, coef_gam = self._coefficients(idx, level, umult, ti)
                 return u, (coef, coef_gam if need_z else None)
 
-            y, z, level = refine_line(ln, np.log(v), coefficients, umult)
+            y, z, level, alias = refine_line(ln, logv, coefficients, self._strip_mass(idx, ti, umult),
+                                             umult, fmax)
         else:
             # lambda is 1: the value is the line's closed form, and so is the
             # hedge but for gamma's part off its asymptote, left to quadrature;
@@ -378,36 +402,43 @@ class HedgeDecomposition:
                 if seg.jump_intensity > 0 and seg.jump_cov[a, a] > 0:
                     g0, g1, amp, rate = affine
 
+                    def asymptote(zrun):
+                        return g0 + g1 * zrun + amp * np.exp(rate * zrun)
+
                     def residual(level):
                         u, coef, coef_gam = self._coefficients(idx, level, umult, ti)
-                        zrun = ln.abscissa + 1j * u
-                        asymptote = g0 + g1 * zrun + amp * np.exp(rate * zrun)
-                        return u, (None, coef_gam - coef * asymptote)
+                        return u, (None, coef_gam - coef * asymptote(ln.abscissa + 1j * u))
 
-                    _, rest, level = refine_line(ln, np.log(v), residual, umult)
+                    mass = self._strip_mass(idx, ti, umult, asymptote)
+                    _, rest, level, alias = refine_line(ln, logv, residual, mass, umult, fmax)
                     z = rest + z
-        stats = self._line_stats[idx]
-        stats["levels"] = max(stats["levels"], level)
-        stats["umult"] = max(stats["umult"], umult)
-        stats["tail_bound"] = max(stats["tail_bound"], bound)
-        stats["tail_mode"] = tail_mode
-        return y, z, umult, level
+        self._record(idx, level, umult, bound, alias, tail_mode)
+        return y, z
 
-    def _tail_plan(self, idx, ti, v, fixed) -> tuple[float, str, float]:
-        """The first truncation multiple 2**k (k >= _MIN_EXTENSION) whose tail
-        bound, which covers the hedge's growth too, passes the floor."""
+    def _record(self, idx, level, umult, bound, alias, tail_mode):
+        """Fold one evaluation's plan, level and bounds into the line's stats."""
+        stats = self._line_stats[idx]
+        for key, val in (("levels", level), ("umult", umult), ("tail_bound", bound),
+                         ("alias_bound", alias)):
+            stats[key] = max(stats[key], val)
+        stats["tail_mode"] = tail_mode
+
+    def _tail_plan(self, idx, ti, v, fixed) -> tuple[float, str, float, float]:
+        """(umult, mode, bound, fmax): the first truncation multiple 2**k
+        (k >= _MIN_EXTENSION) whose tail bound, which covers the hedge's
+        growth too, passes the floor, and the largest fixed factor."""
         ln = self.measure.lines[idx]
         horizon = self.model.horizon
+        fmax = float(np.max(np.abs(fixed))) if np.size(fixed) else 1.0
         if ti >= horizon:
-            return 1, "terminal", 0.0
+            return 1, "terminal", 0.0, fmax
         ks = range(_MIN_EXTENSION, _MAX_EXTENSION + 1)
         cuts = payoffs._TRUNCATION * 2.0 ** np.array(ks)
         # max of v**R sits at the small end of the grid for negative abscissas
         vpow = float(np.max(np.asarray(v) ** ln.abscissa))
-        fmax = float(np.max(np.abs(fixed))) if np.size(fixed) else 1.0
         k = ln.strike
         amp = abs(ln.scale) * k ** (1.0 - ln.abscissa) / (2.0 * np.pi) * vpow * fmax
-        floor = 0.1 * payoffs._REL_TOL * (1.0 + k)
+        floor = payoffs.line_floor(ln)
         # lambda and gamma at every cutoff at once; the bounds stay scalar, whose
         # vector form would move tail_bound in its last bit
         tag = ("plan", payoffs._TRUNCATION, _MIN_EXTENSION, _MAX_EXTENSION)
@@ -415,7 +446,7 @@ class HedgeDecomposition:
         for k_ext, cut, lam, gam in zip(ks, cuts, lams, gams):
             bound = float(2.0 * amp * abs(lam) * max(1.0, abs(gam)) / cut)
             if bound <= floor:
-                return 2 ** k_ext, "extended" if k_ext > 0 else "skipped-negligible", bound
+                return 2 ** k_ext, "extended" if k_ext > 0 else "skipped-negligible", bound, fmax
         a = ln.axis - 1
         if any(seg.covariance[a, a] > 0 or seg.jump_intensity > 0 and seg.jump_cov[a, a] > 0
                for _, _, seg in self.model.segments):

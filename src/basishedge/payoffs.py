@@ -8,8 +8,9 @@ fixed.  Vanilla calls and puts admit exact representations of this form
 with the rational kernel ``K**(1-z) / (2*pi*z*(z-1))``, whose residues
 give a line's whole integral in closed form (ContourLine.integral): that
 is how a claim is evaluated.  Under a propagation factor other than 1
-the engine integrates a line by one-dimensional quadrature up to a
-cutoff (line_nodes, refine_line).
+the engine integrates a line by the trapezoid rule up to a cutoff, in one
+pass at the level its aliasing bound asks for (line_nodes, line_level,
+refine_line).
 
 Conventions
 -----------
@@ -56,10 +57,13 @@ _BLOCK = 1 << 21
 # intervals each; the engine scales both by its truncation multiple
 _TRUNCATION = 200.0
 _PANELS = 32
-# refinement stops once successive levels agree to _REL_TOL relative, and
-# the nested levels stop at twice _PANEL_BUDGET panels
+# a line's integral is taken to _REL_TOL of 1 + strike, on a rule of at
+# most _PANEL_BUDGET panels
 _REL_TOL = 1e-8
 _PANEL_BUDGET = 512
+# the aliasing bound's strip reaches this fraction of the way to a pole
+_STRIP = 0.9
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -151,111 +155,129 @@ class ContourLine:
         return self.scale * out
 
 
-def line_nodes(ln: ContourLine, level: int, umult: float = 1, whole: bool = False):
-    """Running nodes and weights that a refinement level adds to a line
-    whose cutoff _TRUNCATION is scaled by umult (with whole, all of its rule).
-
-    The level's rule is the trapezoid rule on 16 * _PANELS * umult
-    * 2**level equal intervals, with Gregory weights at each cut end (u = 0
-    of a symmetric line is no cut: Re of its integrand is even there).
-    Level 0 is the whole rule; a later level holds its midpoints and moves
-    the end weights from the coarser spacing to its own, so that its sum
-    plus half the previous level's is the whole finer rule.  The rule
+def line_nodes(ln: ContourLine, level: int, umult: float = 1):
+    """Running nodes and weights of a line's rule at a level, its cutoff
+    _TRUNCATION scaled by umult: the trapezoid rule on 16 * _PANELS * umult
+    * 2**level intervals, with Gregory weights at each cut end (u = 0 of a
+    symmetric line is no cut: Re of its integrand is even there).  It
     depends on the line only through its symmetry, so every line shares
     one read-only table of them.
     """
-    return _rule(ln.symmetric, level, umult, whole, _TRUNCATION, _PANELS)
+    return _rule(ln.symmetric, level, umult, _TRUNCATION, _PANELS)
 
 
 @functools.lru_cache(maxsize=64)
-def _rule(symmetric, level, umult, whole, truncation, panels):
+def _rule(symmetric, level, umult, truncation, panels):
     n = 16 * int(panels * umult) << level
     hi = truncation * umult
     lo = 0.0 if symmetric else -hi
-    if level == 0 or whole:
-        w, end = np.r_[0.5, np.ones(n - 1), 0.5], _END
-    else:
-        w = np.zeros(n + 1)
-        w[1::2] = 1.0
-        # the end weights at this spacing less those at twice it
-        end = np.zeros(2 * _END.size - 1)
-        end[:_END.size] = _END
-        end[::2] -= _END
-    w[n + 1 - end.size:] += end[::-1]
+    w = np.r_[0.5, np.ones(n - 1), 0.5]
+    w[n + 1 - _END.size:] += _END[::-1]
     if not symmetric:
-        w[:end.size] += end
-    j = np.flatnonzero(w)
-    u, w = lo + (hi - lo) * (j / n), (hi - lo) / n * w[j]
+        w[:_END.size] += _END
+    u, w = lo + (hi - lo) * (np.arange(n + 1) / n), (hi - lo) / n * w
     u.flags.writeable = w.flags.writeable = False
     return u, w
 
 
-def refine_line(ln: ContourLine, logv, coefficients, umult: float = 1):
-    """The refinement loop of every contour-line integral.
+def line_floor(ln: ContourLine) -> float:
+    """The error a line may leave in its truncation, and apart in its aliasing."""
+    return 0.1 * _REL_TOL * (1.0 + ln.strike)
 
-    coefficients(level) returns the nodes u that the level adds (see
-    line_nodes) and their weights (cy, cz) in the two integrals
-    sum_k c_k exp((R + i u_k) logv) at the 1-d logv, None for one that is
-    not wanted.  The power matrix is built in row blocks of at most _BLOCK
-    entries, so memory does not grow with the number of points.  Intervals
-    double per level; each integral is taken at the first level that
-    agrees with the one before to _REL_TOL relative, so a value has the
-    same bits with or without the hedge beside it, and the loop runs until
-    every wanted integral has been taken.  No gap counts as less than the
-    rounding of the first wanted sum, eps times the magnitudes of its terms
-    (level 0's whole rule gives their sum), so a value that cancels beyond
-    _REL_TOL is never taken; and the hedge is held to the value's scale
-    and rounding: near a pole of the kernel the two integrands meet and
-    carry the same quadrature error.  The levels nest, so the work up to
-    the level past _PANEL_BUDGET equals that of a rule rebuilt whole at
-    every level up to it.  Returns (y, z, level), without the
+
+def strip_width(ln: ContourLine) -> float:
+    """d', _STRIP of the way from the abscissa to the kernel's nearest pole."""
+    return _STRIP * min(abs(ln.abscissa), abs(ln.abscissa - 1.0))
+
+
+def strip_nodes(ln: ContourLine, umult: float = 1):
+    """(off, mass): the level-0 nodes on the strip's edges Re z = R -+ d', as
+    offsets from the abscissa (z = R + i off, so u + i d' lies on R - d'), and
+    each node's integral of |density| over its cell, taken by the rule 16
+    times finer (near a pole the kernel's peak is narrower than the spacing),
+    a symmetric line's half doubled.  Read-only, like the rule."""
+    d, u = strip_width(ln), line_nodes(ln, 0, umult)[0]
+    fine, fw = line_nodes(ln, 4, umult)
+    cell = (np.arange(fine.size) + 8) // 16
+    mass = [np.bincount(cell, fw * np.abs(replace(ln, abscissa=r).density(fine)))
+            for r in (ln.abscissa - d, ln.abscissa + d)]
+    off, mass = np.r_[u + 1j * d, u - 1j * d], (1.0 + ln.symmetric) * np.concatenate(mass)
+    off.flags.writeable = mass.flags.writeable = False
+    return off, mass
+
+
+def line_level(ln: ContourLine, ends, mass, umult: float = 1, fmax: float = 1.0):
+    """(level, bound): the first level whose aliasing bound passes line_floor
+    over the points whose log v spans ends = (lo, hi).
+
+    The integrand is analytic in the strip |Re z - R| < d' (strip_width), so
+    the trapezoid rule at spacing h errs by at most 2 M / (exp(2 pi d' / h) - 1),
+    M the integral of its magnitude along the strip's edges (Trefethen &
+    Weideman 2014).  mass = (m-, m+) gives it on Re z = R -+ d' at v = 1 (see
+    strip_nodes), the hedge's weight included; at v it grows by fmax v**(R -+ d'), which is
+    fmax K v**R e**(+-d' w) / K**R with w = log(v/K).  A bound that is not
+    finite, or a level past _PANEL_BUDGET, raises ConvergenceError.
+    """
+    d, (lo, hi) = strip_width(ln), ends
+    amp = 2.0 * fmax * max(m * float(np.exp(max(r * lo, r * hi)))
+                           for m, r in zip(mass, (ln.abscissa - d, ln.abscissa + d)))
+    floor = line_floor(ln)
+    panels, budget = int(_PANELS * umult), _PANEL_BUDGET * umult
+    # the spacing of level 0
+    h = _TRUNCATION * umult * (1.0 + (not ln.symmetric)) / (16 * panels)
+    level, bound = 0, np.inf
+    while panels << level <= budget:
+        bound = amp / float(np.expm1(2.0 * np.pi * d * 2 ** level / h))
+        if bound <= floor:
+            return level, bound
+        level += 1
+    raise ConvergenceError(f"contour quadrature did not stabilise within {int(budget)} panels: "
+                           f"its aliasing bound {bound:.2e} is above {floor:.2e}", residual=bound)
+
+
+def rounding_check(ln: ContourLine, ends, u, c, fmax: float = 1.0):
+    """Refuse a sum sum_k c_k exp(z_k x), z_k = R + i u_k, at x = log v in
+    ends = (lo, hi) whose rounding may pass _REL_TOL (1 + K): each term
+    carries the rounding of exp at an argument of size |z_k x|, so the sum's
+    is about eps e**(R x) (s0 + |x| s1), s0 = sum |c_k|, s1 = sum |c_k z_k|,
+    log-concave on either side of x = 0: it peaks at an end or where its
+    derivative vanishes.  A NaN passes, for the caller's finiteness guard."""
+    ac, r, (lo, hi) = np.abs(c), ln.abscissa, ends
+    s0, s1 = float(ac.sum()), float(ac @ np.hypot(r, u))
+    peaks = (-1.0 / r - s0 / s1, s0 / s1 - 1.0 / r) if s1 > 0.0 else ()
+    rounding = (1.0 + ln.symmetric) * _EPS * fmax * max(
+        float(np.exp(r * x)) * (s0 + abs(x) * s1) for x in (lo, hi, *peaks) if lo <= x <= hi)
+    if rounding > _REL_TOL * (1.0 + ln.strike):
+        raise ConvergenceError(f"contour quadrature did not stabilise: its rounding {rounding:.2e} "
+                               f"passes {_REL_TOL:g} (1 + strike), as its terms cancel",
+                               residual=rounding)
+
+
+def refine_line(ln: ContourLine, logv, coefficients, mass, umult: float = 1, fmax: float = 1.0):
+    """A contour-line integral in one pass, at the level line_level picks.
+
+    coefficients(level) returns the nodes u of that level's rule and their
+    weights (cy, cz) in the sums sum_k c_k exp((R + i u_k) logv) at the 1-d
+    logv, None for one not wanted.  The first wanted sum passes
+    rounding_check; the hedge takes the value's level, so a value has the
+    same bits with or without it.  The power matrix is built in row blocks
+    of at most _BLOCK entries.  Returns (y, z, level, bound), without the
     fixed-coordinate factor.
     """
-    budget = _PANEL_BUDGET * umult
-    acc = [np.zeros(logv.shape, dtype=complex) for _ in range(2)]
-    done = [None, None]
-    prev = None
-    diff = float("nan")
-    level = 0
-    while int(_PANELS * umult) << level <= 2 * budget:
-        u, coefs = coefficients(level)
-        if level == 0:
-            # |exp((R + i u) logv)| is v**R at every node, so the terms of the
-            # value's sum (the first wanted) add up to sum |c| * v**R, twice
-            # that on a symmetric line
-            vmax = logv.max() if ln.abscissa > 0 else logv.min()
-            lead = next(c for c in coefs if c is not None)
-            rounding = (1.0 + ln.symmetric) * np.finfo(float).eps * float(
-                np.abs(lead).sum() * np.exp(ln.abscissa * vmax))
-        rows = max(1, _BLOCK // u.size)
-        for i in range(0, logv.size, rows):
-            powers = np.exp(np.multiply.outer(logv[i:i + rows], ln.abscissa + 1j * u))
-            for out, c in zip(acc, coefs):
-                if c is not None:
-                    out[i:i + rows] = 0.5 * out[i:i + rows] + powers @ c
-        cur = [None if c is None else a.copy() for a, c in zip(acc, coefs)]
-        if ln.symmetric:
-            cur = [None if c is None else 2.0 * c.real for c in cur]
-        if prev is not None:
-            diff, sc = 0.0, 1.0
-            for k, (c, p) in enumerate(zip(cur, prev)):
-                if c is None:
-                    continue
-                # the value's scale carries over to the hedge after it
-                sc = max(sc, float(np.max(np.abs(c))))
-                if done[k] is None:
-                    gap = max(float(np.max(np.abs(c - p))), rounding) / sc
-                    # a NaN gap stops the loop, for the caller's finiteness guard
-                    if not gap > _REL_TOL:
-                        done[k] = c
-                    diff = max(diff, gap)
-            if all(d is not None or c is None for d, c in zip(done, coefs)):
-                return done[0], done[1], level
-        prev = cur
-        level += 1
-    raise ConvergenceError(
-        f"contour quadrature did not stabilise within {int(budget)} panels", residual=diff
-    )
+    ends = float(logv.min()), float(logv.max())
+    level, bound = line_level(ln, ends, mass, umult, fmax)
+    u, coefs = coefficients(level)
+    rounding_check(ln, ends, u, next(c for c in coefs if c is not None), fmax)
+    out = [None if c is None else np.empty(logv.shape, dtype=complex) for c in coefs]
+    rows = max(1, _BLOCK // u.size)
+    for i in range(0, logv.size, rows):
+        powers = np.exp(np.multiply.outer(logv[i:i + rows], ln.abscissa + 1j * u))
+        for o, c in zip(out, coefs):
+            if c is not None:
+                o[i:i + rows] = powers @ c
+    if ln.symmetric:
+        out = [None if o is None else 2.0 * o.real for o in out]
+    return out[0], out[1], level, bound
 
 
 @dataclass(frozen=True)

@@ -776,6 +776,19 @@ def test_cli_hedge_surface_with_the_call_contour_near_a_pole(tmp_path, capsys):
     assert last.size and np.all(np.abs(last[:, 3] - np.maximum(last[:, 1] - 100.0, 0.0)) <= 1e-6 * 101.0)
 
 
+def test_cli_price_exits_3_on_a_put_far_beyond_the_spot(tmp_path, capsys):
+    # the put at strike 1e20 on X: its line's terms cancel far past the
+    # tolerance (levels that agreed on an aliased sum once printed h0 9.05e40)
+    cfg = json.loads(SHIPPED_PDE.read_text())
+    cfg["payoff"] = {"kind": "put", "strike": 1e20, "asset": "x"}
+    out = tmp_path / "never"
+    assert main(["price", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("quadrature failed:") and "did not stabilise" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["pde", "compare", "price"])
 def test_cli_exit_3_on_singular_constant_covariance(tmp_path, capsys, command):
     # corr 1 makes the log-covariance singular; the spec's ellipticity

@@ -896,7 +896,7 @@ def test_a_second_quote_reads_the_shared_tables(monkeypatch):
     assert dec.value_and_hedge(0.0, *model.spot) == (dec.h0, dec.hedge(0.0, *model.spot))
     assert calls == {"density": 0, "refine_line": spot_pass}
     # both decompositions read one read-only array
-    tag = (0, 1, False, payoffs._TRUNCATION, payoffs._PANELS)
+    tag = (0, 1, payoffs._TRUNCATION, payoffs._PANELS)
     wd = dec._nodes(0, 0, 1)[1]
     assert wd is engine._WEIGHTS[first.lines[0]][tag]
     with pytest.raises(ValueError, match="read-only"):
@@ -1192,3 +1192,105 @@ def test_a_value_at_its_rounding_floor_is_refused():
     # the same claim on the default contour cancels little
     assert decompose(model, put_claim(225.39413001791735, axis=2)).h0 == pytest.approx(
         166.5713773, rel=1e-8)
+
+
+# -- each contour integral at the level its aliasing bound asks for -------------
+
+_HULLEY_MCWALTER = Path(__file__).resolve().parents[1] / "configs" / "hulley_mcwalter.json"
+
+
+@pytest.mark.parametrize("kind", ["call", "put"])
+@pytest.mark.parametrize("axis", [1, 2])
+def test_the_strike_sweep_is_right_or_refused(kind, axis):
+    # strikes 1e-12 to 1e30 on the shipped Black-Scholes model: each h0 is the
+    # lognormal value to 1e-8 (1 + K) or raises; levels that agree on an
+    # aliased sum once returned 9.05e40 for the put at 1e20 and a call at
+    # 1e-12 off by 8.7e-8
+    model = load_config(str(_HULLEY_MCWALTER)).model
+    forward = oracles.adjusted_forward(model, axis)
+    var = model.covariance[axis - 1, axis - 1] * model.horizon
+    make, price = ((call_claim, oracles.lognormal_call) if kind == "call"
+                   else (put_claim, oracles.lognormal_put))
+    refused = []
+    for k in range(-12, 31):
+        strike = 10.0 ** k
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                dec = decompose(model, make(strike, axis=axis))
+            except ConvergenceError:
+                refused.append(k)
+                continue
+        assert abs(dec.h0 - price(forward, strike, var)) <= 1e-8 * (1.0 + strike), strike
+        assert np.isfinite(dec.hedge(0.0, *model.spot))
+    # strikes within a few decades of the spot are always priced
+    assert not set(refused) & set(range(-2, 5))
+
+
+def test_a_drawn_put_at_its_rounding_limit_is_right_or_refused():
+    # a contour far left under a volatile model: the line's terms cancel to
+    # about 1.7e-7 of the value, which a gap between nested levels did not
+    # show (h0 was taken 1.5e-8 off)
+    model = AdditiveModel.black_scholes(log_drift=[0.1384, -0.0425], vol_x=0.292, vol_s=0.904,
+                                        corr=-0.103, horizon=4.70, spot=[344.25, 300.30])
+    want = oracles.lognormal_put(oracles.adjusted_forward(model, 2), 164.10,
+                                 model.covariance[1, 1] * model.horizon)
+    try:
+        h0 = decompose(model, put_claim(164.10, abscissa=2.986, axis=2)).h0
+    except ConvergenceError as exc:
+        assert "did not stabilise" in str(exc)
+    else:
+        assert h0 == pytest.approx(want, rel=1e-8)
+    assert decompose(model, put_claim(164.10, axis=2)).h0 == pytest.approx(want, rel=1e-12)
+
+
+@_BOOK_MODELS
+@pytest.mark.parametrize("make, axis", [(call_claim, 1), (call_claim, 2), (put_claim, 1),
+                                        (put_claim, 2)], ids=["call-x", "call-s", "put-x", "put-s"])
+def test_a_point_takes_one_coefficient_pass_per_line(build, make, axis, monkeypatch):
+    # the level comes from the bound, so a point before T builds each line's
+    # coefficients once, at that level
+    dec = decompose(build(), make(97.0, axis=axis))
+    passes = []
+    coefficients = HedgeDecomposition._coefficients
+
+    def counted(self, idx, *args):
+        passes.append(idx)
+        return coefficients(self, idx, *args)
+
+    monkeypatch.setattr(HedgeDecomposition, "_coefficients", counted)
+    dec.value_and_hedge(0.37, 93.0, 108.0)
+    assert sorted(passes) == list(range(len(dec.measure.lines)))
+
+
+def test_a_replay_grid_takes_its_level_without_refinement(bs_model, monkeypatch):
+    # one path slice: the grid's rule comes from the bound over its range, by
+    # one coefficient pass and one chirp-z transform per line, with no point
+    # evaluation at its ends
+    dec = decompose(bs_model, call_claim(100.0, axis=1))
+    calls = {"_line_group": 0, "_coefficients": 0, "_chirp_z": 0}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(HedgeDecomposition, "_line_group")
+    counting(HedgeDecomposition, "_coefficients")
+    counting(engine, "_chirp_z")
+    glx = np.linspace(np.log(60.0), np.log(160.0), 257)
+    dec._broadcast(0.5, *_slice_prices(dec, glx), True, glx.size)
+    assert calls == {"_line_group": 0, "_coefficients": 1, "_chirp_z": 1}
+
+
+def test_the_shipped_call_takes_level_two():
+    # level 2 already errs by about 3e-14; a rule of agreeing levels paid for
+    # level 3 to accept it
+    cfg = load_config(str(_HULLEY_MCWALTER))
+    line = decompose(cfg.model, cfg.measure).quadrature_report()["lines"][0]
+    assert line["levels"] == 2
+    assert 0.0 < line["alias_bound"] <= 0.1 * payoffs._REL_TOL * (1.0 + 100.0)

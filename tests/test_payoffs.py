@@ -39,22 +39,27 @@ def test_line_nodes_integrate_polynomials_exactly(monkeypatch):
 
 
 @pytest.mark.parametrize("symmetric", [True, False])
-def test_nested_levels_reproduce_the_finer_rule(symmetric):
-    # each level adds its nodes to half the sum before; three levels on top of
-    # level 0 make the level-0 rule with 8 times the intervals, on the half
-    # line of a symmetric line (a real scale) and on the whole of the other
+def test_each_level_is_the_whole_rule_at_half_the_spacing(symmetric):
+    # every level is one whole rule over the same cutoff: the spacing halves,
+    # each coarser node stays a node, and on the half line of a symmetric
+    # line (a real scale) or the whole of the other the rules agree on a
+    # smooth even integrand, as the trapezoid rule does on such a function
     line = replace(call_measure(100.0).lines[0], scale=1.0 if symmetric else 1j)
     assert line.symmetric == symmetric
 
     def f(u):
-        return np.exp(-u * u / 2000.0) * np.cos(u / 3.0) + 0.1j * u
+        return np.exp(-u * u / 5.0) * np.cos(u / 3.0)
 
-    acc = 0.0
+    prev = None
     for level in range(4):
         u, w = line_nodes(line, level, 0.125)
-        acc = 0.5 * acc + w @ f(u)
-    u, w = line_nodes(line, 3, 0.125, whole=True)
-    assert abs(acc - w @ f(u)) <= 1e-14 * abs(acc)
+        h = np.diff(u)
+        assert np.allclose(h, 25.0 * (1 + (not symmetric)) / 64 / 2 ** level, rtol=1e-12)
+        assert u[0] == (0.0 if symmetric else -25.0) and u[-1] == 25.0
+        if prev is not None:
+            assert np.array_equal(u[::2], prev[0])
+            assert abs(w @ f(u) - prev[1] @ f(prev[0])) <= 1e-13 * abs(w @ f(u))
+        prev = u, w
 
 
 @pytest.mark.parametrize("abscissa", [0.1, 0.9])
